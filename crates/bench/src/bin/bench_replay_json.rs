@@ -1,10 +1,9 @@
-//! Emits `BENCH_replay.json`: the replay read-path before/after table for
-//! the segmented storage engine — median restore-read latency (`get_bytes`
-//! on a segmented store vs the v1 per-file `get`) and cold store-open time
-//! at scale (100k checkpoints; the v1 open stats every data file, the
-//! segmented open stats only segments). This is the committed benchmark
-//! trajectory for the replay hot path — future PRs are held to it, and
-//! `flor-sim`'s `cost::read_cost` constants are taken from it.
+//! Emits `BENCH_replay.json`: the replay read-path table for the
+//! segmented storage engine — median restore-read latency (`get_bytes`)
+//! and cold store-open time at scale (100k checkpoints; the open reads
+//! the manifest once and stats only segments). This is the committed
+//! benchmark trajectory for the replay hot path — future PRs are held to
+//! it, and `flor-sim`'s `cost::read_cost` constants are taken from it.
 //!
 //! ```text
 //! cargo run --release -p flor-bench --bin bench_replay_json [-- OUT.json]
@@ -13,20 +12,8 @@
 //! Quick mode (`FLOR_BENCH_QUICK=1`, used by `tools/bench.sh` in CI)
 //! shrinks the store so the smoke run finishes in seconds.
 
-use flor_bench::replay_read::{
-    measure_reads, ReadFixture, ReadMeasurement, ReadMode, BLOCKS, PAYLOAD_BYTES,
-};
-use flor_chkpt::StoreFormat;
+use flor_bench::replay_read::{measure_reads, ReadFixture, BLOCKS, PAYLOAD_BYTES};
 use std::fmt::Write as _;
-
-fn json_measurement(out: &mut String, m: &ReadMeasurement, cold_open_ns: u64) {
-    let _ = write!(
-        out,
-        "{{\"reads\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"p99_ns\": {}, \
-         \"cold_open_ns\": {}}}",
-        m.reads, m.median_ns, m.mean_ns, m.p99_ns, cold_open_ns
-    );
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -41,27 +28,18 @@ fn main() {
         (100_000, 20_000)
     };
 
-    eprintln!("building {checkpoints}-checkpoint fixtures (segmented + file-per-checkpoint)…");
-    let seg = ReadFixture::build("json-seg", StoreFormat::Segmented, checkpoints);
-    let v1 = ReadFixture::build("json-v1", StoreFormat::FilePerCheckpoint, checkpoints);
+    eprintln!("building the {checkpoints}-checkpoint fixture…");
+    let fixture = ReadFixture::build("json-seg", checkpoints);
 
-    // Cold opens first (no read caches primed by the latency pass).
-    let seg_open_ns = seg.cold_open_ns();
-    let v1_open_ns = v1.cold_open_ns();
+    // Cold open first (no read caches primed by the latency pass).
+    let cold_open_ns = fixture.cold_open_ns();
 
-    let seg_store = seg.open();
-    let v1_store = v1.open();
+    let store = fixture.open();
     // Warm-up pass over a small slice so first-touch costs (segment buffer
-    // loads, allocator) don't skew the median of either side.
-    measure_reads(&seg_store, &seg, ReadMode::GetBytes, 256);
-    measure_reads(&v1_store, &v1, ReadMode::Get, 256);
-
-    let after = measure_reads(&seg_store, &seg, ReadMode::GetBytes, sample);
-    let before = measure_reads(&v1_store, &v1, ReadMode::Get, sample);
-    let seg_stats = seg_store.stats();
-
-    let median_speedup = before.median_ns as f64 / after.median_ns.max(1) as f64;
-    let open_speedup = v1_open_ns as f64 / seg_open_ns.max(1) as f64;
+    // loads, allocator) don't skew the median.
+    measure_reads(&store, &fixture, 256);
+    let m = measure_reads(&store, &fixture, sample);
+    let stats = store.stats();
 
     let mut body = String::new();
     let _ = writeln!(body, "{{");
@@ -69,8 +47,7 @@ fn main() {
     let _ = writeln!(
         body,
         "  \"description\": \"per-restore checkpoint read latency and cold store-open time; \
-         segmented = zero-copy get_bytes over packed segments (this PR), \
-         file_per_checkpoint_prepr = pre-refactor v1 layout via get (one file + stat per checkpoint)\","
+         segmented = zero-copy get_bytes over packed segments\","
     );
     let _ = writeln!(body, "  \"quick\": {quick},");
     let _ = writeln!(
@@ -78,37 +55,29 @@ fn main() {
         "  \"fixture\": {{\"checkpoints\": {checkpoints}, \"payload_bytes\": {PAYLOAD_BYTES}, \
          \"blocks\": {BLOCKS}, \"sampled_reads\": {sample}}},"
     );
-    let _ = write!(body, "  \"segmented\": ");
-    json_measurement(&mut body, &after, seg_open_ns);
-    let _ = writeln!(body, ",");
-    let _ = write!(body, "  \"file_per_checkpoint_prepr\": ");
-    json_measurement(&mut body, &before, v1_open_ns);
-    let _ = writeln!(body, ",");
     let _ = writeln!(
         body,
-        "  \"zero_copy_reads\": {}, \"segment_cache_hits\": {}, \"segments\": {},",
-        seg_stats.zero_copy_reads, seg_stats.segment_cache_hits, seg_stats.segments
+        "  \"segmented\": {{\"reads\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"p99_ns\": {}, \
+         \"cold_open_ns\": {cold_open_ns}}},",
+        m.reads, m.median_ns, m.mean_ns, m.p99_ns
     );
-    let _ = writeln!(body, "  \"median_get_speedup\": {median_speedup:.2},");
-    let _ = writeln!(body, "  \"cold_open_speedup\": {open_speedup:.2}");
+    let _ = writeln!(
+        body,
+        "  \"zero_copy_reads\": {}, \"segment_cache_hits\": {}, \"segments\": {}",
+        stats.zero_copy_reads, stats.segment_cache_hits, stats.segments
+    );
     let _ = writeln!(body, "}}");
 
-    // The fixtures are large (the v1 layout is 100k files at full scale);
-    // don't leave them on the temp filesystem.
-    drop(seg_store);
-    drop(v1_store);
-    let _ = std::fs::remove_dir_all(seg.root());
-    let _ = std::fs::remove_dir_all(v1.root());
+    // The fixture is large at full scale; don't leave it on the temp
+    // filesystem.
+    drop(store);
+    let _ = std::fs::remove_dir_all(fixture.root());
 
     std::fs::write(&out_path, &body).expect("write BENCH_replay.json");
     eprintln!(
-        "get_bytes median {} ns vs v1 get {} ns — {:.2}x; cold open {:.1} ms vs {:.1} ms — {:.2}x",
-        after.median_ns,
-        before.median_ns,
-        median_speedup,
-        seg_open_ns as f64 / 1e6,
-        v1_open_ns as f64 / 1e6,
-        open_speedup
+        "get_bytes median {} ns; cold open {:.1} ms",
+        m.median_ns,
+        cold_open_ns as f64 / 1e6
     );
     eprintln!("wrote {out_path}");
 }

@@ -1,24 +1,19 @@
 //! Checkpoint-compression measurement for the record hot path.
 //!
-//! Builds the same drifting-tensor workload — a large f32 slab of which a
-//! few percent of elements move per training iteration, the regime where
-//! "successive training checkpoints differ only slightly" — through two
-//! store configurations:
+//! Runs a drifting-tensor workload — a large f32 slab of which a few
+//! percent of elements move per training iteration, the regime where
+//! "successive training checkpoints differ only slightly" — through the
+//! store's write pipeline: XOR delta chains with keyframes every K
+//! versions, hash-chain LZ, and parallel chunked compression for large
+//! keyframes.
 //!
-//! - **pre_pr** — delta encoding off, single-threaded naive-scan LZ
-//!   ([`Compressor::Reference`]): the pre-delta pipeline, compressing (or
-//!   raw-storing) every full slab.
-//! - **delta** — the production pipeline: XOR delta chains with keyframes
-//!   every K versions, hash-chain LZ, and parallel chunked compression
-//!   for large keyframes.
-//!
-//! Measured per side: bytes on disk, per-checkpoint submit latency
-//! (median) and end-to-end submit throughput, and the sequential restore
-//! median through `get_bytes` on a fresh handle. The `bench_compress_json`
-//! binary emits the committed `BENCH_compress.json`; `flor-sim`'s
-//! `cost::delta_cost` constants come from it.
+//! Measured: bytes on disk, per-checkpoint submit latency (median) and
+//! end-to-end submit throughput, and the sequential restore median through
+//! `get_bytes` on a fresh handle. The `bench_compress_json` binary emits
+//! the committed `BENCH_compress.json`; `flor-sim`'s `cost::delta_cost`
+//! constants come from it.
 
-use flor_chkpt::{CheckpointStore, Compressor, StoreOptions, StoreStats};
+use flor_chkpt::{CheckpointStore, StoreStats};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -60,9 +55,9 @@ pub fn payload_bytes(slab: &[f32]) -> Vec<u8> {
     slab.iter().flat_map(|f| f.to_le_bytes()).collect()
 }
 
-/// One side's measurements.
+/// One run's measurements.
 #[derive(Debug, Clone, Copy)]
-pub struct SideResult {
+pub struct RunResult {
     /// Bytes on disk across all versions (stored payload bytes).
     pub stored_bytes: u64,
     /// Uncompressed bytes submitted.
@@ -84,9 +79,9 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs one side: writes `versions` drifting checkpoints of
-/// `floats` f32 elements through `opts`, then restores them all.
-pub fn run_side(tag: &str, opts: StoreOptions, versions: u64, floats: usize) -> SideResult {
+/// Writes `versions` drifting checkpoints of `floats` f32 elements through
+/// a default-options store, then restores them all.
+pub fn run_workload(tag: &str, versions: u64, floats: usize) -> RunResult {
     let root = tmp(tag);
     // Materialize every version's payload up front: the measured quantity
     // is the store submit path, not the workload generator.
@@ -102,7 +97,7 @@ pub fn run_side(tag: &str, opts: StoreOptions, versions: u64, floats: usize) -> 
     let raw_bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
     let mut submit_ns: Vec<u64> = Vec::with_capacity(versions as usize);
     {
-        let store = CheckpointStore::open_opts(&root, opts).expect("open bench store");
+        let store = CheckpointStore::open(&root).expect("open bench store");
         for (v, payload) in payloads.iter().enumerate() {
             let t0 = Instant::now();
             store.put("sb_0", v as u64, payload).expect("bench put");
@@ -112,7 +107,7 @@ pub fn run_side(tag: &str, opts: StoreOptions, versions: u64, floats: usize) -> 
     let submit_wall = submit_ns.iter().sum::<u64>() as f64 / 1e9;
 
     // Restore pass on a fresh handle (cold index, cold caches).
-    let store = CheckpointStore::open_opts(&root, opts).expect("reopen bench store");
+    let store = CheckpointStore::open(&root).expect("reopen bench store");
     let mut restore_ns: Vec<u64> = Vec::with_capacity(versions as usize);
     let mut checksum = 0u64;
     for v in 0..versions {
@@ -129,7 +124,7 @@ pub fn run_side(tag: &str, opts: StoreOptions, versions: u64, floats: usize) -> 
 
     submit_ns.sort_unstable();
     restore_ns.sort_unstable();
-    SideResult {
+    RunResult {
         stored_bytes,
         raw_bytes,
         submit_median_ns: submit_ns[submit_ns.len() / 2],
@@ -139,42 +134,29 @@ pub fn run_side(tag: &str, opts: StoreOptions, versions: u64, floats: usize) -> 
     }
 }
 
-/// The pre-delta pipeline's options.
-pub fn pre_pr_options() -> StoreOptions {
-    StoreOptions {
-        delta_keyframe_interval: 0,
-        compressor: Compressor::Reference,
-        ..StoreOptions::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn drifting_workload_delta_beats_pre_pr_on_bytes() {
-        // Small instance of the committed benchmark: the delta pipeline
-        // must store several times fewer bytes on the drifting workload.
+    fn drifting_workload_stores_a_fraction_of_its_raw_bytes() {
+        // Small instance of the committed benchmark: the slabs are
+        // incompressible (a keyframe stores ~raw bytes), so the delta
+        // pipeline must store several times fewer bytes than raw.
         let versions = 12u64;
         let floats = 64 * 1024; // 256 KiB payloads
-        let pre = run_side("t-pre", pre_pr_options(), versions, floats);
-        let delta = run_side("t-delta", StoreOptions::default(), versions, floats);
-        assert_eq!(pre.raw_bytes, delta.raw_bytes);
+        let run = run_workload("t-delta", versions, floats);
+        assert_eq!(run.raw_bytes, versions * floats as u64 * 4);
         assert!(
-            delta.stored_bytes * 3 <= pre.stored_bytes,
+            run.stored_bytes * 3 <= run.raw_bytes,
             "expected ≥3× byte reduction: {} vs {}",
-            delta.stored_bytes,
-            pre.stored_bytes
+            run.stored_bytes,
+            run.raw_bytes
         );
-        assert!(
-            delta.stats.delta_entries >= versions - 2,
-            "{:?}",
-            delta.stats
-        );
-        // Both sides restored every version bit-identically (checked by
-        // the store's CRCs on every read inside run_side).
-        assert!(delta.restore_median_ns > 0 && pre.restore_median_ns > 0);
+        assert!(run.stats.delta_entries >= versions - 2, "{:?}", run.stats);
+        // Every version restored bit-identically (checked by the store's
+        // CRCs on every read inside run_workload).
+        assert!(run.restore_median_ns > 0);
     }
 
     #[test]

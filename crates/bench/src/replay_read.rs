@@ -1,22 +1,16 @@
 //! Read-path measurement for the replay hot path.
 //!
-//! Builds checkpoint stores in both on-disk layouts over identical
-//! payloads and measures what a replay worker pays per restore:
-//!
-//! - **before** — the v1 layout ([`StoreFormat::FilePerCheckpoint`]) read
-//!   through the compatibility `get` path: one `open`/`read`/`close` per
-//!   checkpoint plus decompression, and a cold open that stats every data
-//!   file.
-//! - **after** — the segmented layout ([`StoreFormat::Segmented`]) read
-//!   through zero-copy [`CheckpointStore::get_bytes`]: a sharded-index
-//!   lookup and a slice of the shared segment buffer, with a cold open
-//!   that reads the manifest once and stats only segments.
+//! Builds a checkpoint store of small incompressible payloads and
+//! measures what a replay worker pays per restore through zero-copy
+//! [`CheckpointStore::get_bytes`] — a sharded-index lookup and a slice of
+//! the shared segment buffer — plus the cold open (manifest read once,
+//! one stat per segment).
 //!
 //! Used by the `bench_replay` criterion bench and the `bench_replay_json`
-//! binary that emits `BENCH_replay.json` (the committed before/after
-//! table; `flor-sim`'s `cost::read_cost` constants come from it).
+//! binary that emits `BENCH_replay.json` (`flor-sim`'s `cost::read_cost`
+//! constants come from it).
 
-use flor_chkpt::{CheckpointStore, StoreFormat, StoreOptions};
+use flor_chkpt::CheckpointStore;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -32,8 +26,6 @@ pub struct ReadFixture {
     root: PathBuf,
     /// Checkpoints written.
     pub checkpoints: u64,
-    /// Layout written.
-    pub format: StoreFormat,
 }
 
 /// Deterministic xorshift bytes — incompressible, like real tensor
@@ -58,22 +50,15 @@ pub fn keys(checkpoints: u64) -> Vec<(String, u64)> {
 }
 
 impl ReadFixture {
-    /// Builds (or rebuilds) a store of `checkpoints` payloads in `format`
-    /// under a temp directory tagged `tag`.
-    pub fn build(tag: &str, format: StoreFormat, checkpoints: u64) -> ReadFixture {
+    /// Builds (or rebuilds) a store of `checkpoints` payloads under a temp
+    /// directory tagged `tag`.
+    pub fn build(tag: &str, checkpoints: u64) -> ReadFixture {
         let root = std::env::temp_dir().join(format!(
             "flor-bench-replay-read-{tag}-{}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&root);
-        let store = CheckpointStore::open_opts(
-            &root,
-            StoreOptions {
-                format,
-                ..StoreOptions::default()
-            },
-        )
-        .expect("open fixture store");
+        let store = CheckpointStore::open(&root).expect("open fixture store");
         // Batched writes, like the materializer's group commits.
         for chunk in keys(checkpoints).chunks(64) {
             let mut batch = store.batch();
@@ -82,11 +67,7 @@ impl ReadFixture {
             }
             batch.commit().expect("commit fixture batch");
         }
-        ReadFixture {
-            root,
-            checkpoints,
-            format,
-        }
+        ReadFixture { root, checkpoints }
     }
 
     /// Fixture root directory.
@@ -95,17 +76,10 @@ impl ReadFixture {
     }
 
     /// Opens the fixture store (counts as a cold open only if no other
-    /// handle is live; the OS page cache stays warm either way, which is
-    /// the right comparison — the v1 open cost is syscalls, not disk).
+    /// handle is live; the OS page cache stays warm either way — the
+    /// measured open cost is manifest parsing and syscalls, not disk).
     pub fn open(&self) -> CheckpointStore {
-        CheckpointStore::open_opts(
-            &self.root,
-            StoreOptions {
-                format: self.format,
-                ..StoreOptions::default()
-            },
-        )
-        .expect("reopen fixture store")
+        CheckpointStore::open(&self.root).expect("reopen fixture store")
     }
 
     /// Times a cold open (manifest load + recovery scan), ns.
@@ -116,15 +90,6 @@ impl ReadFixture {
         drop(store);
         ns
     }
-}
-
-/// Which read API a measurement drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadMode {
-    /// `get` — the v1 compatibility path (`Vec<u8>` copy-out).
-    Get,
-    /// `get_bytes` — the zero-copy path.
-    GetBytes,
 }
 
 /// Latency distribution over one pass of reads.
@@ -140,13 +105,12 @@ pub struct ReadMeasurement {
     pub p99_ns: u64,
 }
 
-/// Reads up to `sample` keys of the fixture once each, in a deterministic
-/// pseudo-shuffled order (defeats trivial locality without `rand`), and
-/// reports the latency distribution.
+/// Reads up to `sample` keys of the fixture once each through
+/// `get_bytes`, in a deterministic pseudo-shuffled order (defeats trivial
+/// locality without `rand`), and reports the latency distribution.
 pub fn measure_reads(
     store: &CheckpointStore,
     fixture: &ReadFixture,
-    mode: ReadMode,
     sample: u64,
 ) -> ReadMeasurement {
     let all = keys(fixture.checkpoints);
@@ -171,16 +135,8 @@ pub fn measure_reads(
     for k in 0..sample {
         let (block, seq) = &all[((k * stride) % n) as usize];
         let t0 = Instant::now();
-        match mode {
-            ReadMode::Get => {
-                let v = store.get(block, *seq).expect("fixture read");
-                checksum ^= v.len() as u64;
-            }
-            ReadMode::GetBytes => {
-                let b = store.get_bytes(block, *seq).expect("fixture read");
-                checksum ^= b.len() as u64;
-            }
-        }
+        let b = store.get_bytes(block, *seq).expect("fixture read");
+        checksum ^= b.len() as u64;
         lat.push(t0.elapsed().as_nanos() as u64);
     }
     assert!(checksum != u64::MAX, "keep the reads observable");
@@ -198,27 +154,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixtures_hold_identical_payloads_in_both_formats() {
-        let n = 64;
-        let seg = ReadFixture::build("eq-seg", StoreFormat::Segmented, n);
-        let v1 = ReadFixture::build("eq-v1", StoreFormat::FilePerCheckpoint, n);
-        let seg_store = seg.open();
-        let v1_store = v1.open();
-        for (block, seq) in keys(n) {
-            assert_eq!(
-                seg_store.get(&block, seq).unwrap(),
-                v1_store.get(&block, seq).unwrap()
-            );
+    fn fixture_holds_its_payloads_in_segments_only() {
+        let n = 128;
+        let fixture = ReadFixture::build("eq-seg", n);
+        let store = fixture.open();
+        // Same `(seq + position-in-batch)` seeding as `build`.
+        for (i, (block, seq)) in keys(n).iter().enumerate() {
+            let expect = payload(*seq as u32 + (i % 64) as u32, PAYLOAD_BYTES);
+            assert_eq!(store.get(block, *seq).unwrap(), expect);
         }
-        assert_eq!(seg_store.stats().legacy_entries, 0);
-        assert_eq!(v1_store.stats().segment_entries, 0);
+        let s = store.stats();
+        assert_eq!((s.entries, s.segment_entries), (n, n));
     }
 
     #[test]
     fn measurement_reads_every_sampled_key_once() {
-        let fixture = ReadFixture::build("measure", StoreFormat::Segmented, 128);
+        let fixture = ReadFixture::build("measure", 128);
         let store = fixture.open();
-        let m = measure_reads(&store, &fixture, ReadMode::GetBytes, 128);
+        let m = measure_reads(&store, &fixture, 128);
         assert_eq!(m.reads, 128);
         assert_eq!(store.stats().reads, 128);
         assert!(m.median_ns > 0 && m.mean_ns > 0 && m.p99_ns >= m.median_ns);

@@ -12,17 +12,12 @@
 //! `(offset: u16 LE, len: u8)` with `len` biased by the minimum match
 //! length (4).
 //!
-//! Two encoders emit that format:
-//!
-//! - [`compress`] — the production encoder: a **hash-chain match finder**
-//!   (per 4-byte-prefix chains walked newest-first, bounded by
-//!   [`MAX_CHAIN`]) that finds the longest match among recent candidates
-//!   instead of only the single most recent one.
-//! - [`compress_reference`] — the original single-entry-table matcher,
-//!   kept bit-for-bit as the *pre-PR baseline*: `bench_compress_json`
-//!   measures the production pipeline against it, and the differential
-//!   tests use it as an oracle (both encoders' output must decompress to
-//!   identical bytes through the one shared [`decompress`]).
+//! [`compress`] is the one encoder: a **hash-chain match finder** (per
+//! 4-byte-prefix chains walked newest-first, bounded by [`MAX_CHAIN`])
+//! that finds the longest match among recent candidates instead of only
+//! the single most recent one. (The tests keep a single-entry-table
+//! matcher as a differential oracle: both encoders' output must
+//! decompress to identical bytes through the one shared [`decompress`].)
 //!
 //! Large payloads additionally go through the **chunked frame**
 //! ([`compress_chunked`]): the input is split into fixed-size chunks, each
@@ -294,53 +289,7 @@ pub fn compress_with_effort(input: &[u8], effort: u8) -> Vec<u8> {
     w.finish()
 }
 
-/// The original single-entry-hash-table encoder, kept as the pre-PR
-/// baseline for `bench_compress_json` and as a differential-test oracle.
-/// Emits the same token format as [`compress`] (one shared
-/// [`decompress`] reads both).
-pub fn compress_reference(input: &[u8]) -> Vec<u8> {
-    let mut w = TokenWriter::new(input.len() / 2 + 16);
-    put_varint(&mut w.out, input.len() as u64);
-    w.start_tokens();
-
-    // Single-entry hash table of most recent position per 4-byte prefix.
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut i = 0usize;
-
-    while i < input.len() {
-        let mut matched = false;
-        if i + MIN_MATCH <= input.len() {
-            let h = hash4(&input[i..]);
-            let cand = table[h];
-            table[h] = i;
-            if cand != usize::MAX && i - cand <= WINDOW && cand < i {
-                let max_len = (input.len() - i).min(MAX_MATCH);
-                let mut len = 0usize;
-                while len < max_len && input[cand + len] == input[i + len] {
-                    len += 1;
-                }
-                if len >= MIN_MATCH {
-                    w.push_match(i - cand, len);
-                    let end = (i + len).min(input.len().saturating_sub(MIN_MATCH));
-                    let mut j = i + 1;
-                    while j < end {
-                        table[hash4(&input[j..])] = j;
-                        j += 1;
-                    }
-                    i += len;
-                    matched = true;
-                }
-            }
-        }
-        if !matched {
-            w.push_item(false, &input[i..i + 1]);
-            i += 1;
-        }
-    }
-    w.finish()
-}
-
-/// Decompresses bytes produced by [`compress`] or [`compress_reference`].
+/// Decompresses bytes produced by [`compress`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
     if data.len() < 3 || data[0..2] != MAGIC {
         return Err(err("bad magic"));
@@ -544,6 +493,51 @@ pub fn ratio(input: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A single-entry-hash-table encoder — the differential-test oracle.
+    /// Emits the same token format as [`compress`] (one shared
+    /// [`decompress`] reads both).
+    fn compress_reference(input: &[u8]) -> Vec<u8> {
+        let mut w = TokenWriter::new(input.len() / 2 + 16);
+        put_varint(&mut w.out, input.len() as u64);
+        w.start_tokens();
+
+        // Single-entry hash table of most recent position per 4-byte prefix.
+        let mut table = vec![usize::MAX; 1 << HASH_BITS];
+        let mut i = 0usize;
+
+        while i < input.len() {
+            let mut matched = false;
+            if i + MIN_MATCH <= input.len() {
+                let h = hash4(&input[i..]);
+                let cand = table[h];
+                table[h] = i;
+                if cand != usize::MAX && i - cand <= WINDOW && cand < i {
+                    let max_len = (input.len() - i).min(MAX_MATCH);
+                    let mut len = 0usize;
+                    while len < max_len && input[cand + len] == input[i + len] {
+                        len += 1;
+                    }
+                    if len >= MIN_MATCH {
+                        w.push_match(i - cand, len);
+                        let end = (i + len).min(input.len().saturating_sub(MIN_MATCH));
+                        let mut j = i + 1;
+                        while j < end {
+                            table[hash4(&input[j..])] = j;
+                            j += 1;
+                        }
+                        i += len;
+                        matched = true;
+                    }
+                }
+            }
+            if !matched {
+                w.push_item(false, &input[i..i + 1]);
+                i += 1;
+            }
+        }
+        w.finish()
+    }
 
     fn roundtrip(data: &[u8]) {
         let c = compress(data);

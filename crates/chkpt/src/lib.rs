@@ -22,14 +22,16 @@
 //!   `Arc` snapshot handles consumed by worker threads — same critical-path
 //!   economics, different OS mechanism (see DESIGN.md).
 //! - **Storage & spooling** ([`store`], [`spool`]): a segmented on-disk
-//!   checkpoint store — payloads packed into large append-only segment
-//!   files with CRC-protected footer indexes, a sharded in-memory index,
-//!   zero-copy [`store::CheckpointStore::get_bytes`] reads, and a
-//!   compacting GC — plus the S3 spool cost model behind Table 4. Writes
-//!   land through [`store::WriteBatch`] group commits — one batched
-//!   segment append and one batched manifest append (and, under
-//!   [`store::Durability::GroupCommit`], one fsync barrier) per
-//!   materializer batch instead of per checkpoint.
+//!   checkpoint store with one write layout, one LZ encoder, and one read
+//!   path — payloads packed into large append-only segment files with
+//!   CRC-protected footer indexes, a sharded in-memory index, zero-copy
+//!   [`store::CheckpointStore::get_bytes`] reads out of mmap'd segment
+//!   buffers (with a counted, traced heap-read fallback where mapping is
+//!   unavailable), and a compacting GC — plus the S3 spool cost model
+//!   behind Table 4. Writes land through [`store::WriteBatch`] group
+//!   commits — one batched segment append and one batched manifest append
+//!   (and, under [`store::Durability::GroupCommit`], one fsync barrier)
+//!   per materializer batch instead of per checkpoint.
 
 #![warn(missing_docs)]
 
@@ -47,8 +49,8 @@ pub use background::{Materializer, MaterializerStats, Payload, SerializeSnapshot
 pub use codec::{decode, encode, encode_into, ByteSource, CVal, CodecError, EncodePool, LazyBytes};
 pub use dedup::DedupIndex;
 pub use store::{
-    CheckpointStore, CkptMeta, CompactionReport, Compressor, Durability, RecoveryReport,
-    SegmentRead, StoreError, StoreFormat, StoreOptions, StoreStats, WriteBatch,
+    CheckpointStore, CkptMeta, CompactionReport, Durability, RecoveryReport, StoreError,
+    StoreOptions, StoreStats, WriteBatch,
 };
 
 // Byte-buffer types used in the public API (`ByteSource::write_to`,

@@ -8,7 +8,7 @@
 //! mapping. The workspace vendors every dependency, so the `mmap`/`munmap`
 //! syscalls are issued directly via `std::arch::asm!` on Linux
 //! (x86_64/aarch64); everywhere else [`MmapRegion::map`] reports
-//! unsupported and the store falls back to the whole-file read path.
+//! unsupported and the store falls back to reading the file into heap.
 //!
 //! Safety contract with the store: segments are *immutable once sealed*
 //! and compaction replaces them by rename + unlink, never by truncate-in-
@@ -132,7 +132,7 @@ impl MmapRegion {
     }
 
     /// Unsupported platform: always reports `Unsupported` so the store
-    /// takes the whole-file read fallback.
+    /// takes the heap-read fallback.
     #[cfg(not(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
@@ -142,12 +142,6 @@ impl MmapRegion {
             io::ErrorKind::Unsupported,
             "mmap: no raw-syscall backend for this platform",
         ))
-    }
-
-    /// Mapped length in bytes.
-    #[allow(dead_code)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 }
 

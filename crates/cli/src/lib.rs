@@ -501,10 +501,9 @@ fn cmd_store(args: &Args) -> Result<String, CliError> {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "entries:      {} ({} in segments, {} legacy files)",
+            "entries:      {} ({} in segments)",
             f("entries"),
-            f("segment_entries"),
-            f("legacy_entries")
+            f("segment_entries")
         );
         let _ = writeln!(
             out,
@@ -566,11 +565,13 @@ fn cmd_store(args: &Args) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "tiering:      {} cold segment(s), {} cold reads, {} demotions, {} mmap faults",
+            "tiering:      {} cold segment(s), {} cold reads, {} demotions, \
+             {} mmap faults, {} mmap fallbacks",
             f("tier_cold_segments"),
             f("tier_cold_reads"),
             f("tier_demotions"),
-            f("mmap_faults")
+            f("mmap_faults"),
+            f("mmap_fallbacks")
         );
         let _ = writeln!(
             out,
@@ -597,7 +598,7 @@ fn cmd_store(args: &Args) -> Result<String, CliError> {
                 let _ = writeln!(
                     out,
                     "recovery:     {} missing entr{} dropped, {} orphaned segment(s), \
-                     {} orphaned file(s), {} stale temp file(s){}{}",
+                     {} stale temp file(s){}{}",
                     r.missing_entries.len(),
                     if r.missing_entries.len() == 1 {
                         "y"
@@ -605,7 +606,6 @@ fn cmd_store(args: &Args) -> Result<String, CliError> {
                         "ies"
                     },
                     r.orphaned_segments.len(),
-                    r.orphaned_files.len(),
                     r.stale_temp_files,
                     if r.dropped_torn_tail {
                         ", torn manifest tail dropped"
@@ -633,13 +633,9 @@ fn cmd_store(args: &Args) -> Result<String, CliError> {
             let mut out = String::new();
             let _ = writeln!(
                 out,
-                "# compacted: {} entries rewritten ({} migrated from legacy files), \
-                 {} segment(s) + {} legacy file(s) removed, {} bytes reclaimed",
-                report.rewritten_entries,
-                report.migrated_files,
-                report.segments_removed,
-                report.legacy_files_removed,
-                report.reclaimed_bytes
+                "# compacted: {} entries rewritten, {} segment(s) removed, \
+                 {} bytes reclaimed",
+                report.rewritten_entries, report.segments_removed, report.reclaimed_bytes
             );
             let _ = writeln!(
                 out,
@@ -1154,12 +1150,14 @@ for epoch in range(4):
         assert!(out.contains("delta chains:"), "{out}");
         assert!(out.contains("chain depths: 0:"), "{out}");
         assert!(out.contains("tiering:"), "{out}");
+        assert!(out.contains("0 mmap fallbacks"), "{out}");
         assert!(out.contains("dedup:"), "{out}");
         assert!(out.contains("effort:       level"), "{out}");
         assert!(out.contains("recovery:     clean"), "{out}");
 
         let out = cli(&["store", "compact", "--store", store.to_str().unwrap()]).unwrap();
         assert!(out.contains("# compacted:"), "{out}");
+        assert!(out.contains("segment(s) removed"), "{out}");
         assert!(out.contains("chain(s) folded"), "{out}");
         assert!(out.contains("compactions:  1"), "{out}");
 
@@ -1219,7 +1217,13 @@ for epoch in range(4):
             .get("chain_depth_hist")
             .and_then(|v| v.as_arr())
             .is_some());
-        for key in ["segments", "raw_bytes", "stored_bytes", "reads"] {
+        for key in [
+            "segments",
+            "raw_bytes",
+            "stored_bytes",
+            "reads",
+            "mmap_fallbacks",
+        ] {
             assert!(doc.get(key).is_some(), "missing {key}: {out}");
         }
     }

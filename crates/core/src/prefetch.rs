@@ -61,6 +61,40 @@ struct Shared {
     fetched: AtomicU64,
 }
 
+impl Shared {
+    /// Parks a fetched payload for the consumer, charging its backing to
+    /// the budget.
+    fn park(&self, block: String, seq: u64, bytes: Bytes) {
+        {
+            let mut charged = self.charged.lock();
+            let slot = charged.entry(bytes.backing_id()).or_insert((0, 0));
+            // File-backed (mmap'd segment) slices charge their own
+            // length: the backing pages are clean page cache the kernel
+            // can reclaim, not anonymous heap pinned by the slice. Heap
+            // backings still charge the full allocation once — a tiny
+            // slice pins the whole buffer.
+            let add = if bytes.backing_is_file() {
+                bytes.len() as u64
+            } else if slot.0 == 0 {
+                bytes.backing_len() as u64
+            } else {
+                0
+            };
+            slot.0 += 1;
+            slot.1 += add;
+            if add > 0 {
+                self.outstanding.fetch_add(add, Ordering::AcqRel);
+            }
+        }
+        self.fetched.fetch_add(1, Ordering::Relaxed);
+        self.ready
+            .lock()
+            .entry(block)
+            .or_default()
+            .insert(seq, bytes);
+    }
+}
+
 /// Background checkpoint reader for one replay worker.
 pub struct Prefetcher {
     shared: Arc<Shared>,
@@ -118,35 +152,7 @@ impl Prefetcher {
                     {
                         continue;
                     }
-                    {
-                        let mut charged = worker.charged.lock();
-                        let slot = charged.entry(bytes.backing_id()).or_insert((0, 0));
-                        // File-backed (mmap'd segment) slices charge their
-                        // own length: the backing pages are clean page
-                        // cache the kernel can reclaim, not anonymous heap
-                        // pinned by the slice. Heap backings still charge
-                        // the full allocation once — a tiny slice pins the
-                        // whole buffer.
-                        let add = if bytes.backing_is_file() {
-                            bytes.len() as u64
-                        } else if slot.0 == 0 {
-                            bytes.backing_len() as u64
-                        } else {
-                            0
-                        };
-                        slot.0 += 1;
-                        slot.1 += add;
-                        if add > 0 {
-                            worker.outstanding.fetch_add(add, Ordering::AcqRel);
-                        }
-                    }
-                    worker.fetched.fetch_add(1, Ordering::Relaxed);
-                    worker
-                        .ready
-                        .lock()
-                        .entry(block)
-                        .or_default()
-                        .insert(seq, bytes);
+                    worker.park(block, seq, bytes);
                     drop(skip_guard);
                 }
             }
@@ -315,51 +321,24 @@ mod tests {
 
     #[test]
     fn budget_charges_shared_backings_once_and_releases_on_last_take() {
-        // Heap-backed reads (SegmentRead::WholeFile) pin the whole segment
-        // buffer per slice, so the backing is charged once at full size.
-        let dir = std::env::temp_dir().join(format!(
-            "flor-prefetch-test-backing-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(
-            CheckpointStore::open_opts(
-                dir,
-                flor_chkpt::StoreOptions {
-                    segment_read: flor_chkpt::SegmentRead::WholeFile,
-                    ..flor_chkpt::StoreOptions::default()
-                },
-            )
-            .unwrap(),
-        );
-        // Distinct incompressible payloads land raw-stored in one segment:
-        // every fetched slice shares that segment's backing buffer.
-        // (Distinct, not repeated — identical payloads would delta-chain
-        // and reconstruct into private buffers instead of zero-copy
-        // slices.)
-        let payload = |seq: u64| -> Vec<u8> {
-            let mut x = 0x9E3779B9u32 ^ ((seq as u32 + 1) << 8);
-            (0..2048)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 17;
-                    x ^= x << 5;
-                    x as u8
-                })
-                .collect()
-        };
-        for seq in 0..4u64 {
-            store.put("sb_0", seq, &payload(seq)).unwrap();
-        }
-        let keys: Vec<_> = (0..4u64).map(|s| ("sb_0".to_string(), s)).collect();
-        let mut p = Prefetcher::spawn(store, keys);
+        // Heap-backed slices (what the store hands out where mmap is
+        // unavailable) pin their whole backing buffer, so the backing is
+        // charged once at full size. Driven with hand-built views of one
+        // heap allocation — the ledger only sees `Bytes`.
+        use flor_chkpt::Buf;
+        let mut p = Prefetcher::spawn(tmpstore("backing"), Vec::new());
         p.join();
+        let backing = Bytes::from_vec(vec![7u8; 4 * 2048 + 64]);
+        for seq in 0..4u64 {
+            let mut view = backing.clone();
+            view.advance(seq as usize * 2048);
+            p.shared
+                .park("sb_0".to_string(), seq, view.copy_to_bytes(2048));
+        }
         let outstanding = p.outstanding_backing_bytes();
-        // One shared segment backing, charged once — not 4 × slice length,
-        // and crucially not 4 × backing length.
-        assert!(outstanding >= 4 * 2048, "{outstanding}");
-        assert!(outstanding < 2 * 4 * 2048 + 4096, "{outstanding}");
+        // One shared backing, charged once — not 4 × slice length, and
+        // crucially not 4 × backing length.
+        assert_eq!(outstanding, backing.backing_len() as u64);
         for seq in 0..3u64 {
             p.take("sb_0", seq).unwrap();
             assert_eq!(

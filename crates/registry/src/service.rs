@@ -636,9 +636,8 @@ impl Registry {
     }
 
     /// Compacts a run's checkpoint store: superseded re-puts and dead
-    /// segment bytes are rewritten out, legacy file-per-checkpoint data is
-    /// migrated into segments. Queries through the pooled handle keep
-    /// working throughout (readers never block on compaction).
+    /// segment bytes are rewritten out. Queries through the pooled handle
+    /// keep working throughout (readers never block on compaction).
     pub fn compact_run(&self, run_id: &str) -> Result<flor_chkpt::CompactionReport, RegistryError> {
         let rec = self.run(run_id)?;
         let store = self.store_handle_at(run_id, &rec.store_root)?;

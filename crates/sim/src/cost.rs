@@ -25,7 +25,7 @@ pub const S3_USD_PER_GB_MONTH: f64 = 0.023;
 
 /// Measured checkpoint-read constants of the segmented storage engine,
 /// taken from `bench_replay_json` (the committed `BENCH_replay.json`
-/// before/after table). The replay simulator folds these into the restore
+/// table). The replay simulator folds these into the restore
 /// cost `R = c·M` so simulated replay latency reflects the real read path,
 /// not just the paper's compute-side scaling factor.
 pub mod read_cost {
@@ -33,11 +33,6 @@ pub mod read_cost {
     /// seconds (fixed per-read cost: sharded index lookup + shared-buffer
     /// slice + CRC). BENCH_replay.json: 1548 ns at 100k checkpoints.
     pub const SEGMENTED_GET_SECS: f64 = 1.5e-6;
-
-    /// Median latency of the retired v1 read path (one `open`/`read`/
-    /// `close` per checkpoint file), seconds. Kept as the "before" column
-    /// and for costing legacy-format stores. BENCH_replay.json: 6292 ns.
-    pub const FILE_PER_CKPT_GET_SECS: f64 = 6.3e-6;
 
     /// Streaming throughput for pulling a cold segment's payload bytes
     /// into the shared read buffer, bytes/second.
@@ -246,13 +241,6 @@ mod tests {
     #[test]
     fn read_constants_order_and_scale_sensibly() {
         use crate::workload::ALL_WORKLOADS;
-        // The whole point of the segmented engine: fixed per-read cost
-        // beats the per-file open/read/close path by ≥2×.
-        let (seg, file) = (
-            read_cost::SEGMENTED_GET_SECS,
-            read_cost::FILE_PER_CKPT_GET_SECS,
-        );
-        assert!(seg * 2.0 <= file, "{seg} vs {file}");
         // Proportional in checkpoint size, monotone.
         assert!(read_cost::restore_read_secs(1.0) > read_cost::restore_read_secs(0.001));
         // The I/O term stays a small correction to the paper's compute-side

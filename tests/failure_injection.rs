@@ -398,7 +398,6 @@ fn compaction_crash_at_every_byte_offset_loses_no_live_checkpoint() {
 fn copy_store(src: &std::path::Path, dst: &std::path::Path) {
     fs::create_dir_all(dst.join("seg")).unwrap();
     fs::create_dir_all(dst.join("artifacts")).unwrap();
-    fs::create_dir_all(dst.join("ckpt")).unwrap();
     fs::copy(src.join("MANIFEST"), dst.join("MANIFEST")).unwrap();
     for entry in fs::read_dir(src.join("seg")).unwrap() {
         let entry = entry.unwrap();

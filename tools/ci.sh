@@ -35,6 +35,18 @@ if grep -rn "Instant::now" \
 fi
 echo "clock lint: OK"
 
+# Size gate: the checkpoint store was split out of one 5k-line file; no
+# source file under crates/chkpt/src may regrow past 1,500 lines.
+echo
+echo "==> size gate (crates/chkpt/src/**/*.rs <= 1500 lines)"
+oversized=$(find crates/chkpt/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1500')
+if [[ -n "$oversized" ]]; then
+    echo "$oversized" >&2
+    echo "size gate: split the file(s) above along a seam" >&2
+    exit 1
+fi
+echo "size gate: OK"
+
 # Opcode-coverage gate: every VM opcode the compiler can emit must be
 # exercised by the lowering corpus in crates/lang (a new Op variant
 # without a corpus program fails there, not in production replay).
@@ -57,72 +69,53 @@ echo "slice-oracle gate: OK"
 run ./tools/bench.sh --quick
 
 # Bench-regression gate: scale-invariant metrics of the quick runs must
-# stay within a tolerance band of the committed full-scale baselines
-# (>20% regressions fail; widen with FLOR_BENCH_TOLERANCE for noisy
-# hosts). Ratios and per-unit medians only — absolute totals differ
-# between quick and full fixtures by design.
-run cargo run --release -q -p flor-bench --bin bench_check -- \
-    BENCH_replay.json target/BENCH_replay.quick.json \
-    segmented.median_ns=lower median_get_speedup=higher
-run cargo run --release -q -p flor-bench --bin bench_check -- \
-    BENCH_compress.json target/BENCH_compress.quick.json \
-    bytes_reduction=higher submit_speedup=higher delta_frame_ratio=lower
-# The live steal-speedup columns are fixture- and host-load-dependent
-# (the quick fixture replays once on whatever cores CI has), so the gate
-# uses the deterministic paper-scale simulation of the same scheduler.
-run cargo run --release -q -p flor-bench --bin bench_check -- \
-    BENCH_replay_sched.json target/BENCH_replay_sched.quick.json \
-    sim_paper_scale.improvement=higher sim_paper_scale.profile_bound=higher
-# The VM must stay well over the tree-walker on the interpreter-bound
-# fixture. vm_speedup is a ratio of same-run walls and so scale-
-# invariant between quick and full fixtures — but the tree-walker's
-# wall is dominated by HashMap name traffic whose per-process hash
-# seeding swings it ~2× run to run, so this band is catastrophe-only
-# (a real VM regression is ≥2×; the committed full-scale number is the
-# precise record).
-(
-    export FLOR_BENCH_TOLERANCE=0.55
-    run cargo run --release -q -p flor-bench --bin bench_check -- \
-        BENCH_interp.json target/BENCH_interp.quick.json \
-        vm_speedup=higher
+# stay within a tolerance band of the committed full-scale baselines.
+# Ratios and per-unit medians only — absolute totals differ between quick
+# and full fixtures by design. One row per band:
+#
+#   committed file | quick file | key=direction ... | tolerance
+#
+# An empty tolerance is the default band: 0.20 (>20% regressions fail),
+# widened with FLOR_BENCH_TOLERANCE on a noisy host. A row that names its
+# own tolerance is catastrophe-only; the comment above it says why.
+BENCH_BANDS=(
+    "BENCH_replay.json|BENCH_replay.quick.json|segmented.median_ns=lower|"
+    "BENCH_compress.json|BENCH_compress.quick.json|delta_frame_ratio=lower|"
+    # The live steal-speedup columns are fixture- and host-load-dependent
+    # (the quick fixture replays once on whatever cores CI has), so the
+    # gate uses the deterministic paper-scale simulation of the same
+    # scheduler.
+    "BENCH_replay_sched.json|BENCH_replay_sched.quick.json|sim_paper_scale.improvement=higher sim_paper_scale.profile_bound=higher|"
+    # vm_speedup is a ratio of same-run walls and so scale-invariant — but
+    # the tree-walker's wall is dominated by HashMap name traffic whose
+    # per-process hash seeding swings it ~2× run to run, so this band is
+    # catastrophe-only (a real VM regression is ≥2×; the committed
+    # full-scale number is the precise record).
+    "BENCH_interp.json|BENCH_interp.quick.json|vm_speedup=higher|0.55"
+    # slice_speedup ≈ the dead/live busy ratio of the fixture's inner
+    # loop, which quick and full modes share; memo_speedup grows with
+    # fixture scale, so the bench binary asserts its ≥10× floor internally.
+    "BENCH_slice.json|BENCH_slice.quick.json|slice_speedup=higher|"
+    # The dedup bytes-on-disk ratio is a pure byte count, deterministic
+    # across scales. (The mmap path is guarded inside bench_store_tier:
+    # every touched segment is one map and zero heap fallbacks.)
+    "BENCH_store_tier.json|BENCH_store_tier.quick.json|dedup_bytes_ratio=higher|"
+    # Closed-loop socket measurements on whatever core CI has, so
+    # catastrophe-only: the bench binary asserts the hard acceptance floors
+    # internally (concurrent/serial qps_speedup ≥4x, admission_overhead
+    # ≥0.7x, slow-reader p99 ≤1.5x).
+    "BENCH_serve.json|BENCH_serve.quick.json|qps_speedup=higher admission_overhead=higher|0.70"
+    # BENCH_record's speedup columns are ratios of µs-scale submit costs
+    # (O(1) handle pushes) — too noisy for any band; its own regression
+    # test (`bench_record_json` pins zero-copy ≤ eager) guards it instead.
 )
-# Sliced replay must stay well over the ≥3× acceptance bar on the
-# sparse-dependency fixture. slice_speedup ≈ the dead/live busy ratio of
-# the fixture's inner loop, which quick and full modes share, so it is
-# scale-invariant; memo_speedup grows with fixture scale, so the bench
-# binary asserts its ≥10× floor internally instead of gating it here.
-run cargo run --release -q -p flor-bench --bin bench_check -- \
-    BENCH_slice.json target/BENCH_slice.quick.json \
-    slice_speedup=higher
-# Tiered storage: the dedup bytes-on-disk ratio is a pure byte count
-# (deterministic across scales, default band). The mmap restore speedup
-# shrinks at quick scale — fixed open costs weigh more against the
-# smaller segments — and its ms-scale walls are load-sensitive on a
-# busy CI host, so its band is catastrophe-only: a real regression
-# (the mmap backend silently falling back to whole-file reads) is
-# 1.0×, far below it, and the bench binary asserts ≥2× internally.
-run cargo run --release -q -p flor-bench --bin bench_check -- \
-    BENCH_store_tier.json target/BENCH_store_tier.quick.json \
-    dedup_bytes_ratio=higher
-(
-    export FLOR_BENCH_TOLERANCE=0.70
-    run cargo run --release -q -p flor-bench --bin bench_check -- \
-        BENCH_store_tier.json target/BENCH_store_tier.quick.json \
-        mmap_restore_speedup=higher
-)
-# The serve qps columns are closed-loop socket measurements on whatever
-# core CI has, so their band is catastrophe-only: the bench binary
-# asserts the hard acceptance floors internally (concurrent/serial
-# qps_speedup ≥4x, admission_overhead ≥0.7x, slow-reader p99 ≤1.5x).
-(
-    export FLOR_BENCH_TOLERANCE=0.70
-    run cargo run --release -q -p flor-bench --bin bench_check -- \
-        BENCH_serve.json target/BENCH_serve.quick.json \
-        qps_speedup=higher admission_overhead=higher
-)
-# BENCH_record's speedup columns are ratios of µs-scale submit costs
-# (O(1) handle pushes) — too noisy for a 20% band; its own regression
-# test (`bench_record_json` pins zero-copy ≤ eager) guards it instead.
+for band in "${BENCH_BANDS[@]}"; do
+    IFS='|' read -r committed quick keys tolerance <<<"$band"
+    # shellcheck disable=SC2086  # $keys is a space-separated key list
+    FLOR_BENCH_TOLERANCE="${tolerance:-${FLOR_BENCH_TOLERANCE:-0.20}}" \
+        run cargo run --release -q -p flor-bench --bin bench_check -- \
+        "$committed" "target/$quick" $keys
+done
 
 # Trace smoke: record a small run, replay it with tracing on, and check
 # that the emitted Chrome trace is structurally valid (parses, every span
