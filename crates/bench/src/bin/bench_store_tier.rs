@@ -1,8 +1,9 @@
 //! Emits `BENCH_store_tier.json`: the tiered-storage table — cold sparse
-//! restores through mmap'd segment buffers, and the registry-wide keyframe
-//! dedup's bytes-on-disk win.
+//! restores through mmap'd segment buffers, the registry-wide keyframe
+//! dedup's bytes-on-disk win, and what a warm restore of an arena-backed
+//! (`@dup`) checkpoint costs beside a segment-resident one.
 //!
-//! Two fixtures:
+//! Three fixtures:
 //!
 //! - `restore`: a store whose segments each hold several incompressible
 //!   checkpoints; a cold restore touches one checkpoint per segment (the
@@ -17,6 +18,13 @@
 //!   plain stores and once into stores sharing one content-addressed
 //!   arena. `dedup_bytes_ratio` (held ≥3×) compares total bytes on disk;
 //!   the arena-backed stores' restores are verified byte-identical too.
+//! - `warm_restore`: the same few 256 KiB checkpoints in a plain and in an
+//!   arena-backed store, read warm. `dup_restore_ratio` (dup / segment
+//!   median ns per `get_bytes`, held ≤ 1.25 by CI) is the price of a blob
+//!   being its own unpooled mapping — a map and an unmap per read — over a
+//!   slice of an already-mapped segment; both sides pay the same payload
+//!   CRC. The payload size is the same in quick mode: the mapping cost is
+//!   fixed per read, so the ratio is only comparable at one size.
 //!
 //! ```text
 //! cargo run --release -p flor-bench --bin bench_store_tier [-- OUT.json]
@@ -71,6 +79,27 @@ fn disk_bytes(dir: &Path) -> u64 {
         }
     }
     total
+}
+
+/// Median ns of one warm `get_bytes` over `versions` checkpoints: one
+/// untimed pass first (segments mapped, blob hashes verified), then `reps`
+/// timed passes.
+fn warm_restore_ns(store: &CheckpointStore, versions: u64, reps: usize) -> u64 {
+    let pass = |samples: &mut Vec<u64>| {
+        for v in 0..versions {
+            let t0 = Instant::now();
+            let got = store.get_bytes("sb_0", v).expect("warm get_bytes");
+            samples.push(t0.elapsed().as_nanos() as u64);
+            std::hint::black_box(got);
+        }
+    };
+    pass(&mut Vec::new());
+    let mut samples = Vec::new();
+    for _ in 0..reps {
+        pass(&mut samples);
+    }
+    samples.sort_unstable();
+    samples[samples.len() / 2]
 }
 
 fn main() {
@@ -175,6 +204,34 @@ fn main() {
         }
         dedup_hits = deduped.stats().dedup_hits;
     }
+    // ---- warm restore: @dup blob vs segment slice, same payloads ---------
+    let (warm_bytes, warm_versions) = (256usize << 10, 8u64);
+    let warm_root = tmp_dir("warm");
+    let in_segment = CheckpointStore::open_opts(warm_root.join("plain"), sweep_opts)
+        .expect("open warm plain store");
+    let in_arena = CheckpointStore::open_opts(warm_root.join("deduped"), sweep_opts)
+        .expect("open warm deduped store");
+    in_arena
+        .attach_dedup(warm_root.join("arena"))
+        .expect("attach warm arena");
+    for v in 0..warm_versions {
+        let p = payload(warm_bytes, v * 2 + 5001);
+        in_segment.put("sb_0", v, &p).expect("plain put");
+        in_arena.put("sb_0", v, &p).expect("deduped put");
+    }
+    let segment_restore_ns = warm_restore_ns(&in_segment, warm_versions, reps * 8);
+    let dup_restore_ns = warm_restore_ns(&in_arena, warm_versions, reps * 8);
+    let s = in_arena.stats();
+    assert_eq!(
+        (s.dedup_entries, s.dedup_hash_verifies),
+        (warm_versions, warm_versions),
+        "every warm-fixture entry is a blob, hashed once however often it is read: {s:?}"
+    );
+    let dup_restore_ratio = dup_restore_ns as f64 / segment_restore_ns.max(1) as f64;
+    eprintln!(
+        "warm restore of {warm_bytes}B: segment {segment_restore_ns}ns vs @dup {dup_restore_ns}ns \
+         per get_bytes — {dup_restore_ratio:.2}x"
+    );
     let plain_bytes = disk_bytes(&plain_root);
     let deduped_bytes = disk_bytes(&dedup_root);
     let dedup_bytes_ratio = plain_bytes as f64 / deduped_bytes.max(1) as f64;
@@ -201,7 +258,9 @@ fn main() {
         "  \"description\": \"tiered storage engine: cold sparse restore (one checkpoint per \
          segment, newest-first) through mmap'd segment buffers, and bytes-on-disk for an \
          identical-record sweep into plain stores vs stores sharing one content-addressed \
-         keyframe arena — both verified byte-identical before timing/measuring\","
+         keyframe arena — both verified byte-identical before timing/measuring — plus the warm \
+         per-read cost of an arena-backed checkpoint beside a segment-resident one of the same \
+         size\","
     );
     let _ = writeln!(body, "  \"quick\": {quick},");
     let _ = writeln!(
@@ -220,6 +279,12 @@ fn main() {
         "  \"dedup\": {{\"plain_bytes\": {plain_bytes}, \"deduped_bytes\": {deduped_bytes}, \
          \"arena_hits_per_rerecord\": {dedup_hits}}},"
     );
+    let _ = writeln!(
+        body,
+        "  \"warm_restore\": {{\"ckpt_bytes\": {warm_bytes}, \
+         \"segment_restore_ns\": {segment_restore_ns}, \"dup_restore_ns\": {dup_restore_ns}}},"
+    );
+    let _ = writeln!(body, "  \"dup_restore_ratio\": {dup_restore_ratio:.2},");
     let _ = writeln!(body, "  \"dedup_bytes_ratio\": {dedup_bytes_ratio:.2}");
     let _ = writeln!(body, "}}");
 
@@ -228,4 +293,5 @@ fn main() {
     let _ = std::fs::remove_dir_all(&restore_dir);
     let _ = std::fs::remove_dir_all(&plain_root);
     let _ = std::fs::remove_dir_all(&dedup_root);
+    let _ = std::fs::remove_dir_all(&warm_root);
 }

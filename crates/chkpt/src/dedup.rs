@@ -21,6 +21,22 @@
 //! LE | stored bytes` — self-describing, so reads never depend on the
 //! in-memory index.
 //!
+//! ## Read contract
+//!
+//! [`DedupIndex::read_stored`] is zero-copy, like a segment read: the
+//! returned `Bytes` is a slice, past the header, of a read-only mapping of
+//! the blob file (heap only where mapping is refused — counted in
+//! `store.mmap_fallbacks`). Blobs are written once through temp + rename
+//! and never rewritten, so a mapping cannot see its file shrink; the
+//! mapping is dropped with the last `Bytes` of it and nothing is pooled,
+//! so resident memory does not grow with the working set, and a blob
+//! unlinked by retention stays readable for whoever still holds it. The
+//! content hash is checked on a blob's **first read per process** (a bit
+//! in its slot; `dedup.hash_verifies` counts them) — it guards the
+//! name → content binding, which cannot change under an immutable file.
+//! Bit rot after that is the payload CRC's job, and the store checks that
+//! on every read.
+//!
 //! ## Refcount contract
 //!
 //! Every manifest `@dup` reference corresponds to one `+` op in the
@@ -47,8 +63,12 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
+use bytes::{Buf, Bytes};
+
+use crate::mmap::load_file;
 use crate::store::{crc32, write_atomic};
 
 /// Blob file magic.
@@ -92,6 +112,9 @@ pub struct BlobMeta {
 struct Slot {
     meta: BlobMeta,
     refs: i64,
+    /// The blob file's bytes were hashed against its name by a read in
+    /// this process (see the module docs' read contract).
+    verified: bool,
 }
 
 struct Inner {
@@ -119,6 +142,8 @@ pub enum Interned {
 pub struct DedupIndex {
     dir: PathBuf,
     inner: Mutex<Inner>,
+    /// Content-hash checks performed by [`DedupIndex::read_stored`].
+    hash_verifies: AtomicU64,
 }
 
 /// Process-wide instance cache: two stores attaching the same arena must
@@ -159,6 +184,7 @@ impl DedupIndex {
                 appender: None,
                 dirty: false,
             }),
+            hash_verifies: AtomicU64::new(0),
         });
         // Sweep blobs that are unreferenced (a crash between the synced
         // final `-` op and the unlink leaves the file behind) or entirely
@@ -231,7 +257,11 @@ impl DedupIndex {
             match parsed {
                 Some((op, hash, meta)) if terminated => {
                     kept_len += line.len();
-                    let slot = slots.entry(hash).or_insert(Slot { meta, refs: 0 });
+                    let slot = slots.entry(hash).or_insert(Slot {
+                        meta,
+                        refs: 0,
+                        verified: false,
+                    });
                     match op {
                         '+' => {
                             // First `+` fixes the meta; later ops must agree
@@ -351,7 +381,14 @@ impl DedupIndex {
                 blob.extend_from_slice(stored);
                 write_atomic(&self.blob_path(hash), &blob)?;
                 self.append(&mut inner, Self::render_line('+', hash, &meta))?;
-                inner.slots.insert(hash, Slot { meta, refs: 1 });
+                inner.slots.insert(
+                    hash,
+                    Slot {
+                        meta,
+                        refs: 1,
+                        verified: false,
+                    },
+                );
                 flor_obs::counter!("dedup.inserts").add(1);
                 Ok(Interned::Inserted)
             }
@@ -397,13 +434,15 @@ impl DedupIndex {
         Ok(())
     }
 
-    /// Reads a blob's stored bytes + meta straight from its file (the
-    /// in-memory index is not consulted: reads must work even for
-    /// references whose `+` op over-counted away). Missing or corrupt
-    /// blobs are loud errors.
-    pub fn read_stored(&self, hash: u64) -> Result<(Vec<u8>, u8, u64, u32), DedupError> {
+    /// A blob's stored bytes (zero-copy, see the module docs' read
+    /// contract) plus the flags, raw length and payload CRC from its
+    /// header. The header is read from the file, never the in-memory
+    /// index: reads must work even for references whose `+` op
+    /// over-counted away — those simply re-check the hash every time.
+    /// Missing or corrupt blobs are loud errors.
+    pub fn read_stored(&self, hash: u64) -> Result<(Bytes, u8, u64, u32), DedupError> {
         let path = self.blob_path(hash);
-        let data = fs::read(&path).map_err(|e| {
+        let mut blob = load_file(&path).map_err(|e| {
             std::io::Error::new(
                 e.kind(),
                 format!(
@@ -412,19 +451,37 @@ impl DedupIndex {
                 ),
             )
         })?;
-        if data.len() < BLOB_HEADER_BYTES || &data[..8] != BLOB_MAGIC {
+        let head = blob.as_ref();
+        if head.len() < BLOB_HEADER_BYTES || &head[..8] != BLOB_MAGIC {
             return Err(corrupt(format!("dedup blob {hash:016x}: bad header")));
         }
-        let flags = data[8];
-        let raw_len = u64::from_le_bytes(data[9..17].try_into().unwrap());
-        let payload_crc = u32::from_le_bytes(data[17..21].try_into().unwrap());
-        let stored = data[BLOB_HEADER_BYTES..].to_vec();
-        if fnv1a64(&stored) != hash {
-            return Err(corrupt(format!(
-                "dedup blob {hash:016x}: stored bytes hash mismatch"
-            )));
+        let flags = head[8];
+        let raw_len = u64::from_le_bytes(head[9..17].try_into().unwrap());
+        let payload_crc = u32::from_le_bytes(head[17..21].try_into().unwrap());
+        blob.advance(BLOB_HEADER_BYTES);
+        let verified = {
+            let inner = self.inner.lock().unwrap();
+            inner.slots.get(&hash).is_some_and(|s| s.verified)
+        };
+        if !verified {
+            self.hash_verifies.fetch_add(1, Ordering::Relaxed);
+            flor_obs::counter!("dedup.hash_verifies").inc();
+            if fnv1a64(blob.as_ref()) != hash {
+                return Err(corrupt(format!(
+                    "dedup blob {hash:016x}: stored bytes hash mismatch"
+                )));
+            }
+            if let Some(slot) = self.inner.lock().unwrap().slots.get_mut(&hash) {
+                slot.verified = true;
+            }
         }
-        Ok((stored, flags, raw_len, payload_crc))
+        Ok((blob, flags, raw_len, payload_crc))
+    }
+
+    /// Content-hash checks [`DedupIndex::read_stored`] has performed: one
+    /// per live blob per process, however often the blob is read.
+    pub fn hash_verifies(&self) -> u64 {
+        self.hash_verifies.load(Ordering::Relaxed)
     }
 
     /// Current reference count of `hash` (0 when absent) — test and
@@ -437,6 +494,12 @@ impl DedupIndex {
             .get(&hash)
             .map(|s| s.refs)
             .unwrap_or(0)
+    }
+
+    /// Stored byte length of the live blob `hash` (`None` when absent).
+    pub fn stored_len(&self, hash: u64) -> Option<u64> {
+        let inner = self.inner.lock().unwrap();
+        inner.slots.get(&hash).map(|s| s.meta.stored_len)
     }
 
     /// Number of live (positively referenced) blobs.

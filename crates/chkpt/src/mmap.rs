@@ -1,24 +1,56 @@
-//! Read-only memory mapping of sealed segment files, libc-free.
+//! Read-only memory mapping of sealed segment files and dedup blobs,
+//! libc-free.
 //!
-//! Cold restores used to `fs::read` the whole segment into heap just to
-//! hand out one entry's slice. A [`MmapRegion`] maps the file instead:
-//! the kernel faults in only the pages a slice actually touches, the
-//! memory stays reclaimable page cache rather than pinned heap, and the
-//! existing zero-copy `Bytes` machinery slices straight out of the
-//! mapping. The workspace vendors every dependency, so the `mmap`/`munmap`
-//! syscalls are issued directly via `std::arch::asm!` on Linux
-//! (x86_64/aarch64); everywhere else [`MmapRegion::map`] reports
-//! unsupported and the store falls back to reading the file into heap.
+//! Cold restores used to `fs::read` the whole file into heap just to hand
+//! out one entry's slice. A [`MmapRegion`] maps the file instead: the
+//! kernel faults in only the pages a slice actually touches, the memory
+//! stays reclaimable page cache rather than pinned heap, and the existing
+//! zero-copy `Bytes` machinery slices straight out of the mapping
+//! ([`load_file`] is the one entry point both tiers read through). The
+//! workspace vendors every dependency, so the `mmap`/`munmap` syscalls are
+//! issued directly via `std::arch::asm!` on Linux (x86_64/aarch64);
+//! everywhere else [`MmapRegion::map`] reports unsupported and the store
+//! falls back to reading the file into heap.
 //!
 //! Safety contract with the store: segments are *immutable once sealed*
 //! and compaction replaces them by rename + unlink, never by truncate-in-
 //! place, so a live mapping can never observe shrinking backing storage
 //! (unlink keeps the inode alive until the last mapping drops). The
 //! active (still-growing) segment is only ever mapped at the length the
-//! manifest already covers.
+//! manifest already covers. Dedup blobs obey the same rule: written once
+//! through temp + rename, unlinked at refcount zero, never rewritten.
 
-use std::fs::File;
+use bytes::Bytes;
+use std::fs::{self, File};
 use std::io;
+use std::path::Path;
+
+/// One immutable file → shared read-only buffer: a mapping dropped with
+/// the last `Bytes` of it, or — where mapping is unsupported or the kernel
+/// refuses it — the file read into heap. The slower path is chosen by
+/// what [`MmapRegion::map`] returns, counted (`store.mmap_fallbacks`) and
+/// traced with the refusal's error kind, never taken silently; callers
+/// tell the two apart by [`Bytes::backing_is_file`]. `NotFound` from the
+/// open propagates untouched.
+pub(crate) fn load_file(path: &Path) -> io::Result<Bytes> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len() as usize;
+    match MmapRegion::map(&file, len) {
+        Ok(region) => Ok(Bytes::from_file_backed_owner(region)),
+        Err(refusal) => {
+            flor_obs::counter!("store.mmap_fallbacks").inc();
+            let name = match refusal.kind() {
+                io::ErrorKind::Unsupported => "mmap_fallback:unsupported",
+                io::ErrorKind::OutOfMemory => "mmap_fallback:out_of_memory",
+                io::ErrorKind::PermissionDenied => "mmap_fallback:permission_denied",
+                _ => "mmap_fallback:other",
+            };
+            let errno = refusal.raw_os_error().unwrap_or(0) as u64;
+            flor_obs::instant(flor_obs::Category::Tier, name, errno, len as u64);
+            Ok(Bytes::from_vec(fs::read(path)?))
+        }
+    }
+}
 
 /// A read-only, whole-file memory mapping. `AsRef<[u8]>`-compatible so it
 /// can back a zero-copy `Bytes` via `Bytes::from_file_backed_owner`.

@@ -1,21 +1,19 @@
 //! The segment buffer pool: one shared, refcounted whole-segment buffer
 //! per resident segment, byte-budgeted with LRU demotion.
 //!
-//! Buffers are file mappings ([`MmapRegion`]): the kernel faults in only
+//! Buffers are file mappings ([`load_file`]): the kernel faults in only
 //! the pages a read touches and the memory stays reclaimable page cache.
 //! Where mapping is unsupported or the kernel refuses it, the segment is
-//! read into heap instead — chosen by what [`MmapRegion::map`] returns,
-//! counted (`mmap_fallbacks`), and traced with the refusal's error kind,
-//! so the slower path is never taken silently. A segment absent locally
-//! faults back from the spool tier through the same pool.
+//! read into heap instead and counted (`mmap_fallbacks`), so the slower
+//! path is never taken silently. A segment absent locally faults back
+//! from the spool tier through the same pool.
 
 use super::segment::spool_segment_path;
 use super::{CheckpointStore, StoreError};
-use crate::mmap::MmapRegion;
+use crate::mmap::load_file;
 use bytes::{Buf, Bytes};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::fs;
 use std::io::ErrorKind;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +44,8 @@ pub(crate) struct SegmentPool {
     pub(crate) misses: AtomicU64,
     /// Segment buffers established via mmap.
     pub(crate) mmap_faults: AtomicU64,
-    /// Segment buffers read into heap because mapping was unavailable.
+    /// Segments and dedup blobs read into heap because mapping was
+    /// unavailable.
     pub(crate) mmap_fallbacks: AtomicU64,
 }
 
@@ -105,32 +104,18 @@ impl SegmentPool {
         self.resident_bytes.store(0, Ordering::Relaxed);
     }
 
-    /// One segment file → shared buffer. `NotFound` from the open
-    /// propagates untouched — both the relocation retry and the spool
-    /// fault-back depend on it.
+    /// One segment file → shared buffer, counted as a map or a fallback.
+    /// `NotFound` from the open propagates untouched — both the relocation
+    /// retry and the spool fault-back depend on it.
     fn load(&self, path: &Path) -> std::io::Result<Bytes> {
-        let file = fs::File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        match MmapRegion::map(&file, len) {
-            Ok(region) => {
-                self.mmap_faults.fetch_add(1, Ordering::Relaxed);
-                flor_obs::counter!("store.mmap_faults").inc();
-                Ok(Bytes::from_file_backed_owner(region))
-            }
-            Err(refusal) => {
-                self.mmap_fallbacks.fetch_add(1, Ordering::Relaxed);
-                flor_obs::counter!("store.mmap_fallbacks").inc();
-                let name = match refusal.kind() {
-                    ErrorKind::Unsupported => "mmap_fallback:unsupported",
-                    ErrorKind::OutOfMemory => "mmap_fallback:out_of_memory",
-                    ErrorKind::PermissionDenied => "mmap_fallback:permission_denied",
-                    _ => "mmap_fallback:other",
-                };
-                let errno = refusal.raw_os_error().unwrap_or(0) as u64;
-                flor_obs::instant(flor_obs::Category::Tier, name, errno, len as u64);
-                Ok(Bytes::from_vec(fs::read(path)?))
-            }
+        let bytes = load_file(path)?;
+        if bytes.backing_is_file() {
+            self.mmap_faults.fetch_add(1, Ordering::Relaxed);
+            flor_obs::counter!("store.mmap_faults").inc();
+        } else {
+            self.mmap_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(bytes)
     }
 }
 

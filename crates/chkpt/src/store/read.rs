@@ -2,14 +2,18 @@
 //! and iterative delta-chain resolution behind a per-block restore cache.
 //!
 //! [`CheckpointStore::get_bytes`] resolves `(block, seq)` through the
-//! sharded index, takes the segment's shared buffer from the pool, and
-//! returns a [`Bytes`] slice of it. Raw-stored payloads are returned
-//! without any copy at all; compressed payloads pay exactly the
-//! decompression. Delta entries walk toward their keyframe, stopping at
-//! the restore cache (sequential replay restores pay O(1) links each, not
-//! O(depth)); every level is CRC-verified, and each frame's recorded base
-//! CRC is checked against the live base entry so a re-put base fails
-//! loudly instead of decoding garbage.
+//! sharded index to the entry's stored bytes — a [`Bytes`] slice of the
+//! segment's shared pooled mapping, or of a mapping of its `@dup` blob
+//! that lives exactly as long as the slice (blobs are not pooled). The
+//! contract is the same for both tiers: raw-stored payloads are returned
+//! without any copy at all (counted in `zero_copy_reads`), compressed
+//! payloads pay exactly the decompression, and the payload CRC is checked
+//! on **every** read (a blob's content hash only on its first read per
+//! process — see [`crate::dedup`]). Delta entries walk toward their
+//! keyframe, stopping at the restore cache (sequential replay restores pay
+//! O(1) links each, not O(depth)); every level is CRC-verified, and each
+//! frame's recorded base CRC is checked against the live base entry so a
+//! re-put base fails loudly instead of decoding garbage.
 
 use super::index::IndexEntry;
 use super::manifest::Location;
@@ -95,12 +99,12 @@ impl CheckpointStore {
     /// Reads, verifies, and returns the checkpoint payload for
     /// `(block_id, seq)` as a refcounted [`Bytes`].
     ///
-    /// The zero-copy contract: for raw-stored segment entries the returned
-    /// buffer **is** a slice of the shared per-segment read buffer — no
-    /// payload bytes are copied, and all readers of one segment share one
-    /// backing allocation. Compressed entries pay exactly one decompression
-    /// into a fresh buffer. Either way the payload CRC is verified on every
-    /// read.
+    /// The zero-copy contract: for raw-stored entries the returned buffer
+    /// **is** a slice of the file mapping the bytes live in — the shared
+    /// per-segment buffer (all readers of one segment share one backing),
+    /// or the `@dup` blob's own mapping — and no payload bytes are copied.
+    /// Compressed entries pay exactly one decompression into a fresh
+    /// buffer. Either way the payload CRC is verified on every read.
     pub fn get_bytes(&self, block_id: &str, seq: u64) -> Result<Bytes, StoreError> {
         // Disabled tracing costs one atomic load here — this is the ~1µs
         // restore read the replay bench gates.
@@ -167,8 +171,8 @@ impl CheckpointStore {
     }
 
     /// One entry's stored bytes as they sit in their tier — a zero-copy
-    /// segment slice or a dedup blob — and whether they are the raw
-    /// payload (no decompression needed).
+    /// slice of a segment or of a dedup blob — and whether they are the
+    /// raw payload (no decompression needed).
     pub(crate) fn stored_payload(
         &self,
         block_id: &str,
@@ -188,7 +192,7 @@ impl CheckpointStore {
             )),
             Location::Dup { hash, .. } => {
                 let (stored, flags) = self.dedup_read(block_id, seq, *hash)?;
-                Ok((Bytes::from_vec(stored), flags & FLAG_RAW != 0))
+                Ok((stored, flags & FLAG_RAW != 0))
             }
         }
     }
@@ -214,7 +218,7 @@ impl CheckpointStore {
         if payload.len() as u64 != entry.raw || crc32(payload.as_ref()) != entry.crc {
             return Err(corrupt("crc or length mismatch".into()));
         }
-        if raw_stored && matches!(entry.loc, Location::Segment { .. }) {
+        if raw_stored {
             self.reads.zero_copy.fetch_add(1, Ordering::Relaxed);
         }
         Ok(payload)
@@ -225,7 +229,7 @@ impl CheckpointStore {
     /// the arena refcounts blobs and syncs them before the manifest line
     /// that references them, so absence here means real damage — never
     /// something to skip silently.
-    fn dedup_read(&self, block_id: &str, seq: u64, hash: u64) -> Result<(Vec<u8>, u8), StoreError> {
+    fn dedup_read(&self, block_id: &str, seq: u64, hash: u64) -> Result<(Bytes, u8), StoreError> {
         let corrupt = |detail: String| StoreError::Corrupt {
             block_id: block_id.to_string(),
             seq,
@@ -238,6 +242,9 @@ impl CheckpointStore {
         let (stored, flags, _raw_len, _payload_crc) = idx
             .read_stored(hash)
             .map_err(|e| corrupt(format!("dedup blob {hash:016x}: {e}")))?;
+        if !stored.backing_is_file() {
+            self.pool.mmap_fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
         Ok((stored, flags))
     }
 

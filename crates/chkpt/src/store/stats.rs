@@ -36,7 +36,8 @@ pub struct StoreStats {
     pub stored_bytes: u64,
     /// `get`/`get_bytes` calls served.
     pub reads: u64,
-    /// Reads satisfied by a zero-copy slice (raw-stored segment entries).
+    /// Reads satisfied by a zero-copy slice of a file mapping (raw-stored
+    /// entries, in a segment or a dedup blob).
     pub zero_copy_reads: u64,
     /// Segment buffer cache hits.
     pub segment_cache_hits: u64,
@@ -62,8 +63,15 @@ pub struct StoreStats {
     pub restore_cache_hits: u64,
     /// Live checkpoints stored as `@dup` references into the shared arena.
     pub dedup_entries: u64,
+    /// Stored bytes of the distinct arena blobs those references point at
+    /// (shared with every other store referencing the same blobs, which is
+    /// why `stored_bytes` leaves them out).
+    pub dedup_referenced_bytes: u64,
     /// Stages that resolved to an already-present dedup blob.
     pub dedup_hits: u64,
+    /// Content-hash checks of dedup blobs by reads through the attached
+    /// arena in this process: one per blob, however often it is read.
+    pub dedup_hash_verifies: u64,
     /// Segments resident in the spool (cold) tier.
     pub tier_cold_segments: u64,
     /// Segment faults served from the spool tier.
@@ -73,8 +81,8 @@ pub struct StoreStats {
     pub tier_demotions: u64,
     /// Segment buffers established via mmap.
     pub mmap_faults: u64,
-    /// Segment buffers read into heap because mapping was unsupported or
-    /// refused (0 wherever the mmap backend works).
+    /// Segments and dedup blobs read into heap because mapping was
+    /// unsupported or refused (0 wherever the mmap backend works).
     pub mmap_fallbacks: u64,
     /// Current compression effort level (1–3).
     pub compression_effort: u64,
@@ -120,7 +128,9 @@ impl StoreStats {
             ("chain_links_resolved", self.chain_links_resolved),
             ("restore_cache_hits", self.restore_cache_hits),
             ("dedup_entries", self.dedup_entries),
+            ("dedup_referenced_bytes", self.dedup_referenced_bytes),
             ("dedup_hits", self.dedup_hits),
+            ("dedup_hash_verifies", self.dedup_hash_verifies),
             ("tier_cold_segments", self.tier_cold_segments),
             ("tier_cold_reads", self.tier_cold_reads),
             ("tier_demotions", self.tier_demotions),
@@ -168,7 +178,13 @@ impl CheckpointStore {
             delta_reads: self.reads.delta_reads.load(Ordering::Relaxed),
             chain_links_resolved: self.reads.chain_links.load(Ordering::Relaxed),
             restore_cache_hits: self.reads.restore_cache_hits.load(Ordering::Relaxed),
+            dedup_referenced_bytes: self.dedup_referenced_bytes(),
             dedup_hits: self.tier.dedup_hits.load(Ordering::Relaxed),
+            dedup_hash_verifies: self
+                .dedup
+                .read()
+                .as_ref()
+                .map_or(0, |arena| arena.hash_verifies()),
             tier_cold_reads: self.tier.cold_reads.load(Ordering::Relaxed),
             tier_demotions: self.tier.demotions.load(Ordering::Relaxed),
             mmap_faults: self.pool.mmap_faults.load(Ordering::Relaxed),

@@ -98,6 +98,18 @@ impl CheckpointStore {
         hashes
     }
 
+    /// Stored bytes of the distinct arena blobs those references point at
+    /// — the part of the run's footprint that
+    /// [`CheckpointStore::total_stored_bytes`] leaves to the arena.
+    pub fn dedup_referenced_bytes(&self) -> u64 {
+        let Some(arena) = self.dedup.read().clone() else {
+            return 0;
+        };
+        let distinct: std::collections::HashSet<u64> =
+            self.dedup_references().into_iter().collect();
+        distinct.iter().filter_map(|h| arena.stored_len(*h)).sum()
+    }
+
     /// Demotes sealed local segments to the spool tier until local
     /// segment bytes fit `hot_budget_bytes`, oldest segment first. Each
     /// victim's spool copy is made durable (shipped now if the background
@@ -188,7 +200,14 @@ mod tests {
 
         assert_eq!(a.get("sb_0", 0).unwrap(), payload);
         assert_eq!(b.get("sb_0", 0).unwrap(), payload);
-        assert_eq!(b.get_bytes("sb_0", 0).unwrap().as_ref(), &payload[..]);
+        // The incompressible payload is stored raw, so the `@dup` read is
+        // a zero-copy slice of the blob's mapping — and counted as one.
+        let zero_copy_before = b.stats().zero_copy_reads;
+        let mapped = b.get_bytes("sb_0", 0).unwrap();
+        assert_eq!(mapped.as_ref(), &payload[..]);
+        let sb = b.stats();
+        assert_eq!(sb.zero_copy_reads, zero_copy_before + 1, "{sb:?}");
+        assert_eq!(mapped.backing_is_file(), sb.mmap_fallbacks == 0, "{sb:?}");
 
         // Reopen from disk: the DEDUP pointer file re-attaches the arena
         // and the `@dup` manifest line resolves.

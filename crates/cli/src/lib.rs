@@ -304,13 +304,22 @@ fn cmd_record(args: &Args) -> Result<String, CliError> {
     for e in &report.log {
         let _ = writeln!(out, "{e}");
     }
+    // A registry run interns its checkpoints into the shared arena, which
+    // its own byte total leaves out: say where the bytes are.
+    let on_disk = if report.arena_bytes == 0 {
+        format!("{} on disk", report.stored_bytes)
+    } else {
+        format!(
+            "{} on disk in its own segments, {} referenced in the shared arena",
+            report.stored_bytes, report.arena_bytes
+        )
+    };
     let _ = writeln!(
         out,
-        "# recorded in {:.3}s: {} checkpoints, {} raw bytes ({} on disk)",
+        "# recorded in {:.3}s: {} checkpoints, {} raw bytes ({on_disk})",
         report.wall_ns as f64 / 1e9,
         report.checkpoints,
         report.raw_bytes,
-        report.stored_bytes
     );
     let _ = writeln!(
         out,
@@ -575,10 +584,17 @@ fn cmd_store(args: &Args) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "dedup:        {} arena-backed entr{}, {} hits",
+            "dedup:        {} arena-backed entr{} ({} bytes referenced), {} hits, {} hash verif{}",
             f("dedup_entries"),
             if f("dedup_entries") == 1 { "y" } else { "ies" },
-            f("dedup_hits")
+            f("dedup_referenced_bytes"),
+            f("dedup_hits"),
+            f("dedup_hash_verifies"),
+            if f("dedup_hash_verifies") == 1 {
+                "y"
+            } else {
+                "ies"
+            }
         );
         let _ = writeln!(out, "effort:       level {}", f("compression_effort"));
         out
@@ -1280,6 +1296,44 @@ for epoch in range(4):
         ])
         .unwrap();
         assert_eq!(out.matches("wn\t").count(), 4, "{out}");
+    }
+
+    #[test]
+    fn registry_record_summary_says_where_the_bytes_are() {
+        // A registry run interns every checkpoint >= 1 KiB into the shared
+        // arena, which its own byte total leaves out by design: the
+        // summary must not read "(0 on disk)".
+        let (dir, script) = setup("record-arena");
+        let registry = dir.with_file_name("record-arena-registry");
+        let big = SCRIPT.replace("hidden=8", "hidden=64");
+        std::fs::write(&script, &big).unwrap();
+        let out = cli(&[
+            "record",
+            script.to_str().unwrap(),
+            "--registry",
+            registry.to_str().unwrap(),
+            "--run-id",
+            "train",
+            "--no-adaptive",
+        ])
+        .unwrap();
+        let line = out
+            .lines()
+            .find(|l| l.starts_with("# recorded in "))
+            .expect("summary line");
+        let number_before = |marker: &str| -> u64 {
+            let head = line.split(marker).next().unwrap();
+            head.rsplit([' ', ':', '('])
+                .next()
+                .unwrap()
+                .parse()
+                .unwrap()
+        };
+        assert_eq!(number_before(" checkpoints"), 4, "{line}");
+        let raw = number_before(" raw bytes");
+        let arena = number_before(" referenced in the shared arena");
+        assert!(arena > 0 && arena <= raw, "{line}");
+        assert_eq!(number_before(" on disk in its own segments"), 0, "{line}");
     }
 
     #[test]

@@ -81,8 +81,9 @@ pub struct ReplayStats {
     pub executed: u64,
     /// Total time spent restoring, ns.
     pub restore_ns: u64,
-    /// Restores whose payload the worker's prefetcher had already read
-    /// (segment I/O overlapped with interpretation).
+    /// Restores whose payload came from the worker's prefetcher — every
+    /// restore on its schedule, whether the payload had already landed
+    /// (I/O overlapped with interpretation) or the worker waited for it.
     pub prefetch_hits: u64,
     /// Micro-ranges that moved between workers (0 without `--steal`).
     pub steals: u64,
@@ -162,8 +163,8 @@ pub struct ReplayCtx {
     /// nearest checkpoint anchor. Overrides partition-based planning.
     pub sample: Option<Vec<u64>>,
     /// Per-worker checkpoint prefetcher, spawned once the worker's plan is
-    /// fixed so segment reads overlap with interpretation (re-targeted per
-    /// micro-range under the work-stealing executor).
+    /// fixed so checkpoint reads overlap with interpretation (fed one
+    /// micro-range at a time under the work-stealing executor).
     pub prefetcher: Option<crate::prefetch::Prefetcher>,
     /// Shared work-stealing runtime (cost-aware micro-range queue). `None`
     /// falls back to static per-worker partitioning via
@@ -176,6 +177,33 @@ pub struct ReplayCtx {
 }
 
 impl ReplayCtx {
+    /// The checkpoints a worker will restore, in restore order, across an
+    /// initialization segment (every main-loop block restores) followed by
+    /// a work segment (every block restores unless probed). Empty when
+    /// nothing restores: poisoned reuse, or no memoized blocks.
+    pub(crate) fn restore_schedule(
+        &self,
+        init: std::ops::Range<u64>,
+        work: std::ops::Range<u64>,
+    ) -> Vec<(String, u64)> {
+        if self.force_execute_all {
+            return Vec::new();
+        }
+        let mut keys = Vec::new();
+        for g in init {
+            keys.extend(self.main_blocks.iter().map(|b| (b.clone(), g)));
+        }
+        let unprobed = || {
+            self.main_blocks
+                .iter()
+                .filter(|b| !self.probed_blocks.contains(*b))
+        };
+        for g in work {
+            keys.extend(unprobed().map(|b| (b.clone(), g)));
+        }
+        keys
+    }
+
     /// Iterations `g` at which every main-loop block has a Loop End
     /// Checkpoint — the only places weak initialization may start a work
     /// segment after (paper §5.4.2: weak init "depends entirely on a
@@ -439,30 +467,14 @@ impl Interp {
                 };
                 let plan = plans.get(ctx.pid).cloned();
                 ctx.plan_used = plan.clone();
-                // The worker's restore schedule is now fixed: every main
-                // block restores across the init segment, and across the
-                // work segment unless probed. Start the per-worker
-                // prefetcher so segment I/O overlaps with interpretation.
+                // The worker's restore schedule is now fixed: start the
+                // per-worker prefetcher so checkpoint reads overlap with
+                // interpretation.
                 if let Some(plan) = &plan {
-                    if !ctx.force_execute_all && !ctx.main_blocks.is_empty() {
-                        let mut keys: Vec<(String, u64)> =
-                            Vec::with_capacity((plan.init_len() + plan.work_len()) as usize);
-                        for g in plan.init_iters() {
-                            for b in &ctx.main_blocks {
-                                keys.push((b.clone(), g));
-                            }
-                        }
-                        for g in plan.work_iters() {
-                            for b in &ctx.main_blocks {
-                                if !ctx.probed_blocks.contains(b) {
-                                    keys.push((b.clone(), g));
-                                }
-                            }
-                        }
-                        if !keys.is_empty() {
-                            ctx.prefetcher =
-                                Some(crate::prefetch::Prefetcher::spawn(ctx.store.clone(), keys));
-                        }
+                    let keys = ctx.restore_schedule(plan.init_iters(), plan.work_iters());
+                    if !keys.is_empty() {
+                        ctx.prefetcher =
+                            Some(crate::prefetch::Prefetcher::spawn(ctx.store.clone(), keys));
                     }
                 }
                 let Some(plan) = plan else {
@@ -511,10 +523,10 @@ impl Interp {
     /// range ended — no re-initialization), then steals off stragglers. A
     /// stolen range is a fresh init+work segment: the worker re-initializes
     /// via checkpoint restores (rolling forward under strong init, jumping
-    /// to the range's anchor under weak init) and re-targets its
-    /// [`Prefetcher`](crate::prefetch::Prefetcher) to the new restore
-    /// schedule. Completed ranges are drained from the log and streamed to
-    /// the incremental merger immediately.
+    /// to the range's anchor under weak init) and appends the range's
+    /// restore schedule to its [`Prefetcher`](crate::prefetch::Prefetcher).
+    /// Completed ranges are drained from the log and streamed to the
+    /// incremental merger immediately.
     fn exec_main_loop_ranges(
         &mut self,
         lb: &LoopBody<'_>,
@@ -567,11 +579,6 @@ impl Interp {
         // Program state sits at the start of this iteration (exclusive
         // upper bound of applied iterations); the preamble leaves it at 0.
         let mut state_at = 0u64;
-        // One past the last iteration the current prefetcher covers; a
-        // range inside coverage keeps it (seed pops are contiguous — no
-        // churn), a discontinuity or overrun re-targets it.
-        let mut prefetched_to = 0u64;
-        let seeded_end = runtime.queue.seeded_span(pid).map(|s| s.end).unwrap_or(0);
         while let Some(next) = runtime.queue.next(pid, state_at, rewind_ok) {
             if runtime.cancelled() {
                 return Err(FlorError::Cancelled);
@@ -601,42 +608,22 @@ impl Interp {
                     }
                 }
             };
-            // Re-target the prefetcher when this range leaves the current
-            // coverage: on the first range it spans the whole seeded share
-            // (seed pops continue contiguously — one prefetcher serves
-            // them all); on a steal it spans the stolen range's fresh
-            // init+work segment. Ranges stolen *from* this worker by
-            // others waste some prefetched buffers — they sit at the
-            // share's back, fetched last, and are reclaimed on drop.
-            if range.start < state_at.min(prefetched_to) || range.end > prefetched_to {
+            // This range's restore schedule is now fixed and this worker's
+            // alone (a range can no longer be stolen once popped): hand it
+            // to the prefetcher, which reads each of its checkpoints
+            // exactly once.
+            {
                 let Mode::Replay(ctx) = &mut self.mode else {
                     unreachable!()
                 };
-                if !ctx.force_execute_all && !ctx.main_blocks.is_empty() {
-                    let cover_end = if !next.stolen && range.end <= seeded_end {
-                        seeded_end
-                    } else {
-                        range.end
-                    };
-                    let mut keys: Vec<(String, u64)> = Vec::new();
-                    for j in init_from..range.start {
-                        for b in &ctx.main_blocks {
-                            keys.push((b.clone(), j));
-                        }
+                let keys = ctx.restore_schedule(init_from..range.start, range.iters());
+                match &ctx.prefetcher {
+                    Some(p) => p.extend(keys),
+                    None if keys.is_empty() => {}
+                    None => {
+                        ctx.prefetcher =
+                            Some(crate::prefetch::Prefetcher::spawn(ctx.store.clone(), keys));
                     }
-                    for g in range.start..cover_end {
-                        for b in &ctx.main_blocks {
-                            if !ctx.probed_blocks.contains(b) {
-                                keys.push((b.clone(), g));
-                            }
-                        }
-                    }
-                    ctx.prefetcher = if keys.is_empty() {
-                        None
-                    } else {
-                        Some(crate::prefetch::Prefetcher::spawn(ctx.store.clone(), keys))
-                    };
-                    prefetched_to = cover_end;
                 }
             }
             // Init phase: logs suppressed, SkipBlocks restore.

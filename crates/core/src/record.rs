@@ -72,8 +72,12 @@ pub struct RecordReport {
     pub checkpoints: u64,
     /// Uncompressed checkpoint bytes.
     pub raw_bytes: u64,
-    /// Compressed bytes on disk.
+    /// Stored bytes on disk in the run's own segments.
     pub stored_bytes: u64,
+    /// Stored bytes of the shared dedup-arena blobs the run references
+    /// (0 without an arena) — not part of `stored_bytes`, because other
+    /// runs referencing the same blobs share them.
+    pub arena_bytes: u64,
     /// The record log.
     pub log: Vec<LogEntry>,
     /// Materializer counters (main-thread blocked time, dispatches, …).
@@ -199,6 +203,7 @@ pub fn record(src: &str, opts: &RecordOptions) -> Result<RecordReport, FlorError
         checkpoints: store.entries().len() as u64,
         raw_bytes: store.total_raw_bytes(),
         stored_bytes: store.total_stored_bytes(),
+        arena_bytes: store.dedup_referenced_bytes(),
         log: interp.log.into_entries(),
         materializer: mat_stats,
         record_overhead: ctx.controller.record_overhead(),

@@ -689,9 +689,9 @@ mod tests {
         // All 6 epochs restored, none executed: pure physical recovery.
         assert_eq!(rep.stats.restored, 6);
         assert_eq!(rep.stats.executed, 0);
-        // Prefetched restores are a subset of restores (how many land is
-        // a race between the prefetcher and the interpreter).
-        assert!(rep.stats.prefetch_hits <= rep.stats.restored);
+        // Every main-loop restore is on the worker's prefetch schedule,
+        // so every one is served by the prefetcher — no race decides it.
+        assert_eq!(rep.stats.prefetch_hits, rep.stats.restored);
     }
 
     /// A fine-tuning-regime script (the paper's RTE/CoLA-miniature): a

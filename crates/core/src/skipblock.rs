@@ -266,9 +266,10 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
     }
 
     // Restore the Loop End Checkpoint (physical recovery). The payload
-    // arrives as a refcounted `Bytes` — ideally one the worker's
-    // prefetcher already pulled while earlier iterations interpreted; a
-    // prefetch miss falls through to a direct zero-copy store read.
+    // arrives as a refcounted `Bytes`. A key on the worker's prefetch
+    // schedule is read by the prefetcher and nobody else — `take` waits
+    // for it if it has not landed yet; only keys it will never have
+    // (unscheduled, or their fetch failed) are read here, directly.
     let mut span = flor_obs::span(flor_obs::Category::RestoreChain, "restore");
     span.set_args(seq, 0);
     let t0 = flor_obs::clock::now_ns();
@@ -276,24 +277,14 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
         let Mode::Replay(ctx) = &mut interp.mode else {
             unreachable!()
         };
-        let fetch = flor_obs::span(flor_obs::Category::Prefetch, "payload_wait");
-        let bytes = match ctx.prefetcher.as_ref().and_then(|p| p.take(id, seq)) {
+        let _fetch = flor_obs::span(flor_obs::Category::Prefetch, "payload_wait");
+        match ctx.prefetcher.as_ref().and_then(|p| p.take(id, seq)) {
             Some(bytes) => {
                 ctx.stats.prefetch_hits += 1;
                 bytes
             }
-            None => {
-                let bytes = ctx.store.get_bytes(id, seq)?;
-                // We beat the prefetcher to this key: release/skip its
-                // fetch so dead buffers can't exhaust the budget.
-                if let Some(p) = &ctx.prefetcher {
-                    p.mark_consumed(id, seq);
-                }
-                bytes
-            }
-        };
-        drop(fetch);
-        bytes
+            None => ctx.store.get_bytes(id, seq)?,
+        }
     };
     let cval = flor_chkpt::decode(payload_bytes.as_ref())?;
     let CVal::Map(pairs) = cval else {
@@ -445,12 +436,11 @@ log(\"acc\", acc)
 
         let mut mode = replay_ctx(store.clone(), &[]);
         if let Mode::Replay(ctx) = &mut mode {
-            let mut p = crate::prefetch::Prefetcher::spawn(
+            let p = crate::prefetch::Prefetcher::spawn(
                 store.clone(),
                 vec![("sb_0".to_string(), STANDALONE_BASE)],
             );
-            // Drain the schedule so the hit is deterministic.
-            p.join();
+            p.drain();
             assert_eq!(p.fetched(), 1);
             ctx.prefetcher = Some(p);
         }

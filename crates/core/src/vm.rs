@@ -101,10 +101,16 @@ pub fn compile_program_sliced(
     Ok(Arc::new(module))
 }
 
+/// Modules a [`ModuleCache`] keeps. A long-lived server sees a new
+/// source version with every fresh probe, and a compiled module is several
+/// KiB against a compile pass of microseconds: the cache is for the
+/// repeated sources of the moment, not a history.
+const MODULE_CACHE_CAPACITY: usize = 64;
+
 /// Compiled-module cache keyed by `source_version` (the FNV content
 /// address of the source text — the same key family the registry's
-/// query cache uses). One entry per source version ever replayed; a hit
-/// skips the compile pass entirely.
+/// query cache uses), holding at most [`MODULE_CACHE_CAPACITY`] modules;
+/// a hit skips the compile pass entirely.
 #[derive(Debug, Default)]
 pub struct ModuleCache {
     modules: Mutex<HashMap<String, Arc<Module>>>,
@@ -123,21 +129,7 @@ impl ModuleCache {
         source_version: &str,
         prog: &Program,
     ) -> Result<Arc<Module>, FlorError> {
-        if let Some(m) = self
-            .modules
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(source_version)
-        {
-            flor_obs::counter!("vm.module_cache_hits").inc();
-            return Ok(m.clone());
-        }
-        let module = compile_program(prog)?;
-        self.modules
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(source_version.to_string(), module.clone());
-        Ok(module)
+        self.get_or_compile_sliced(source_version, prog, &HashSet::new())
     }
 
     /// Sliced-compile variant of [`ModuleCache::get_or_compile`]. The
@@ -160,10 +152,15 @@ impl ModuleCache {
             return Ok(m.clone());
         }
         let module = compile_program_sliced(prog, dead)?;
-        self.modules
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key.to_string(), module.clone());
+        let mut modules = self.modules.lock().unwrap_or_else(PoisonError::into_inner);
+        if modules.len() >= MODULE_CACHE_CAPACITY {
+            // Any victim will do: a wrongly evicted module costs one
+            // recompile.
+            if let Some(victim) = modules.keys().next().cloned() {
+                modules.remove(&victim);
+            }
+        }
+        modules.insert(key.to_string(), module.clone());
         Ok(module)
     }
 
@@ -754,5 +751,21 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let after = flor_obs::metrics::counter("vm.compile").get();
         assert_eq!(after - before, 1, "one compile for two fetches");
+    }
+
+    #[test]
+    fn module_cache_stays_bounded_under_a_stream_of_fresh_versions() {
+        // A server's every fresh probe is a new source version.
+        let prog = parse("x = 1\n").unwrap();
+        let cache = ModuleCache::new();
+        for v in 0..3 * MODULE_CACHE_CAPACITY {
+            cache.get_or_compile(&format!("v{v}"), &prog).unwrap();
+        }
+        assert_eq!(cache.len(), MODULE_CACHE_CAPACITY);
+        // Still a cache: what it holds is served without a compile.
+        let newest = format!("v{}", 3 * MODULE_CACHE_CAPACITY - 1);
+        let a = cache.get_or_compile(&newest, &prog).unwrap();
+        let b = cache.get_or_compile(&newest, &prog).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
     }
 }

@@ -5,15 +5,18 @@
 //! 64-bit FNV-1a over that tuple, so repeated queries from many users hit
 //! a single materialized file and are served without replaying anything.
 //!
-//! Each cache file carries its own CRC; a corrupt or torn file (the write
-//! is temp+rename, so torn files only appear through outside interference)
-//! reads as a **miss**, never as a wrong answer.
+//! Each cache file carries its own CRC and entry count; a corrupt or torn
+//! file reads as a **miss** (and is removed), never as a wrong answer.
+//! That is also why a put does not fsync: the write is temp + rename, so
+//! readers never see a partial entry, and what a crash can leave behind —
+//! an empty or short file — is a miss the next query simply recomputes.
 
 use flor_chkpt::store::crc32;
 use flor_core::logstream::{LogEntry, LogStream};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A materialized, cacheable query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,8 +103,10 @@ impl QueryCache {
         }
     }
 
-    /// Stores a result under `key` (write-to-temp + rename, so readers
-    /// never observe a partial entry).
+    /// Stores a result under `key`: write-to-temp + rename, so readers
+    /// never observe a partial entry — and no fsync, which would put two
+    /// disk flushes on every fresh query's critical path to protect a file
+    /// that is regenerable and validates itself on read.
     pub fn put(&self, key: &str, result: &CachedResult) -> io::Result<()> {
         let body = {
             let mut s = String::new();
@@ -117,8 +122,15 @@ impl QueryCache {
             result.log.len(),
             crc32(body.as_bytes()),
         );
-        flor_chkpt::store::write_atomic(&self.file(key), text.as_bytes())?;
-        Ok(())
+        // Unique per call: two queries filling one key must not share a
+        // temp file.
+        static PUT_SEQ: AtomicU64 = AtomicU64::new(0);
+        let tmp = self.root.join(format!(
+            ".{key}.tmp.{}.{}",
+            std::process::id(),
+            PUT_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        fs::write(&tmp, text).and_then(|()| fs::rename(&tmp, self.file(key)))
     }
 
     fn parse(text: &str) -> Option<CachedResult> {
@@ -252,14 +264,23 @@ mod tests {
     }
 
     #[test]
-    fn truncated_entry_reads_as_miss() {
+    fn truncated_or_empty_entry_is_a_miss_not_an_error() {
+        // What a crash after an unsynced put can leave: any prefix of the
+        // entry, down to a zero-length file. Each reads as a miss, is
+        // removed, and the key is fillable again.
         let cache = tmpcache("trunc");
         let key = query_key("alice", 0, "v", "s");
         cache.put(&key, &sample()).unwrap();
         let path = cache.root().join(&key);
         let text = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert!(cache.get(&key).is_none());
+        for keep in [0, 1, text.len() / 2, text.len() - 1] {
+            fs::write(&path, &text[..keep]).unwrap();
+            assert!(cache.get(&key).is_none(), "prefix of {keep} bytes");
+            assert!(!path.exists(), "torn entry ({keep} bytes) removed");
+            cache.put(&key, &sample()).unwrap();
+            assert_eq!(cache.get(&key).unwrap(), sample());
+        }
+        assert_eq!(cache.len(), 1, "puts leave no temp files behind");
     }
 
     #[test]

@@ -220,8 +220,9 @@ impl JobSink {
 
     /// Takes every queued event (FIFO).
     pub fn drain(&self) -> Vec<JobEvent> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.queue.drain(..).collect()
+        // Take the buffer along with the events: a finished job's sink
+        // lives on in its session's view, and must not pin an empty queue.
+        Vec::from(std::mem::take(&mut self.inner.lock().unwrap().queue))
     }
 
     /// True once the terminal event has been pushed (it may still be

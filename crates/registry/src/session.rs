@@ -88,6 +88,10 @@ pub struct ServeSession {
     entry_cap: usize,
     tenant: String,
     submitted: Vec<JobId>,
+    /// Every job in `submitted[..settled]` has been pumped to its end:
+    /// polls start after them, so a long-lived connection's poll cost
+    /// follows its jobs in flight, not every job it ever submitted.
+    settled: usize,
     views: HashMap<JobId, JobView>,
     /// Jobs holding an admission slot, by submitting tenant.
     permits: HashMap<JobId, String>,
@@ -119,6 +123,7 @@ impl ServeSession {
             entry_cap: entry_cap.max(1),
             tenant: String::new(),
             submitted: Vec::new(),
+            settled: 0,
             views: HashMap::new(),
             permits: HashMap::new(),
             reported: 0,
@@ -379,9 +384,16 @@ impl ServeSession {
     /// transports call this whenever the session's waker fired (and on
     /// ticks); the stdin adapter reaches it via `drain`/`quit`.
     pub fn poll_events(&mut self, out: &mut Vec<String>) -> Result<SessionControl, RegistryError> {
-        for i in 0..self.submitted.len() {
+        for i in self.settled..self.submitted.len() {
             let id = self.submitted[i];
             self.pump_job(id, out);
+        }
+        while self
+            .submitted
+            .get(self.settled)
+            .is_some_and(|id| self.views.get(id).is_none_or(|v| v.finished))
+        {
+            self.settled += 1;
         }
         // In-order completion report (the `drain` / `quit` contract).
         if self.quitting || self.draining || self.blocking {
@@ -561,4 +573,67 @@ pub fn done_line(id: JobId, o: &QueryOutcome) -> String {
         o.log.len(),
         o.anomalies.len()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admission::AdmissionPolicy;
+
+    const SRC: &str = "\
+import flor
+data = synth_data(n=16, dim=4, classes=2, seed=1)
+loader = dataloader(data, batch_size=8, seed=1)
+net = mlp(input=4, hidden=4, classes=2, depth=1, seed=1)
+optimizer = sgd(net, lr=0.1)
+criterion = cross_entropy()
+for epoch in flor.partition(range(3)):
+    for batch in loader.epoch():
+        optimizer.zero_grad()
+        preds = net.forward(batch)
+        loss = criterion.forward(preds, batch)
+        grad = criterion.backward()
+        net.backward(grad)
+        optimizer.step()
+    log(\"wn\", net.weight_norm())
+";
+
+    /// A long-lived connection must not pay for its history on every
+    /// poll: jobs pumped to their `+done` leave the polled window.
+    #[test]
+    fn polls_skip_jobs_already_pumped_to_their_end() {
+        let dir = std::env::temp_dir().join(format!(
+            "flor-session-test-settled-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Arc::new(Registry::open(dir.join("registry")).unwrap());
+        registry
+            .record_run("r", SRC, |o| o.adaptive = false)
+            .unwrap();
+        let probed = dir.join("probed.flr");
+        std::fs::write(&probed, SRC.replace("\"wn\"", "\"wn2\"")).unwrap();
+        let scheduler = Arc::new(ReplayScheduler::new(registry.clone(), 1));
+        let admission = Arc::new(AdmissionController::new(AdmissionPolicy::unlimited()));
+        let mut session =
+            ServeSession::new(registry, scheduler.clone(), admission, false, 64, || {});
+        let mut out = Vec::new();
+        let line = format!("stream r {}", probed.display());
+        for round in 1..=3usize {
+            session.handle_line(&line, &mut out).unwrap();
+            scheduler.drain();
+            session.poll_events(&mut out).unwrap();
+            assert_eq!(session.settled, round, "{out:?}");
+            assert_eq!(
+                out.iter().filter(|l| l.starts_with("+done ")).count(),
+                round,
+                "{out:?}"
+            );
+        }
+        // Nothing is re-pumped or re-reported once settled.
+        let lines = out.len();
+        session.poll_events(&mut out).unwrap();
+        assert_eq!(out.len(), lines);
+    }
 }

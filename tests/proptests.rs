@@ -667,7 +667,8 @@ proptest! {
 
     /// A store recording through a shared dedup arena restores every
     /// version byte-identically to a plain (undedup'd) store fed the same
-    /// trajectory — duplicates, near-duplicates, delta chains and all.
+    /// trajectory — duplicates, near-duplicates, delta chains and all —
+    /// through owned copies and through the zero-copy mapped reads alike.
     #[test]
     fn deduped_store_restores_byte_identical_to_plain(
         floats in 300usize..800,
@@ -711,6 +712,27 @@ proptest! {
         for (v, payload) in traj.iter().enumerate() {
             prop_assert_eq!(&reopened.get("sb_0", v as u64).unwrap(), payload);
         }
+        // Zero-copy reads, all held alive at once (every blob is its own
+        // mapping; none may alias or outlive another's bytes), against the
+        // plain store as oracle.
+        let held: Vec<_> = (0..traj.len())
+            .map(|v| reopened.get_bytes("sb_0", v as u64).unwrap())
+            .collect();
+        for (v, mapped) in held.iter().enumerate() {
+            let oracle = plain.get("sb_0", v as u64).unwrap();
+            prop_assert_eq!(mapped.as_ref(), &oracle[..], "mapped read diverged at {}", v);
+        }
+        // Every blob's content hash was checked by its first read; the
+        // re-reads above were covered by the payload CRC alone.
+        let after_first_pass = reopened.stats();
+        prop_assert!(after_first_pass.dedup_hash_verifies <= after_first_pass.dedup_entries);
+        for v in 0..traj.len() {
+            reopened.get_bytes("sb_0", v as u64).unwrap();
+        }
+        prop_assert_eq!(
+            reopened.stats().dedup_hash_verifies,
+            after_first_pass.dedup_hash_verifies
+        );
         let _ = std::fs::remove_dir_all(&base);
     }
 }

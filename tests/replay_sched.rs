@@ -263,3 +263,136 @@ fn streamed_replay_stats_survive_through_the_binary_surface() {
     assert!(out.contains("first entry streamed after"), "{out}");
     assert!(!out.contains("ANOMALY"), "{out}");
 }
+
+/// The exactly-once read contract, on registry-recorded (`@dup`) stores:
+/// every checkpoint a replay restores is read from the store once — by the
+/// worker's prefetcher or by the worker, never both — whatever the worker
+/// count and however ranges get stolen, and the merged log still equals
+/// the unsliced tree-walker's.
+mod exactly_once {
+    use super::*;
+    use flor_chkpt::CheckpointStore;
+    use flor_core::replay::replay_with_store;
+
+    /// CV-shaped: every epoch a full keyframe (delta encoding off).
+    const CV_SRC: &str = "\
+import flor
+data = synth_data(n=64, dim=8, classes=3, seed=9)
+loader = dataloader(data, batch_size=16, seed=9)
+net = mlp(input=8, hidden=48, classes=3, depth=2, seed=9)
+optimizer = sgd(net, lr=0.05)
+criterion = cross_entropy()
+avg = meter()
+for epoch in flor.partition(range(10)):
+    avg.reset()
+    for batch in loader.epoch():
+        optimizer.zero_grad()
+        preds = net.forward(batch)
+        loss = criterion.forward(preds, batch)
+        grad = criterion.backward()
+        net.backward(grad)
+        optimizer.step()
+        avg.update(loss)
+    log(\"loss\", avg.mean())
+acc = evaluate(net, data)
+log(\"accuracy\", acc)
+";
+
+    /// Fine-tune-shaped: a frozen ballast under a small trained head, so
+    /// consecutive checkpoints delta-encode into chains.
+    fn ft_src() -> String {
+        CV_SRC.replace(
+            "net = mlp(input=8, hidden=48, classes=3, depth=2, seed=9)",
+            "net = finetune(input=8, hidden=16, classes=3, ballast=4000, seed=9)",
+        )
+    }
+
+    fn outer_probed(src: &str) -> String {
+        let probed = src.replace(
+            "    log(\"loss\", avg.mean())\n",
+            "    log(\"loss\", avg.mean())\n    log(\"probe_wnorm\", net.weight_norm())\n",
+        );
+        assert_ne!(probed, src);
+        probed
+    }
+
+    /// Records `src` through a registry, replays an outer probe with 1 and
+    /// 2 stealing workers, and returns the store's delta-entry count.
+    fn check(tag: &str, src: &str, keyframe_interval: u32) -> u64 {
+        let registry = Registry::open(store_dir(tag)).unwrap();
+        let (_, rec) = registry
+            .record_run(tag, src, |o| {
+                o.adaptive = false;
+                o.delta_keyframe_interval = Some(keyframe_interval);
+                // One materializer thread commits batches in record order,
+                // so every delta chains on its predecessor (racing batches
+                // may chain across a gap, which costs extra links to read
+                // back whoever reads it).
+                o.background_workers = 1;
+            })
+            .unwrap();
+        let probed = outer_probed(src);
+        let oracle = replay(
+            &probed,
+            &rec.store_root,
+            &ReplayOptions {
+                vm: false,
+                slice: false,
+                ..ReplayOptions::default()
+            },
+        )
+        .unwrap();
+        let store = Arc::new(CheckpointStore::open(&rec.store_root).unwrap());
+        let stored = store.stats();
+        // Registry runs intern every stored payload of 1 KiB and up into
+        // the arena (small delta frames stay in the run's own segment).
+        assert!(
+            stored.dedup_entries >= stored.keyframe_entries,
+            "{stored:?}"
+        );
+        for workers in [1usize, 2] {
+            let before = store.stats();
+            let report = replay_with_store(
+                &probed,
+                store.clone(),
+                &ReplayOptions::with_stealing(workers),
+            )
+            .unwrap();
+            let after = store.stats();
+            assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
+            assert_eq!(report.log, oracle.log, "{tag}, {workers} worker(s)");
+            assert_eq!(report.stats.executed, 0, "outer probes restore everything");
+            assert_eq!(
+                after.reads - before.reads,
+                report.stats.restored,
+                "{tag}, {workers} worker(s): one store read per restore"
+            );
+            assert_eq!(
+                report.stats.prefetch_hits, report.stats.restored,
+                "{tag}, {workers} worker(s): main-loop restores come through the prefetcher"
+            );
+            if workers == 1 {
+                // One reader walks the whole chain in order, so each delta
+                // entry decodes exactly its own link off the restore cache.
+                // (Two workers share the store's one-entry-per-block cache
+                // and may evict each other's base; their link count is not
+                // pinned.)
+                assert_eq!(report.stats.restored, 10);
+                assert_eq!(report.stats.delta_restores, stored.delta_entries, "{tag}");
+                assert_eq!(report.stats.chain_links, stored.delta_entries, "{tag}");
+            }
+        }
+        stored.delta_entries
+    }
+
+    #[test]
+    fn cv_shaped_run_reads_each_checkpoint_once() {
+        assert_eq!(check("once-cv", CV_SRC, 0), 0);
+    }
+
+    #[test]
+    fn delta_chained_run_reads_each_checkpoint_once_and_decodes_each_link_once() {
+        let delta_entries = check("once-ft", &ft_src(), 4);
+        assert!(delta_entries >= 6, "fixture must chain: {delta_entries}");
+    }
+}

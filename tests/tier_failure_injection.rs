@@ -15,6 +15,10 @@
 //! - **Mid-demotion states**: every intermediate state of the ship → verify
 //!   → delete-local sequence leaves the segment readable from at least one
 //!   tier, across a reopen.
+//!
+//! Plus the blob read contract: a damaged or missing blob is loud per-entry
+//! corruption on the next read, and a blob retention unlinks stays readable
+//! for whoever still holds its bytes.
 
 use flor_chkpt::{CheckpointStore, DedupIndex, StoreOptions};
 use std::fs;
@@ -183,6 +187,132 @@ fn dedup_log_truncated_at_every_offset_is_exact_or_loud() {
     let replayed = DedupIndex::open(&fresh).unwrap();
     let original = DedupIndex::open(&arena).unwrap();
     assert!(replayed.entries() >= original.entries().saturating_sub(1));
+}
+
+/// A victim copy of the fixture's all-`@dup` store over its own copy of
+/// the arena (`DedupIndex::open` shares live instances per path, so each
+/// damage case gets fresh directories — and with them a fresh handle).
+fn dup_victim(base: &Path, tag: &str) -> (PathBuf, PathBuf) {
+    let (arena, _first, second, _) = dedup_fixture(&base.join(format!("fixture-{tag}")));
+    let victim_arena = base.join(format!("arena-{tag}"));
+    let victim = base.join(format!("victim-{tag}"));
+    copy_dir(&arena, &victim_arena);
+    copy_dir(&second, &victim);
+    fs::write(
+        victim.join("DEDUP"),
+        format!("{}\n", victim_arena.display()),
+    )
+    .unwrap();
+    (victim, victim_arena)
+}
+
+fn blob_of(store: &CheckpointStore, arena: &Path, seq: u64) -> PathBuf {
+    // The fixture's store holds one `@dup` entry per version; find the
+    // one whose bytes `seq` restores by reading each blob's payload.
+    let want = store.get("sb_0", seq).unwrap();
+    fs::read_dir(arena.join("blobs"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| fs::read(p).unwrap().ends_with(&want))
+        .expect("blob holding the version")
+}
+
+#[test]
+fn damaged_or_missing_blobs_are_loud_corruption_on_the_next_read() {
+    use flor_chkpt::StoreError;
+    let base = base_dir("blob-damage");
+    type Damage = fn(&Path);
+    let cases: [(&str, Damage); 4] = [
+        ("flip", |blob| {
+            let mut bytes = fs::read(blob).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            fs::write(blob, bytes).unwrap();
+        }),
+        ("truncate", |blob| {
+            let bytes = fs::read(blob).unwrap();
+            fs::write(blob, &bytes[..bytes.len() / 2]).unwrap();
+        }),
+        ("empty", |blob| fs::write(blob, b"").unwrap()),
+        ("missing", |blob| fs::remove_file(blob).unwrap()),
+    ];
+    for (tag, damage) in cases {
+        let (victim, victim_arena) = dup_victim(&base, tag);
+        let blob = {
+            let intact = CheckpointStore::open(&victim).unwrap();
+            blob_of(&intact, &victim_arena, 2)
+            // Handle (and its mappings) dropped before the file changes.
+        };
+        damage(&blob);
+        let store = CheckpointStore::open(&victim).unwrap();
+        match store.get_bytes("sb_0", 2) {
+            Err(StoreError::Corrupt { block_id, seq, .. }) => {
+                assert_eq!((block_id.as_str(), seq), ("sb_0", 2), "{tag}");
+            }
+            other => panic!("{tag}: expected loud corruption, got {other:?}"),
+        }
+        // Still loud on a repeat (a failed check is not remembered as a
+        // pass), and an undamaged blob reads exactly.
+        assert!(store.get_bytes("sb_0", 2).is_err(), "{tag}");
+        assert_eq!(store.get("sb_0", 0).unwrap(), payload(7), "{tag}");
+    }
+}
+
+#[test]
+fn bit_rot_after_the_one_hash_check_is_still_caught_by_the_payload_crc() {
+    use flor_chkpt::StoreError;
+    let base = base_dir("blob-rot");
+    let (victim, victim_arena) = dup_victim(&base, "rot");
+    let store = CheckpointStore::open(&victim).unwrap();
+    let blob = blob_of(&store, &victim_arena, 0);
+    assert_eq!(store.get("sb_0", 0).unwrap(), payload(7));
+    let verifies = store.stats().dedup_hash_verifies;
+    assert!(verifies >= 1);
+    // Same process, same handle, no mapping of the blob alive: the hash
+    // will not be checked again, the CRC must carry the read.
+    let mut bytes = fs::read(&blob).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    fs::write(&blob, bytes).unwrap();
+    match store.get_bytes("sb_0", 0) {
+        Err(StoreError::Corrupt { detail, .. }) => assert!(detail.contains("crc"), "{detail}"),
+        other => panic!("expected a CRC failure, got {other:?}"),
+    }
+    assert_eq!(store.stats().dedup_hash_verifies, verifies);
+}
+
+#[test]
+fn a_blob_unlinked_by_retention_stays_readable_while_its_bytes_are_held() {
+    let base = base_dir("blob-unlink");
+    let arena_dir = base.join("arena");
+    let store = CheckpointStore::open_opts(
+        base.join("run"),
+        StoreOptions {
+            delta_keyframe_interval: 0,
+            ..StoreOptions::default()
+        },
+    )
+    .unwrap();
+    store.attach_dedup(&arena_dir).unwrap();
+    store.put("sb_0", 0, &payload(99)).unwrap();
+    let held = store.get_bytes("sb_0", 0).unwrap();
+    // Retention: the run's only reference goes, the blob file with it.
+    let arena = store.dedup_index().unwrap();
+    for h in store.dedup_references() {
+        arena.release(h).unwrap();
+    }
+    assert_eq!(
+        fs::read_dir(arena_dir.join("blobs")).unwrap().count(),
+        0,
+        "refcount zero unlinks the blob"
+    );
+    assert_eq!(
+        held.as_ref(),
+        &payload(99)[..],
+        "held bytes outlive the unlink"
+    );
+    // A new read of the pruned entry is loud, not stale.
+    assert!(store.get_bytes("sb_0", 0).is_err());
 }
 
 #[test]

@@ -402,3 +402,71 @@ fn tier_demotion_emits_tier_category_spans() {
     assert_eq!(span.name, "demote_cold_segments");
     assert_eq!(Category::Tier.as_str(), "tier");
 }
+
+#[test]
+fn read_once_contract_is_visible_in_metrics_and_store_stats() {
+    // "Verified once" and "waited instead of re-reading" used to be
+    // silent; both are counters now, on the `metrics` surface and (the
+    // per-arena one) in `flor store stats`.
+    let dir = tmp_dir("read-once");
+    let registry = Registry::open(dir.join("registry")).unwrap();
+    // Wide enough that every epoch's checkpoint clears the arena's 1 KiB
+    // floor and takes the prefetcher longer to read than the worker needs
+    // to consume the previous one.
+    let src = SKEWED_1K_SRC
+        .replace("range(16)", "range(12)")
+        .replace("n=320", "n=40")
+        .replace("hidden=8", "hidden=512");
+    let (_, rec) = registry
+        .record_run("read-once", &src, |o| {
+            o.adaptive = false;
+            o.delta_keyframe_interval = Some(0);
+        })
+        .unwrap();
+    // Outer probes: every epoch restores, nothing re-executes. Distinct
+    // constants make each query fresh (new key, new slice class).
+    let outer_probed = |k: u64| {
+        src.replace(
+            "    log(\"loss\", avg.mean())\n",
+            &format!("    log(\"loss\", avg.mean())\n    log(\"p{k}\", net.weight_norm() + {k})\n"),
+        )
+    };
+    let hash_verifies = flor_obs::metrics::counter("dedup.hash_verifies");
+    let inflight_waits = flor_obs::metrics::counter("prefetch.inflight_waits");
+    let (verifies_before, waits_before) = (hash_verifies.get(), inflight_waits.get());
+
+    let first = registry.query("read-once", &outer_probed(1), 1).unwrap();
+    assert!(!first.cached && first.anomalies.is_empty(), "{first:?}");
+    assert_eq!((first.restored, first.executed), (12, 0));
+    let store = flor_chkpt::CheckpointStore::open_read_only(&rec.store_root).unwrap();
+    let blobs = store.stats().dedup_entries;
+    assert_eq!(blobs, 12, "{:?}", store.stats());
+    let arena = store.dedup_index().unwrap();
+    // The query's pooled handle shares this process's arena instance:
+    // each blob it restored was hashed exactly once.
+    assert_eq!(arena.hash_verifies(), blobs);
+    assert_eq!(store.stats().dedup_hash_verifies, blobs);
+
+    // Fresh queries keep restoring all twelve blobs and verify none
+    // again; sooner or later (in practice at once) a restore finds its
+    // key still in flight and waits for it instead of reading it too.
+    let mut k = 2;
+    while inflight_waits.get() == waits_before {
+        assert!(k < 50, "no restore ever waited on its prefetcher");
+        let again = registry.query("read-once", &outer_probed(k), 1).unwrap();
+        assert!(!again.cached && again.restored == 12, "{again:?}");
+        k += 1;
+    }
+    assert_eq!(
+        arena.hash_verifies(),
+        blobs,
+        "hash once per blob per process"
+    );
+    assert!(hash_verifies.get() - verifies_before >= blobs);
+
+    // Both counters are on the `metrics` surface.
+    let metrics = registry.metrics_snapshot().to_json();
+    for name in ["dedup.hash_verifies", "prefetch.inflight_waits"] {
+        assert!(metrics.contains(name), "{name} missing from {metrics}");
+    }
+}

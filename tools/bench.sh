@@ -23,9 +23,10 @@
 #                             cross-query slice memo (cold query vs a
 #                             textually different probe served from cache)
 #   BENCH_store_tier.json   — tiered storage engine: cold sparse restore via
-#                             mmap segment reads, plus the dedup arena's
+#                             mmap segment reads, the dedup arena's
 #                             bytes-on-disk ratio across an identical-record
-#                             sweep
+#                             sweep, and a warm @dup restore beside a warm
+#                             segment restore of the same payload
 #   BENCH_serve.json        — async query service over real sockets: 1 vs 16
 #                             closed-loop clients under an emulated 2ms RTT,
 #                             admission-control overhead and shedding, and

@@ -100,6 +100,11 @@ BENCH_BANDS=(
     # across scales. (The mmap path is guarded inside bench_store_tier:
     # every touched segment is one map and zero heap fallbacks.)
     "BENCH_store_tier.json|BENCH_store_tier.quick.json|dedup_bytes_ratio=higher|"
+    # A warm restore of an arena-backed (`@dup`) checkpoint may cost at
+    # most 1.25x a segment-resident one of the same size (same fixture in
+    # quick mode): committed 1.05 x (1 + 0.19) = 1.25. Past that, blob
+    # reads have grown a copy, a per-read hash or a pool again.
+    "BENCH_store_tier.json|BENCH_store_tier.quick.json|dup_restore_ratio=lower|0.19"
     # Closed-loop socket measurements on whatever core CI has, so
     # catastrophe-only: the bench binary asserts the hard acceptance floors
     # internally (concurrent/serial qps_speedup ≥4x, admission_overhead
@@ -117,16 +122,20 @@ for band in "${BENCH_BANDS[@]}"; do
         "$committed" "target/$quick" $keys
 done
 
-# Trace smoke: record a small run, replay it with tracing on, and check
-# that the emitted Chrome trace is structurally valid (parses, every span
-# has a lane/timestamp/duration, several distinct categories present).
+# Trace smoke: record a small run into a registry (its checkpoints clear
+# the arena's 1 KiB floor, so restores read `@dup` blobs), query it with
+# tracing on, and check that the emitted Chrome trace is structurally
+# valid (parses, every span has a lane/timestamp/duration, several distinct
+# categories present) and that every restore was one store read — a
+# `store_read` span more than `restored` means a worker and its prefetcher
+# both read some checkpoint.
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
 cat > "$TRACE_DIR/train.flr" <<'EOF'
 import flor
 data = synth_data(n=24, dim=4, classes=2, seed=3)
 loader = dataloader(data, batch_size=8, seed=3)
-net = mlp(input=4, hidden=6, classes=2, depth=1, seed=3)
+net = mlp(input=4, hidden=96, classes=2, depth=1, seed=3)
 optimizer = sgd(net, lr=0.1)
 criterion = cross_entropy()
 avg = meter()
@@ -146,8 +155,18 @@ sed 's/        optimizer.step()/        optimizer.step()\n        log("probe_gno
     "$TRACE_DIR/train.flr" > "$TRACE_DIR/probed.flr"
 run ./target/release/flor record "$TRACE_DIR/train.flr" \
     --registry "$TRACE_DIR/registry" --run-id trace-smoke --no-adaptive
-run ./target/release/flor query trace-smoke "$TRACE_DIR/probed.flr" \
-    --registry "$TRACE_DIR/registry" --workers 2 --trace "$TRACE_DIR/trace.json"
+echo
+echo "==> flor query trace-smoke (traced, 2 workers)"
+./target/release/flor query trace-smoke "$TRACE_DIR/probed.flr" \
+    --registry "$TRACE_DIR/registry" --workers 2 --trace "$TRACE_DIR/trace.json" \
+    | tee "$TRACE_DIR/query.out" | grep '^#'
+restored=$(sed -n 's/^# query .* \([0-9][0-9]*\) restored.*/\1/p' "$TRACE_DIR/query.out")
+store_reads=$(grep -o '"name":"store_read"' "$TRACE_DIR/trace.json" | wc -l)
+if [[ -z "$restored" || "$restored" -eq 0 || "$store_reads" -ne "$restored" ]]; then
+    echo "trace smoke: $store_reads store_read span(s) for ${restored:-no} restore(s) — every restore must be exactly one store read" >&2
+    exit 1
+fi
+echo "trace smoke: $store_reads store_read span(s) == $restored restored"
 run cargo run --release -q -p flor-bench --bin trace_check -- \
     "$TRACE_DIR/trace.json" --min-events 20 --min-lanes 2 --min-categories 4
 
