@@ -1,17 +1,17 @@
-//! Emits `BENCH_replay_sched.json`: the replay scheduler before/after
-//! table — static contiguous partitioning (the pre-refactor barrier
-//! runtime) vs the cost-aware work-stealing executor with streaming merge.
+//! Emits `BENCH_replay_sched.json`: the cost-aware work-stealing replay
+//! scheduler priced against the paper's §5.4 static contiguous
+//! partitioning model (`parallel::plan` — a model only: the engine has one
+//! scheduler).
 //!
 //! Three number groups:
 //!
 //! - `*_live`: real threaded replays of the fixtures (wall-clock, steals,
-//!   time-to-first-streamed-entry). Wall-clock separates the schedulers
-//!   only on hosts with ≥ `workers` cores; `host_cores` is recorded so the
-//!   number can be read in context.
-//! - `schedule`: the host-independent makespans each scheduler's
-//!   assignment implies, priced with the fixture's **live-recorded** cost
-//!   profile and computed by the same splitter/seeding/queue code the
-//!   executor runs. `skewed_steal_speedup` (held to ≥1.5×) and
+//!   time-to-first-streamed-entry), with `host_cores` recorded so the
+//!   numbers can be read in context.
+//! - `schedule`: the host-independent makespans each schedule implies,
+//!   priced with the fixture's **live-recorded** cost profile; the
+//!   stealing side runs the same splitter/seeding/queue code the executor
+//!   does. `skewed_steal_speedup` (held to ≥1.5×) and
 //!   `uniform_schedule_delta` (held to ≤5%) come from here.
 //! - `sim_paper_scale`: the same comparison at Figure 13 magnitudes
 //!   (200 epochs, 16 workers) via `flor_sim::sched_sim`.
@@ -56,18 +56,13 @@ fn main() {
     eprintln!("recording uniform fixture…");
     let uniform = SchedFixture::build("uniform", &skewed_script(epochs, light, light, 0));
 
-    eprintln!("replaying skewed fixture live: static vs stealing ({reps} rep(s))…");
-    let skew_static = skewed.measure(workers, false, reps);
-    let skew_steal = skewed.measure(workers, true, reps);
-    eprintln!("replaying uniform fixture live: static vs stealing…");
-    let uni_static = uniform.measure(workers, false, reps);
-    let uni_steal = uniform.measure(workers, true, reps);
+    eprintln!("replaying both fixtures live ({reps} rep(s))…");
+    let skew_live = skewed.measure(workers, reps);
+    let uni_live = uniform.measure(workers, reps);
 
     // Host-independent schedule makespans from the live-recorded profiles.
     let skew_sched = skewed.schedule_compare(workers);
     let uni_sched = uniform.schedule_compare(workers);
-    let live_delta =
-        uni_steal.median_wall_ns as f64 / uni_static.median_wall_ns.max(1) as f64 - 1.0;
     let uni_sched_delta =
         uni_sched.steal_makespan_ns as f64 / uni_sched.static_makespan_ns.max(1) as f64 - 1.0;
 
@@ -81,11 +76,11 @@ fn main() {
     let _ = writeln!(body, "  \"bench\": \"replay_sched\",");
     let _ = writeln!(
         body,
-        "  \"description\": \"replay scheduling, static contiguous partitioning (pre-refactor \
-         barrier runtime) vs cost-aware work-stealing executor with streaming merge; inner-probed \
-         replay of a tail-skewed training run, {workers} workers. 'schedule' prices each \
-         scheduler's assignment with the live-recorded cost profile (host-independent); live \
-         wall-clock additionally reflects host parallelism (host_cores)\","
+        "  \"description\": \"replay scheduling, the cost-aware work-stealing executor with \
+         streaming merge priced against the paper's static contiguous partitioning model; \
+         inner-probed replay of a tail-skewed training run, {workers} workers. 'schedule' prices \
+         each assignment with the live-recorded cost profile (host-independent); the live \
+         columns additionally reflect host parallelism (host_cores)\","
     );
     let _ = writeln!(body, "  \"quick\": {quick},");
     let _ = writeln!(body, "  \"host_cores\": {host_cores},");
@@ -95,17 +90,11 @@ fn main() {
          \"light_units\": {light}, \"heavy_units\": {heavy}, \"workers\": {workers}, \
          \"reps\": {reps}}},"
     );
-    let _ = write!(body, "  \"skewed_static_live\": ");
-    json_measurement(&mut body, &skew_static);
+    let _ = write!(body, "  \"skewed_live\": ");
+    json_measurement(&mut body, &skew_live);
     let _ = writeln!(body, ",");
-    let _ = write!(body, "  \"skewed_stealing_live\": ");
-    json_measurement(&mut body, &skew_steal);
-    let _ = writeln!(body, ",");
-    let _ = write!(body, "  \"uniform_static_live\": ");
-    json_measurement(&mut body, &uni_static);
-    let _ = writeln!(body, ",");
-    let _ = write!(body, "  \"uniform_stealing_live\": ");
-    json_measurement(&mut body, &uni_steal);
+    let _ = write!(body, "  \"uniform_live\": ");
+    json_measurement(&mut body, &uni_live);
     let _ = writeln!(body, ",");
     let _ = writeln!(
         body,
@@ -126,7 +115,6 @@ fn main() {
         "  \"skewed_steal_speedup\": {:.2},",
         skew_sched.speedup
     );
-    let _ = writeln!(body, "  \"uniform_live_delta\": {live_delta:.4},");
     let _ = writeln!(
         body,
         "  \"sim_paper_scale\": {{\"epochs\": 200, \"workers\": 16, \"tail\": \"20 epochs × 8\", \
@@ -147,13 +135,12 @@ fn main() {
         uni_sched_delta * 100.0,
     );
     eprintln!(
-        "live ({host_cores} core(s)): skewed static {:.1}ms vs stealing {:.1}ms ({} steal(s)); \
-         uniform delta {:+.1}%; first streamed entry after {:.1}ms",
-        skew_static.median_wall_ns as f64 / 1e6,
-        skew_steal.median_wall_ns as f64 / 1e6,
-        skew_steal.steals,
-        live_delta * 100.0,
-        skew_steal.stream_first_entry_ns as f64 / 1e6,
+        "live ({host_cores} core(s)): skewed {:.1}ms ({} steal(s), first streamed entry after \
+         {:.1}ms); uniform {:.1}ms",
+        skew_live.median_wall_ns as f64 / 1e6,
+        skew_live.steals,
+        skew_live.stream_first_entry_ns as f64 / 1e6,
+        uni_live.median_wall_ns as f64 / 1e6,
     );
     eprintln!("wrote {out_path}");
 }

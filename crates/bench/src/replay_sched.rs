@@ -1,25 +1,24 @@
-//! Replay-scheduler benchmark: static contiguous partitioning vs the
-//! cost-aware work-stealing executor, measured through the live engine.
+//! Replay-scheduler benchmark: the cost-aware work-stealing executor
+//! against the paper's §5.4 static contiguous partitioning model.
 //!
 //! The fixture is a training script whose per-epoch compute is skewed by a
 //! data-dependent `busy(units)` spin (cheap warmup epochs, a heavy tail —
 //! the shape of eval epochs and LR-phase changes). Replaying it with an
 //! inner probe forces re-execution, so replay cost mirrors the recorded
-//! skew; the static plan hands one worker the whole heavy tail while the
+//! skew; a static plan hands one worker the whole heavy tail while the
 //! work-stealing runtime splits it into profile-sized micro-ranges.
 //!
 //! Two kinds of numbers come out:
 //!
-//! - **live** wall-clock and streaming metrics from real threaded replays
-//!   (wall-clock only separates the schedulers when the host has ≥
-//!   `workers` cores — CPU-bound workers serialize on smaller hosts, so
-//!   the JSON records `host_cores` next to them);
+//! - **live** wall-clock, steal and streaming metrics from real threaded
+//!   replays (`host_cores` is recorded next to them: CPU-bound workers
+//!   serialize on a host with fewer cores than workers);
 //! - **schedule makespans**: the worker-completion times implied by each
 //!   scheduler's assignment, priced with the fixture's *live-recorded*
-//!   per-epoch cost profile and computed by the same
-//!   splitter/seeding/queue code the executor runs. This is the
-//!   host-independent before/after number `BENCH_replay_sched.json` is
-//!   held to (≥1.5× on the skewed fixture, parity on uniform).
+//!   per-epoch cost profile — `parallel::plan` for the static model, the
+//!   executor's own splitter/seeding/queue code for stealing. This is the
+//!   host-independent number `BENCH_replay_sched.json` is held to (≥1.5×
+//!   on the skewed fixture, parity on uniform).
 
 use flor_chkpt::CheckpointStore;
 use flor_core::profile::{CostProfile, COST_PROFILE_ARTIFACT};
@@ -94,9 +93,12 @@ impl SchedFixture {
         let mut opts = RecordOptions::new(&root);
         opts.adaptive = false;
         record(src, &opts).expect("record fixture");
+        // The second probe reads `w`: unread, `w = busy(units)` is dead and
+        // the slicer would elide it — and the skew under test with it.
         let probed = src.replace(
             "        optimizer.step()\n",
-            "        optimizer.step()\n        log(\"probe_gnorm\", net.grad_norm())\n",
+            "        optimizer.step()\n        log(\"probe_gnorm\", net.grad_norm())\n        \
+             log(\"probe_w\", w)\n",
         );
         assert_ne!(probed, src, "probe splice must match");
         let store = Arc::new(CheckpointStore::open(&root).expect("open fixture store"));
@@ -113,14 +115,9 @@ impl SchedFixture {
     }
 
     /// Replays the inner-probed fixture `reps` times with `workers`
-    /// workers, stealing on or off, and reports the median-wall rep.
-    pub fn measure(&self, workers: usize, steal: bool, reps: usize) -> SchedMeasurement {
-        let opts = ReplayOptions {
-            workers,
-            init_mode: flor_core::InitMode::Strong,
-            steal,
-            ..Default::default()
-        };
+    /// workers and reports the median-wall rep.
+    pub fn measure(&self, workers: usize, reps: usize) -> SchedMeasurement {
+        let opts = ReplayOptions::with_workers(workers);
         let mut runs: Vec<SchedMeasurement> = (0..reps.max(1))
             .map(|_| {
                 let report =
@@ -142,7 +139,8 @@ impl SchedFixture {
 /// Schedule-makespan comparison priced with a live-recorded profile.
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduleComparison {
-    /// Static contiguous partitioning makespan (slowest worker), ns.
+    /// Static contiguous partitioning (`parallel::plan`) makespan — the
+    /// slowest worker's share — ns.
     pub static_makespan_ns: u64,
     /// Work-stealing executor makespan, ns.
     pub steal_makespan_ns: u64,
@@ -200,7 +198,7 @@ mod tests {
     #[test]
     fn fixture_builds_and_measures() {
         let fixture = SchedFixture::build("test", &skewed_script(6, 1, 4, 2));
-        let m = fixture.measure(2, true, 1);
+        let m = fixture.measure(2, 1);
         assert!(m.median_wall_ns > 0);
         assert!(m.ranges_executed >= 2);
     }

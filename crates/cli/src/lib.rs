@@ -5,7 +5,7 @@
 
 use flor_analysis::instrument::instrument;
 use flor_core::record::{record, run_vanilla, RecordOptions};
-use flor_core::replay::{replay, ReplayOptions};
+use flor_core::replay::{replay, replay_reference, ReplayOptions};
 use flor_core::sample::replay_sample;
 use flor_core::InitMode;
 use flor_lang::{parse, print_program};
@@ -23,8 +23,8 @@ usage:
   flor run      <script.flr>
   flor record   <script.flr> --store <dir> [--epsilon F] [--no-adaptive]
                 [--registry <dir>] [--run-id <id>] [--delta-keyframe K]
-  flor replay   <script.flr> --store <dir> [--workers N] [--weak] [--steal]
-                [--no-vm] [--no-slice]
+  flor replay   <script.flr> --store <dir> [--workers N] [--weak]
+  flor replay   <script.flr> --store <dir> --reference
   flor sample   <script.flr> --store <dir> --iters 3,7,12
   flor inspect  <script.flr>
   flor log      --store <dir>
@@ -34,13 +34,39 @@ usage:
   flor runs     show <run-id> --registry <dir> [--json]
   flor runs     prune <run-id> --registry <dir> [--keep N]
   flor query    <run-id> <probed.flr> --registry <dir> [--workers N] [--stream]
-                [--no-vm] [--no-slice] [--trace <out.json>]
+                [--trace <out.json>]
   flor serve    --registry <dir> [--workers N] [--listen <endpoint>]...
                 [--queue-limit N] [--tenant-jobs N] [--tenant-burst N]
                 [--tenant-refill PER-SEC] [--max-backlog-ms MS]
   flor connect  <endpoint>
 
+replay always slices, steals and runs the bytecode VM; --reference is the
+oracle it is tested against (one worker tree-walking the unsliced program).
 endpoints are tcp:<ip>:<port>, <ip>:<port>, or unix:<path>";
+
+/// Every flag each subcommand accepts; a trailing `=` marks one that takes
+/// a value. Anything else is a usage error: a misspelt flag must not
+/// silently run the default.
+const FLAGS: &[(&str, &str)] = &[
+    ("run", ""),
+    (
+        "record",
+        "store= epsilon= no-adaptive registry= run-id= delta-keyframe=",
+    ),
+    ("replay", "store= workers= weak reference"),
+    ("sample", "store= iters="),
+    ("inspect", ""),
+    ("log", "store="),
+    ("store", "store= json"),
+    ("runs", "registry= json keep="),
+    ("query", "registry= workers= stream trace="),
+    (
+        "serve",
+        "registry= workers= listen= queue-limit= tenant-jobs= tenant-burst= tenant-refill= \
+         max-backlog-ms=",
+    ),
+    ("connect", ""),
+];
 
 /// CLI failure modes.
 #[derive(Debug)]
@@ -86,44 +112,51 @@ struct Args<'a> {
 }
 
 impl<'a> Args<'a> {
+    /// Splits `raw` (subcommand first) into positionals and the flags
+    /// [`FLAGS`] lists for that subcommand.
     fn parse(raw: &'a [String]) -> Result<Self, CliError> {
+        let cmd = raw.first().map(String::as_str).unwrap_or_default();
+        let known = match FLAGS.iter().find(|(c, _)| *c == cmd) {
+            Some((_, flags)) => *flags,
+            None if cmd.is_empty() => return Err(CliError::Usage("missing command".into())),
+            None => return Err(CliError::Usage(format!("unknown command {cmd:?}"))),
+        };
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < raw.len() {
             let a = raw[i].as_str();
-            if let Some(name) = a.strip_prefix("--") {
-                let takes_value = [
-                    "store",
-                    "workers",
-                    "iters",
-                    "epsilon",
-                    "registry",
-                    "run-id",
-                    "keep",
-                    "delta-keyframe",
-                    "trace",
-                    "listen",
-                    "queue-limit",
-                    "tenant-jobs",
-                    "tenant-burst",
-                    "tenant-refill",
-                    "max-backlog-ms",
-                ]
-                .contains(&name);
-                if takes_value {
+            let Some(name) = a.strip_prefix("--") else {
+                positional.push(a);
+                i += 1;
+                continue;
+            };
+            let spec = known
+                .split_whitespace()
+                .find(|f| f.trim_end_matches('=') == name);
+            match spec.map(|f| f.ends_with('=')) {
+                Some(true) => {
                     let v = raw
                         .get(i + 1)
                         .ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
                     flags.push((name, Some(v.as_str())));
                     i += 2;
-                } else {
+                }
+                Some(false) => {
                     flags.push((name, None));
                     i += 1;
                 }
-            } else {
-                positional.push(a);
-                i += 1;
+                None if ["steal", "no-vm", "no-slice"].contains(&name) => {
+                    return Err(CliError::Usage(format!(
+                        "--{name} was removed: replay always slices, steals and runs the VM; \
+                         use flor replay --reference for the oracle"
+                    )))
+                }
+                None => {
+                    return Err(CliError::Usage(format!(
+                        "unknown flag --{name} for flor {cmd}"
+                    )))
+                }
             }
         }
         Ok(Args { positional, flags })
@@ -207,11 +240,7 @@ pub fn run_cli(raw: &[String]) -> Result<String, CliError> {
 /// and progress lines *while the replay runs*, flushed per event.
 pub fn run_cli_to(raw: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let args = Args::parse(raw)?;
-    let cmd = *args
-        .positional
-        .first()
-        .ok_or_else(|| CliError::Usage("missing command".into()))?;
-    let text = match cmd {
+    let text = match args.positional[0] {
         "run" => cmd_run(&args),
         "record" => cmd_record(&args),
         "replay" => cmd_replay(&args),
@@ -223,7 +252,7 @@ pub fn run_cli_to(raw: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
         "query" => return cmd_query(&args, out),
         "serve" => return cmd_serve(&args, out),
         "connect" => return cmd_connect(&args, out),
-        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
+        other => unreachable!("{other:?} is in FLAGS but not dispatched"),
     }?;
     out.write_all(text.as_bytes())?;
     Ok(())
@@ -365,21 +394,27 @@ fn default_run_id(script_path: &str) -> String {
 
 fn cmd_replay(args: &Args) -> Result<String, CliError> {
     let store = args.store()?;
+    let reference = args.flag("reference");
+    if reference && (args.flag("weak") || args.value("workers").is_some()) {
+        return Err(CliError::Usage(
+            "--reference is one strong-init worker; it takes no --workers or --weak".into(),
+        ));
+    }
     let src = args.script(1)?;
-    let opts = ReplayOptions {
-        workers: args.workers(1)?,
-        init_mode: if args.flag("weak") {
-            InitMode::Weak
-        } else {
-            InitMode::Strong
-        },
-        steal: args.flag("steal"),
-        vm: !args.flag("no-vm"),
-        slice: !args.flag("no-slice"),
-        module_cache: None,
-        cancel: None,
+    let report = if reference {
+        replay_reference(&src, store)?
+    } else {
+        let opts = ReplayOptions {
+            workers: args.workers(1)?,
+            init_mode: if args.flag("weak") {
+                InitMode::Weak
+            } else {
+                InitMode::Strong
+            },
+            ..ReplayOptions::default()
+        };
+        replay(&src, store, &opts)?
     };
-    let report = replay(&src, store, &opts)?;
     let mut out = String::new();
     for e in &report.log {
         let _ = writeln!(out, "{e}");
@@ -395,14 +430,21 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "# interpreter: {}",
-        if opts.vm { "vm" } else { "tree-walk" }
+        if reference { "reference" } else { "vm" }
     );
-    let _ = writeln!(
-        out,
-        "# slice: {} statement(s) elided, {:.1}% of program live",
-        report.stats.statements_elided,
-        report.stats.slice_fraction() * 100.0
-    );
+    match &report.slice_refusal {
+        Some(reason) => {
+            let _ = writeln!(out, "# slice: refused ({reason})");
+        }
+        None => {
+            let _ = writeln!(
+                out,
+                "# slice: {} statement(s) elided, {:.1}% of program live",
+                report.stats.statements_elided,
+                report.stats.slice_fraction() * 100.0
+            );
+        }
+    }
     let _ = writeln!(
         out,
         "# scheduler: {} range(s) executed, {} steal(s), first entry streamed after {:.3}ms",
@@ -791,8 +833,6 @@ fn cmd_runs(args: &Args) -> Result<String, CliError> {
 
 fn cmd_query(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let registry = args.registry()?;
-    registry.set_vm(!args.flag("no-vm"));
-    registry.set_slice(!args.flag("no-slice"));
     let run_id = args
         .positional
         .get(1)
@@ -876,11 +916,14 @@ fn cmd_query(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> 
         outcome.executed,
         outcome.steals
     )?;
-    writeln!(
-        out,
-        "# slice: {} statement(s) elided ({} permille live), {} slice-cache hit(s)",
-        outcome.statements_elided, outcome.slice_permille, outcome.slice_cache_hits
-    )?;
+    match &outcome.slice_refusal {
+        Some(reason) => writeln!(out, "# slice: refused ({reason})")?,
+        None => writeln!(
+            out,
+            "# slice: {} statement(s) elided ({} permille live), {} slice-cache hit(s)",
+            outcome.statements_elided, outcome.slice_permille, outcome.slice_cache_hits
+        )?,
+    }
     if let (Some(path), Some(session)) = (trace_path, session) {
         let trace = session.finish();
         std::fs::write(&path, trace.to_chrome_json())?;
@@ -1398,6 +1441,77 @@ for epoch in range(4):
     }
 
     #[test]
+    fn unknown_and_removed_flags_are_usage_errors() {
+        // One misspelt or misplaced flag per subcommand family: none may
+        // silently run the default.
+        for (argv, flag, cmd) in [
+            (&["run", "x.flr", "--fast"][..], "fast", "run"),
+            (
+                &["record", "x.flr", "--store", "s", "--no-adaptve"],
+                "no-adaptve",
+                "record",
+            ),
+            (
+                &["replay", "x.flr", "--store", "s", "--no-vmm"],
+                "no-vmm",
+                "replay",
+            ),
+            (
+                &["sample", "x.flr", "--store", "s", "--iter", "1"],
+                "iter",
+                "sample",
+            ),
+            (&["inspect", "x.flr", "--json"], "json", "inspect"),
+            (&["log", "--registry", "r"], "registry", "log"),
+            (&["store", "stats", "--store", "s", "--jsn"], "jsn", "store"),
+            (
+                &["runs", "list", "--registry", "r", "--workers", "2"],
+                "workers",
+                "runs",
+            ),
+            (
+                &["query", "r1", "x.flr", "--registry", "r", "--reference"],
+                "reference",
+                "query",
+            ),
+            (
+                &["serve", "--registry", "r", "--listn", "tcp:127.0.0.1:0"],
+                "listn",
+                "serve",
+            ),
+            (
+                &["connect", "tcp:127.0.0.1:1", "--stream"],
+                "stream",
+                "connect",
+            ),
+        ] {
+            let err = cli(argv).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                format!("usage error: unknown flag --{flag} for flor {cmd}"),
+                "{argv:?}"
+            );
+        }
+        for (cmd, flag) in [
+            ("replay", "--steal"),
+            ("replay", "--no-vm"),
+            ("replay", "--no-slice"),
+            ("query", "--no-vm"),
+            ("query", "--no-slice"),
+        ] {
+            let err = cli(&[cmd, "x.flr", flag]).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("usage error: {flag} was removed: replay always")),
+                "{err}"
+            );
+            assert!(err.contains("flor replay --reference"), "{err}");
+        }
+        // The oracle is one strong-init worker, not a mode of the others.
+        let err = cli(&["replay", "x.flr", "--store", "s", "--reference", "--weak"]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+    }
+
+    #[test]
     fn missing_script_fails_cleanly() {
         let err = cli(&["run", "/nonexistent/path.flr"]).unwrap_err();
         assert!(matches!(err, CliError::Failed(_)));
@@ -1429,8 +1543,8 @@ for epoch in range(4):
     }
 
     #[test]
-    fn replay_no_vm_flag_matches_vm_output() {
-        let (store, script) = setup("no-vm");
+    fn replay_reference_flag_matches_vm_output() {
+        let (store, script) = setup("reference");
         cli(&[
             "record",
             script.to_str().unwrap(),
@@ -1444,26 +1558,36 @@ for epoch in range(4):
             script.to_str().unwrap(),
             "--store",
             store.to_str().unwrap(),
+            "--workers",
+            "2",
         ])
         .unwrap();
         assert!(vm.contains("# interpreter: vm"), "{vm}");
-        let tree = cli(&[
+        assert!(vm.contains("# scheduler:"), "{vm}");
+        let reference = cli(&[
             "replay",
             script.to_str().unwrap(),
             "--store",
             store.to_str().unwrap(),
-            "--no-vm",
+            "--reference",
         ])
         .unwrap();
-        assert!(tree.contains("# interpreter: tree-walk"), "{tree}");
-        // Same log lines from both executors.
+        assert!(
+            reference.contains("# interpreter: reference"),
+            "{reference}"
+        );
+        assert!(
+            reference.contains("# slice: 0 statement(s) elided"),
+            "{reference}"
+        );
+        // Same log lines from the production path and its oracle.
         let logs = |s: &str| -> Vec<String> {
             s.lines()
                 .filter(|l| !l.starts_with('#'))
                 .map(str::to_string)
                 .collect()
         };
-        assert_eq!(logs(&vm), logs(&tree));
+        assert_eq!(logs(&vm), logs(&reference));
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! The FlorScript interpreter and its ML builtin surface.
 //!
 //! A tree-walking evaluator with Python reference semantics over
-//! [`crate::value::Value`]. Three execution modes share one code path:
+//! [`crate::value::Value`]. It executes vanilla runs, record, sampling
+//! replay and the replay oracle ([`crate::replay::replay_reference`]);
+//! production replay executes the same value-level helpers and the same
+//! main-loop and skipblock drivers from compiled bytecode ([`crate::vm`]).
+//! Three execution modes share one code path:
 //!
 //! - **Vanilla** — plain execution; SkipBlocks are transparent and
 //!   `flor.partition` is the identity. Used as the paper's "vanilla
@@ -9,8 +13,9 @@
 //! - **Record** — SkipBlocks memoize their loop's side-effects through the
 //!   adaptive controller and background materializer (paper §3.1).
 //! - **Replay** — SkipBlocks restore-or-execute depending on probes and
-//!   checkpoint availability; `flor.partition` partitions the main loop
-//!   across workers with strong or weak initialization (paper §3.2, §5.4).
+//!   checkpoint availability; `flor.partition` hands the main loop to the
+//!   range scheduler, which spreads it over workers with strong or weak
+//!   initialization (paper §3.2, §5.4).
 //!
 //! The builtin surface mirrors the PyTorch-style API the paper's analysis
 //! assumes: model constructors, `sgd`/`adam`, schedulers, data loaders, and
@@ -33,7 +38,7 @@ use flor_ml::{
     SyntheticTokens,
 };
 use flor_tensor::{Pcg64, Tensor};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -85,10 +90,9 @@ pub struct ReplayStats {
     /// restore on its schedule, whether the payload had already landed
     /// (I/O overlapped with interpretation) or the worker waited for it.
     pub prefetch_hits: u64,
-    /// Micro-ranges that moved between workers (0 without `--steal`).
+    /// Micro-ranges that moved between workers.
     pub steals: u64,
-    /// Micro-ranges executed across all workers (equals the active worker
-    /// count under static partitioning).
+    /// Micro-ranges executed across all workers.
     pub ranges_executed: u64,
     /// Time until the streaming merger emitted its first record-order log
     /// entry, ns from replay start (0 when nothing was emitted). Always
@@ -102,10 +106,10 @@ pub struct ReplayStats {
     /// the store's restore cache rides sequential partitions).
     pub chain_links: u64,
     /// Statement nodes the dependency slicer elided from execution
-    /// (0 when slicing was off, refused, or found nothing dead).
+    /// (0 when it refused or found nothing dead, and for the reference).
     pub statements_elided: u64,
-    /// Live fraction of the sliceable region in permille; 1000 means the
-    /// full program ran (slicing off or nothing elidable).
+    /// Live fraction of the sliceable region in permille; 0 means no
+    /// slice applied and the full program ran.
     pub slice_permille: u32,
     /// Queries answered from the content-addressed slice cache instead
     /// of replaying (registry-level, attributed to the query's stats).
@@ -128,24 +132,10 @@ impl ReplayStats {
 pub struct ReplayCtx {
     /// Checkpoint source.
     pub store: Arc<CheckpointStore>,
+    /// The query's front-end decisions, shared by every worker.
+    pub plan: Arc<crate::replay::ReplayPlan>,
     /// This worker's id.
     pub pid: usize,
-    /// Total workers.
-    pub workers: usize,
-    /// Strong or weak initialization.
-    pub init_mode: InitMode,
-    /// SkipBlocks probed by hindsight log statements.
-    pub probed_blocks: HashSet<String>,
-    /// Non-hindsight source changes detected: no checkpoint may be reused.
-    pub force_execute_all: bool,
-    /// The main loop carries state across iterations outside every
-    /// skipblock (`analysis::outer_carried_state`): a rewound prefix
-    /// would roll it forward from already-advanced values, so backward
-    /// steals are disabled.
-    pub outer_carried: bool,
-    /// SkipBlock ids that live inside the main loop (participate in
-    /// anchor-based weak-init planning).
-    pub main_blocks: Vec<String>,
     /// Current phase.
     pub phase: Phase,
     /// Current main-loop iteration.
@@ -156,20 +146,19 @@ pub struct ReplayCtx {
     pub blocks_this_iter: HashSet<String>,
     /// Restore/execute counters.
     pub stats: ReplayStats,
-    /// The partition this worker ended up executing (set by the main loop).
+    /// The partition this worker was seeded with (set by the main loop).
     pub plan_used: Option<WorkerPlan>,
     /// Sampling replay (paper §8): when set, visit only these main-loop
     /// iterations (sorted, deduplicated), jump-initializing each from the
-    /// nearest checkpoint anchor. Overrides partition-based planning.
+    /// nearest checkpoint anchor. Overrides range scheduling.
     pub sample: Option<Vec<u64>>,
-    /// Per-worker checkpoint prefetcher, spawned once the worker's plan is
-    /// fixed so checkpoint reads overlap with interpretation (fed one
-    /// micro-range at a time under the work-stealing executor).
+    /// Per-worker checkpoint prefetcher, spawned with the worker's first
+    /// range so checkpoint reads overlap with interpretation, and fed one
+    /// micro-range at a time.
     pub prefetcher: Option<crate::prefetch::Prefetcher>,
-    /// Shared work-stealing runtime (cost-aware micro-range queue). `None`
-    /// falls back to static per-worker partitioning via
-    /// [`crate::parallel::plan`] — the pre-refactor behavior, kept for
-    /// direct interpreter embedding.
+    /// The replay's shared range queue. `None` (a context built outside
+    /// `replay`, or a hand-written second `flor.partition` loop after the
+    /// first consumed the queue) drains a one-worker queue of its own.
     pub runtime: Option<Arc<crate::replay::ReplayRuntime>>,
     /// Channel to the streaming merger: completed ranges are drained from
     /// the log and sent as soon as they finish.
@@ -177,52 +166,29 @@ pub struct ReplayCtx {
 }
 
 impl ReplayCtx {
-    /// The checkpoints a worker will restore, in restore order, across an
-    /// initialization segment (every main-loop block restores) followed by
-    /// a work segment (every block restores unless probed). Empty when
-    /// nothing restores: poisoned reuse, or no memoized blocks.
-    pub(crate) fn restore_schedule(
-        &self,
-        init: std::ops::Range<u64>,
-        work: std::ops::Range<u64>,
-    ) -> Vec<(String, u64)> {
-        if self.force_execute_all {
-            return Vec::new();
+    /// Worker `pid`'s context for `plan`, before its first statement. The
+    /// caller attaches what its kind of replay shares or restricts:
+    /// `runtime` and `sink`, or `sample`.
+    pub fn new(
+        store: Arc<CheckpointStore>,
+        plan: Arc<crate::replay::ReplayPlan>,
+        pid: usize,
+    ) -> Self {
+        ReplayCtx {
+            store,
+            plan,
+            pid,
+            phase: Phase::Work,
+            main_iter: None,
+            standalone_seq: HashMap::new(),
+            blocks_this_iter: HashSet::new(),
+            stats: ReplayStats::default(),
+            plan_used: None,
+            sample: None,
+            prefetcher: None,
+            runtime: None,
+            sink: None,
         }
-        let mut keys = Vec::new();
-        for g in init {
-            keys.extend(self.main_blocks.iter().map(|b| (b.clone(), g)));
-        }
-        let unprobed = || {
-            self.main_blocks
-                .iter()
-                .filter(|b| !self.probed_blocks.contains(*b))
-        };
-        for g in work {
-            keys.extend(unprobed().map(|b| (b.clone(), g)));
-        }
-        keys
-    }
-
-    /// Iterations `g` at which every main-loop block has a Loop End
-    /// Checkpoint — the only places weak initialization may start a work
-    /// segment after (paper §5.4.2: weak init "depends entirely on a
-    /// checkpoint").
-    pub fn anchors(&self, n_iters: u64) -> BTreeSet<u64> {
-        let mut anchors = BTreeSet::new();
-        anchors.insert(0);
-        if self.main_blocks.is_empty() {
-            // No memoized blocks: any boundary is as good as any other
-            // (workers re-execute from scratch anyway).
-            anchors.extend(1..n_iters);
-            return anchors;
-        }
-        for g in 0..n_iters.saturating_sub(1) {
-            if self.main_blocks.iter().all(|b| self.store.contains(b, g)) {
-                anchors.insert(g + 1);
-            }
-        }
-        anchors
     }
 }
 
@@ -376,10 +342,9 @@ impl Interp {
     }
 
     /// The mode dispatch behind [`Self::exec_main_loop`], shared by the
-    /// tree-walker and the VM's `MainLoop` op: the four replay shapes
-    /// (sequential, sampled, work-stealing, static partition) are
-    /// executor-agnostic once iteration execution is behind
-    /// [`LoopBody`].
+    /// tree-walker and the VM's `MainLoop` op: the three shapes
+    /// (sequential, sampled, range-scheduled) are executor-agnostic once
+    /// iteration execution is behind [`LoopBody`].
     pub(crate) fn exec_main_loop_impl(
         &mut self,
         lb: &LoopBody<'_>,
@@ -405,7 +370,7 @@ impl Interp {
                     .into_iter()
                     .filter(|&g| g < n)
                     .collect();
-                let anchors = ctx.anchors(n);
+                let anchors = ctx.plan.anchors(n, |b, g| ctx.store.contains(b, g));
                 // State progress: iterations already reflected in program
                 // state (exclusive upper bound).
                 let mut state_at = 0u64;
@@ -451,71 +416,12 @@ impl Interp {
                 }
                 Ok(())
             }
-            Mode::Replay(ctx) if ctx.runtime.is_some() => {
-                let runtime = ctx.runtime.clone().expect("guarded");
-                self.exec_main_loop_ranges(lb, &items, n, &runtime)
-            }
-            Mode::Replay(ctx) => {
-                // Build this worker's plan. Weak init restricts partition
-                // boundaries to checkpoint anchors.
-                let plans = match ctx.init_mode {
-                    InitMode::Strong => crate::parallel::plan(n, ctx.workers, InitMode::Strong),
-                    InitMode::Weak => {
-                        let anchors = ctx.anchors(n);
-                        crate::parallel::plan_anchored(n, &anchors, ctx.workers)
-                    }
-                };
-                let plan = plans.get(ctx.pid).cloned();
-                ctx.plan_used = plan.clone();
-                // The worker's restore schedule is now fixed: start the
-                // per-worker prefetcher so checkpoint reads overlap with
-                // interpretation.
-                if let Some(plan) = &plan {
-                    let keys = ctx.restore_schedule(plan.init_iters(), plan.work_iters());
-                    if !keys.is_empty() {
-                        ctx.prefetcher =
-                            Some(crate::prefetch::Prefetcher::spawn(ctx.store.clone(), keys));
-                    }
-                }
-                let Some(plan) = plan else {
-                    // More workers than segments: nothing to do. Suppress
-                    // the postamble too — this worker owns no state, so its
-                    // post-loop logs would be wrong duplicates.
-                    self.exit_main_loop();
-                    self.log.set_suppressed(true);
-                    return Ok(());
-                };
-                // Initialization phase: logs suppressed, SkipBlocks restore.
-                if plan.init_len() > 0 {
-                    if let Mode::Replay(ctx) = &mut self.mode {
-                        ctx.phase = Phase::Init;
-                    }
-                    self.log.set_suppressed(true);
-                    for g in plan.init_iters() {
-                        self.run_loop_iter(lb, g, items[g as usize].clone())?;
-                    }
-                    self.log.set_suppressed(false);
-                }
-                // Work phase.
-                if let Mode::Replay(ctx) = &mut self.mode {
-                    ctx.phase = Phase::Work;
-                }
-                for g in plan.work_iters() {
-                    self.run_loop_iter(lb, g, items[g as usize].clone())?;
-                }
-                self.exit_main_loop();
-                // Only the worker owning the final segment has the true
-                // final state; everyone else's postamble logs are
-                // suppressed (the merge keeps the final-segment worker's).
-                if plan.work_end < n {
-                    self.log.set_suppressed(true);
-                }
-                Ok(())
-            }
+            Mode::Replay(_) => self.exec_main_loop_ranges(lb, &items, n),
         }
     }
 
-    /// The cost-aware work-stealing replay executor (the tentpole runtime).
+    /// The range-scheduled replay executor — the one way replay runs a
+    /// main loop.
     ///
     /// Instead of owning one fixed partition, the worker pulls micro-ranges
     /// from the shared [`RangeQueue`](crate::parallel::RangeQueue): its own
@@ -526,41 +432,33 @@ impl Interp {
     /// to the range's anchor under weak init) and appends the range's
     /// restore schedule to its [`Prefetcher`](crate::prefetch::Prefetcher).
     /// Completed ranges are drained from the log and streamed to the
-    /// incremental merger immediately.
+    /// incremental merger immediately. A context with no shared runtime
+    /// drains a one-worker queue of its own through the same loop, and
+    /// streams nothing.
     fn exec_main_loop_ranges(
         &mut self,
         lb: &LoopBody<'_>,
         items: &[Value],
         n: u64,
-        runtime: &Arc<crate::replay::ReplayRuntime>,
     ) -> Result<(), FlorError> {
+        let Mode::Replay(ctx) = &mut self.mode else {
+            unreachable!("range scheduling outside replay mode")
+        };
+        // Taken, not borrowed: a second `flor.partition` loop (not the
+        // paper's model, but legal input) finds the shared queue consumed
+        // by this one and runs locally.
+        let pid = ctx.pid;
+        let (runtime, deque, sink) = match ctx.runtime.take() {
+            Some(shared) => (shared, pid, ctx.sink.clone()),
+            None => {
+                let local = crate::replay::ReplayRuntime::new(1, InitMode::Strong);
+                (Arc::new(local), 0, None)
+            }
+        };
         // Seed the queue once; workers race, all would compute the same
         // deterministic seeding, the first wins.
-        let seeded = {
-            let Mode::Replay(ctx) = &mut self.mode else {
-                unreachable!()
-            };
-            let deques = || runtime.seed_ranges(ctx, n);
-            runtime.queue.seed_once(n, deques)
-        };
-        let (pid, init_mode, rewind_ok, sink) = {
-            let Mode::Replay(ctx) = &mut self.mode else {
-                unreachable!()
-            };
-            // Rewinding (taking a range behind the current state) rebuilds
-            // earlier state by checkpoint restores in the init phase;
-            // poisoned reuse re-executes instead, so a rewound prefix
-            // would run from already-advanced state and corrupt it. The
-            // same applies to loop-carried state living outside every
-            // skipblock changeset: no restore repairs it, so a rewound
-            // prefix would roll it forward from advanced values.
-            (
-                ctx.pid,
-                ctx.init_mode,
-                !ctx.force_execute_all && !ctx.outer_carried,
-                ctx.sink.clone(),
-            )
-        };
+        let seeded = runtime.queue.seed_once(n, || runtime.seed_ranges(ctx, n));
+        let (init_mode, rewind_ok) = (runtime.init_mode, ctx.plan.rewind_ok());
         // Replay workers trace on their own lane, keyed by pid.
         flor_obs::set_lane(pid as u32, &format!("worker-{pid}"));
         if seeded {
@@ -579,7 +477,7 @@ impl Interp {
         // Program state sits at the start of this iteration (exclusive
         // upper bound of applied iterations); the preamble leaves it at 0.
         let mut state_at = 0u64;
-        while let Some(next) = runtime.queue.next(pid, state_at, rewind_ok) {
+        while let Some(next) = runtime.queue.next(deque, state_at, rewind_ok) {
             if runtime.cancelled() {
                 return Err(FlorError::Cancelled);
             }
@@ -616,7 +514,9 @@ impl Interp {
                 let Mode::Replay(ctx) = &mut self.mode else {
                     unreachable!()
                 };
-                let keys = ctx.restore_schedule(init_from..range.start, range.iters());
+                let keys = ctx
+                    .plan
+                    .restore_schedule(init_from..range.start, range.iters());
                 match &ctx.prefetcher {
                     Some(p) => p.extend(keys),
                     None if keys.is_empty() => {}
@@ -693,7 +593,7 @@ impl Interp {
         };
         // Report the seeded span as this worker's plan (stealing blurs the
         // boundary, but the seed is what partitioning decided).
-        ctx.plan_used = runtime.queue.seeded_span(pid).map(|span| WorkerPlan {
+        ctx.plan_used = runtime.queue.seeded_span(deque).map(|span| WorkerPlan {
             pid,
             work_start: span.start,
             work_end: span.end,
@@ -703,13 +603,9 @@ impl Interp {
                 InitMode::Weak => span.start - 1,
             },
         });
-        // A second `flor.partition` loop (not the paper's model, but legal
-        // input) falls back to the static planner: the shared queue was
-        // consumed by this one.
-        ctx.runtime = None;
         // Only a worker ending at the final iteration owns the true final
-        // state; everyone else's postamble is suppressed. An empty main
-        // loop matches the static path: no worker owns it.
+        // state; everyone else's postamble is suppressed. No worker owns
+        // an empty main loop.
         if n == 0 || state_at != n {
             self.log.set_suppressed(true);
         }

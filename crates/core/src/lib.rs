@@ -30,7 +30,8 @@
 //!
 //! - [`value`] / [`env`]: the interpreter's Python-like object graph —
 //!   reference semantics make the optimizer→model aliasing real (§5.2.1).
-//! - [`interp`]: tree-walking interpreter + the ML builtin surface.
+//! - [`interp`]: tree-walking interpreter + the ML builtin surface, and
+//!   the main-loop driver both executors share.
 //! - [`logstream`]: structured log output; the replay/record fingerprint
 //!   (§5.2.2).
 //! - [`skipblock`]: the SkipBlock construct — parameterized branching,
@@ -38,11 +39,15 @@
 //! - [`adaptive`]: the record-overhead / replay-latency invariants and the
 //!   joint invariant, Eqs. 1–4 (§5.3).
 //! - [`record`]: the record phase (§3.1).
-//! - [`replay`]: the replay phase — probe detection by source diff, partial
-//!   replay, deferred correctness checks (§3.2, §5.2.2).
-//! - [`parallel`]: hindsight parallelism — iterator partitioning, strong and
-//!   weak worker initialization (§5.4), plus the cost-aware micro-range
-//!   splitter and work-stealing queue the replay runtime schedules with.
+//! - [`replay`]: the replay phase — one [`replay::ReplayPlan`] per query
+//!   (probe detection by source diff, slicing, every scheduling policy),
+//!   one production path that executes it, one oracle
+//!   ([`replay::replay_reference`]), deferred correctness checks (§3.2,
+//!   §5.2.2).
+//! - [`parallel`]: hindsight parallelism — the cost-aware micro-range
+//!   splitter and work-stealing queue replay schedules with, plus the
+//!   paper's static iterator-partitioning model (§5.4) that `flor-sim`
+//!   and the benches price it against.
 //! - [`profile`]: per-iteration cost profiles recorded alongside the run,
 //!   consumed by the micro-range splitter.
 //! - [`stream`]: the incremental record-order log merger — hindsight
@@ -51,8 +56,7 @@
 //! - [`oracle`]: runtime changeset augmentation over the live object graph
 //!   (§5.2.1 step 3).
 //! - [`vm`]: the bytecode replay VM — executes `flor-lang`'s compiled
-//!   modules with slot-resolved variables and a compiled-module cache,
-//!   keeping the tree-walker as fallback and differential oracle.
+//!   modules with slot-resolved variables and a compiled-module cache.
 
 #![warn(missing_docs)]
 

@@ -1,12 +1,15 @@
 //! Hindsight parallelism planning (paper §5.4, Figures 8–10, 13).
 //!
 //! "Even sequential code can be re-executed in parallel if the right
-//! checkpoints are materialized on the first pass." The planner is pure
-//! arithmetic shared by the live replay engine and the `flor-sim`
-//! discrete-event simulator: contiguous partitioning of the main loop's
-//! iterations over `G` workers, strong/weak initialization segments, and
-//! the load-balance speedup bound (e.g. the paper's 200 epochs over 16 GPUs
-//! → ⌈200/16⌉ = 13 epochs per worker → max speedup 200/13 = 15.38×).
+//! checkpoints are materialized on the first pass." Two layers, both pure
+//! arithmetic. [`plan`] / [`plan_anchored`] are the paper's model:
+//! contiguous partitioning of the main loop's iterations over `G` workers,
+//! strong/weak initialization segments, and the load-balance speedup bound
+//! (e.g. the paper's 200 epochs over 16 GPUs → ⌈200/16⌉ = 13 epochs per
+//! worker → max speedup 200/13 = 15.38×) — what the `flor-sim`
+//! discrete-event simulator and the benches price. The live replay engine
+//! schedules with the second layer only: [`seed_cost_ranges`] and the
+//! work-stealing [`RangeQueue`].
 
 /// Worker initialization mode (paper §5.4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,7 +385,7 @@ impl QueueState {
     }
 }
 
-/// The shared work-stealing range queue (the tentpole's scheduling core).
+/// The shared work-stealing range queue — replay's one scheduler.
 ///
 /// Each worker owns a deque seeded with a contiguous run of micro-ranges
 /// and pops from its *front* (ascending iteration order — every pop
@@ -401,15 +404,12 @@ impl QueueState {
 ///   early would retire a worker while other ranges still wait.
 pub struct RangeQueue {
     state: parking_lot::Mutex<QueueState>,
-    steal_enabled: bool,
     steals: std::sync::atomic::AtomicU64,
 }
 
 impl RangeQueue {
-    /// Unseeded queue for `workers` deques. `steal_enabled = false` reduces
-    /// the executor to static partitioning (each worker drains only its own
-    /// seed — bitwise the pre-refactor behavior).
-    pub fn new(workers: usize, steal_enabled: bool) -> Self {
+    /// Unseeded queue for `workers` deques.
+    pub fn new(workers: usize) -> Self {
         RangeQueue {
             state: parking_lot::Mutex::new(QueueState {
                 seeded: false,
@@ -418,7 +418,6 @@ impl RangeQueue {
                 iter_cost: Vec::new(),
                 n_iters: 0,
             }),
-            steal_enabled,
             steals: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -465,9 +464,9 @@ impl RangeQueue {
     }
 
     /// Pops the next range for worker `pid`, whose program state currently
-    /// sits at iteration `state_at`. Own deque first (front); then, with
-    /// stealing enabled, the back of the most-loaded victim — preferring
-    /// forward ranges and never the final range. `None` means the replay's
+    /// sits at iteration `state_at`. Own deque first (front); then the back
+    /// of the most-loaded victim — preferring forward ranges, and the final
+    /// range only when nothing else is left. `None` means the replay's
     /// range pool is exhausted for this worker.
     ///
     /// `rewind_ok` says whether this worker can take a range *behind* its
@@ -486,9 +485,6 @@ impl RangeQueue {
                 range: r,
                 stolen: false,
             });
-        }
-        if !self.steal_enabled {
-            return None;
         }
         let n = state.n_iters;
         // Candidate victims by remaining load (seed-cost weighted — under
@@ -980,32 +976,8 @@ mod tests {
     }
 
     #[test]
-    fn queue_static_mode_serves_only_own_deque() {
-        let q = RangeQueue::new(2, false);
-        q.seed_once(4, || {
-            (
-                vec![
-                    vec![MicroRange { start: 0, end: 2 }],
-                    vec![MicroRange { start: 2, end: 4 }],
-                ],
-                Vec::new(),
-            )
-        });
-        assert_eq!(
-            q.next(0, 0, true),
-            Some(NextRange {
-                range: MicroRange { start: 0, end: 2 },
-                stolen: false
-            })
-        );
-        assert_eq!(q.next(0, 2, true), None, "stealing disabled");
-        assert!(q.next(1, 0, true).is_some());
-        assert_eq!(q.steals(), 0);
-    }
-
-    #[test]
     fn queue_steals_from_most_loaded_victim_back() {
-        let q = RangeQueue::new(2, true);
+        let q = RangeQueue::new(2);
         q.seed_once(8, || {
             (
                 vec![
@@ -1039,7 +1011,7 @@ mod tests {
 
     #[test]
     fn queue_prefers_forward_steals() {
-        let q = RangeQueue::new(3, true);
+        let q = RangeQueue::new(3);
         q.seed_once(9, || {
             (
                 vec![
@@ -1065,7 +1037,7 @@ mod tests {
     fn no_backward_steals_without_rewind() {
         // With rewinds impossible (poisoned reuse: init re-executes instead
         // of restoring), a worker past a range must never be handed it.
-        let q = RangeQueue::new(3, true);
+        let q = RangeQueue::new(3);
         q.seed_once(9, || {
             (
                 vec![
@@ -1095,7 +1067,7 @@ mod tests {
 
     #[test]
     fn final_range_is_stolen_only_as_last_resort() {
-        let q = RangeQueue::new(2, true);
+        let q = RangeQueue::new(2);
         q.seed_once(6, || {
             (
                 vec![
@@ -1125,7 +1097,7 @@ mod tests {
 
     #[test]
     fn queue_seed_once_is_idempotent() {
-        let q = RangeQueue::new(1, true);
+        let q = RangeQueue::new(1);
         assert!(q.seed_once(2, || (
             vec![vec![MicroRange { start: 0, end: 2 }]],
             Vec::new()

@@ -5,34 +5,44 @@
 //! hindsight logging statements, Flor recovers selected execution data via
 //! fast re-execution […] combining partial and parallel replay."
 //!
-//! [`replay`] is the whole phase:
+//! There is one replay path and one oracle:
 //!
-//! 1. load the instrumented source saved at record time,
-//! 2. instrument the *new* source identically and structurally diff the two
-//!    — added log statements become probes, attributed to their enclosing
-//!    SkipBlock; anything else poisons checkpoint reuse,
-//! 3. run `G` parallel workers against a shared [`ReplayRuntime`]: each
-//!    pulls cost-sized micro-ranges off the work-stealing queue (seeded
-//!    contiguously to preserve strong/weak initialization semantics and
-//!    checkpoint-restore locality; `--steal` lets drained workers take load
-//!    off stragglers),
-//! 4. stream completed ranges into the incremental merger, which emits the
-//!    record-order prefix as soon as it is contiguous — no barrier join,
-//! 5. run the deferred correctness check incrementally on that prefix: the
-//!    replayed fingerprint must match the record log everywhere both
-//!    produced output.
+//! 1. [`ReplayPlan::build`] is the whole front end, run once per query:
+//!    instrument the *new* source exactly as record did and structurally
+//!    diff it against the recorded one — added log statements become
+//!    probes, attributed to their enclosing SkipBlock; anything else
+//!    poisons checkpoint reuse — then slice the program down to the
+//!    dependency cone of its log statements. Every later decision (which
+//!    blocks restore, whether a worker may rewind, how ranges are priced)
+//!    is a method on the plan.
+//! 2. [`replay_plan`] compiles the sliced program to bytecode and runs `G`
+//!    workers against a shared [`ReplayRuntime`]: each pulls cost-sized
+//!    micro-ranges off the work-stealing queue (seeded contiguously to
+//!    preserve strong/weak initialization semantics and checkpoint-restore
+//!    locality; drained workers take load off stragglers).
+//! 3. Completed ranges stream into the incremental merger, which emits the
+//!    record-order prefix as soon as it is contiguous — no barrier join —
+//!    and runs the deferred correctness check on that prefix: the replayed
+//!    fingerprint must match the record log everywhere both produced
+//!    output.
+//!
+//! [`replay_reference`] is the oracle the tests compare that path against:
+//! one worker tree-walking the *unsliced* instrumented program.
 
 use crate::error::FlorError;
-use crate::interp::{Interp, Mode, Phase, ReplayCtx, ReplayStats};
+use crate::interp::{Interp, Mode, ReplayCtx, ReplayStats};
 use crate::logstream::{LogEntry, LogStream, Section};
-use crate::parallel::{plan, plan_anchored, InitMode, MicroRange, RangeQueue, WorkerPlan};
-use crate::profile::{CostProfile, COST_PROFILE_ARTIFACT};
+use crate::parallel::{seed_cost_ranges, InitMode, MicroRange, RangeQueue, WorkerPlan};
+use crate::profile::{sliced_cost, CostProfile, COST_PROFILE_ARTIFACT};
+use crate::record::{fnv1a64, source_version};
 use crate::stream::{RangeSink, StreamEvent, StreamMsg, StreamingMerger};
 use flor_analysis::instrument::instrument;
+use flor_analysis::SlicePlan;
 use flor_chkpt::CheckpointStore;
 use flor_lang::ast::{Expr, Program, Stmt};
-use flor_lang::{diff_programs, parse, ProbeSite};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use flor_lang::compile::Module;
+use flor_lang::{diff_programs, parse, print_program, prune_program, DiffReport, ProbeSite};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -43,26 +53,10 @@ pub struct ReplayOptions {
     pub workers: usize,
     /// Worker initialization strategy (default Strong, as in the paper).
     pub init_mode: InitMode,
-    /// Work-stealing over cost-sized micro-ranges. Off, each worker owns a
-    /// static contiguous partition (the paper's §5.4 plan — the slowest
-    /// worker gates completion). On, partitions are split into micro-ranges
-    /// sized by the run's recorded cost profile, and drained workers steal
-    /// off stragglers.
-    pub steal: bool,
-    /// Execute on the bytecode VM (default). Off, the tree-walking
-    /// interpreter runs instead — the fallback and differential oracle;
-    /// both executors produce byte-identical logs and final state.
-    pub vm: bool,
     /// Compiled-module cache shared across replay jobs, keyed by
-    /// `source_version`. None compiles fresh per job (still once, shared
-    /// by all workers of the job).
+    /// [`ReplayPlan::module_key`]. None compiles fresh per job (still
+    /// once, shared by all workers of the job).
     pub module_cache: Option<Arc<crate::vm::ModuleCache>>,
-    /// Dependency-aware slicing (default on): statements outside the
-    /// backward slice of the log statements are elided from execution —
-    /// both executors run the same pruned program. Off (or when the
-    /// slicer refuses: aliasing it can't track, rule-5 calls, impure
-    /// hindsight diffs), the full program runs.
-    pub slice: bool,
     /// Cooperative cancellation. When set, workers poll the token at
     /// range-pull and per-iteration boundaries and the replay fails fast
     /// with [`FlorError::Cancelled`] instead of running to completion.
@@ -71,15 +65,7 @@ pub struct ReplayOptions {
 
 impl Default for ReplayOptions {
     fn default() -> Self {
-        ReplayOptions {
-            workers: 1,
-            init_mode: InitMode::Strong,
-            steal: false,
-            vm: true,
-            module_cache: None,
-            slice: true,
-            cancel: None,
-        }
+        ReplayOptions::with_workers(1)
     }
 }
 
@@ -88,51 +74,312 @@ impl ReplayOptions {
     pub fn with_workers(workers: usize) -> Self {
         ReplayOptions {
             workers,
-            ..Default::default()
+            init_mode: InitMode::Strong,
+            module_cache: None,
+            cancel: None,
         }
     }
 
-    /// Replay with `workers` work-stealing workers.
+    /// Alias of [`ReplayOptions::with_workers`]; exists only because
+    /// `benchmark/src/layers.rs` calls it, to be dropped by a later
+    /// benchmark-only PR.
+    #[doc(hidden)]
     pub fn with_stealing(workers: usize) -> Self {
-        ReplayOptions {
-            workers,
-            steal: true,
-            ..Default::default()
+        Self::with_workers(workers)
+    }
+}
+
+/// Every front-end decision of one hindsight query, made once by
+/// [`ReplayPlan::build`] and shared (behind an `Arc`) by the registry's
+/// cache lookup, the driver and every worker.
+#[derive(Debug, Default)]
+pub struct ReplayPlan {
+    /// The source diff: probes, and the non-hindsight changes that poison
+    /// checkpoint reuse.
+    pub(crate) diff: DiffReport,
+    /// SkipBlocks probed by hindsight log statements.
+    pub(crate) probed_blocks: HashSet<String>,
+    /// SkipBlock ids nested inside the main (partition-wrapped) loop.
+    pub(crate) main_blocks: Vec<String>,
+    /// The main loop carries state across iterations outside every
+    /// skipblock changeset (`analysis::outer_carried_state`).
+    pub(crate) outer_carried: bool,
+    /// The slicer's checkpoint-cut precondition held.
+    pub(crate) cuts_provable: bool,
+    /// What the slicer decided, including why it refused if it did.
+    pub(crate) slice: SlicePlan,
+    /// The instrumented new program: what the VM compiles (minus
+    /// `slice.dead`) and the reference tree-walks in full.
+    pub(crate) program: Program,
+    /// The run's recorded per-iteration costs, if it has any.
+    pub(crate) profile: Option<CostProfile>,
+    /// See [`ReplayPlan::fingerprint`].
+    pub(crate) fingerprint: Option<u64>,
+    /// See [`ReplayPlan::module_key`].
+    pub(crate) module_key: String,
+}
+
+impl ReplayPlan {
+    /// Fetches the recorded source and cost profile of `store`'s run and
+    /// builds the plan for `new_src` against them.
+    pub fn prepare(store: &CheckpointStore, new_src: &str) -> Result<ReplayPlan, FlorError> {
+        let recorded_src = String::from_utf8(store.get_artifact("source.flr")?)
+            .map_err(|_| crate::error::rt("recorded source is not valid UTF-8"))?;
+        let profile = store
+            .get_artifact(COST_PROFILE_ARTIFACT)
+            .ok()
+            .and_then(|bytes| String::from_utf8(bytes).ok())
+            .and_then(|text| CostProfile::parse_text(&text));
+        ReplayPlan::build(&recorded_src, new_src, profile, |b, g| store.contains(b, g))
+    }
+
+    /// The front end, pure: no store, no filesystem. `has_checkpoint`
+    /// answers whether block `id` still has its checkpoint at iteration
+    /// `g` — the profile only records what record intended, and a
+    /// checkpoint lost since (manual pruning, GC of a corrupt entry)
+    /// re-executes its block, which a cut computed under the restore
+    /// assumption would have starved of statements.
+    pub fn build(
+        recorded_src: &str,
+        new_src: &str,
+        profile: Option<CostProfile>,
+        has_checkpoint: impl Fn(&str, u64) -> bool,
+    ) -> Result<ReplayPlan, FlorError> {
+        flor_obs::counter!("replay.plans").inc();
+        let recorded_prog = parse(recorded_src)?;
+        let inst = instrument(&parse(new_src)?);
+        let diff = diff_programs(&recorded_prog, &inst.program);
+        let probed_blocks: HashSet<String> = diff
+            .probes
+            .iter()
+            .filter_map(|p| p.skipblock_id.clone())
+            .collect();
+        let main_blocks = main_loop_blocks(&inst.program);
+        let cuts_provable = profile.as_ref().is_some_and(|p| {
+            p.dense_checkpoints()
+                && main_blocks
+                    .iter()
+                    .all(|b| (0..p.len() as u64).all(|g| has_checkpoint(b, g)))
+        });
+        // An impure diff re-executes everything, including non-cone
+        // statements whose effects checkpoints would otherwise supersede:
+        // nothing may be elided, and the result is never memoized.
+        let slice = if diff.is_pure_hindsight() {
+            let mut span = flor_obs::span(flor_obs::Category::Slice, "slice");
+            let ts = flor_obs::clock::now_ns();
+            let slice = flor_analysis::slice_program(
+                &inst.program,
+                &probed_blocks,
+                &inst.blocks,
+                cuts_provable,
+            );
+            flor_obs::counter!("slice.compile_ns").add(flor_obs::clock::since_ns(ts));
+            span.set_args(u64::from(slice.elided_stmts), u64::from(slice.region_stmts));
+            slice
+        } else {
+            SlicePlan {
+                fallback: Some("source changed beyond hindsight logging".into()),
+                ..SlicePlan::default()
+            }
+        };
+        if slice.fallback.is_some() {
+            flor_obs::counter!("slice.refusals").inc();
+            let region = u64::from(slice.region_stmts);
+            flor_obs::instant(flor_obs::Category::Slice, "slice_refused", region, 0);
         }
+        // The slice class: textually different probes that parse,
+        // instrument and slice to the same live cone print the same
+        // canonical program. A sliced module is cached under the source
+        // version plus that hash, so full and differently-sliced modules
+        // of one source coexist.
+        let mut module_key = source_version(new_src);
+        let mut fingerprint = None;
+        if diff.is_pure_hindsight() {
+            let canonical = if slice.is_active() {
+                print_program(&prune_program(&inst.program, &slice.dead))
+            } else {
+                print_program(&inst.program)
+            };
+            let hash = fnv1a64(canonical.as_bytes());
+            if slice.is_active() {
+                module_key.push_str(&format!("+s{hash:016x}"));
+            }
+            fingerprint = Some(hash);
+        }
+        Ok(ReplayPlan {
+            outer_carried: flor_analysis::outer_carried_state(&inst.program, &inst.blocks)
+                .is_some(),
+            diff,
+            probed_blocks,
+            main_blocks,
+            cuts_provable,
+            slice,
+            program: inst.program,
+            profile,
+            fingerprint,
+            module_key,
+        })
+    }
+
+    /// Probes detected by the source diff.
+    pub fn probes(&self) -> &[ProbeSite] {
+        &self.diff.probes
+    }
+
+    /// The slicer's plan; `fallback` says why it refused, if it did.
+    pub fn slice(&self) -> &SlicePlan {
+        &self.slice
+    }
+
+    /// Whether the slicer was allowed checkpoint cuts: the profile claims
+    /// every iteration checkpointed and the store still holds them all.
+    pub fn cuts_provable(&self) -> bool {
+        self.cuts_provable
+    }
+
+    /// Content fingerprint of the *semantic* replay this query induces:
+    /// the FNV hash of the canonical print of the sliced (falling back to
+    /// the full) instrumented program — the registry's slice-class cache
+    /// key. `None` when the diff is not pure hindsight (poisoned replays
+    /// are never memoized).
+    pub fn fingerprint(&self) -> Option<u64> {
+        self.fingerprint
+    }
+
+    /// Key of this query's compiled module in a
+    /// [`ModuleCache`](crate::vm::ModuleCache).
+    pub fn module_key(&self) -> &str {
+        &self.module_key
+    }
+
+    /// Non-hindsight source changes were detected: no checkpoint may be
+    /// reused, every block executes.
+    pub fn force_execute_all(&self) -> bool {
+        !self.diff.is_pure_hindsight()
+    }
+
+    /// The initialization mode workers actually use. Poisoned reuse
+    /// re-executes every iteration; weak init's anchor jump is a
+    /// checkpoint restore, which poisoning disables, so the only sound
+    /// initialization is then strong rolling re-execution from 0.
+    pub fn init_mode(&self, requested: InitMode) -> InitMode {
+        if self.force_execute_all() {
+            InitMode::Strong
+        } else {
+            requested
+        }
+    }
+
+    /// Whether a worker may take a range *behind* its current state.
+    /// Rewinding rebuilds earlier state by checkpoint restores in the
+    /// init phase; poisoned reuse re-executes instead, so a rewound
+    /// prefix would run from already-advanced state and corrupt it. The
+    /// same goes for loop-carried state outside every skipblock
+    /// changeset: no restore repairs it.
+    pub fn rewind_ok(&self) -> bool {
+        !self.force_execute_all() && !self.outer_carried
+    }
+
+    /// Per-iteration cost estimates that price `0..n` for range seeding
+    /// (empty = uniform, when the run has no profile). Iterations replay
+    /// will *execute* (probed, poisoned or unmemoized) cost their
+    /// recorded compute time scaled by the slice's live fraction — the
+    /// profile measured the full body — and restored ones `c·M_i`.
+    pub fn range_costs(&self, n: u64) -> Vec<u64> {
+        let executes = self.force_execute_all()
+            || self.main_blocks.is_empty()
+            || self
+                .main_blocks
+                .iter()
+                .any(|b| self.probed_blocks.contains(b));
+        let mut costs = self
+            .profile
+            .as_ref()
+            .map(|p| p.replay_costs(n, executes))
+            .unwrap_or_default();
+        let live = self.slice.live_permille();
+        if executes && live < 1000 {
+            for c in &mut costs {
+                *c = sliced_cost(*c, live);
+            }
+        }
+        costs
+    }
+
+    /// The checkpoints a worker will restore, in restore order, across an
+    /// initialization segment (every main-loop block restores) followed by
+    /// a work segment (every block restores unless probed). Empty when
+    /// nothing restores: poisoned reuse, or no memoized blocks.
+    pub fn restore_schedule(
+        &self,
+        init: std::ops::Range<u64>,
+        work: std::ops::Range<u64>,
+    ) -> Vec<(String, u64)> {
+        if self.force_execute_all() {
+            return Vec::new();
+        }
+        let mut keys = Vec::new();
+        for g in init {
+            keys.extend(self.main_blocks.iter().map(|b| (b.clone(), g)));
+        }
+        let unprobed = || {
+            self.main_blocks
+                .iter()
+                .filter(|b| !self.probed_blocks.contains(*b))
+        };
+        for g in work {
+            keys.extend(unprobed().map(|b| (b.clone(), g)));
+        }
+        keys
+    }
+
+    /// Iterations `g` at which every main-loop block has a Loop End
+    /// Checkpoint — the only places weak initialization may start a work
+    /// segment after (paper §5.4.2: weak init "depends entirely on a
+    /// checkpoint").
+    pub fn anchors(
+        &self,
+        n_iters: u64,
+        has_checkpoint: impl Fn(&str, u64) -> bool,
+    ) -> BTreeSet<u64> {
+        let mut anchors = BTreeSet::new();
+        anchors.insert(0);
+        if self.main_blocks.is_empty() {
+            // No memoized blocks: any boundary is as good as any other
+            // (workers re-execute from scratch anyway).
+            anchors.extend(1..n_iters);
+            return anchors;
+        }
+        for g in 0..n_iters.saturating_sub(1) {
+            if self.main_blocks.iter().all(|b| has_checkpoint(b, g)) {
+                anchors.insert(g + 1);
+            }
+        }
+        anchors
     }
 }
 
 /// Shared state of one replay run's worker pool: the work-stealing range
-/// queue plus everything needed to seed it (done lazily by the first worker
-/// to reach the main loop, since only workers know the iteration count).
+/// queue, seeded lazily by the first worker to reach the main loop (only
+/// workers know the iteration count).
 pub struct ReplayRuntime {
     /// The micro-range queue workers pull from.
     pub queue: RangeQueue,
-    /// The run's recorded per-iteration cost profile, if present.
-    pub profile: Option<CostProfile>,
     /// Worker count.
     pub workers: usize,
-    /// Whether stealing is enabled (mirrors [`RangeQueue`]'s flag; kept for
-    /// seeding decisions).
-    pub steal: bool,
-    /// Live statement fraction of the slice being executed, in permille
-    /// (1000 = unsliced). Prices executed iterations in cost seeding:
-    /// the recorded profile measured the full body, but elision shrinks
-    /// the work roughly proportionally.
-    pub live_permille: u32,
+    /// Initialization mode in force ([`ReplayPlan::init_mode`]).
+    pub init_mode: InitMode,
     /// Cancellation token for this replay, if the caller wants one.
     pub cancel: Option<crate::parallel::CancelToken>,
 }
 
 impl ReplayRuntime {
     /// Runtime for `workers` workers.
-    pub fn new(workers: usize, steal: bool, profile: Option<CostProfile>) -> Self {
+    pub fn new(workers: usize, init_mode: InitMode) -> Self {
         ReplayRuntime {
-            queue: RangeQueue::new(workers, steal),
-            profile,
+            queue: RangeQueue::new(workers),
             workers,
-            steal,
-            live_permille: 1000,
+            init_mode,
             cancel: None,
         }
     }
@@ -144,56 +391,19 @@ impl ReplayRuntime {
 
     /// Computes the seed deques for an `n`-iteration main loop — called
     /// exactly once per replay, by whichever worker reaches the loop first
-    /// (every worker would compute the same result).
-    ///
-    /// Static mode reproduces the legacy planner's contiguous segments
-    /// verbatim (one range per worker). Stealing mode splits iterations
-    /// into cost-sized micro-ranges — the cost of an iteration taken from
-    /// the record-time profile when one exists, uniform otherwise — and
-    /// seeds them contiguously, balanced by cost. Returns the deques plus
-    /// the cost vector they were balanced by (the queue weighs victims
-    /// with it).
+    /// (every worker would compute the same result): iterations are split
+    /// into micro-ranges sized by [`ReplayPlan::range_costs`] and seeded
+    /// contiguously, balanced by cost, with boundaries clamped to
+    /// checkpoint anchors under weak initialization. Returns the deques
+    /// plus the cost vector they were balanced by (the queue weighs
+    /// victims with it).
     pub fn seed_ranges(&self, ctx: &ReplayCtx, n: u64) -> (Vec<Vec<MicroRange>>, Vec<u64>) {
-        if !self.steal {
-            let plans = match ctx.init_mode {
-                InitMode::Strong => plan(n, self.workers, InitMode::Strong),
-                InitMode::Weak => plan_anchored(n, &ctx.anchors(n), self.workers),
-            };
-            let mut deques: Vec<Vec<MicroRange>> = vec![Vec::new(); self.workers];
-            for p in plans {
-                deques[p.pid].push(MicroRange {
-                    start: p.work_start,
-                    end: p.work_end,
-                });
-            }
-            return (deques, Vec::new());
-        }
-        // Will replay *execute* iterations (probed / poisoned / unmemoized)
-        // or restore them? Determines which cost column of the profile
-        // applies.
-        let executes = ctx.force_execute_all
-            || ctx.main_blocks.is_empty()
-            || ctx
-                .main_blocks
-                .iter()
-                .any(|b| ctx.probed_blocks.contains(b));
-        let mut costs: Vec<u64> = self
-            .profile
-            .as_ref()
-            .map(|p| p.replay_costs(n, executes))
-            .unwrap_or_default();
-        if executes && self.live_permille < 1000 {
-            // Executed iterations run the slice, not the full recorded
-            // body — price them accordingly so stealing stays balanced.
-            for c in &mut costs {
-                *c = crate::profile::sliced_cost(*c, self.live_permille);
-            }
-        }
-        let anchors = match ctx.init_mode {
+        let costs = ctx.plan.range_costs(n);
+        let anchors = match self.init_mode {
             InitMode::Strong => None,
-            InitMode::Weak => Some(ctx.anchors(n)),
+            InitMode::Weak => Some(ctx.plan.anchors(n, |b, g| ctx.store.contains(b, g))),
         };
-        let deques = crate::parallel::seed_cost_ranges(n, self.workers, &costs, anchors.as_ref());
+        let deques = seed_cost_ranges(n, self.workers, &costs, anchors.as_ref());
         (deques, costs)
     }
 }
@@ -211,9 +421,13 @@ pub struct ReplayReport {
     pub anomalies: Vec<String>,
     /// Aggregated SkipBlock restore/execute counters.
     pub stats: ReplayStats,
+    /// Why the slicer refused to elide anything, if it did (`None` for a
+    /// slice that applied, found nothing dead, or was never asked — the
+    /// reference).
+    pub slice_refusal: Option<String>,
     /// Wall-clock time of the replay, ns.
     pub wall_ns: u64,
-    /// Each worker's executed partition (None for workers with no share).
+    /// Each worker's seeded partition (None for workers with no share).
     pub worker_plans: Vec<Option<WorkerPlan>>,
 }
 
@@ -230,7 +444,7 @@ impl ReplayReport {
 }
 
 /// SkipBlock ids nested inside the main (partition-wrapped) loop.
-pub(crate) fn main_loop_blocks(prog: &Program) -> Vec<String> {
+fn main_loop_blocks(prog: &Program) -> Vec<String> {
     fn collect(body: &[Stmt], out: &mut Vec<String>) {
         for stmt in body {
             match stmt {
@@ -300,157 +514,85 @@ pub fn replay_streaming(
     opts: &ReplayOptions,
     on_event: impl FnMut(StreamEvent<'_>),
 ) -> Result<ReplayReport, FlorError> {
-    let recorded_src = String::from_utf8(store.get_artifact("source.flr")?)
-        .map_err(|_| crate::error::rt("recorded source is not valid UTF-8"))?;
-    let recorded_prog = parse(&recorded_src)?;
+    let plan = Arc::new(ReplayPlan::prepare(&store, new_src)?);
+    replay_plan(plan, store, opts, on_event)
+}
 
-    // Instrument the new source exactly as record did, then diff.
-    let new_prog = parse(new_src)?;
-    let inst = instrument(&new_prog);
-    let diff = diff_programs(&recorded_prog, &inst.program);
-    let probed_blocks: HashSet<String> = diff
-        .probes
-        .iter()
-        .filter_map(|p| p.skipblock_id.clone())
-        .collect();
-    let force_execute_all = !diff.is_pure_hindsight();
-    let main_blocks = main_loop_blocks(&inst.program);
-    // Loop-carried state outside every skipblock changeset (e.g.
-    // `carry = carry + boost` in the outer body) is repaired by no
-    // checkpoint restore: a backward steal's rewound prefix would roll
-    // it forward from the worker's already-advanced value and diverge
-    // from the record. Detect it statically and keep steals
-    // forward-only when present.
-    let outer_carried = flor_analysis::outer_carried_state(&inst.program, &inst.blocks).is_some();
-    // Poisoned reuse re-executes every iteration: weak init's anchor jump
-    // is a checkpoint restore, which poisoning disables, so the only sound
-    // worker initialization is strong rolling re-execution from 0.
-    let init_mode = if force_execute_all {
-        InitMode::Strong
-    } else {
-        opts.init_mode
+/// Executes an already-built plan (the registry builds it first, to look
+/// the query's slice class up in its cache). The sliced program is lowered
+/// to bytecode once per job — every worker executes the same shared
+/// module — and, when the caller provides a module cache, reused across
+/// jobs under [`ReplayPlan::module_key`].
+pub fn replay_plan(
+    plan: Arc<ReplayPlan>,
+    store: Arc<CheckpointStore>,
+    opts: &ReplayOptions,
+    mut on_event: impl FnMut(StreamEvent<'_>),
+) -> Result<ReplayReport, FlorError> {
+    let module = match &opts.module_cache {
+        Some(cache) => {
+            cache.get_or_compile_sliced(&plan.module_key, &plan.program, &plan.slice.dead)?
+        }
+        None => crate::vm::compile_program_sliced(&plan.program, &plan.slice.dead)?,
     };
+    run_plan(plan, store, opts, Some(module), &mut on_event)
+}
 
-    // The record log (for the incremental deferred check) and the cost
-    // profile (for micro-range sizing and the slicer's checkpoint-cut
-    // precondition) are loaded before workers start.
+/// The differential oracle: one worker tree-walking the *unsliced*
+/// instrumented program, sharing only the front end, the skipblock
+/// restore-or-execute rule and the merger with [`replay`]. Tests and
+/// benches compare production replays against it byte for byte; `flor
+/// replay --reference` is its one production caller.
+pub fn replay_reference(
+    new_src: &str,
+    store_root: impl Into<PathBuf>,
+) -> Result<ReplayReport, FlorError> {
+    let store = Arc::new(CheckpointStore::open(store_root.into())?);
+    let plan = Arc::new(ReplayPlan::prepare(&store, new_src)?);
+    run_plan(plan, store, &ReplayOptions::default(), None, &mut |_| {})
+}
+
+/// Runs the workers and the merger. `module: None` tree-walks
+/// `plan.program` in full instead of executing the compiled slice.
+fn run_plan(
+    plan: Arc<ReplayPlan>,
+    store: Arc<CheckpointStore>,
+    opts: &ReplayOptions,
+    module: Option<Arc<Module>>,
+    on_event: &mut dyn FnMut(StreamEvent<'_>),
+) -> Result<ReplayReport, FlorError> {
+    // The record log feeds the incremental deferred check.
     let record_log = LogStream::parse_text(
         &String::from_utf8(store.get_artifact("record_log.txt")?)
             .map_err(|_| crate::error::rt("record log is not valid UTF-8"))?,
     );
-    let profile = store
-        .get_artifact(COST_PROFILE_ARTIFACT)
-        .ok()
-        .and_then(|bytes| String::from_utf8(bytes).ok())
-        .and_then(|text| CostProfile::parse_text(&text));
 
-    // Dependency-aware slicing: compute the backward slice of the log
-    // statements and elide everything outside it. Skipped when the
-    // caller opted out or the diff isn't pure hindsight (a poisoned
-    // replay re-executes everything, including non-cone statements
-    // whose effects checkpoints would otherwise supersede); inert when
-    // the slicer refuses (fallback) or finds nothing dead.
-    let slice_plan = if opts.slice && !force_execute_all {
-        let mut span = flor_obs::span(flor_obs::Category::Slice, "slice");
-        let ts = flor_obs::clock::now_ns();
-        let plan = flor_analysis::slice_program(
-            &inst.program,
-            &probed_blocks,
-            &inst.blocks,
-            checkpoint_cuts_provable(profile.as_ref(), &main_blocks, &store),
-        );
-        flor_obs::counter!("slice.compile_ns").add(flor_obs::clock::since_ns(ts));
-        span.set_args(u64::from(plan.elided_stmts), u64::from(plan.region_stmts));
-        Some(plan)
-    } else {
-        None
-    };
-    let (exec_prog, slice_suffix, statements_elided, live_permille) = match &slice_plan {
-        Some(plan) if plan.is_active() => {
-            let pruned = flor_lang::prune_program(&inst.program, &plan.dead);
-            let hash = crate::record::fnv1a64(flor_lang::print_program(&pruned).as_bytes());
-            (
-                pruned,
-                Some(format!("+s{hash:016x}")),
-                u64::from(plan.elided_stmts),
-                plan.live_permille(),
-            )
-        }
-        _ => (inst.program.clone(), None, 0, 1000),
-    };
-
-    // Lower the instrumented program to bytecode once per replay job —
-    // every worker executes the same shared module. When the caller
-    // provides a module cache (the registry does), the compiled module is
-    // reused across jobs keyed by the probed source's version (plus the
-    // slice's content hash when one applies), so repeat hindsight queries
-    // over one source version skip the pass entirely.
-    let module = if opts.vm {
-        let mut key = crate::record::source_version(new_src);
-        if let Some(sfx) = &slice_suffix {
-            key.push_str(sfx);
-        }
-        let dead = slice_plan
-            .as_ref()
-            .filter(|p| p.is_active())
-            .map(|p| p.dead.clone())
-            .unwrap_or_default();
-        Some(match &opts.module_cache {
-            Some(cache) => cache.get_or_compile_sliced(&key, &inst.program, &dead)?,
-            None => crate::vm::compile_program_sliced(&inst.program, &dead)?,
-        })
-    } else {
-        None
-    };
-
-    // Run the workers. Interpreter values are Rc-based (single-threaded by
-    // design, like CPython); each worker owns a fresh interpreter inside
-    // its thread — workers share nothing but the store and the range
-    // queue, the coordination-free model of §5.4 plus one lock-guarded
-    // steal point.
+    // Interpreter values are Rc-based (single-threaded by design, like
+    // CPython); each worker owns a fresh interpreter inside its thread —
+    // workers share nothing but the plan, the store and the range queue,
+    // the coordination-free model of §5.4 plus one lock-guarded steal
+    // point.
     let t0 = flor_obs::clock::now_ns();
     let delta_counters_before = store.delta_read_counters();
     let workers = opts.workers.max(1);
-    let mut runtime = ReplayRuntime::new(workers, opts.steal, profile);
-    runtime.live_permille = live_permille;
+    let mut runtime = ReplayRuntime::new(workers, plan.init_mode(opts.init_mode));
     runtime.cancel = opts.cancel.clone();
     let runtime = Arc::new(runtime);
     let (tx, rx) = std::sync::mpsc::channel::<StreamMsg>();
     let mut handles = Vec::with_capacity(workers);
     for pid in 0..workers {
-        let prog = exec_prog.clone();
-        let module = module.clone();
-        let store = store.clone();
-        let probed_blocks = probed_blocks.clone();
-        let main_blocks = main_blocks.clone();
-        let runtime = runtime.clone();
+        let mut ctx = ReplayCtx::new(store.clone(), plan.clone(), pid);
+        ctx.runtime = Some(runtime.clone());
         let sink = RangeSink::new(tx.clone());
+        ctx.sink = Some(sink.clone());
+        let module = module.clone();
         handles.push(std::thread::spawn(
             move || -> Result<(ReplayStats, Option<WorkerPlan>), FlorError> {
-                let ctx = ReplayCtx {
-                    store,
-                    pid,
-                    workers,
-                    init_mode,
-                    probed_blocks,
-                    force_execute_all,
-                    outer_carried,
-                    main_blocks,
-                    phase: Phase::Work,
-                    main_iter: None,
-                    standalone_seq: HashMap::new(),
-                    blocks_this_iter: HashSet::new(),
-                    stats: ReplayStats::default(),
-                    plan_used: None,
-                    sample: None,
-                    prefetcher: None,
-                    runtime: Some(runtime),
-                    sink: Some(sink.clone()),
-                };
+                let plan = ctx.plan.clone();
                 let mut interp = Interp::new(Mode::Replay(Box::new(ctx)));
                 match &module {
                     Some(m) => interp.run_vm(m)?,
-                    None => interp.run(&prog)?,
+                    None => interp.run(&plan.program)?,
                 }
                 let Mode::Replay(ctx) = interp.mode else {
                     unreachable!()
@@ -493,15 +635,12 @@ pub fn replay_streaming(
     let (merged, mut anomalies, first_entry_ns) = merger.finish();
     stats.steals = runtime.queue.steals();
     stats.stream_first_entry_ns = first_entry_ns;
-    stats.statements_elided = statements_elided;
-    // 0 is the "no slice applied" sentinel (`slice_fraction` reads it as
-    // 1.0); the runtime's cost math keeps the literal 1000 instead so a
-    // full-cost iteration never collapses to the 1 ns floor.
-    stats.slice_permille = if statements_elided > 0 {
-        live_permille
-    } else {
-        0
-    };
+    // 0 is the "no slice applied" sentinel of both fields
+    // (`slice_fraction` reads it as 1.0).
+    if module.is_some() && plan.slice.is_active() {
+        stats.statements_elided = u64::from(plan.slice.elided_stmts);
+        stats.slice_permille = plan.slice.live_permille();
+    }
     // Attribute this replay's chain-resolution work (pooled store handles
     // carry counts from earlier replays; the diff is ours).
     let delta_counters_after = store.delta_read_counters();
@@ -513,95 +652,27 @@ pub fn replay_streaming(
         .saturating_sub(delta_counters_before.1);
     let wall_ns = flor_obs::clock::since_ns(t0);
 
-    if force_execute_all {
+    if plan.force_execute_all() {
         anomalies.insert(
             0,
             format!(
                 "source changed beyond hindsight logging ({} change(s)); \
                  checkpoints were not reused",
-                diff.other_changes.len()
+                plan.diff.other_changes.len()
             ),
         );
     }
 
     Ok(ReplayReport {
         log: merged,
-        probes: diff.probes,
-        other_changes: diff.other_changes,
+        probes: plan.diff.probes.clone(),
+        other_changes: plan.diff.other_changes.clone(),
         anomalies,
         stats,
+        slice_refusal: module.and(plan.slice.fallback.clone()),
         wall_ns,
         worker_plans,
     })
-}
-
-/// The slicer's checkpoint-cut precondition, verified against the live
-/// store: the recorded profile must claim every iteration fully
-/// checkpointed *and* the store must still hold every main-loop block's
-/// checkpoint at every profiled iteration. The profile only records what
-/// record intended — a checkpoint lost since (manual pruning, GC of a
-/// corrupt entry) silently re-executes its block at replay time, and a
-/// cut computed under the restore assumption would have elided
-/// statements that re-execution needs.
-fn checkpoint_cuts_provable(
-    profile: Option<&CostProfile>,
-    main_blocks: &[String],
-    store: &CheckpointStore,
-) -> bool {
-    profile.is_some_and(|p| {
-        p.dense_checkpoints()
-            && main_blocks
-                .iter()
-                .all(|b| (0..p.len() as u64).all(|g| store.contains(b, g)))
-    })
-}
-
-/// Content fingerprint of the *semantic* replay a probed source induces
-/// over a recorded source: the FNV hash of the canonical print of the
-/// sliced (falling back to the full) instrumented program. Textually
-/// different queries that parse, instrument, and slice to the same live
-/// cone share a fingerprint — the registry keys its cross-query slice
-/// cache with it, so a re-query pays parse+slice (microseconds) instead
-/// of a replay. The checkpoint-cut precondition is re-derived against
-/// `store` so the fingerprint names the plan replay itself would use.
-/// Returns `None` when a source fails to parse or the diff is not pure
-/// hindsight (poisoned replays are never memoized).
-pub fn slice_fingerprint(
-    recorded_src: &str,
-    new_src: &str,
-    store: &CheckpointStore,
-    slice: bool,
-) -> Option<u64> {
-    let recorded_prog = parse(recorded_src).ok()?;
-    let new_prog = parse(new_src).ok()?;
-    let inst = instrument(&new_prog);
-    let diff = diff_programs(&recorded_prog, &inst.program);
-    if !diff.is_pure_hindsight() {
-        return None;
-    }
-    let probed: HashSet<String> = diff
-        .probes
-        .iter()
-        .filter_map(|p| p.skipblock_id.clone())
-        .collect();
-    let canonical = if slice {
-        let profile = store
-            .get_artifact(COST_PROFILE_ARTIFACT)
-            .ok()
-            .and_then(|bytes| String::from_utf8(bytes).ok())
-            .and_then(|text| CostProfile::parse_text(&text));
-        let dense =
-            checkpoint_cuts_provable(profile.as_ref(), &main_loop_blocks(&inst.program), store);
-        let plan = flor_analysis::slice_program(&inst.program, &probed, &inst.blocks, dense);
-        if plan.is_active() {
-            flor_lang::print_program(&flor_lang::prune_program(&inst.program, &plan.dead))
-        } else {
-            flor_lang::print_program(&inst.program)
-        }
-    } else {
-        flor_lang::print_program(&inst.program)
-    };
-    Some(crate::record::fnv1a64(canonical.as_bytes()))
 }
 
 /// The deferred correctness check (paper §5.2.2): "at the end of replay, we
@@ -676,6 +747,129 @@ mod tests {
         );
         assert_ne!(probed, TRAIN_SRC, "probe marker must match");
         probed
+    }
+
+    // ---- ReplayPlan::build: no store, no filesystem ------------------------
+
+    /// What record would have saved as `source.flr` for `src`.
+    fn recorded(src: &str) -> String {
+        print_program(&instrument(&parse(src).unwrap()).program)
+    }
+
+    /// A profile claiming `n` fully checkpointed iterations.
+    fn dense_profile(n: usize) -> Option<CostProfile> {
+        let it = crate::profile::IterCost {
+            compute_ns: 1000,
+            materialize_ns: 10,
+            blocks: 1,
+            checkpointed_blocks: 1,
+        };
+        Some(CostProfile {
+            iters: vec![it; n],
+            scaling_c: 1.0,
+        })
+    }
+
+    fn build(new_src: &str) -> ReplayPlan {
+        ReplayPlan::build(&recorded(TRAIN_SRC), new_src, dense_profile(6), |_, _| true).unwrap()
+    }
+
+    #[test]
+    fn plan_attributes_probes_and_allows_cuts() {
+        let outer = build(&outer_probed());
+        assert!(outer.probed_blocks.is_empty(), "outer probe");
+        assert_eq!(outer.main_blocks, ["sb_0"]);
+        assert!(outer.cuts_provable());
+        assert!(!outer.force_execute_all() && outer.rewind_ok());
+        assert_eq!(outer.restore_schedule(0..1, 1..3).len(), 3);
+
+        let inner = build(&inner_probed());
+        assert_eq!(inner.probed_blocks, HashSet::from(["sb_0".to_string()]));
+        // A probed block restores in init segments only.
+        assert_eq!(
+            inner.restore_schedule(0..1, 1..3),
+            [("sb_0".to_string(), 0)]
+        );
+        // Anchors follow the checkpoints that exist.
+        assert_eq!(
+            inner.anchors(6, |_, g| g != 2),
+            BTreeSet::from([0, 1, 2, 4, 5])
+        );
+    }
+
+    #[test]
+    fn plan_for_an_impure_diff_poisons_reuse() {
+        let plan = build(&TRAIN_SRC.replace("lr=0.1", "lr=0.05"));
+        assert!(plan.force_execute_all());
+        assert_eq!(plan.init_mode(InitMode::Weak), InitMode::Strong);
+        assert_eq!(
+            build(&inner_probed()).init_mode(InitMode::Weak),
+            InitMode::Weak
+        );
+        assert!(!plan.rewind_ok());
+        assert_eq!(
+            plan.fingerprint(),
+            None,
+            "poisoned replays are never memoized"
+        );
+        assert!(plan.slice().fallback.is_some() && !plan.slice().is_active());
+        assert!(plan.restore_schedule(0..2, 2..4).is_empty());
+    }
+
+    #[test]
+    fn plan_forbids_rewinds_over_outer_carried_state() {
+        // `carry` is rolled forward by the outer body and repaired by no
+        // checkpoint restore.
+        let src = "\
+import flor
+carry = 1
+total = 0
+boost = 0
+for epoch in flor.partition(range(5)):
+    carry = carry + boost
+    for i in range(3):
+        total = total + carry
+        boost = boost + 1
+    log(\"loss\", total)
+";
+        let plan = ReplayPlan::build(&recorded(src), src, None, |_, _| true).unwrap();
+        assert!(plan.outer_carried && !plan.rewind_ok());
+        assert!(!plan.force_execute_all());
+    }
+
+    #[test]
+    fn plan_refuses_cuts_when_a_checkpoint_is_missing() {
+        let probed = outer_probed();
+        let gap = ReplayPlan::build(&recorded(TRAIN_SRC), &probed, dense_profile(6), |_, g| {
+            g != 2
+        })
+        .unwrap();
+        assert!(!gap.cuts_provable());
+        let unprofiled =
+            ReplayPlan::build(&recorded(TRAIN_SRC), &probed, None, |_, _| true).unwrap();
+        assert!(!unprofiled.cuts_provable());
+    }
+
+    #[test]
+    fn plan_fingerprint_names_the_live_cone_not_the_text() {
+        let probed = inner_probed();
+        let variant = probed.replace("import flor\n", "import flor\n\n");
+        assert_ne!(variant, probed);
+        let (a, b) = (build(&probed), build(&variant));
+        assert!(a.fingerprint().is_some());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a.module_key(), b.module_key(), "modules key on the text");
+        assert_ne!(a.fingerprint(), build(&outer_probed()).fingerprint());
+    }
+
+    #[test]
+    fn plan_keys_are_the_bytes_existing_caches_hold() {
+        // Computed at the commit before `ReplayPlan` existed, from
+        // `slice_fingerprint` and `replay_streaming`'s module key: a
+        // registry `cache/` written then must keep hitting.
+        let plan = build(&inner_probed());
+        assert_eq!(plan.fingerprint(), Some(0x21c9_b231_ca05_e7c6));
+        assert_eq!(plan.module_key(), "8030229ee8567a13+s21c9b231ca05e7c6");
     }
 
     #[test]
@@ -800,39 +994,37 @@ log(\"accuracy\", acc)
     }
 
     #[test]
-    fn stealing_replay_merges_to_identical_log() {
-        // The cost-aware work-stealing executor must produce the exact
-        // sequential log for every worker count and both probe positions.
-        let root = tmproot("steal");
+    fn parallel_replay_merges_to_the_reference_log() {
+        // The range-scheduled executor must produce the exact reference
+        // log for every worker count and both probe positions.
+        let root = tmproot("parallel");
         record(TRAIN_SRC, &opts_exact(&root)).unwrap();
         for probed in [inner_probed(), outer_probed()] {
-            let seq = replay(&probed, &root, &ReplayOptions::default()).unwrap();
-            for workers in [2usize, 3, 4, 8] {
-                let par = replay(&probed, &root, &ReplayOptions::with_stealing(workers)).unwrap();
+            let reference = replay_reference(&probed, &root).unwrap();
+            for workers in [1usize, 2, 3, 4, 8] {
+                let par = replay(&probed, &root, &ReplayOptions::with_workers(workers)).unwrap();
                 assert!(
                     par.anomalies.is_empty(),
                     "{workers} workers: {:?}",
                     par.anomalies
                 );
-                assert_eq!(par.log, seq.log, "{workers}-worker stealing merge");
+                assert_eq!(par.log, reference.log, "{workers}-worker merge");
                 assert!(par.stats.ranges_executed >= 1);
             }
         }
     }
 
     #[test]
-    fn stealing_weak_init_matches_strong() {
-        let root = tmproot("steal-weak");
+    fn weak_init_matches_strong_init() {
+        let root = tmproot("weak");
         record(TRAIN_SRC, &opts_exact(&root)).unwrap();
-        let strong = replay(&inner_probed(), &root, &ReplayOptions::with_stealing(3)).unwrap();
+        let strong = replay(&inner_probed(), &root, &ReplayOptions::with_workers(3)).unwrap();
         let weak = replay(
             &inner_probed(),
             &root,
             &ReplayOptions {
-                workers: 3,
                 init_mode: InitMode::Weak,
-                steal: true,
-                ..Default::default()
+                ..ReplayOptions::with_workers(3)
             },
         )
         .unwrap();
@@ -841,40 +1033,31 @@ log(\"accuracy\", acc)
     }
 
     #[test]
-    fn stealing_poisoned_reuse_matches_static() {
-        // Non-hindsight edits poison checkpoint reuse; the stealing
-        // executor must full-re-execute to the same log the static one
-        // does, and still surface the poisoning anomaly.
-        let root = tmproot("steal-poison");
+    fn poisoned_reuse_matches_the_reference() {
+        // Non-hindsight edits poison checkpoint reuse; parallel replay
+        // must full-re-execute to the reference's log and still surface
+        // the poisoning anomaly.
+        let root = tmproot("poison-parallel");
         record(TRAIN_SRC, &opts_exact(&root)).unwrap();
         let edited = TRAIN_SRC.replace("lr=0.1", "lr=0.05");
-        let stat = replay(&edited, &root, &ReplayOptions::with_workers(3)).unwrap();
-        let steal = replay(&edited, &root, &ReplayOptions::with_stealing(3)).unwrap();
-        assert_eq!(steal.log, stat.log);
-        assert!(!steal.anomalies.is_empty(), "poisoning must be surfaced");
-        assert!(
-            steal.anomalies[0].contains("source changed"),
-            "{:?}",
-            steal.anomalies
-        );
-        assert_eq!(steal.stats.restored, 0);
+        let reference = replay_reference(&edited, &root).unwrap();
         // Weak init anchors on checkpoint restores, which poisoning
         // disables — replay must fall back to strong rolling
-        // re-execution and still match, static or stealing.
-        for steal_on in [false, true] {
-            let weak = replay(
-                &edited,
-                &root,
-                &ReplayOptions {
-                    workers: 3,
-                    init_mode: InitMode::Weak,
-                    steal: steal_on,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(weak.log, stat.log, "weak+poisoned steal={steal_on}");
-            assert_eq!(weak.stats.restored, 0);
+        // re-execution and still match.
+        for init_mode in [InitMode::Strong, InitMode::Weak] {
+            let opts = ReplayOptions {
+                init_mode,
+                ..ReplayOptions::with_workers(3)
+            };
+            let rep = replay(&edited, &root, &opts).unwrap();
+            assert_eq!(rep.log, reference.log, "{init_mode:?}");
+            assert!(
+                rep.anomalies[0].contains("source changed"),
+                "poisoning must be surfaced: {:?}",
+                rep.anomalies
+            );
+            assert_eq!(rep.stats.restored, 0);
+            assert!(rep.slice_refusal.is_some(), "nothing may be elided");
         }
     }
 
@@ -911,7 +1094,7 @@ log(\"accuracy\", acc)
         let report = replay_streaming(
             &inner_probed(),
             store,
-            &ReplayOptions::with_stealing(3),
+            &ReplayOptions::with_workers(3),
             |ev| match ev {
                 crate::stream::StreamEvent::Entries(chunk) => {
                     streamed.extend(chunk.iter().cloned())
@@ -943,30 +1126,6 @@ log(\"accuracy\", acc)
     }
 
     #[test]
-    fn parallel_replay_merges_to_identical_log() {
-        let root = tmproot("parallel");
-        record(TRAIN_SRC, &opts_exact(&root)).unwrap();
-        let seq = replay(&inner_probed(), &root, &ReplayOptions::default()).unwrap();
-        for workers in [2usize, 3, 4] {
-            let par = replay(
-                &inner_probed(),
-                &root,
-                &ReplayOptions::with_workers(workers),
-            )
-            .unwrap();
-            assert!(
-                par.anomalies.is_empty(),
-                "{workers} workers: {:?}",
-                par.anomalies
-            );
-            assert_eq!(
-                par.log, seq.log,
-                "{workers}-worker merge must equal sequential replay"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_plans_partition_the_epochs() {
         let root = tmproot("plans");
         record(TRAIN_SRC, &opts_exact(&root)).unwrap();
@@ -979,25 +1138,6 @@ log(\"accuracy\", acc)
             .collect();
         covered.sort_unstable();
         assert_eq!(covered, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn weak_init_matches_strong_init() {
-        let root = tmproot("weak");
-        record(TRAIN_SRC, &opts_exact(&root)).unwrap();
-        let strong = replay(&inner_probed(), &root, &ReplayOptions::with_workers(3)).unwrap();
-        let weak = replay(
-            &inner_probed(),
-            &root,
-            &ReplayOptions {
-                workers: 3,
-                init_mode: InitMode::Weak,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(weak.anomalies.is_empty(), "{:?}", weak.anomalies);
-        assert_eq!(weak.log, strong.log);
     }
 
     #[test]

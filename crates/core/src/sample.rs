@@ -16,14 +16,10 @@
 //! sampled replays instead of a full scan.
 
 use crate::error::FlorError;
-use crate::interp::{Interp, Mode, Phase, ReplayCtx, ReplayStats};
+use crate::interp::{Interp, Mode, ReplayCtx};
 use crate::logstream::{LogEntry, Section};
-use crate::parallel::InitMode;
-use crate::replay::ReplayReport;
-use flor_analysis::instrument::instrument;
+use crate::replay::{ReplayPlan, ReplayReport};
 use flor_chkpt::CheckpointStore;
-use flor_lang::{diff_programs, parse};
-use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -36,58 +32,27 @@ pub fn replay_sample(
     iterations: &[u64],
 ) -> Result<ReplayReport, FlorError> {
     let store = Arc::new(CheckpointStore::open(store_root.into())?);
-    let recorded_src = String::from_utf8(store.get_artifact("source.flr")?)
-        .map_err(|_| crate::error::rt("recorded source is not valid UTF-8"))?;
-    let recorded_prog = parse(&recorded_src)?;
-    let new_prog = parse(new_src)?;
-    let inst = instrument(&new_prog);
-    let diff = diff_programs(&recorded_prog, &inst.program);
-    let probed_blocks: HashSet<String> = diff
-        .probes
-        .iter()
-        .filter_map(|p| p.skipblock_id.clone())
-        .collect();
-    let force_execute_all = !diff.is_pure_hindsight();
-    let main_blocks = crate::replay::main_loop_blocks(&inst.program);
+    let plan = Arc::new(ReplayPlan::prepare(&store, new_src)?);
 
     let mut sample: Vec<u64> = iterations.to_vec();
     sample.sort_unstable();
     sample.dedup();
 
     let t0 = flor_obs::clock::now_ns();
-    let ctx = ReplayCtx {
-        store,
-        pid: 0,
-        workers: 1,
-        init_mode: InitMode::Weak,
-        probed_blocks,
-        force_execute_all,
-        // Sampling replays are single-worker with no range queue — no
-        // steals, so rewind soundness never comes up.
-        outer_carried: false,
-        main_blocks,
-        phase: Phase::Work,
-        main_iter: None,
-        standalone_seq: HashMap::new(),
-        blocks_this_iter: HashSet::new(),
-        stats: ReplayStats::default(),
-        plan_used: None,
-        sample: Some(sample),
-        prefetcher: None,
-        runtime: None,
-        sink: None,
-    };
+    let mut ctx = ReplayCtx::new(store, plan.clone(), 0);
+    ctx.sample = Some(sample);
     let mut interp = Interp::new(Mode::Replay(Box::new(ctx)));
-    interp.run(&inst.program)?;
+    interp.run(&plan.program)?;
     let Mode::Replay(ctx) = interp.mode else {
         unreachable!()
     };
     Ok(ReplayReport {
         log: interp.log.into_entries(),
-        probes: diff.probes,
-        other_changes: diff.other_changes,
+        probes: plan.probes().to_vec(),
+        other_changes: plan.diff.other_changes.clone(),
         anomalies: Vec::new(), // sampled output is partial by design
         stats: ctx.stats,
+        slice_refusal: None,
         wall_ns: flor_obs::clock::since_ns(t0),
         worker_plans: vec![None],
     })

@@ -241,14 +241,14 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
             id,
         )?;
         let exists = ctx.store.contains(id, seq);
-        let probed = ctx.probed_blocks.contains(id);
+        let probed = ctx.plan.probed_blocks.contains(id);
         let do_execute = match ctx.phase {
             // Initialization: restore whenever possible; probes don't
             // matter (their output belongs to other workers' partitions).
-            Phase::Init => ctx.force_execute_all || !exists,
+            Phase::Init => ctx.plan.force_execute_all() || !exists,
             // Work: "Flor skips memoized code-blocks on replay, unless
             // their internals are probed" (Figure 1).
-            Phase::Work => ctx.force_execute_all || probed || !exists,
+            Phase::Work => ctx.plan.force_execute_all() || probed || !exists,
         };
         (do_execute, seq)
     };
@@ -315,8 +315,8 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
 mod tests {
     use super::*;
     use crate::adaptive::AdaptiveController;
-    use crate::interp::{RecordCtx, ReplayCtx, ReplayStats};
-    use crate::parallel::InitMode;
+    use crate::interp::{RecordCtx, ReplayCtx};
+    use crate::replay::ReplayPlan;
     use flor_chkpt::{CheckpointStore, Materializer, Strategy};
     use flor_lang::parse;
     use std::collections::{HashMap, HashSet};
@@ -346,27 +346,18 @@ mod tests {
         }))
     }
 
-    fn replay_ctx(store: Arc<CheckpointStore>, probed: &[&str]) -> Mode {
-        Mode::Replay(Box::new(ReplayCtx {
-            store,
-            pid: 0,
-            workers: 1,
-            init_mode: InitMode::Strong,
+    fn replay_ctx(store: Arc<CheckpointStore>, plan: ReplayPlan) -> Mode {
+        Mode::Replay(Box::new(ReplayCtx::new(store, Arc::new(plan), 0)))
+    }
+
+    /// A plan for `SRC` (or a script shaped like it) whose diff probes
+    /// the given blocks.
+    fn probing(probed: &[&str]) -> ReplayPlan {
+        ReplayPlan {
             probed_blocks: probed.iter().map(|s| s.to_string()).collect(),
-            force_execute_all: false,
-            outer_carried: false,
             main_blocks: vec!["sb_0".into()],
-            phase: Phase::Work,
-            main_iter: None,
-            standalone_seq: HashMap::new(),
-            blocks_this_iter: HashSet::new(),
-            stats: ReplayStats::default(),
-            plan_used: None,
-            sample: None,
-            prefetcher: None,
-            runtime: None,
-            sink: None,
-        }))
+            ..ReplayPlan::default()
+        }
     }
 
     /// A standalone (non-main-loop) skipblock accumulating into `acc`.
@@ -395,7 +386,7 @@ log(\"acc\", acc)
         assert!(store.contains("sb_0", STANDALONE_BASE));
 
         // Replay unprobed: block restores instead of executing.
-        let mut rep = Interp::new(replay_ctx(store.clone(), &[]));
+        let mut rep = Interp::new(replay_ctx(store.clone(), probing(&[])));
         rep.run(&prog).unwrap();
         assert_eq!(rep.env.get("acc").unwrap().as_i64().unwrap(), 10);
         if let Mode::Replay(ctx) = &rep.mode {
@@ -415,7 +406,7 @@ log(\"acc\", acc)
         ));
         rec.run(&prog).unwrap();
 
-        let mut rep = Interp::new(replay_ctx(store, &["sb_0"]));
+        let mut rep = Interp::new(replay_ctx(store, probing(&["sb_0"])));
         rep.run(&prog).unwrap();
         if let Mode::Replay(ctx) = &rep.mode {
             assert_eq!(ctx.stats.executed, 1, "probed blocks must re-execute");
@@ -434,7 +425,7 @@ log(\"acc\", acc)
         ));
         rec.run(&prog).unwrap();
 
-        let mut mode = replay_ctx(store.clone(), &[]);
+        let mut mode = replay_ctx(store.clone(), probing(&[]));
         if let Mode::Replay(ctx) = &mut mode {
             let p = crate::prefetch::Prefetcher::spawn(
                 store.clone(),
@@ -461,7 +452,7 @@ log(\"acc\", acc)
         let store = Arc::new(CheckpointStore::open(tmproot("missing")).unwrap());
         let prog = parse(SRC).unwrap();
         // No record pass at all: replay must still produce correct state.
-        let mut rep = Interp::new(replay_ctx(store, &[]));
+        let mut rep = Interp::new(replay_ctx(store, probing(&[])));
         rep.run(&prog).unwrap();
         assert_eq!(rep.env.get("acc").unwrap().as_i64().unwrap(), 10);
         if let Mode::Replay(ctx) = &rep.mode {
@@ -478,11 +469,9 @@ log(\"acc\", acc)
             HashMap::from([("sb_0".to_string(), vec!["acc".to_string()])]),
         ));
         rec.run(&prog).unwrap();
-        let mut mode = replay_ctx(store, &[]);
-        if let Mode::Replay(ctx) = &mut mode {
-            ctx.force_execute_all = true;
-        }
-        let mut rep = Interp::new(mode);
+        let mut plan = probing(&[]);
+        plan.diff.other_changes.push("lr changed".into());
+        let mut rep = Interp::new(replay_ctx(store, plan));
         rep.run(&prog).unwrap();
         if let Mode::Replay(ctx) = &rep.mode {
             assert_eq!(ctx.stats.executed, 1);
@@ -519,7 +508,7 @@ for rep in range(3):
         rec.run(&prog).unwrap();
         assert_eq!(store.count("sb_0"), 3);
         // Replay restores all three in order.
-        let mut rep = Interp::new(replay_ctx(store, &[]));
+        let mut rep = Interp::new(replay_ctx(store, probing(&[])));
         rep.run(&prog).unwrap();
         assert_eq!(rep.env.get("acc").unwrap().as_i64().unwrap(), 6);
         if let Mode::Replay(ctx) = &rep.mode {
@@ -561,7 +550,7 @@ log(\"w\", w)
         let mut rec = Interp::new(record_ctx(store.clone(), changesets));
         rec.run(&prog).unwrap();
 
-        let mut rep = Interp::new(replay_ctx(store, &[]));
+        let mut rep = Interp::new(replay_ctx(store, probing(&[])));
         rep.run(&prog).unwrap();
         // The restored weight norm must match the recorded one bit-for-bit.
         assert_eq!(

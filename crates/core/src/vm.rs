@@ -1,12 +1,11 @@
 //! The bytecode replay VM.
 //!
 //! Executes [`flor_lang::compile::Module`]s — flat instruction streams
-//! with a constant pool and slot-resolved variables — in place of the
-//! tree-walking interpreter on the replay hot path. The tree-walker
-//! stays available (`ReplayOptions.vm = false`) as the fallback and the
-//! differential oracle: both executors route every value-level operation
-//! through the same shared helpers in [`crate::interp`], so results and
-//! error strings agree byte-for-byte.
+//! with a constant pool and slot-resolved variables. Every replay runs
+//! here; the tree-walking interpreter replays only as the differential
+//! oracle ([`crate::replay::replay_reference`]). Both executors route
+//! every value-level operation through the same shared helpers in
+//! [`crate::interp`], so results and error strings agree byte-for-byte.
 //!
 //! Execution model:
 //!
@@ -26,9 +25,10 @@
 //!   would leave.
 //!
 //! Compiled modules are cached in a [`ModuleCache`] keyed by
-//! `source_version` (the same content address the registry's query cache
-//! uses), so repeated hindsight queries over one source version skip
-//! compilation entirely — `vm.compile` stays flat while
+//! [`ReplayPlan::module_key`](crate::replay::ReplayPlan::module_key) — the
+//! probed source's `source_version` (the content address the registry's
+//! query cache uses) plus the slice's hash — so repeated hindsight queries
+//! over one source version skip compilation entirely — `vm.compile` stays flat while
 //! `vm.module_cache_hits` climbs.
 
 use crate::error::{rt, FlorError};

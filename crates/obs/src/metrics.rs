@@ -180,9 +180,10 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
 }
 
 /// Like [`counter`] but for names built at runtime (per-tenant metrics:
-/// `tenant.<name>.queries`). The name is leaked once per distinct string —
-/// bounded by the set of tenants a server process ever sees, the same
-/// order of magnitude as its connection count.
+/// `tenant.<name>.queries`). The name is leaked once per distinct string
+/// and nothing here bounds how many there are: the caller must. (The
+/// serving layer caps the tenants a process registers —
+/// `flor_registry::admission::MAX_TENANTS` — before any reaches this.)
 pub fn counter_named(name: &str) -> &'static Counter {
     let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(c) = reg.counters.get(name) {
@@ -195,7 +196,7 @@ pub fn counter_named(name: &str) -> &'static Counter {
 }
 
 /// Like [`histogram`] but for names built at runtime (see
-/// [`counter_named`] for the leak bound).
+/// [`counter_named`]: the caller bounds the set of names).
 pub fn histogram_named(name: &str) -> &'static Histogram {
     let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(h) = reg.histograms.get(name) {

@@ -11,8 +11,46 @@
 //! admitted jobs are never preempted.
 
 use crate::scheduler::ReplayScheduler;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
+
+/// Longest tenant name the `tenant` verb accepts, in bytes.
+pub const MAX_TENANT_NAME_BYTES: usize = 64;
+
+/// Distinct tenant names one process will register. Any peer may send
+/// `tenant <x>`, and every new name costs two leaked metric names
+/// (`flor_obs::metrics::{counter_named, histogram_named}`) and an
+/// [`AdmissionController`] map entry for the life of the process.
+pub const MAX_TENANTS: usize = 1024;
+
+static KNOWN_TENANTS: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
+
+/// Checks a tenant name a peer sent and counts it against
+/// [`MAX_TENANTS`]; `Err` is the protocol line to answer with, and
+/// nothing was registered. A name already known is always accepted.
+pub fn register_tenant(name: &str) -> Result<(), String> {
+    if name.len() > MAX_TENANT_NAME_BYTES {
+        return Err(format!(
+            "bad tenant: name over {MAX_TENANT_NAME_BYTES} bytes"
+        ));
+    }
+    let charset_ok = name
+        .chars()
+        .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_');
+    if name.is_empty() || !charset_ok {
+        return Err(format!("bad tenant {name:?} (alphanumeric, '-', '_' only)"));
+    }
+    let mut known = KNOWN_TENANTS
+        .lock()
+        .expect("no holder of the tenant table panics");
+    if !known.contains(name) {
+        if known.len() >= MAX_TENANTS {
+            return Err("error: too many tenants".into());
+        }
+        known.insert(name.to_string());
+    }
+    Ok(())
+}
 
 /// Limits enforced by [`AdmissionController::try_admit`]. Zero disables
 /// the corresponding check, so [`AdmissionPolicy::unlimited`] admits

@@ -29,7 +29,7 @@ use flor_core::logstream::LogEntry;
 use flor_core::record::{
     log_iterations, record, source_version, RecordOptions, RecordReport, RUN_META_ARTIFACT,
 };
-use flor_core::replay::{replay_streaming, ReplayOptions};
+use flor_core::replay::{replay_plan, ReplayOptions, ReplayPlan};
 use flor_core::stream::StreamEvent;
 use flor_core::InitMode;
 use parking_lot::Mutex;
@@ -66,8 +66,11 @@ pub struct QueryOutcome {
     /// was available at once).
     pub stream_first_entry_ns: u64,
     /// Statements the backward slicer elided from re-executed bodies
-    /// (0 for cache hits and unsliced replays).
+    /// (0 for cache hits and refused slices).
     pub statements_elided: u64,
+    /// Why the slicer refused to elide anything, if it did (fresh replays
+    /// only).
+    pub slice_refusal: Option<String>,
     /// Live fraction of the instrumented program after slicing, in
     /// permille (0 when no slice was applied — a full replay).
     pub slice_permille: u32,
@@ -110,14 +113,6 @@ pub struct Registry {
     /// keyed by the probed source's version — repeat queries over one
     /// source version (even against different runs) skip the compile pass.
     module_cache: Arc<flor_core::ModuleCache>,
-    /// Execute queries on the bytecode VM (default). Cleared, the
-    /// tree-walking interpreter replays instead (`flor query --no-vm`).
-    vm: std::sync::atomic::AtomicBool,
-    /// Slice replays down to the dependency cone of their logging
-    /// statements (default). Cleared (`flor query --no-slice`), every
-    /// re-executed body runs in full and the cross-query slice cache is
-    /// bypassed.
-    slice: std::sync::atomic::AtomicBool,
 }
 
 impl Registry {
@@ -134,21 +129,7 @@ impl Registry {
             stores: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             module_cache: Arc::new(flor_core::ModuleCache::new()),
-            vm: std::sync::atomic::AtomicBool::new(true),
-            slice: std::sync::atomic::AtomicBool::new(true),
         })
-    }
-
-    /// Selects the replay executor for subsequent queries: `true` (the
-    /// default) runs the bytecode VM, `false` the tree-walking fallback.
-    pub fn set_vm(&self, on: bool) {
-        self.vm.store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Enables (`true`, the default) or disables dependency slicing and
-    /// the cross-query slice cache for subsequent queries.
-    pub fn set_slice(&self, on: bool) {
-        self.slice.store(on, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Registry root directory.
@@ -351,8 +332,7 @@ impl Registry {
     /// record-order log chunks, progress counters, and anomalies while the
     /// replay is still executing — leading iterations stream out before
     /// the last replay worker finishes. Cache hits deliver the whole log
-    /// as one chunk. Fresh replays run on the cost-aware work-stealing
-    /// executor; the assembled result is cached exactly like `query`'s.
+    /// as one chunk; the assembled result is cached exactly like `query`'s.
     pub fn query_streaming(
         &self,
         run_id: &str,
@@ -453,34 +433,10 @@ impl Registry {
             steals: 0,
             stream_first_entry_ns: 0,
             statements_elided: 0,
+            slice_refusal: None,
             slice_permille: 0,
             slice_cache_hits: u64::from(slice_hit),
         }
-    }
-
-    /// Slice-class cache key for a probed query, or `None` when the memo
-    /// does not apply (slicing disabled, unreadable recorded source, a
-    /// non-parsing probe, or an impure diff that poisons replay reuse).
-    fn slice_cache_key(
-        &self,
-        rec: &RunRecord,
-        probed_source: &str,
-        store: &CheckpointStore,
-    ) -> Option<String> {
-        if !self.slice.load(std::sync::atomic::Ordering::Relaxed) {
-            return None;
-        }
-        // The raw `source.flr` artifact (instrumented, exactly what replay
-        // itself diffs against) — not the de-instrumented pretty print,
-        // which would diff as a structural change and poison the memo.
-        let recorded = String::from_utf8(store.get_artifact("source.flr").ok()?).ok()?;
-        let fp = flor_core::replay::slice_fingerprint(&recorded, probed_source, store, true)?;
-        Some(crate::cache::slice_key(
-            &rec.run_id,
-            rec.generation,
-            &rec.source_version,
-            fp,
-        ))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -495,31 +451,34 @@ impl Registry {
         cancel: Option<flor_core::CancelToken>,
     ) -> Result<QueryOutcome, RegistryError> {
         let store = self.store_handle_at(run_id, &rec.store_root)?;
+        // The front end runs once: the plan names the query's slice class
+        // for the memo lookup, and the same plan is what executes on a
+        // miss.
+        let plan = Arc::new(ReplayPlan::prepare(&store, probed_source)?);
         // Cross-query slice memo: a textually different probe that parses,
         // instruments, and slices to the same live cone has already
         // materialized this exact log — serve it for the cost of a
         // parse+slice, and backfill the raw-text key so the next identical
-        // query short-circuits before reaching this point.
-        let slice_key = self.slice_cache_key(rec, probed_source, &store);
+        // query short-circuits before reaching this point. (An impure diff
+        // has no fingerprint: poisoned replays are never memoized.)
+        let slice_key = plan.fingerprint().map(|fp| {
+            crate::cache::slice_key(&rec.run_id, rec.generation, &rec.source_version, fp)
+        });
         if let Some(sk) = &slice_key {
             if let Some(hit) = self.cache.get(sk) {
                 self.cache.put(key, &hit)?;
                 return Ok(self.cached_outcome(run_id, key, hit, true, &mut observer));
             }
         }
-        // Fresh replays run on the work-stealing executor: the run's cost
-        // profile sizes micro-ranges, stragglers get robbed, and results
-        // stream out in record order.
+        // The run's cost profile sizes micro-ranges, stragglers get
+        // robbed, and results stream out in record order.
         let opts = ReplayOptions {
             workers: workers.max(1),
             init_mode: InitMode::Strong,
-            steal: true,
-            vm: self.vm.load(std::sync::atomic::Ordering::Relaxed),
-            slice: self.slice.load(std::sync::atomic::Ordering::Relaxed),
             module_cache: Some(self.module_cache.clone()),
             cancel,
         };
-        let report = replay_streaming(probed_source, store, &opts, |ev| {
+        let report = replay_plan(plan, store, &opts, |ev| {
             let Some(on_event) = observer.as_deref_mut() else {
                 return;
             };
@@ -549,6 +508,7 @@ impl Registry {
             steals: report.stats.steals,
             stream_first_entry_ns: report.stats.stream_first_entry_ns,
             statements_elided: report.stats.statements_elided,
+            slice_refusal: report.slice_refusal,
             slice_permille: report.stats.slice_permille,
             slice_cache_hits: 0,
             log: report.log,

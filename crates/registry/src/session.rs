@@ -190,18 +190,13 @@ impl ServeSession {
                     }
                 },
             },
-            ["tenant", name] => {
-                if name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-                    && !name.is_empty()
-                {
+            ["tenant", name] => match crate::admission::register_tenant(name) {
+                Ok(()) => {
                     self.tenant = name.to_string();
                     out.push(format!("tenant set: {name:?}"));
-                } else {
-                    out.push(format!("bad tenant {name:?} (alphanumeric, '-', '_' only)"));
                 }
-            }
+                Err(refusal) => out.push(refusal),
+            },
             ["metrics"] => {
                 // One JSON line: counters and latency histograms for every
                 // instrumented subsystem, via the shared serializer.

@@ -176,26 +176,6 @@ fn textual_variant_of_same_probe_hits_slice_cache() {
 }
 
 #[test]
-fn slice_disabled_registry_bypasses_slice_cache() {
-    let reg = Registry::open(tmproot("slice-off")).unwrap();
-    let src = train_src(3, 0.1);
-    reg.record_run("run", &src, no_adaptive).unwrap();
-    reg.set_slice(false);
-    let q = probed(&src);
-
-    let first = reg.query("run", &q, 1).unwrap();
-    assert!(!first.cached);
-    assert_eq!(first.statements_elided, 0, "--no-slice elides nothing");
-    assert_eq!(first.slice_permille, 0);
-
-    // A textual variant misses outright: no slice keys were written.
-    let variant = q.replace("import flor\n", "import flor\n\n");
-    let second = reg.query("run", &variant, 1).unwrap();
-    assert!(!second.cached, "slice memo must be off with slicing off");
-    assert_eq!(second.log, first.log, "unsliced replays still agree");
-}
-
-#[test]
 fn reregistration_invalidates_cached_answers() {
     let reg = Registry::open(tmproot("invalidate")).unwrap();
     let src_v1 = train_src(3, 0.1);

@@ -1,9 +1,9 @@
-//! Compiled-module caching across registry queries.
+//! Compiled-module caching and front-end passes across registry queries.
 //!
 //! This file is its own test binary on purpose: the `vm.compile` /
-//! `vm.module_cache_hits` counters are process-wide, and the assertions
-//! here are exact deltas — sharing a process with other query tests
-//! would race them.
+//! `vm.module_cache_hits` / `replay.plans` counters are process-wide, and
+//! the assertions here are exact deltas — sharing a process with other
+//! query tests would race them.
 
 use flor_registry::Registry;
 use std::path::PathBuf;
@@ -80,17 +80,24 @@ fn second_query_reuses_compiled_module_without_compiling() {
     assert_eq!(a.log, b.log);
     assert_eq!(a.probes, 1);
 
-    // Tree-walk fallback: never compiles, never touches the module
-    // cache, still answers. (Same test function — these assertions share
-    // the process-wide counters with the ones above.)
-    reg.set_vm(false);
+    // The front end (parse, instrument, diff, slice) runs once per query
+    // that gets past the raw-key cache, and never for one that does not.
+    // (Same test function — these assertions share the process-wide
+    // counters with the ones above.)
+    let plans = || flor_obs::metrics::counter("replay.plans").get();
     let probed2 = SRC.replace(
         "    log(\"loss\", avg.mean())\n",
         "    log(\"loss\", avg.mean())\n    log(\"hindsight_gn\", net.grad_norm())\n",
     );
-    let c3 = compiles();
-    let out = reg.query("run-a", &probed2, 2).unwrap();
-    assert_eq!(compiles() - c3, 0, "tree-walk queries never compile");
-    assert_eq!(out.probes, 1);
-    assert!(out.anomalies.is_empty(), "{:?}", out.anomalies);
+    let p0 = plans();
+    let fresh = reg.query("run-a", &probed2, 2).unwrap();
+    assert!(!fresh.cached && fresh.anomalies.is_empty(), "{fresh:?}");
+    assert_eq!(plans() - p0, 1, "a fresh query plans once");
+    let variant = probed2.replace("import flor\n", "import flor\n\n");
+    let memo = reg.query("run-a", &variant, 2).unwrap();
+    assert_eq!(memo.slice_cache_hits, 1, "{memo:?}");
+    assert_eq!(plans() - p0, 2, "a slice-memo variant plans once");
+    assert!(reg.query("run-a", &variant, 2).unwrap().cached);
+    assert!(reg.query("run-a", &probed2, 2).unwrap().cached);
+    assert_eq!(plans() - p0, 2, "raw-key hits never reach the front end");
 }

@@ -108,7 +108,7 @@ pub fn stealing_makespan(costs: &[f64], workers: usize, profiled: bool) -> (f64,
     }
     let seed_costs: Vec<u64> = if profiled { to_ns(costs) } else { Vec::new() };
     let deques = seed_cost_ranges(n, workers, &seed_costs, None);
-    let queue = RangeQueue::new(workers, true);
+    let queue = RangeQueue::new(workers);
     queue.seed_once(n, || (deques, seed_costs));
 
     // Event loop: the earliest-free worker pulls its next range; workers

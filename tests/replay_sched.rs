@@ -6,7 +6,7 @@
 use flor_core::parallel::max_speedup_profiled;
 use flor_core::profile::{CostProfile, COST_PROFILE_ARTIFACT};
 use flor_core::record::{record, RecordOptions};
-use flor_core::replay::{replay, ReplayOptions};
+use flor_core::replay::{replay, replay_reference, ReplayOptions};
 use flor_registry::{QueryEvent, QueryJob, Registry, ReplayScheduler};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -66,16 +66,16 @@ fn inner_probed() -> String {
 }
 
 #[test]
-fn skewed_steal_replay_matches_static_and_streams_early() {
+fn skewed_replay_matches_the_reference_and_streams_early() {
     let root = store_dir("skew");
     record(SKEWED_SRC, &exact_opts(&root)).unwrap();
     let probed = inner_probed();
-    let stat = replay(&probed, &root, &ReplayOptions::with_workers(4)).unwrap();
-    let steal = replay(&probed, &root, &ReplayOptions::with_stealing(4)).unwrap();
+    let reference = replay_reference(&probed, &root).unwrap();
+    let steal = replay(&probed, &root, &ReplayOptions::with_workers(4)).unwrap();
     assert!(steal.anomalies.is_empty(), "{:?}", steal.anomalies);
     assert_eq!(
-        steal.log, stat.log,
-        "stealing must not change the merged log"
+        steal.log, reference.log,
+        "scheduling must not change the merged log"
     );
     // Cost-aware splitting produced more ranges than workers, and the
     // streaming merger delivered the first record-order entry while the
@@ -103,10 +103,10 @@ fn stealing_rescues_runs_recorded_without_a_profile() {
     record(SKEWED_SRC, &exact_opts(&root)).unwrap();
     std::fs::remove_file(root.join("artifacts").join(COST_PROFILE_ARTIFACT)).unwrap();
     let probed = inner_probed();
-    let stat = replay(&probed, &root, &ReplayOptions::with_workers(4)).unwrap();
-    let steal = replay(&probed, &root, &ReplayOptions::with_stealing(4)).unwrap();
+    let reference = replay_reference(&probed, &root).unwrap();
+    let steal = replay(&probed, &root, &ReplayOptions::with_workers(4)).unwrap();
     assert!(steal.anomalies.is_empty(), "{:?}", steal.anomalies);
-    assert_eq!(steal.log, stat.log);
+    assert_eq!(steal.log, reference.log);
     assert!(
         steal.stats.steals >= 1,
         "uniform seeds under tail skew must trigger steals, got {}",
@@ -225,8 +225,8 @@ fn scheduler_exposes_streaming_progress() {
 
 #[test]
 fn streamed_replay_stats_survive_through_the_binary_surface() {
-    // `flor replay --steal` prints the scheduler counters; asserted at the
-    // CLI layer here so the whole stack is covered end to end.
+    // `flor replay` prints the scheduler counters; asserted at the CLI
+    // layer here so the whole stack is covered end to end.
     let dir = store_dir("cli-steal");
     std::fs::create_dir_all(&dir).unwrap();
     let script = dir.join("train.flr");
@@ -252,7 +252,6 @@ fn streamed_replay_stats_survive_through_the_binary_surface() {
         store.to_str().unwrap(),
         "--workers",
         "4",
-        "--steal",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -268,7 +267,7 @@ fn streamed_replay_stats_survive_through_the_binary_surface() {
 /// every checkpoint a replay restores is read from the store once — by the
 /// worker's prefetcher or by the worker, never both — whatever the worker
 /// count and however ranges get stolen, and the merged log still equals
-/// the unsliced tree-walker's.
+/// the reference's.
 mod exactly_once {
     use super::*;
     use flor_chkpt::CheckpointStore;
@@ -317,7 +316,7 @@ log(\"accuracy\", acc)
     }
 
     /// Records `src` through a registry, replays an outer probe with 1 and
-    /// 2 stealing workers, and returns the store's delta-entry count.
+    /// 2 workers, and returns the store's delta-entry count.
     fn check(tag: &str, src: &str, keyframe_interval: u32) -> u64 {
         let registry = Registry::open(store_dir(tag)).unwrap();
         let (_, rec) = registry
@@ -332,16 +331,7 @@ log(\"accuracy\", acc)
             })
             .unwrap();
         let probed = outer_probed(src);
-        let oracle = replay(
-            &probed,
-            &rec.store_root,
-            &ReplayOptions {
-                vm: false,
-                slice: false,
-                ..ReplayOptions::default()
-            },
-        )
-        .unwrap();
+        let oracle = replay_reference(&probed, &rec.store_root).unwrap();
         let store = Arc::new(CheckpointStore::open(&rec.store_root).unwrap());
         let stored = store.stats();
         // Registry runs intern every stored payload of 1 KiB and up into
@@ -355,7 +345,7 @@ log(\"accuracy\", acc)
             let report = replay_with_store(
                 &probed,
                 store.clone(),
-                &ReplayOptions::with_stealing(workers),
+                &ReplayOptions::with_workers(workers),
             )
             .unwrap();
             let after = store.stats();

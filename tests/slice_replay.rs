@@ -1,12 +1,11 @@
-//! End-to-end tests of dependency-aware incremental replay: sliced
-//! replays (dead-statement elision in both executors) must emit logs
-//! byte-identical to full replays, across probe placements, worker
-//! counts, and steal orders — and must refuse to slice when safety is
-//! unprovable.
+//! End-to-end tests of dependency-aware incremental replay: production
+//! replays (dead statements elided from the compiled module) must emit
+//! logs byte-identical to the unsliced reference, across probe
+//! placements, worker counts, and steal orders — and must refuse to slice,
+//! and say why, when safety is unprovable.
 
 use flor_core::record::{record, RecordOptions};
-use flor_core::replay::{replay, ReplayOptions, ReplayReport};
-use flor_core::InitMode;
+use flor_core::replay::{replay, replay_reference, ReplayOptions, ReplayReport};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -20,18 +19,6 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn opts(workers: usize, steal: bool, vm: bool, slice: bool) -> ReplayOptions {
-    ReplayOptions {
-        workers,
-        init_mode: InitMode::Strong,
-        steal,
-        vm,
-        slice,
-        module_cache: None,
-        cancel: None,
-    }
-}
-
 fn record_src(src: &str, tag: &str) -> PathBuf {
     let root = store_dir(tag);
     let mut ropts = RecordOptions::new(&root);
@@ -40,28 +27,25 @@ fn record_src(src: &str, tag: &str) -> PathBuf {
     root
 }
 
-/// Replays `probed` in every executor/steal/slice configuration and
-/// asserts each sliced log is byte-identical to the sequential unsliced
-/// tree-walk oracle. Returns one sliced report for counter assertions.
+/// Replays `probed` at 1, 2 and 3 workers and asserts each log is
+/// byte-identical to the sequential unsliced tree-walk reference. Returns
+/// one production report for counter assertions.
 fn assert_sliced_matches_oracle(probed: &str, root: &PathBuf) -> ReplayReport {
-    let oracle = replay(probed, root, &opts(1, false, false, false)).unwrap();
+    let oracle = replay_reference(probed, root).unwrap();
     assert!(oracle.anomalies.is_empty(), "{:?}", oracle.anomalies);
     let mut sample = None;
-    for vm in [false, true] {
-        for (workers, steal) in [(1, false), (2, false), (3, true)] {
-            let sliced = replay(probed, root, &opts(workers, steal, vm, true)).unwrap();
-            assert!(
-                sliced.anomalies.is_empty(),
-                "vm={vm} workers={workers} steal={steal}: {:?}",
-                sliced.anomalies
-            );
-            assert_eq!(
-                sliced.log, oracle.log,
-                "sliced replay (vm={vm} workers={workers} steal={steal}) \
-                 diverged from the unsliced oracle"
-            );
-            sample = Some(sliced);
-        }
+    for workers in [1, 2, 3] {
+        let sliced = replay(probed, root, &ReplayOptions::with_workers(workers)).unwrap();
+        assert!(
+            sliced.anomalies.is_empty(),
+            "workers={workers}: {:?}",
+            sliced.anomalies
+        );
+        assert_eq!(
+            sliced.log, oracle.log,
+            "sliced replay (workers={workers}) diverged from the unsliced oracle"
+        );
+        sample = Some(sliced);
     }
     sample.unwrap()
 }
@@ -102,16 +86,9 @@ fn sliced_replay_elides_dead_statements_and_matches_unsliced_oracle() {
         sliced.stats
     );
     assert!(sliced.stats.slice_fraction() < 1.0);
-}
-
-#[test]
-fn unsliced_replay_reports_no_elision() {
-    let root = record_src(SPARSE_DEP_SRC, "unsliced-stats");
-    let probed = SPARSE_DEP_SRC.replace(
-        "    log(\"loss\", acc)\n",
-        "    log(\"loss\", acc)\n    log(\"probe_acc\", acc)\n",
-    );
-    let full = replay(&probed, &root, &opts(2, false, true, false)).unwrap();
+    assert_eq!(sliced.slice_refusal, None);
+    // The reference never slices, and says so with the same sentinels.
+    let full = replay_reference(&probed, &root).unwrap();
     assert_eq!(full.stats.statements_elided, 0);
     assert_eq!(full.stats.slice_permille, 0, "0 is the unsliced sentinel");
     assert_eq!(full.stats.slice_fraction(), 1.0);
@@ -216,6 +193,8 @@ for epoch in flor.partition(range(4)):
         "unprovable aliasing must disable elision entirely"
     );
     assert_eq!(sliced.stats.slice_permille, 0);
+    let reason = sliced.slice_refusal.expect("a refusal says why");
+    assert!(reason.contains("untrackable alias"), "{reason}");
 }
 
 #[test]
@@ -248,15 +227,14 @@ for epoch in flor.partition(range(5)):
     assert_ne!(kept.len(), text.lines().count(), "one entry must drop");
     std::fs::write(&manifest, kept.join("\n") + "\n").unwrap();
 
-    for vm in [false, true] {
-        let rep = replay(src, &root, &opts(1, false, vm, true)).unwrap();
-        assert!(rep.anomalies.is_empty(), "vm={vm}: {:?}", rep.anomalies);
-        assert_eq!(
-            rep.log, rec.log,
-            "vm={vm}: gap re-execution must see the un-elided reset"
-        );
-        assert_eq!(rep.stats.executed, 1, "vm={vm}: the gap re-executes");
-    }
+    let rep = replay(src, &root, &ReplayOptions::default()).unwrap();
+    assert!(rep.anomalies.is_empty(), "{:?}", rep.anomalies);
+    assert_eq!(
+        rep.log, rec.log,
+        "gap re-execution must see the un-elided reset"
+    );
+    assert_eq!(rep.stats.executed, 1, "the gap re-executes");
+    assert_eq!(rep.log, replay_reference(src, &root).unwrap().log);
 }
 
 #[test]
@@ -329,8 +307,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For arbitrary recordable programs, probe placements, worker
-    /// counts, and steal orders, a sliced replay (tree-walker and VM)
-    /// emits a log byte-identical to the sequential unsliced oracle.
+    /// counts, and steal orders, production replay emits a log
+    /// byte-identical to the sequential unsliced oracle.
     #[test]
     fn sliced_replay_is_byte_identical_to_full_replay(
         epochs in 3u64..7,
@@ -355,17 +333,15 @@ proptest! {
         prop_assert_ne!(&probed, &src);
         let root = record_src(&src, &format!("prop-{case}-{epochs}-{inner}-{dead}"));
 
-        let oracle = replay(&probed, &root, &opts(1, false, false, false)).unwrap();
+        let oracle = replay_reference(&probed, &root).unwrap();
         prop_assert!(oracle.anomalies.is_empty(), "{:?}", oracle.anomalies);
-        for vm in [false, true] {
-            for (workers, steal) in [(2, false), (3, true)] {
-                let sliced = replay(&probed, &root, &opts(workers, steal, vm, true)).unwrap();
-                prop_assert!(sliced.anomalies.is_empty(), "{:?}", sliced.anomalies);
-                prop_assert_eq!(
-                    &sliced.log, &oracle.log,
-                    "vm={} workers={} steal={} diverged\n{}", vm, workers, steal, probed
-                );
-            }
+        for workers in [1, 2, 3] {
+            let sliced = replay(&probed, &root, &ReplayOptions::with_workers(workers)).unwrap();
+            prop_assert!(sliced.anomalies.is_empty(), "{:?}", sliced.anomalies);
+            prop_assert_eq!(
+                &sliced.log, &oracle.log,
+                "workers={} diverged\n{}", workers, probed
+            );
         }
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -470,3 +470,90 @@ fn read_once_contract_is_visible_in_metrics_and_store_stats() {
         assert!(metrics.contains(name), "{name} missing from {metrics}");
     }
 }
+
+#[test]
+fn slicer_refusals_are_counted_and_say_why() {
+    // A slicer that cannot prove elision safe runs the full program; that
+    // fallback must be counted and named, never silent. `slice.refusals`
+    // is process-wide: every other test in this binary replays a
+    // sliceable program, so the deltas below are this test's alone.
+    let dir = tmp_dir("refusals");
+    let registry = Registry::open(dir.join("registry")).unwrap();
+    let refusals = flor_obs::metrics::counter("slice.refusals");
+    let sliceable = "\
+import flor
+base = 2
+acc = 0
+for epoch in flor.partition(range(4)):
+    shadow = base
+    for i in range(3):
+        acc = acc + shadow
+        dead = epoch * 5
+    log(\"loss\", acc)
+";
+    let probe = |src: &str| {
+        let probed = src.replace(
+            "    log(\"loss\", acc)\n",
+            "    log(\"loss\", acc)\n    log(\"probe_acc\", acc)\n",
+        );
+        assert_ne!(probed, src);
+        probed
+    };
+    for (run_id, src, reason) in [
+        ("sliceable", sliceable.to_string(), None),
+        // A subscript of a computed receiver: untrackable aliasing.
+        (
+            "aliasing",
+            sliceable.replace("shadow = base\n", "shadow = [base, 2][0]\n"),
+            Some("untrackable alias"),
+        ),
+        // Rule 5: a bare call to an unknown function may touch anything.
+        // (`if epoch < 0` keeps it from ever running.)
+        (
+            "rule-5",
+            sliceable.replace(
+                "    shadow = base\n",
+                "    shadow = base\n    if epoch < 0:\n        mystery(acc)\n",
+            ),
+            Some("arbitrary side effects"),
+        ),
+    ] {
+        registry
+            .record_run(run_id, &src, |o| o.adaptive = false)
+            .unwrap();
+        let before = refusals.get();
+        let session = TraceSession::start();
+        let outcome = registry.query(run_id, &probe(&src), 2).unwrap();
+        let trace = session.finish();
+        assert!(outcome.anomalies.is_empty(), "{run_id}: {outcome:?}");
+        let refused_events = trace
+            .events
+            .iter()
+            .filter(|e| e.cat == Category::Slice && e.name == "slice_refused")
+            .count();
+        match reason {
+            None => {
+                assert_eq!(refusals.get() - before, 0, "{run_id}");
+                assert_eq!(outcome.slice_refusal, None, "{run_id}");
+                assert!(outcome.statements_elided > 0, "{run_id}: {outcome:?}");
+                assert_eq!(refused_events, 0, "{run_id}");
+            }
+            Some(reason) => {
+                assert_eq!(refusals.get() - before, 1, "{run_id}: exactly one refusal");
+                let said = outcome.slice_refusal.as_deref().unwrap_or_default();
+                assert!(said.contains(reason), "{run_id}: {said:?}");
+                assert_eq!(outcome.statements_elided, 0, "{run_id}");
+                assert_eq!(refused_events, 1, "{run_id}");
+                // The CLI prints the reason where the elision count goes.
+                let script = dir.join(format!("{run_id}.flr"));
+                std::fs::write(&script, probe(&src)).unwrap();
+                let store = registry.run(run_id).unwrap().store_root;
+                let argv = ["replay", script.to_str().unwrap(), "--store"];
+                let argv = argv.iter().copied().chain([store.to_str().unwrap()]);
+                let out = flor_cli::run_cli(&argv.map(String::from).collect::<Vec<_>>()).unwrap();
+                assert!(out.contains(&format!("# slice: refused ({said})")), "{out}");
+                assert!(!out.contains("statement(s) elided"), "{out}");
+            }
+        }
+    }
+}

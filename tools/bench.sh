@@ -4,24 +4,21 @@
 #   ./tools/bench.sh            # full run: criterion benches + BENCH_*.json
 #   ./tools/bench.sh --quick    # CI smoke: quick criterion pass + quick JSON
 #
-# Emits eight committed artifacts at the repo root so future PRs can be
+# Emits seven committed artifacts at the repo root so future PRs can be
 # held to the trajectory:
 #   BENCH_record.json       — caller-thread submit latency per materialization
 #                             strategy (zero-copy vs pre-refactor eager copies)
 #   BENCH_replay.json       — restore-read latency (zero-copy get_bytes) +
 #                             cold store-open time
-#   BENCH_replay_sched.json — replay scheduling: static contiguous partitioning
-#                             vs cost-aware work-stealing + streaming merge
+#   BENCH_replay_sched.json — replay scheduling: the cost-aware work-stealing
+#                             executor priced against the paper's static
+#                             contiguous partitioning model
 #   BENCH_compress.json     — checkpoint bytes on disk + record submit
 #                             throughput (delta chains + parallel compression
 #                             on a drifting-tensor workload)
 #   BENCH_interp.json       — replay interpreter: tree-walking AST executor vs
 #                             the bytecode VM, plus cold-compile vs
 #                             cached-module fetch costs
-#   BENCH_slice.json        — dependency-aware incremental replay: VM replay
-#                             with backward slicing off vs on, plus the
-#                             cross-query slice memo (cold query vs a
-#                             textually different probe served from cache)
 #   BENCH_store_tier.json   — tiered storage engine: cold sparse restore via
 #                             mmap segment reads, the dedup arena's
 #                             bytes-on-disk ratio across an identical-record
@@ -71,7 +68,6 @@ REPLAY_OUT=BENCH_replay.json
 SCHED_OUT=BENCH_replay_sched.json
 COMPRESS_OUT=BENCH_compress.json
 INTERP_OUT=BENCH_interp.json
-SLICE_OUT=BENCH_slice.json
 STORE_TIER_OUT=BENCH_store_tier.json
 SERVE_OUT=BENCH_serve.json
 if [[ "$QUICK" == "1" ]]; then
@@ -80,7 +76,6 @@ if [[ "$QUICK" == "1" ]]; then
     SCHED_OUT=target/BENCH_replay_sched.quick.json
     COMPRESS_OUT=target/BENCH_compress.quick.json
     INTERP_OUT=target/BENCH_interp.quick.json
-    SLICE_OUT=target/BENCH_slice.quick.json
     STORE_TIER_OUT=target/BENCH_store_tier.quick.json
     SERVE_OUT=target/BENCH_serve.quick.json
 fi
@@ -89,9 +84,8 @@ FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_repl
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_replay_sched -- "$SCHED_OUT"
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_compress_json -- "$COMPRESS_OUT"
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_interp -- "$INTERP_OUT"
-FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_slice -- "$SLICE_OUT"
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_store_tier -- "$STORE_TIER_OUT"
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_serve -- "$SERVE_OUT"
 
 echo
-echo "bench: OK ($RECORD_OUT, $REPLAY_OUT, $SCHED_OUT, $COMPRESS_OUT, $INTERP_OUT, $SLICE_OUT, $STORE_TIER_OUT, $SERVE_OUT written)"
+echo "bench: OK ($RECORD_OUT, $REPLAY_OUT, $SCHED_OUT, $COMPRESS_OUT, $INTERP_OUT, $STORE_TIER_OUT, $SERVE_OUT written)"

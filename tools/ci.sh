@@ -52,17 +52,49 @@ echo "size gate: OK"
 # without a corpus program fails there, not in production replay).
 run cargo test -q -p flor-lang opcode_coverage
 
-# Slice-oracle gate: the differential suites must keep at least one
-# oracle replay with slicing explicitly disabled — otherwise a slicer
-# bug that mangles both sides identically could slip through with every
-# configuration sliced.
+# Oracle gate: the differential suites compare production replay against
+# `replay_reference` (one worker tree-walking the unsliced program), and
+# nothing else in production may run it — outside `#[cfg(test)]` code its
+# only callers under crates/*/src are its definition and `flor replay
+# --reference`.
 echo
-echo "==> slice-oracle gate (unsliced oracle present in tests/)"
-if ! grep -rq "slice: false" tests/ --include='*.rs'; then
-    echo "slice-oracle gate: no test replays with 'slice: false' — the differential oracle must stay slice-free" >&2
+echo "==> oracle gate (replay_reference: used by tests/, one production caller)"
+if ! grep -rq "replay_reference(" tests/ --include='*.rs'; then
+    echo "oracle gate: no test under tests/ calls replay_reference" >&2
     exit 1
 fi
-echo "slice-oracle gate: OK"
+# Production lines of a file: everything above its `#[cfg(test)]` module.
+prod_calls() {
+    local pattern="$1"
+    shift
+    find "$@" -name '*.rs' -print0 | xargs -0 awk -v pat="$pattern" \
+        'FNR == 1 { in_test = 0 } /^#\[cfg\(test\)\]/ { in_test = 1 }
+         !in_test && !/^[[:space:]]*\/\// && index($0, pat) { print FILENAME ":" FNR ": " $0 }'
+}
+oracle_sites=$(prod_calls "replay_reference(" crates/*/src)
+expected_sites='crates/cli/src/lib.rs
+crates/core/src/replay.rs'
+if [[ "$(cut -d: -f1 <<<"$oracle_sites" | sort)" != "$expected_sites" ]]; then
+    echo "$oracle_sites" >&2
+    echo "oracle gate: replay_reference may appear only at its definition and in cmd_replay" >&2
+    exit 1
+fi
+echo "oracle gate: OK"
+
+# One-front-end gate: the source diff and the slicer each run from exactly
+# one production call site — `ReplayPlan::build`. A second one is a second
+# place that can disagree about what a query is.
+echo
+echo "==> one-front-end gate (diff_programs / slice_program: one production call site each)"
+for fn in "diff_programs(" "slice_program("; do
+    sites=$(prod_calls "$fn" crates/core/src crates/registry/src)
+    if [[ $(grep -c . <<<"$sites") -ne 1 ]]; then
+        echo "$sites" >&2
+        echo "one-front-end gate: $fn must have exactly one non-test call site under crates/core/src + crates/registry/src" >&2
+        exit 1
+    fi
+done
+echo "one-front-end gate: OK"
 
 # Record-hot-path smoke bench: quick criterion pass + quick submit-latency
 # JSON (written under target/, never dirties the committed artifact).
@@ -81,10 +113,9 @@ run ./tools/bench.sh --quick
 BENCH_BANDS=(
     "BENCH_replay.json|BENCH_replay.quick.json|segmented.median_ns=lower|"
     "BENCH_compress.json|BENCH_compress.quick.json|delta_frame_ratio=lower|"
-    # The live steal-speedup columns are fixture- and host-load-dependent
-    # (the quick fixture replays once on whatever cores CI has), so the
-    # gate uses the deterministic paper-scale simulation of the same
-    # scheduler.
+    # The live columns are fixture- and host-load-dependent (the quick
+    # fixture replays once on whatever cores CI has), so the gate uses the
+    # deterministic paper-scale simulation of the same scheduler.
     "BENCH_replay_sched.json|BENCH_replay_sched.quick.json|sim_paper_scale.improvement=higher sim_paper_scale.profile_bound=higher|"
     # vm_speedup is a ratio of same-run walls and so scale-invariant — but
     # the tree-walker's wall is dominated by HashMap name traffic whose
@@ -92,10 +123,6 @@ BENCH_BANDS=(
     # catastrophe-only (a real VM regression is ≥2×; the committed
     # full-scale number is the precise record).
     "BENCH_interp.json|BENCH_interp.quick.json|vm_speedup=higher|0.55"
-    # slice_speedup ≈ the dead/live busy ratio of the fixture's inner
-    # loop, which quick and full modes share; memo_speedup grows with
-    # fixture scale, so the bench binary asserts its ≥10× floor internally.
-    "BENCH_slice.json|BENCH_slice.quick.json|slice_speedup=higher|"
     # The dedup bytes-on-disk ratio is a pure byte count, deterministic
     # across scales. (The mmap path is guarded inside bench_store_tier:
     # every touched segment is one map and zero heap fallbacks.)
