@@ -233,42 +233,29 @@ mod tests {
         assert!(m.median_submit_ns <= m.mean_submit_ns * 10);
     }
 
-    /// Regression test for the `BENCH_record.json` `Baseline zero_copy
-    /// 0.68×` anomaly: zero-copy submit looked slower than eager copy only
-    /// because it was the *first* sustained measurement of the process
-    /// (CPU frequency/quota ramp on shared hosts), never because the
-    /// zero-copy pipeline costs more — Baseline serializes the same bytes
-    /// on the caller either way; zero-copy just skips one copy. After a
-    /// steady-state warmup (which `bench_record_json` now performs before
-    /// its first real measurement) the two modes must be within noise.
+    /// What zero-copy means, checked without a clock: a `ZeroCopy`
+    /// payload's leaves hold the fixture's tensor slabs, so the training
+    /// side's next write to one copies it first (copy-on-write) and the
+    /// payload keeps the bytes it was built from; an `EagerCopy` payload
+    /// holds fresh buffers, so the write lands in place. (The timing ratio
+    /// is `bench_record_json`'s to print; on a shared host it is noise.)
     #[test]
-    fn baseline_zero_copy_is_not_slower_than_eager_after_warmup() {
-        let fixture = StateFixture::new(4, 32 * 1024);
-        // Two discarded measurements absorb the process ramp.
-        for tag in ["ss-warm-a", "ss-warm-b"] {
-            let _ = measure_submit(&fixture, Strategy::Baseline, SubmitMode::EagerCopy, 8, tag);
+    fn zero_copy_leaves_share_the_fixture_slabs() {
+        for mode in [SubmitMode::ZeroCopy, SubmitMode::EagerCopy] {
+            let mut fixture = StateFixture::new(2, 64);
+            let before = fixture.tensors[1].to_bytes();
+            let Payload::Deferred(snapshot) = fixture.build_payload(mode) else {
+                unreachable!("build_payload defers serialization")
+            };
+            // The payload now holds the only other handle to this slab, if any.
+            let mut tensor = fixture.tensors.pop().unwrap();
+            let slab = tensor.data().as_ptr();
+            tensor.data_mut()[0] += 1.0;
+            let copied = tensor.data().as_ptr() != slab;
+            assert_eq!(copied, mode == SubmitMode::ZeroCopy, "{mode:?}");
+            let tree = flor_chkpt::decode(&snapshot.serialize()).unwrap();
+            let leaf = tree.get("param.1").unwrap().as_bytes().unwrap();
+            assert_eq!(leaf.to_vec(), before, "{mode:?} payload keeps its bytes");
         }
-        let zero = measure_submit(
-            &fixture,
-            Strategy::Baseline,
-            SubmitMode::ZeroCopy,
-            8,
-            "ss-z",
-        );
-        let eager = measure_submit(
-            &fixture,
-            Strategy::Baseline,
-            SubmitMode::EagerCopy,
-            8,
-            "ss-e",
-        );
-        let ratio = zero.median_submit_ns as f64 / eager.median_submit_ns.max(1) as f64;
-        assert!(
-            ratio < 1.5,
-            "Baseline zero-copy must at worst match eager copy: {ratio:.2}× \
-             (zero {}ns vs eager {}ns)",
-            zero.median_submit_ns,
-            eager.median_submit_ns
-        );
     }
 }

@@ -5,7 +5,7 @@
 
 use flor_analysis::instrument::instrument;
 use flor_core::record::{record, run_vanilla, RecordOptions};
-use flor_core::replay::{replay, replay_reference, ReplayOptions};
+use flor_core::replay::{replay, replay_reference, ReplayOptions, ReplayReport};
 use flor_core::sample::replay_sample;
 use flor_core::InitMode;
 use flor_lang::{parse, print_program};
@@ -432,6 +432,13 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
         "# interpreter: {}",
         if reference { "reference" } else { "vm" }
     );
+    write_replay_trailer(&mut out, &report);
+    Ok(out)
+}
+
+/// The lines `flor replay` and `flor sample` both end with: what the
+/// slicer did, what the scheduler did, and every deferred-check anomaly.
+fn write_replay_trailer(out: &mut String, report: &ReplayReport) {
     match &report.slice_refusal {
         Some(reason) => {
             let _ = writeln!(out, "# slice: refused ({reason})");
@@ -455,7 +462,6 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
     for a in &report.anomalies {
         let _ = writeln!(out, "# ANOMALY: {a}");
     }
-    Ok(out)
 }
 
 fn cmd_sample(args: &Args) -> Result<String, CliError> {
@@ -484,6 +490,7 @@ fn cmd_sample(args: &Args) -> Result<String, CliError> {
         report.stats.restored,
         report.stats.executed
     );
+    write_replay_trailer(&mut out, &report);
     Ok(out)
 }
 
@@ -1180,6 +1187,39 @@ for epoch in range(4):
         assert!(out.contains("[it000001]"), "{out}");
         assert!(out.contains("[it000003]"), "{out}");
         assert!(!out.contains("[it000002]"), "{out}");
+        assert!(out.contains("# scheduler: 2 range(s) executed"), "{out}");
+        assert!(out.contains("# slice:"), "{out}");
+        assert!(!out.contains("ANOMALY"), "{out}");
+    }
+
+    #[test]
+    fn sample_of_an_impure_diff_reports_the_poisoning() {
+        let (store, script) = setup("sample-impure");
+        cli(&[
+            "record",
+            script.to_str().unwrap(),
+            "--store",
+            store.to_str().unwrap(),
+            "--no-adaptive",
+        ])
+        .unwrap();
+        let edited = script.with_file_name("edited.flr");
+        std::fs::write(&edited, SCRIPT.replace("lr=0.1", "lr=0.05")).unwrap();
+        let out = cli(&[
+            "sample",
+            edited.to_str().unwrap(),
+            "--store",
+            store.to_str().unwrap(),
+            "--iters",
+            "2",
+        ])
+        .unwrap();
+        assert!(out.contains("# sampled 1 iteration(s)"), "{out}");
+        assert!(
+            out.contains("# ANOMALY: source changed beyond hindsight logging"),
+            "{out}"
+        );
+        assert!(out.contains("# slice: refused"), "{out}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The FlorScript interpreter and its ML builtin surface.
 //!
 //! A tree-walking evaluator with Python reference semantics over
-//! [`crate::value::Value`]. It executes vanilla runs, record, sampling
-//! replay and the replay oracle ([`crate::replay::replay_reference`]);
-//! production replay executes the same value-level helpers and the same
+//! [`crate::value::Value`]. It executes vanilla runs, record and the
+//! replay oracle ([`crate::replay::replay_reference`]); production replay
+//! — sampled or not — executes the same value-level helpers and the same
 //! main-loop and skipblock drivers from compiled bytecode ([`crate::vm`]).
 //! Three execution modes share one code path:
 //!
@@ -14,8 +14,10 @@
 //!   adaptive controller and background materializer (paper §3.1).
 //! - **Replay** — SkipBlocks restore-or-execute depending on probes and
 //!   checkpoint availability; `flor.partition` hands the main loop to the
-//!   range scheduler, which spreads it over workers with strong or weak
-//!   initialization (paper §3.2, §5.4).
+//!   range executor, the one way replay runs a main loop: it pulls ranges
+//!   off the shared queue and initializes each where
+//!   [`ReplayPlan::init_start`](crate::replay::ReplayPlan::init_start)
+//!   says (paper §3.2, §5.4, §8).
 //!
 //! The builtin surface mirrors the PyTorch-style API the paper's analysis
 //! assumes: model constructors, `sgd`/`adam`, schedulers, data loaders, and
@@ -25,7 +27,7 @@ use crate::adaptive::AdaptiveController;
 use crate::env::Env;
 use crate::error::{rt, FlorError};
 use crate::logstream::{LogStream, Section};
-use crate::parallel::{InitMode, WorkerPlan};
+use crate::parallel::InitMode;
 use crate::skipblock;
 use crate::value::{Batch, DatasetObj, Obj, Value};
 use flor_chkpt::{CheckpointStore, Materializer};
@@ -38,7 +40,7 @@ use flor_ml::{
     SyntheticTokens,
 };
 use flor_tensor::{Pcg64, Tensor};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -146,12 +148,6 @@ pub struct ReplayCtx {
     pub blocks_this_iter: HashSet<String>,
     /// Restore/execute counters.
     pub stats: ReplayStats,
-    /// The partition this worker was seeded with (set by the main loop).
-    pub plan_used: Option<WorkerPlan>,
-    /// Sampling replay (paper §8): when set, visit only these main-loop
-    /// iterations (sorted, deduplicated), jump-initializing each from the
-    /// nearest checkpoint anchor. Overrides range scheduling.
-    pub sample: Option<Vec<u64>>,
     /// Per-worker checkpoint prefetcher, spawned with the worker's first
     /// range so checkpoint reads overlap with interpretation, and fed one
     /// micro-range at a time.
@@ -167,8 +163,7 @@ pub struct ReplayCtx {
 
 impl ReplayCtx {
     /// Worker `pid`'s context for `plan`, before its first statement. The
-    /// caller attaches what its kind of replay shares or restricts:
-    /// `runtime` and `sink`, or `sample`.
+    /// caller attaches the replay's shared `runtime` and `sink`.
     pub fn new(
         store: Arc<CheckpointStore>,
         plan: Arc<crate::replay::ReplayPlan>,
@@ -183,8 +178,6 @@ impl ReplayCtx {
             standalone_seq: HashMap::new(),
             blocks_this_iter: HashSet::new(),
             stats: ReplayStats::default(),
-            plan_used: None,
-            sample: None,
             prefetcher: None,
             runtime: None,
             sink: None,
@@ -342,78 +335,22 @@ impl Interp {
     }
 
     /// The mode dispatch behind [`Self::exec_main_loop`], shared by the
-    /// tree-walker and the VM's `MainLoop` op: the three shapes
-    /// (sequential, sampled, range-scheduled) are executor-agnostic once
-    /// iteration execution is behind [`LoopBody`].
+    /// tree-walker and the VM's `MainLoop` op: vanilla and record run every
+    /// iteration in order, replay hands the loop to the range executor.
+    /// Both are executor-agnostic once iteration execution is behind
+    /// [`LoopBody`].
     pub(crate) fn exec_main_loop_impl(
         &mut self,
         lb: &LoopBody<'_>,
         items: Vec<Value>,
     ) -> Result<(), FlorError> {
         let n = items.len() as u64;
-        match &mut self.mode {
+        match self.mode {
             Mode::Vanilla | Mode::Record(_) => {
                 for g in 0..n {
                     self.run_loop_iter(lb, g, items[g as usize].clone())?;
                 }
                 self.exit_main_loop();
-                Ok(())
-            }
-            Mode::Replay(ctx) if ctx.sample.is_some() => {
-                // Sampling replay (paper §8): visit only the sampled
-                // iterations. Each visit jump-initializes from the nearest
-                // checkpoint anchor at or before it, re-executing any gap.
-                let samples: Vec<u64> = ctx
-                    .sample
-                    .clone()
-                    .unwrap()
-                    .into_iter()
-                    .filter(|&g| g < n)
-                    .collect();
-                let anchors = ctx.plan.anchors(n, |b, g| ctx.store.contains(b, g));
-                // State progress: iterations already reflected in program
-                // state (exclusive upper bound).
-                let mut state_at = 0u64;
-                let mut first = true;
-                for &g in &samples {
-                    // Two ways to reach the state at the start of iteration
-                    // g: continue forward from the current state, or jump to
-                    // the nearest anchor a ≤ g (an anchor a > 0 means the
-                    // Loop End Checkpoint of iteration a-1 exists, so
-                    // initialization starts at a-1 to restore it). Pick
-                    // whichever needs fewer initialization iterations.
-                    let anchor = anchors.range(..=g).next_back().copied().unwrap_or(0);
-                    let jump_from = anchor.saturating_sub(1);
-                    let continue_cost = if !first && state_at <= g {
-                        Some(g - state_at)
-                    } else {
-                        None
-                    };
-                    let init_from = match continue_cost {
-                        Some(cc) if cc <= g - jump_from => state_at,
-                        _ => jump_from,
-                    };
-                    if let Mode::Replay(ctx) = &mut self.mode {
-                        ctx.phase = Phase::Init;
-                    }
-                    self.log.set_suppressed(true);
-                    for j in init_from..g {
-                        self.run_loop_iter(lb, j, items[j as usize].clone())?;
-                    }
-                    self.log.set_suppressed(false);
-                    if let Mode::Replay(ctx) = &mut self.mode {
-                        ctx.phase = Phase::Work;
-                    }
-                    self.run_loop_iter(lb, g, items[g as usize].clone())?;
-                    state_at = g + 1;
-                    first = false;
-                }
-                self.exit_main_loop();
-                // Sampled replay never owns the final state unless the last
-                // sample is the last iteration.
-                if state_at < n {
-                    self.log.set_suppressed(true);
-                }
                 Ok(())
             }
             Mode::Replay(_) => self.exec_main_loop_ranges(lb, &items, n),
@@ -427,14 +364,15 @@ impl Interp {
     /// from the shared [`RangeQueue`](crate::parallel::RangeQueue): its own
     /// contiguous seed first (each pop continues exactly where the last
     /// range ended — no re-initialization), then steals off stragglers. A
-    /// stolen range is a fresh init+work segment: the worker re-initializes
-    /// via checkpoint restores (rolling forward under strong init, jumping
-    /// to the range's anchor under weak init) and appends the range's
-    /// restore schedule to its [`Prefetcher`](crate::prefetch::Prefetcher).
-    /// Completed ranges are drained from the log and streamed to the
-    /// incremental merger immediately. A context with no shared runtime
-    /// drains a one-worker queue of its own through the same loop, and
-    /// streams nothing.
+    /// range that does not continue the worker's state is a fresh
+    /// init+work segment starting where
+    /// [`ReplayPlan::init_start`](crate::replay::ReplayPlan::init_start)
+    /// says — a stolen range, or the next iteration of a sampled replay —
+    /// and appends its restore schedule to the worker's
+    /// [`Prefetcher`](crate::prefetch::Prefetcher). Completed ranges are
+    /// drained from the log and streamed to the incremental merger
+    /// immediately. A context with no shared runtime drains a one-worker
+    /// queue of its own through the same loop, and streams nothing.
     fn exec_main_loop_ranges(
         &mut self,
         lb: &LoopBody<'_>,
@@ -447,18 +385,25 @@ impl Interp {
         // Taken, not borrowed: a second `flor.partition` loop (not the
         // paper's model, but legal input) finds the shared queue consumed
         // by this one and runs locally.
-        let pid = ctx.pid;
+        let (pid, plan) = (ctx.pid, ctx.plan.clone());
         let (runtime, deque, sink) = match ctx.runtime.take() {
             Some(shared) => (shared, pid, ctx.sink.clone()),
             None => {
-                let local = crate::replay::ReplayRuntime::new(1, InitMode::Strong);
+                let opts = crate::replay::ReplayOptions::default();
+                let local = crate::replay::ReplayRuntime::new(&plan, &opts);
                 (Arc::new(local), 0, None)
             }
         };
+        let init_mode = runtime.init_mode;
+        let anchors = match init_mode {
+            InitMode::Weak => plan.anchors(n, |b, g| ctx.store.contains(b, g)),
+            InitMode::Strong => BTreeSet::new(),
+        };
         // Seed the queue once; workers race, all would compute the same
         // deterministic seeding, the first wins.
-        let seeded = runtime.queue.seed_once(n, || runtime.seed_ranges(ctx, n));
-        let (init_mode, rewind_ok) = (runtime.init_mode, ctx.plan.rewind_ok());
+        let seeded = runtime
+            .queue
+            .seed_once(n, || runtime.seed_ranges(&plan, n, &anchors));
         // Replay workers trace on their own lane, keyed by pid.
         flor_obs::set_lane(pid as u32, &format!("worker-{pid}"));
         if seeded {
@@ -477,35 +422,16 @@ impl Interp {
         // Program state sits at the start of this iteration (exclusive
         // upper bound of applied iterations); the preamble leaves it at 0.
         let mut state_at = 0u64;
-        while let Some(next) = runtime.queue.next(deque, state_at, rewind_ok) {
+        while let Some(next) = runtime.queue.next(deque, state_at, plan.rewind_ok()) {
             if runtime.cancelled() {
                 return Err(FlorError::Cancelled);
             }
             let range = next.range;
-            // Initialization segment for this range. A seed pop continues
-            // where the previous range ended (no init); a steal rolls
-            // checkpoints forward from the current state (strong) or jumps
-            // to the range's anchor (weak). A backward steal under strong
-            // init must rewind to iteration 0 — the queue avoids handing
-            // those out unless nothing else remains.
-            let init_from = match init_mode {
-                InitMode::Strong => {
-                    if state_at <= range.start {
-                        state_at
-                    } else {
-                        0
-                    }
-                }
-                InitMode::Weak => {
-                    if state_at == range.start {
-                        range.start
-                    } else {
-                        // Range starts are anchors: iteration start-1 has a
-                        // full Loop End Checkpoint to jump from.
-                        range.start.saturating_sub(1)
-                    }
-                }
-            };
+            // A seed pop continues where the previous range ended (no
+            // init). A backward steal under strong init rewinds to
+            // iteration 0 — the queue avoids handing those out unless
+            // nothing else remains.
+            let init_from = plan.init_start(init_mode, state_at, range.start, &anchors);
             // This range's restore schedule is now fixed and this worker's
             // alone (a range can no longer be stolen once popped): hand it
             // to the prefetcher, which reads each of its checkpoints
@@ -514,9 +440,7 @@ impl Interp {
                 let Mode::Replay(ctx) = &mut self.mode else {
                     unreachable!()
                 };
-                let keys = ctx
-                    .plan
-                    .restore_schedule(init_from..range.start, range.iters());
+                let keys = plan.restore_schedule(init_from..range.start, range.iters());
                 match &ctx.prefetcher {
                     Some(p) => p.extend(keys),
                     None if keys.is_empty() => {}
@@ -588,21 +512,6 @@ impl Interp {
         }
 
         self.exit_main_loop();
-        let Mode::Replay(ctx) = &mut self.mode else {
-            unreachable!()
-        };
-        // Report the seeded span as this worker's plan (stealing blurs the
-        // boundary, but the seed is what partitioning decided).
-        ctx.plan_used = runtime.queue.seeded_span(deque).map(|span| WorkerPlan {
-            pid,
-            work_start: span.start,
-            work_end: span.end,
-            init_start: match init_mode {
-                _ if span.start == 0 => 0,
-                InitMode::Strong => 0,
-                InitMode::Weak => span.start - 1,
-            },
-        });
         // Only a worker ending at the final iteration owns the true final
         // state; everyone else's postamble is suppressed. No worker owns
         // an empty main loop.

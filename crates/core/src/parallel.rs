@@ -339,20 +339,6 @@ pub fn seed_cost_ranges(
     deques
 }
 
-/// [`seed_cost_ranges`] flattened: the contiguous micro-range cover of
-/// `0..n_iters` in ascending order (the seeding's range inventory).
-pub fn split_micro_ranges(
-    n_iters: u64,
-    workers: usize,
-    costs: &[u64],
-    anchors: Option<&std::collections::BTreeSet<u64>>,
-) -> Vec<MicroRange> {
-    seed_cost_ranges(n_iters, workers, costs, anchors)
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 /// What [`RangeQueue::next`] hands a worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NextRange {
@@ -365,9 +351,6 @@ pub struct NextRange {
 struct QueueState {
     seeded: bool,
     deques: Vec<std::collections::VecDeque<MicroRange>>,
-    /// Snapshot of each worker's seeded span (taken at seed time — the
-    /// live deques drain as workers pull).
-    spans: Vec<Option<MicroRange>>,
     /// Per-iteration cost estimates used at seed time (empty = uniform);
     /// victim selection weighs remaining ranges by it.
     iter_cost: Vec<u64>,
@@ -414,7 +397,6 @@ impl RangeQueue {
             state: parking_lot::Mutex::new(QueueState {
                 seeded: false,
                 deques: vec![std::collections::VecDeque::new(); workers],
-                spans: vec![None; workers],
                 iter_cost: Vec::new(),
                 n_iters: 0,
             }),
@@ -438,16 +420,6 @@ impl RangeQueue {
         }
         let (deques, iter_cost) = seed();
         state.iter_cost = iter_cost;
-        state.spans = deques
-            .iter()
-            .map(|d| {
-                let (first, last) = (d.first()?, d.last()?);
-                Some(MicroRange {
-                    start: first.start,
-                    end: last.end,
-                })
-            })
-            .collect();
         state.deques = deques
             .into_iter()
             .map(std::collections::VecDeque::from)
@@ -455,12 +427,6 @@ impl RangeQueue {
         state.n_iters = n_iters;
         state.seeded = true;
         true
-    }
-
-    /// The contiguous span seeded for `pid` (for reporting; a snapshot
-    /// taken at seed time, stable as the live deques drain).
-    pub fn seeded_span(&self, pid: usize) -> Option<MicroRange> {
-        self.state.lock().spans.get(pid).copied().flatten()
     }
 
     /// Pops the next range for worker `pid`, whose program state currently
@@ -541,11 +507,6 @@ impl RangeQueue {
     /// Ranges stolen so far.
     pub fn steals(&self) -> u64 {
         self.steals.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// One past the last global iteration (0 before seeding).
-    pub fn n_iters(&self) -> u64 {
-        self.state.lock().n_iters
     }
 }
 
@@ -825,7 +786,7 @@ mod tests {
     #[test]
     fn uniform_split_covers_and_balances() {
         let costs = vec![10u64; 64];
-        let ranges = split_micro_ranges(64, 4, &costs, None);
+        let ranges = seed_cost_ranges(64, 4, &costs, None).concat();
         assert_ranges_cover(64, &ranges);
         assert!(
             ranges.len() >= 8 && ranges.len() <= 64,
@@ -840,7 +801,7 @@ mod tests {
         // so a steal can move everything around it.
         let mut costs = vec![1u64; 32];
         costs[17] = 1000;
-        let ranges = split_micro_ranges(32, 4, &costs, None);
+        let ranges = seed_cost_ranges(32, 4, &costs, None).concat();
         assert_ranges_cover(32, &ranges);
         let heavy = ranges
             .iter()
@@ -856,7 +817,7 @@ mod tests {
     #[test]
     fn zero_cost_iterations_do_not_degenerate_the_split() {
         let costs = vec![0u64; 20];
-        let ranges = split_micro_ranges(20, 4, &costs, None);
+        let ranges = seed_cost_ranges(20, 4, &costs, None).concat();
         assert_ranges_cover(20, &ranges);
         // Zero costs are floored to 1, so the split is the uniform one, not
         // a single all-covering range and not 20 singletons per worker.
@@ -865,7 +826,7 @@ mod tests {
 
     #[test]
     fn split_with_more_workers_than_iterations() {
-        let ranges = split_micro_ranges(3, 16, &[5, 5, 5], None);
+        let ranges = seed_cost_ranges(3, 16, &[5, 5, 5], None).concat();
         assert_ranges_cover(3, &ranges);
         assert_eq!(ranges.len(), 3, "one singleton range per iteration");
     }
@@ -873,7 +834,7 @@ mod tests {
     #[test]
     fn split_without_profile_falls_back_to_uniform() {
         // Empty cost slice = profile missing: every iteration costs 1.
-        let ranges = split_micro_ranges(40, 4, &[], None);
+        let ranges = seed_cost_ranges(40, 4, &[], None).concat();
         assert_ranges_cover(40, &ranges);
         let lens: Vec<u64> = ranges.iter().map(MicroRange::len).collect();
         let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
@@ -885,7 +846,7 @@ mod tests {
         // Profile covers only the first 4 of 16 iterations (e.g. a block
         // whose loop ran longer at replay than at record).
         let costs = vec![100u64, 100, 100, 100];
-        let ranges = split_micro_ranges(16, 2, &costs, None);
+        let ranges = seed_cost_ranges(16, 2, &costs, None).concat();
         assert_ranges_cover(16, &ranges);
         assert!(ranges.len() >= 4);
     }
@@ -896,7 +857,7 @@ mod tests {
         let anchors: BTreeSet<u64> = [0u64, 10, 20, 30].into_iter().collect();
         let mut costs = vec![1u64; 40];
         costs[5] = 1000; // heavy iteration inside the first interval
-        let ranges = split_micro_ranges(40, 4, &costs, Some(&anchors));
+        let ranges = seed_cost_ranges(40, 4, &costs, Some(&anchors)).concat();
         assert_ranges_cover(40, &ranges);
         for r in &ranges {
             assert!(
@@ -913,8 +874,8 @@ mod tests {
 
     #[test]
     fn degenerate_split_inputs() {
-        assert!(split_micro_ranges(0, 4, &[], None).is_empty());
-        assert!(split_micro_ranges(4, 0, &[], None).is_empty());
+        assert!(seed_cost_ranges(0, 4, &[], None).concat().is_empty());
+        assert!(seed_cost_ranges(4, 0, &[], None).concat().is_empty());
     }
 
     #[test]
@@ -1103,8 +1064,10 @@ mod tests {
             Vec::new()
         )));
         assert!(!q.seed_once(2, || panic!("second seed must not run")));
-        assert_eq!(q.n_iters(), 2);
-        assert_eq!(q.seeded_span(0), Some(MicroRange { start: 0, end: 2 }));
+        assert_eq!(
+            q.next(0, 0, true).unwrap().range,
+            MicroRange { start: 0, end: 2 }
+        );
     }
 
     #[test]

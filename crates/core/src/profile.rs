@@ -13,7 +13,7 @@
 //! [`ProfileBuilder`] accumulates the per-iteration observations during
 //! record; [`CostProfile`] is the persisted artifact
 //! ([`COST_PROFILE_ARTIFACT`]) the replay planner loads to size micro-ranges
-//! ([`crate::parallel::split_micro_ranges`]) and to compute the
+//! ([`crate::parallel::seed_cost_ranges`]) and to compute the
 //! profile-aware speedup bound
 //! ([`crate::parallel::max_speedup_profiled`]).
 

@@ -13,13 +13,16 @@
 //!    probes, attributed to their enclosing SkipBlock; anything else
 //!    poisons checkpoint reuse — then slice the program down to the
 //!    dependency cone of its log statements. Every later decision (which
-//!    blocks restore, whether a worker may rewind, how ranges are priced)
-//!    is a method on the plan.
+//!    blocks restore, whether a worker may rewind or jump to an anchor,
+//!    where a range's initialization starts, how ranges are priced) is a
+//!    method on the plan.
 //! 2. [`replay_plan`] compiles the sliced program to bytecode and runs `G`
 //!    workers against a shared [`ReplayRuntime`]: each pulls cost-sized
 //!    micro-ranges off the work-stealing queue (seeded contiguously to
 //!    preserve strong/weak initialization semantics and checkpoint-restore
-//!    locality; drained workers take load off stragglers).
+//!    locality; drained workers take load off stragglers). Sampling
+//!    replay ([`crate::sample`]) runs the same executor over a queue
+//!    seeded with one range per sampled iteration.
 //! 3. Completed ranges stream into the incremental merger, which emits the
 //!    record-order prefix as soon as it is contiguous — no barrier join —
 //!    and runs the deferred correctness check on that prefix: the replayed
@@ -32,7 +35,7 @@
 use crate::error::FlorError;
 use crate::interp::{Interp, Mode, ReplayCtx, ReplayStats};
 use crate::logstream::{LogEntry, LogStream, Section};
-use crate::parallel::{seed_cost_ranges, InitMode, MicroRange, RangeQueue, WorkerPlan};
+use crate::parallel::{seed_cost_ranges, InitMode, MicroRange, RangeQueue};
 use crate::profile::{sliced_cost, CostProfile, COST_PROFILE_ARTIFACT};
 use crate::record::{fnv1a64, source_version};
 use crate::stream::{RangeSink, StreamEvent, StreamMsg, StreamingMerger};
@@ -221,11 +224,6 @@ impl ReplayPlan {
         })
     }
 
-    /// Probes detected by the source diff.
-    pub fn probes(&self) -> &[ProbeSite] {
-        &self.diff.probes
-    }
-
     /// The slicer's plan; `fallback` says why it refused, if it did.
     pub fn slice(&self) -> &SlicePlan {
         &self.slice
@@ -258,26 +256,55 @@ impl ReplayPlan {
         !self.diff.is_pure_hindsight()
     }
 
-    /// The initialization mode workers actually use. Poisoned reuse
-    /// re-executes every iteration; weak init's anchor jump is a
-    /// checkpoint restore, which poisoning disables, so the only sound
-    /// initialization is then strong rolling re-execution from 0.
+    /// Whether checkpoint restores alone rebuild the main loop's state.
+    /// Poisoned reuse re-executes instead of restoring, and loop-carried
+    /// state outside every skipblock changeset is repaired by no restore;
+    /// either way, skipping iterations on the strength of restores (an
+    /// anchor jump, a rewind) starts from the wrong state.
+    fn restores_rebuild_state(&self) -> bool {
+        !self.force_execute_all() && !self.outer_carried
+    }
+
+    /// The initialization mode workers actually use: weak init's anchor
+    /// jump is sound only where restores rebuild the loop state; elsewhere
+    /// the only sound initialization is strong rolling re-execution.
     pub fn init_mode(&self, requested: InitMode) -> InitMode {
-        if self.force_execute_all() {
-            InitMode::Strong
-        } else {
+        if self.restores_rebuild_state() {
             requested
+        } else {
+            InitMode::Strong
         }
     }
 
-    /// Whether a worker may take a range *behind* its current state.
-    /// Rewinding rebuilds earlier state by checkpoint restores in the
-    /// init phase; poisoned reuse re-executes instead, so a rewound
-    /// prefix would run from already-advanced state and corrupt it. The
-    /// same goes for loop-carried state outside every skipblock
-    /// changeset: no restore repairs it.
+    /// Whether a worker may take a range *behind* its current state:
+    /// rewinding rebuilds earlier state by restores from iteration 0.
     pub fn rewind_ok(&self) -> bool {
-        !self.force_execute_all() && !self.outer_carried
+        self.restores_rebuild_state()
+    }
+
+    /// The iteration a range's initialization segment starts from, for a
+    /// worker whose program state sits at `state_at` (exclusive bound of
+    /// the iterations applied) and a range starting at `start`. Strong
+    /// init rolls forward from `state_at`, or from 0 when `state_at` is
+    /// past `start`. Weak init takes the cheaper of rolling forward and
+    /// jumping to `a - 1`, where `a` is the nearest of `anchors` at or
+    /// before `start` (iteration `a - 1`'s Loop End Checkpoint exists).
+    pub fn init_start(
+        &self,
+        mode: InitMode,
+        state_at: u64,
+        start: u64,
+        anchors: &BTreeSet<u64>,
+    ) -> u64 {
+        let forward = (state_at <= start).then_some(state_at);
+        match mode {
+            InitMode::Strong => forward.unwrap_or(0),
+            InitMode::Weak => {
+                let anchor = anchors.range(..=start).next_back().copied();
+                let jump = anchor.unwrap_or(0).saturating_sub(1);
+                forward.map_or(jump, |s| s.max(jump))
+            }
+        }
     }
 
     /// Per-iteration cost estimates that price `0..n` for range seeding
@@ -371,16 +398,23 @@ pub struct ReplayRuntime {
     pub init_mode: InitMode,
     /// Cancellation token for this replay, if the caller wants one.
     pub cancel: Option<crate::parallel::CancelToken>,
+    /// Sampling replay (paper §8): when set, the queue holds one
+    /// single-iteration range per listed iteration below the loop's
+    /// length instead of a cover of the whole loop.
+    pub(crate) sample: Option<BTreeSet<u64>>,
 }
 
 impl ReplayRuntime {
-    /// Runtime for `workers` workers.
-    pub fn new(workers: usize, init_mode: InitMode) -> Self {
+    /// Runtime for one replay of `plan` under `opts`, with the
+    /// initialization mode the plan allows.
+    pub fn new(plan: &ReplayPlan, opts: &ReplayOptions) -> Self {
+        let workers = opts.workers.max(1);
         ReplayRuntime {
             queue: RangeQueue::new(workers),
             workers,
-            init_mode,
-            cancel: None,
+            init_mode: plan.init_mode(opts.init_mode),
+            cancel: opts.cancel.clone(),
+            sample: None,
         }
     }
 
@@ -394,16 +428,29 @@ impl ReplayRuntime {
     /// (every worker would compute the same result): iterations are split
     /// into micro-ranges sized by [`ReplayPlan::range_costs`] and seeded
     /// contiguously, balanced by cost, with boundaries clamped to
-    /// checkpoint anchors under weak initialization. Returns the deques
-    /// plus the cost vector they were balanced by (the queue weighs
-    /// victims with it).
-    pub fn seed_ranges(&self, ctx: &ReplayCtx, n: u64) -> (Vec<Vec<MicroRange>>, Vec<u64>) {
-        let costs = ctx.plan.range_costs(n);
-        let anchors = match self.init_mode {
-            InitMode::Strong => None,
-            InitMode::Weak => Some(ctx.plan.anchors(n, |b, g| ctx.store.contains(b, g))),
+    /// `anchors` under weak initialization. A sampled replay seeds worker
+    /// 0 alone, with its iterations. Returns the deques plus the cost
+    /// vector they were balanced by (the queue weighs victims with it).
+    pub fn seed_ranges(
+        &self,
+        plan: &ReplayPlan,
+        n: u64,
+        anchors: &BTreeSet<u64>,
+    ) -> (Vec<Vec<MicroRange>>, Vec<u64>) {
+        let costs = plan.range_costs(n);
+        let deques = match &self.sample {
+            Some(iters) => {
+                let one = |&g: &u64| MicroRange {
+                    start: g,
+                    end: g + 1,
+                };
+                vec![iters.range(..n).map(one).collect()]
+            }
+            None => {
+                let anchors = (self.init_mode == InitMode::Weak).then_some(anchors);
+                seed_cost_ranges(n, self.workers, &costs, anchors)
+            }
         };
-        let deques = seed_cost_ranges(n, self.workers, &costs, anchors.as_ref());
         (deques, costs)
     }
 }
@@ -427,8 +474,6 @@ pub struct ReplayReport {
     pub slice_refusal: Option<String>,
     /// Wall-clock time of the replay, ns.
     pub wall_ns: u64,
-    /// Each worker's seeded partition (None for workers with no share).
-    pub worker_plans: Vec<Option<WorkerPlan>>,
 }
 
 impl ReplayReport {
@@ -535,7 +580,8 @@ pub fn replay_plan(
         }
         None => crate::vm::compile_program_sliced(&plan.program, &plan.slice.dead)?,
     };
-    run_plan(plan, store, opts, Some(module), &mut on_event)
+    let runtime = ReplayRuntime::new(&plan, opts);
+    run_plan(plan, store, runtime, Some(module), &mut on_event)
 }
 
 /// The differential oracle: one worker tree-walking the *unsliced*
@@ -549,15 +595,16 @@ pub fn replay_reference(
 ) -> Result<ReplayReport, FlorError> {
     let store = Arc::new(CheckpointStore::open(store_root.into())?);
     let plan = Arc::new(ReplayPlan::prepare(&store, new_src)?);
-    run_plan(plan, store, &ReplayOptions::default(), None, &mut |_| {})
+    let runtime = ReplayRuntime::new(&plan, &ReplayOptions::default());
+    run_plan(plan, store, runtime, None, &mut |_| {})
 }
 
-/// Runs the workers and the merger. `module: None` tree-walks
+/// Runs `runtime`'s workers and the merger. `module: None` tree-walks
 /// `plan.program` in full instead of executing the compiled slice.
-fn run_plan(
+pub(crate) fn run_plan(
     plan: Arc<ReplayPlan>,
     store: Arc<CheckpointStore>,
-    opts: &ReplayOptions,
+    runtime: ReplayRuntime,
     module: Option<Arc<Module>>,
     on_event: &mut dyn FnMut(StreamEvent<'_>),
 ) -> Result<ReplayReport, FlorError> {
@@ -574,9 +621,7 @@ fn run_plan(
     // point.
     let t0 = flor_obs::clock::now_ns();
     let delta_counters_before = store.delta_read_counters();
-    let workers = opts.workers.max(1);
-    let mut runtime = ReplayRuntime::new(workers, plan.init_mode(opts.init_mode));
-    runtime.cancel = opts.cancel.clone();
+    let workers = runtime.workers;
     let runtime = Arc::new(runtime);
     let (tx, rx) = std::sync::mpsc::channel::<StreamMsg>();
     let mut handles = Vec::with_capacity(workers);
@@ -587,7 +632,7 @@ fn run_plan(
         ctx.sink = Some(sink.clone());
         let module = module.clone();
         handles.push(std::thread::spawn(
-            move || -> Result<(ReplayStats, Option<WorkerPlan>), FlorError> {
+            move || -> Result<ReplayStats, FlorError> {
                 let plan = ctx.plan.clone();
                 let mut interp = Interp::new(Mode::Replay(Box::new(ctx)));
                 match &module {
@@ -599,15 +644,14 @@ fn run_plan(
                 };
                 // Whatever the main loop didn't drain: preamble entries of
                 // a loop-less program, and the postamble (suppressed — and
-                // therefore empty — unless this worker owns the final
-                // state).
+                // therefore empty — unless this worker owns the final state).
                 let leftover = interp.log.into_entries();
                 let (pre, post): (Vec<LogEntry>, Vec<LogEntry>) = leftover
                     .into_iter()
                     .partition(|e| e.section == Section::Pre);
                 sink.send(StreamMsg::Pre { pid, entries: pre });
                 sink.send(StreamMsg::Post { entries: post });
-                Ok((ctx.stats, ctx.plan_used))
+                Ok(ctx.stats)
             },
         ));
     }
@@ -620,9 +664,8 @@ fn run_plan(
     merger.run(&rx);
 
     let mut stats = ReplayStats::default();
-    let mut worker_plans = Vec::with_capacity(workers);
     for h in handles {
-        let (s, plan) = h
+        let s = h
             .join()
             .map_err(|_| crate::error::rt("replay worker panicked"))??;
         stats.restored += s.restored;
@@ -630,7 +673,6 @@ fn run_plan(
         stats.restore_ns += s.restore_ns;
         stats.prefetch_hits += s.prefetch_hits;
         stats.ranges_executed += s.ranges_executed;
-        worker_plans.push(plan);
     }
     let (merged, mut anomalies, first_entry_ns) = merger.finish();
     stats.steals = runtime.queue.steals();
@@ -671,7 +713,6 @@ fn run_plan(
         stats,
         slice_refusal: module.and(plan.slice.fallback.clone()),
         wall_ns,
-        worker_plans,
     })
 }
 
@@ -835,6 +876,25 @@ for epoch in flor.partition(range(5)):
         let plan = ReplayPlan::build(&recorded(src), src, None, |_, _| true).unwrap();
         assert!(plan.outer_carried && !plan.rewind_ok());
         assert!(!plan.force_execute_all());
+        // An anchor jump skips the outer body just as a rewind does.
+        assert_eq!(plan.init_mode(InitMode::Weak), InitMode::Strong);
+    }
+
+    #[test]
+    fn plan_places_init_starts() {
+        let plan = build(&inner_probed());
+        let (strong, weak) = (InitMode::Strong, InitMode::Weak);
+        let anchors = BTreeSet::from([0, 2, 5]);
+        // Strong rolls forward, and rewinds to 0 from past the start.
+        assert_eq!(plan.init_start(strong, 1, 4, &anchors), 1);
+        assert_eq!(plan.init_start(strong, 5, 4, &anchors), 0);
+        // Weak jumps to the nearest anchor's checkpoint (anchor 2 → 1)
+        // unless rolling forward is no longer.
+        assert_eq!(plan.init_start(weak, 0, 4, &anchors), 1);
+        assert_eq!(plan.init_start(weak, 3, 4, &anchors), 3);
+        assert_eq!(plan.init_start(weak, 4, 4, &anchors), 4);
+        assert_eq!(plan.init_start(weak, 6, 4, &anchors), 1);
+        assert_eq!(plan.init_start(weak, 6, 1, &anchors), 0);
     }
 
     #[test]
@@ -1123,21 +1183,6 @@ log(\"accuracy\", acc)
             report.stats.stream_first_entry_ns <= report.wall_ns,
             "first entry must not be after the replay finished"
         );
-    }
-
-    #[test]
-    fn parallel_plans_partition_the_epochs() {
-        let root = tmproot("plans");
-        record(TRAIN_SRC, &opts_exact(&root)).unwrap();
-        let rep = replay(&inner_probed(), &root, &ReplayOptions::with_workers(3)).unwrap();
-        let mut covered: Vec<u64> = rep
-            .worker_plans
-            .iter()
-            .flatten()
-            .flat_map(|p| p.work_iters())
-            .collect();
-        covered.sort_unstable();
-        assert_eq!(covered, (0..6).collect::<Vec<_>>());
     }
 
     #[test]

@@ -8,53 +8,56 @@
 //! main loop. Random access to loop iterations enables Flor to schedule the
 //! order of traversal (e.g. for binary search)."
 //!
-//! [`replay_sample`] replays only the requested main-loop iterations,
-//! jump-initializing each from the nearest checkpoint anchor.
+//! Sampling is not a second executor: [`replay_sample`] runs the one range
+//! executor ([`crate::replay`]) over a queue seeded with one range per
+//! requested iteration, sliced, prefetched and checked like any replay.
+//! It asks for weak initialization, so each sampled iteration starts from
+//! the nearest checkpoint anchor or continues from the last one, whichever
+//! is cheaper — and the plan demotes that to strong rolling
+//! initialization where restores cannot rebuild the loop state.
 //! [`binary_search`] exploits the random access: given a monotone predicate
 //! over a single iteration's hindsight output (e.g. "has the loss
 //! converged?"), it finds the first satisfying iteration in O(log n)
 //! sampled replays instead of a full scan.
 
 use crate::error::FlorError;
-use crate::interp::{Interp, Mode, ReplayCtx};
 use crate::logstream::{LogEntry, Section};
-use crate::replay::{ReplayPlan, ReplayReport};
+use crate::parallel::InitMode;
+use crate::replay::{run_plan, ReplayOptions, ReplayPlan, ReplayReport, ReplayRuntime};
 use flor_chkpt::CheckpointStore;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Replays only the given main-loop iterations (any order; duplicates are
-/// collapsed). The returned report's log contains entries for exactly the
-/// sampled iterations (plus preamble).
+/// collapsed, iterations past the loop ignored). The returned report's log
+/// contains entries for exactly the sampled iterations (plus preamble, and
+/// the postamble when the last iteration is sampled).
 pub fn replay_sample(
     new_src: &str,
     store_root: impl Into<PathBuf>,
     iterations: &[u64],
 ) -> Result<ReplayReport, FlorError> {
-    let store = Arc::new(CheckpointStore::open(store_root.into())?);
+    sampler(new_src, store_root.into())?(iterations)
+}
+
+/// Opens the store, builds the plan and compiles its module once, and
+/// returns a function running one sampled replay per call over them.
+fn sampler(
+    new_src: &str,
+    store_root: PathBuf,
+) -> Result<impl Fn(&[u64]) -> Result<ReplayReport, FlorError>, FlorError> {
+    let store = Arc::new(CheckpointStore::open(store_root)?);
     let plan = Arc::new(ReplayPlan::prepare(&store, new_src)?);
-
-    let mut sample: Vec<u64> = iterations.to_vec();
-    sample.sort_unstable();
-    sample.dedup();
-
-    let t0 = flor_obs::clock::now_ns();
-    let mut ctx = ReplayCtx::new(store, plan.clone(), 0);
-    ctx.sample = Some(sample);
-    let mut interp = Interp::new(Mode::Replay(Box::new(ctx)));
-    interp.run(&plan.program)?;
-    let Mode::Replay(ctx) = interp.mode else {
-        unreachable!()
+    let module = crate::vm::compile_program_sliced(&plan.program, &plan.slice.dead)?;
+    let opts = ReplayOptions {
+        init_mode: InitMode::Weak,
+        ..ReplayOptions::default()
     };
-    Ok(ReplayReport {
-        log: interp.log.into_entries(),
-        probes: plan.probes().to_vec(),
-        other_changes: plan.diff.other_changes.clone(),
-        anomalies: Vec::new(), // sampled output is partial by design
-        stats: ctx.stats,
-        slice_refusal: None,
-        wall_ns: flor_obs::clock::since_ns(t0),
-        worker_plans: vec![None],
+    Ok(move |iterations: &[u64]| {
+        let mut runtime = ReplayRuntime::new(&plan, &opts);
+        runtime.sample = Some(iterations.iter().copied().collect());
+        let module = Some(module.clone());
+        run_plan(plan.clone(), store.clone(), runtime, module, &mut |_| {})
     })
 }
 
@@ -74,19 +77,21 @@ pub fn iteration_entries(report: &ReplayReport, g: u64) -> Vec<&LogEntry> {
 /// satisfies it.
 ///
 /// Each probe costs one single-iteration sampled replay, so the total cost
-/// is O(log n) sampled replays instead of a full sequential scan.
+/// is O(log n) sampled replays instead of a full sequential scan; the
+/// store, the plan and the compiled module are shared by all of them.
 pub fn binary_search(
     new_src: &str,
-    store_root: impl Into<PathBuf> + Clone,
+    store_root: impl Into<PathBuf>,
     n_iters: u64,
     mut pred: impl FnMut(&[&LogEntry]) -> bool,
 ) -> Result<Option<u64>, FlorError> {
+    let sample = sampler(new_src, store_root.into())?;
     let mut lo = 0u64;
     let mut hi = n_iters; // invariant: pred true at all known ≥ hi
     let mut found = None;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let report = replay_sample(new_src, store_root.clone(), &[mid])?;
+        let report = sample(&[mid])?;
         let entries = iteration_entries(&report, mid);
         if pred(&entries) {
             found = Some(mid);

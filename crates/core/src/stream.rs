@@ -8,9 +8,11 @@
 //! merger: workers send each completed micro-range's entries over a
 //! channel, and [`StreamingMerger`] emits the record-order prefix as soon
 //! as it becomes contiguous — preamble first, then iterations in global
-//! order, then the postamble once the final owner finishes. The deferred
-//! fingerprint check (paper §5.2.2) runs incrementally on the same prefix,
-//! so anomalies surface with the entries that caused them, not at the end.
+//! order, then the postamble once the final owner finishes. A sampled
+//! replay's ranges never become contiguous; they flush in iteration order
+//! when the merge finishes. The deferred fingerprint check (paper §5.2.2)
+//! runs incrementally on the same prefix, so anomalies surface with the
+//! entries that caused them, not at the end.
 //!
 //! The merge is byte-identical to the old barrier merge
 //! ([`merge_worker_logs`]) for every partitioning and steal order —
@@ -256,18 +258,23 @@ impl<'a> StreamingMerger<'a> {
         }
     }
 
-    /// Finishes the merge: emits the postamble (and any pre that never
-    /// emitted because no ranges arrived), returning the full merged log,
-    /// the anomalies found, and the time-to-first-entry (ns since `t0`;
-    /// 0 when nothing was ever emitted).
+    /// Finishes the merge: emits any pre that never emitted because no
+    /// ranges arrived, the ranges a gap kept pending (a sampled replay's),
+    /// in iteration order, and the postamble — returning the full merged
+    /// log, the anomalies found, and the time-to-first-entry (ns since
+    /// `t0`; 0 when nothing was ever emitted).
     pub fn finish(mut self) -> (Vec<LogEntry>, Vec<String>, u64) {
         // A replay with zero iterations still has a preamble.
         if !self.pre_emitted {
+            self.pre_emitted = true;
             if let Some(pre) = self.pre.take() {
-                self.pre_emitted = true;
                 self.check_section(Section::Pre, &pre);
                 self.emit(pre);
             }
+        }
+        while let Some(&start) = self.pending.keys().next() {
+            self.next = start;
+            self.advance();
         }
         let post = std::mem::take(&mut self.post);
         self.check_section(Section::Post, &post);
@@ -445,6 +452,30 @@ mod tests {
         ];
         let (_, anomalies) = collect_merge(&record, msgs);
         assert_eq!(anomalies, barrier);
+    }
+
+    #[test]
+    fn gapped_ranges_flush_in_order_and_are_checked() {
+        let record = vec![e("loss", "0.5", Section::Iter(3))];
+        let range = |g: u64, val: &str| StreamMsg::Range {
+            start: g,
+            end: g + 1,
+            stolen: false,
+            entries: vec![e("loss", val, Section::Iter(g))],
+        };
+        let msgs = vec![
+            StreamMsg::Pre {
+                pid: 0,
+                entries: Vec::new(),
+            },
+            range(3, "0.9"),
+            range(1, "0.7"),
+        ];
+        let (merged, anomalies) = collect_merge(&record, msgs);
+        let vals: Vec<&str> = merged.iter().map(|x| x.value.as_str()).collect();
+        assert_eq!(vals, vec!["0.7", "0.9"]);
+        assert_eq!(anomalies.len(), 1, "{anomalies:?}");
+        assert!(anomalies[0].contains("Iter(3)"), "{anomalies:?}");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! Records a 12-epoch training job once, then asks an inner-loop hindsight
 //! question (per-batch gradient norms) with 1, 2 and 4 replay workers.
 //! Checkpoints break the cross-epoch dependencies, so workers re-execute
-//! disjoint epoch ranges coordination-free (paper §5.4), and the merged
-//! log is identical regardless of worker count.
+//! disjoint epoch ranges coordination-free (paper §5.4), stealing ranges
+//! off stragglers, and the merged log is identical regardless of worker
+//! count.
 
 use flor_core::record::{record, RecordOptions};
 use flor_core::replay::{replay, ReplayOptions};
@@ -57,16 +58,11 @@ fn main() {
     let mut reference: Option<Vec<flor_core::LogEntry>> = None;
     for workers in [1usize, 2, 4] {
         let rep = replay(&probed, &store, &ReplayOptions::with_workers(workers)).expect("replay");
-        let plans: Vec<String> = rep
-            .worker_plans
-            .iter()
-            .flatten()
-            .map(|p| format!("[{}, {})", p.work_start, p.work_end))
-            .collect();
         println!(
-            "\n{workers} worker(s): {:.2}s wall, partitions {}",
+            "\n{workers} worker(s): {:.2}s wall, {} range(s) executed, {} steal(s)",
             rep.wall_ns as f64 / 1e9,
-            plans.join(" ")
+            rep.stats.ranges_executed,
+            rep.stats.steals
         );
         println!(
             "  blocks re-executed: {}, restored: {}, anomalies: {}",

@@ -1,12 +1,14 @@
 //! The differential table: production replay (sliced, range-scheduled,
 //! on the bytecode VM — including stolen-range boundaries, where workers
 //! re-enter the VM at iteration granularity with checkpoint-restored
-//! slots) against `replay_reference`, the one-worker tree-walk of the
-//! unsliced program.
+//! slots), and sampled replay on the same executor, against
+//! `replay_reference`, the one-worker tree-walk of the unsliced program.
 
-use flor_core::record::{record, RecordOptions};
+use flor_core::record::{record, run_vanilla, RecordOptions};
 use flor_core::replay::{replay, replay_reference, ReplayOptions};
-use flor_core::InitMode;
+use flor_core::sample::replay_sample;
+use flor_core::{InitMode, LogEntry, Section};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn store_dir(tag: &str) -> PathBuf {
@@ -17,6 +19,15 @@ fn store_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Records `src` with every iteration checkpointed.
+fn record_exact(src: &str, tag: &str) -> PathBuf {
+    let root = store_dir(tag);
+    let mut ropts = RecordOptions::new(&root);
+    ropts.adaptive = false;
+    record(src, &ropts).unwrap();
+    root
 }
 
 const TRAIN_SRC: &str = "\
@@ -99,10 +110,7 @@ fn opts(workers: usize, init_mode: InitMode) -> ReplayOptions {
 
 #[test]
 fn production_replay_equals_the_reference_for_every_probe_placement() {
-    let root = store_dir("table");
-    let mut ropts = RecordOptions::new(&root);
-    ropts.adaptive = false;
-    record(TRAIN_SRC, &ropts).unwrap();
+    let root = record_exact(TRAIN_SRC, "table");
 
     for (name, probed) in probes() {
         let reference = replay_reference(&probed, &root).unwrap();
@@ -140,10 +148,7 @@ fn poisoned_reuse_full_reexecution_equals_the_reference() {
     // A non-hindsight edit forces full re-execution: every iteration runs
     // end-to-end on the VM, including ones entered via stolen ranges, and
     // weak init is demoted to strong.
-    let root = store_dir("poison");
-    let mut ropts = RecordOptions::new(&root);
-    ropts.adaptive = false;
-    record(TRAIN_SRC, &ropts).unwrap();
+    let root = record_exact(TRAIN_SRC, "poison");
     let edited = TRAIN_SRC.replace("lr=0.1", "lr=0.05");
 
     let reference = replay_reference(&edited, &root).unwrap();
@@ -168,4 +173,157 @@ fn poisoned_reuse_full_reexecution_equals_the_reference() {
             }
         }
     }
+}
+
+/// The loop-carried fixture of `tests/slice_replay.rs`, probed after the
+/// loss: `carry` is rolled forward by the outer body, outside every
+/// skipblock changeset, so no checkpoint restore rebuilds it.
+const CARRY_SRC: &str = "\
+import flor
+carry = 1
+total = 0
+boost = 0
+for epoch in flor.partition(range(5)):
+    carry = carry + boost
+    for i in range(3):
+        total = total + carry
+        boost = boost + 1
+        junk = busy(1)
+    log(\"loss\", total)
+";
+
+fn carry_probed() -> String {
+    let marker = "    log(\"loss\", total)\n";
+    let probed = CARRY_SRC.replace(
+        marker,
+        &format!("{marker}    log(\"probe_carry\", carry)\n"),
+    );
+    assert_ne!(probed, CARRY_SRC);
+    probed
+}
+
+/// The entries of `log` whose section `keep` accepts.
+fn sections(log: &[LogEntry], keep: impl Fn(Section) -> bool) -> Vec<LogEntry> {
+    log.iter().filter(|e| keep(e.section)).cloned().collect()
+}
+
+#[test]
+fn weak_init_over_outer_carried_state_equals_the_reference() {
+    // A weak-init worker jumping to an anchor skips the outer body that
+    // rolls `carry` forward; the plan must demote weak init to strong.
+    let root = record_exact(CARRY_SRC, "carry-weak");
+    let probed = carry_probed();
+    let reference = replay_reference(&probed, &root).unwrap();
+    let (_, vanilla) = run_vanilla(&probed).unwrap();
+    let carry = |log: &[LogEntry]| -> Vec<String> {
+        log.iter()
+            .filter(|e| e.key == "probe_carry")
+            .map(|e| e.value.clone())
+            .collect()
+    };
+    assert_eq!(carry(&reference.log), ["1", "4", "10", "19", "31"]);
+    assert_eq!(carry(&vanilla), carry(&reference.log));
+    for workers in [1usize, 2, 3] {
+        let rep = replay(&probed, &root, &opts(workers, InitMode::Weak)).unwrap();
+        let at = format!("workers={workers}");
+        assert!(rep.anomalies.is_empty(), "{at}: {:?}", rep.anomalies);
+        assert_eq!(rep.log, reference.log, "{at} diverged from the reference");
+    }
+}
+
+#[test]
+fn sampled_replay_equals_the_reference_for_every_probe_and_selection() {
+    // Sampling runs on the range executor: each selection must print, for
+    // the iterations it picks, exactly what the reference prints, and be
+    // checked like any replay.
+    let train = record_exact(TRAIN_SRC, "sample");
+    let carry = record_exact(CARRY_SRC, "sample-carry");
+    let mut cases: Vec<(&str, String, &PathBuf)> = probes()
+        .into_iter()
+        .map(|(name, probed)| (name, probed, &train))
+        .collect();
+    cases.push(("impure", TRAIN_SRC.replace("lr=0.1", "lr=0.05"), &train));
+    cases.push(("outer-carried", carry_probed(), &carry));
+    for (name, probed, root) in cases {
+        let reference = replay_reference(&probed, root).unwrap();
+        // Every iteration logs its loss, so the last one names the length.
+        let n = reference
+            .log
+            .iter()
+            .filter_map(|e| match e.section {
+                Section::Iter(g) => Some(g + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap();
+        for selection in [
+            vec![0],
+            vec![n / 2],
+            vec![n - 1],
+            vec![1, 3, 3, 5],
+            vec![2, 999],
+        ] {
+            let at = format!("{name} {selection:?}");
+            let sampled = replay_sample(&probed, root, &selection).unwrap();
+            let picked: BTreeSet<u64> = selection.iter().copied().filter(|&g| g < n).collect();
+            let in_sample = |s: Section| matches!(s, Section::Iter(g) if picked.contains(&g));
+            let any_iter = |s: Section| matches!(s, Section::Iter(_));
+            assert_eq!(
+                sections(&sampled.log, any_iter),
+                sections(&reference.log, in_sample),
+                "{at}: sampled iterations diverged from the reference"
+            );
+            let pre = |s: Section| s == Section::Pre;
+            assert_eq!(
+                sections(&sampled.log, pre),
+                sections(&reference.log, pre),
+                "{at}"
+            );
+            // Only the final iteration's owner runs the postamble.
+            let post = |s: Section| s == Section::Post;
+            let want_post = if picked.contains(&(n - 1)) {
+                sections(&reference.log, post)
+            } else {
+                Vec::new()
+            };
+            assert_eq!(sections(&sampled.log, post), want_post, "{at}");
+            if name == "impure" {
+                assert!(
+                    sampled.anomalies[0].contains("source changed"),
+                    "{at}: the poisoning must be surfaced: {:?}",
+                    sampled.anomalies
+                );
+                assert_eq!(sampled.stats.restored, 0, "{at}");
+            } else {
+                assert!(
+                    sampled.anomalies.is_empty(),
+                    "{at}: {:?}",
+                    sampled.anomalies
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sampled_impure_diff_equals_a_from_scratch_run() {
+    // An impure diff turns every restore into a re-execution, so a sample
+    // may not jump to an anchor: it must roll forward from iteration 0.
+    let root = record_exact(TRAIN_SRC, "sample-impure");
+    let edited = TRAIN_SRC.replace("lr=0.1", "lr=0.05");
+    let (_, vanilla) = run_vanilla(&edited).unwrap();
+    let sampled = replay_sample(&edited, &root, &[2, 5]).unwrap();
+    for g in [2, 5] {
+        let iter = |s: Section| s == Section::Iter(g);
+        assert_eq!(
+            sections(&sampled.log, iter),
+            sections(&vanilla, iter),
+            "iteration {g}"
+        );
+    }
+    assert!(
+        sampled.anomalies[0].contains("source changed"),
+        "{:?}",
+        sampled.anomalies
+    );
 }

@@ -96,6 +96,20 @@ for fn in "diff_programs(" "slice_program("; do
 done
 echo "one-front-end gate: OK"
 
+# One-executor gate: replay runs a main loop in exactly one place, the
+# range executor, so exactly one production site enters the init phase.
+# A second `phase = Phase::Init` is a second initialization loop — a
+# second copy of the rule `ReplayPlan::init_start` holds.
+echo
+echo "==> one-executor gate (phase = Phase::Init: one production site, the range executor)"
+init_sites=$(prod_calls "phase = Phase::Init" crates/core/src)
+if [[ $(grep -c . <<<"$init_sites") -ne 1 ]] || ! grep -q "crates/core/src/interp.rs" <<<"$init_sites"; then
+    echo "$init_sites" >&2
+    echo "one-executor gate: phase = Phase::Init must be assigned at exactly one non-test site, in interp.rs's range executor" >&2
+    exit 1
+fi
+echo "one-executor gate: OK"
+
 # Record-hot-path smoke bench: quick criterion pass + quick submit-latency
 # JSON (written under target/, never dirties the committed artifact).
 run ./tools/bench.sh --quick
@@ -138,8 +152,9 @@ BENCH_BANDS=(
     # ≥0.7x, slow-reader p99 ≤1.5x).
     "BENCH_serve.json|BENCH_serve.quick.json|qps_speedup=higher admission_overhead=higher|0.70"
     # BENCH_record's speedup columns are ratios of µs-scale submit costs
-    # (O(1) handle pushes) — too noisy for any band; its own regression
-    # test (`bench_record_json` pins zero-copy ≤ eager) guards it instead.
+    # (O(1) handle pushes) — too noisy for any band, and `bench_record_json`
+    # only prints them. What they stand for is pinned without a clock by
+    # `record_submit::tests::zero_copy_leaves_share_the_fixture_slabs`.
 )
 for band in "${BENCH_BANDS[@]}"; do
     IFS='|' read -r committed quick keys tolerance <<<"$band"
