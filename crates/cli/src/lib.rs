@@ -981,11 +981,14 @@ pub fn serve_io(
         flor_registry::AdmissionPolicy::unlimited(),
     ));
     let mut session = ServeSession::new(registry, scheduler, admission, true, 1024, || {});
-    let mut lines: Vec<String> = Vec::new();
-    for line in input.lines() {
-        let line = line?;
-        lines.clear();
-        let ctl = session.handle_line(&line, &mut lines)?;
+    let mut input = input.lines();
+    loop {
+        let mut lines = Vec::new();
+        // EOF is `quit`: `finish` drains, reports and returns `Quit`.
+        let ctl = match input.next() {
+            Some(line) => session.handle_line(&line?, &mut lines)?,
+            None => session.finish(&mut lines)?,
+        };
         for l in &lines {
             writeln!(out, "{l}")?;
         }
@@ -993,12 +996,6 @@ pub fn serve_io(
             return Ok(());
         }
     }
-    lines.clear();
-    session.finish(&mut lines)?;
-    for l in &lines {
-        writeln!(out, "{l}")?;
-    }
-    Ok(())
 }
 
 fn parse_endpoints(specs: &[&str]) -> Result<Vec<Endpoint>, CliError> {

@@ -13,7 +13,7 @@
 //! - [`service`]: the [`Registry`] — catalog + pooled store handles +
 //!   cache behind one query API.
 //! - [`scheduler`]: bounded worker pool dispatching queued queries with
-//!   per-job priority, cancellation, and a status API.
+//!   per-job priority, cancellation, and a status API for live jobs.
 //! - [`admission`]: multi-tenant admission control — token quotas,
 //!   concurrent-job limits, and latency-aware queue shedding.
 //! - [`session`]: the serve protocol state machine, shared by the stdin

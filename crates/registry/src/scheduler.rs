@@ -1,12 +1,18 @@
 //! The replay job scheduler: a bounded worker pool dispatching queued
 //! hindsight queries.
 //!
-//! Replay is CPU-bound (each query re-executes probed SkipBlocks through
-//! `core::parallel`'s worker plans), so a serving deployment must bound
+//! Replay is CPU-bound (each query re-executes probed SkipBlocks on the
+//! range executor's replay workers), so a serving deployment must bound
 //! how many replays run at once no matter how many users queue queries.
-//! Jobs carry a priority (higher first, FIFO within a priority), can be
-//! cancelled while queued, and expose a status API for polling; `wait`
-//! blocks until a job reaches a terminal state.
+//! Jobs carry a priority (higher first, FIFO within a priority) and can
+//! be cancelled queued or running.
+//!
+//! The scheduler owns a job only while it is live (queued or running):
+//! `status`, `progress` and `cancel_job` answer for live jobs alone. The
+//! terminal state leaves exactly once, moved into the job's [`JobSink`]
+//! as its `Done` event, and the scheduler forgets the job in the same
+//! step — the submitter owns the answer from then on. `wait` blocks
+//! until a job is no longer live.
 
 use crate::error::RegistryError;
 use crate::service::{QueryEvent, QueryOutcome, Registry};
@@ -27,7 +33,7 @@ pub struct QueryJob {
     pub run_id: String,
     /// Probed source to replay.
     pub probed_source: String,
-    /// Replay workers for this job's worker plan.
+    /// Replay workers the job's replay runs on.
     pub workers: usize,
     /// Scheduling priority: higher runs first.
     pub priority: i32,
@@ -37,8 +43,10 @@ pub struct QueryJob {
     pub tenant: String,
 }
 
-/// Where a job is in its lifecycle.
-#[derive(Debug, Clone)]
+/// Where a job is in its lifecycle. [`ReplayScheduler::status`] reports
+/// the live states; a terminal one is delivered once, as the job sink's
+/// [`JobEvent::Done`].
+#[derive(Debug)]
 pub enum JobState {
     /// Waiting in the priority queue.
     Queued,
@@ -46,25 +54,15 @@ pub enum JobState {
     Running,
     /// Finished successfully.
     Completed(QueryOutcome),
-    /// Finished with an error (message — `RegistryError` is not `Clone`).
+    /// Finished with an error (its message).
     Failed(String),
-    /// Cancelled before a worker picked it up.
+    /// Cancelled while queued, or stopped mid-replay by its token.
     Cancelled,
 }
 
-impl JobState {
-    /// True for `Completed` / `Failed` / `Cancelled`.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Completed(_) | JobState::Failed(_) | JobState::Cancelled
-        )
-    }
-}
-
-/// Live progress of a running (or finished) job, fed by the streaming
-/// replay runtime — poll it with [`ReplayScheduler::progress`] while
-/// [`ReplayScheduler::status`] still says `Running`.
+/// Live progress of a running job, fed by the streaming replay runtime —
+/// poll it with [`ReplayScheduler::progress`] while the job is live, or
+/// read it from the job sink's `Progress` events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobProgress {
     /// Main-loop iterations completed across the job's replay workers.
@@ -78,33 +76,22 @@ pub struct JobProgress {
     /// Time until the job's replay emitted its first record-order entry,
     /// ns from job start (0 until the first chunk lands).
     pub stream_first_entry_ns: u64,
-    /// Wall time the job has been executing, ns: live (updated on every
-    /// streamed event) while running, final on completion.
+    /// Wall time the job has been executing, ns (updated on every
+    /// streamed event).
     pub wall_ns: u64,
-    /// Statements the backward slicer elided from the job's replay
-    /// (final on completion; 0 while running or unsliced).
-    pub statements_elided: u64,
-    /// Live fraction of the sliced program in permille (0 = unsliced).
-    pub slice_permille: u32,
-    /// 1 when the job was answered from the cross-query slice cache.
-    pub slice_cache_hits: u64,
 }
 
 impl JobProgress {
-    /// Every counter as a `(name, value)` list — the single source both
-    /// the prose status line and any JSON surface render from, so a field
-    /// added here cannot silently drift between the two.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
+    /// Every counter as a `(name, value)` list — what a `+progress` line
+    /// prints.
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
+        [
             ("iterations_done", self.iterations_done),
             ("iterations_total", self.iterations_total),
             ("steals", self.steals),
             ("entries_streamed", self.entries_streamed),
             ("stream_first_entry_ns", self.stream_first_entry_ns),
             ("wall_ns", self.wall_ns),
-            ("statements_elided", self.statements_elided),
-            ("slice_permille", u64::from(self.slice_permille)),
-            ("slice_cache_hits", self.slice_cache_hits),
         ]
     }
 }
@@ -118,12 +105,12 @@ pub enum CancelResult {
     /// workers stop at their next iteration boundary. The terminal
     /// `Cancelled` state lands asynchronously (watch via `wait`/sink).
     CancelRequested,
-    /// Unknown id or already terminal.
+    /// Not live: an unknown id, or a job that already finished.
     NotCancellable,
 }
 
 /// One event pushed into a job's [`JobSink`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum JobEvent {
     /// A record-order chunk of streamed log entries.
     Entries(Vec<LogEntry>),
@@ -132,7 +119,9 @@ pub enum JobEvent {
     Progress(JobProgress),
     /// A deferred-check anomaly.
     Anomaly(String),
-    /// The job reached this terminal state. Always the sink's last event.
+    /// The job reached this terminal state, moved out of the scheduler
+    /// (which forgets the job as it pushes this). Always the sink's last
+    /// event.
     Done(JobState),
 }
 
@@ -157,11 +146,9 @@ pub struct JobSink {
 
 struct SinkInner {
     queue: VecDeque<JobEvent>,
-    dropped_entries: u64,
     /// An entry chunk was dropped: reject all later ones (see the
     /// stickiness note on [`JobSink`]).
     dropping: bool,
-    done: bool,
 }
 
 impl JobSink {
@@ -172,9 +159,7 @@ impl JobSink {
         JobSink {
             inner: Mutex::new(SinkInner {
                 queue: VecDeque::new(),
-                dropped_entries: 0,
                 dropping: false,
-                done: false,
             }),
             want_entries,
             cap: cap.max(1),
@@ -185,17 +170,12 @@ impl JobSink {
     pub(crate) fn push(&self, ev: JobEvent) {
         let mut inner = self.inner.lock().unwrap();
         match ev {
-            JobEvent::Done(_) => {
-                inner.done = true;
-                inner.queue.push_back(ev);
-            }
             JobEvent::Entries(chunk) => {
                 if !self.want_entries || inner.dropping || inner.queue.len() >= self.cap {
                     // Sticky drop: delivering a later chunk after a gap
                     // would corrupt the stream (the reader resumes from
                     // its emitted-entry count at completion).
                     inner.dropping = true;
-                    inner.dropped_entries += chunk.len() as u64;
                     if self.want_entries {
                         flor_obs::metrics::counter("scheduler.sink_dropped_entries")
                             .add(chunk.len() as u64);
@@ -212,7 +192,7 @@ impl JobSink {
                 }
                 inner.queue.push_back(JobEvent::Progress(p));
             }
-            JobEvent::Anomaly(_) => inner.queue.push_back(ev),
+            JobEvent::Anomaly(_) | JobEvent::Done(_) => inner.queue.push_back(ev),
         }
         drop(inner);
         (self.wake)();
@@ -220,48 +200,22 @@ impl JobSink {
 
     /// Takes every queued event (FIFO).
     pub fn drain(&self) -> Vec<JobEvent> {
-        // Take the buffer along with the events: a finished job's sink
-        // lives on in its session's view, and must not pin an empty queue.
-        Vec::from(std::mem::take(&mut self.inner.lock().unwrap().queue))
-    }
-
-    /// True once the terminal event has been pushed (it may still be
-    /// waiting in the queue for a drain).
-    pub fn is_done(&self) -> bool {
-        self.inner.lock().unwrap().done
-    }
-
-    /// Entries dropped because the sink was full, a drop already made the
-    /// tail sticky, or entries were not wanted; the completed outcome's
-    /// log makes readers whole (they extend their contiguous prefix).
-    pub fn dropped_entries(&self) -> u64 {
-        self.inner.lock().unwrap().dropped_entries
-    }
-}
-
-impl std::fmt::Debug for JobSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap();
-        f.debug_struct("JobSink")
-            .field("queued", &inner.queue.len())
-            .field("done", &inner.done)
-            .field("dropped_entries", &inner.dropped_entries)
-            .finish()
+        self.inner.lock().unwrap().queue.drain(..).collect()
     }
 }
 
 /// Entry in the priority queue. Ordering: priority desc, then submission
-/// order asc (BinaryHeap is a max-heap, so `seq` is compared reversed).
+/// order asc — ids are issued in submission order (BinaryHeap is a
+/// max-heap, so `id` is compared reversed).
 struct QueuedJob {
     priority: i32,
-    seq: u64,
     id: JobId,
     job: QueryJob,
 }
 
 impl PartialEq for QueuedJob {
     fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
+        self.priority == other.priority && self.id == other.id
     }
 }
 impl Eq for QueuedJob {}
@@ -274,26 +228,42 @@ impl Ord for QueuedJob {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.priority
             .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
+            .then(other.id.cmp(&self.id))
     }
+}
+
+/// Everything the scheduler knows about one live job. The entry leaves
+/// [`SchedState::live`] in the step that pushes the job's `Done`.
+struct LiveJob {
+    /// Picked up by a worker (else still queued).
+    running: bool,
+    cancel: CancelToken,
+    sink: Arc<JobSink>,
+    progress: JobProgress,
 }
 
 struct SchedState {
     queue: BinaryHeap<QueuedJob>,
-    jobs: HashMap<JobId, JobState>,
-    /// Streaming progress per job (kept after completion for inspection).
-    progress: HashMap<JobId, JobProgress>,
+    /// Queued and running jobs — the only jobs the scheduler remembers.
+    live: HashMap<JobId, LiveJob>,
     next_id: JobId,
-    next_seq: u64,
-    /// Jobs submitted but not yet terminal (queued or running).
-    outstanding: usize,
-    /// Jobs waiting in the queue (excludes running; stale heap entries
-    /// for already-cancelled jobs are not counted).
-    queued: usize,
-    /// Cancellation tokens of running jobs.
-    cancels: HashMap<JobId, CancelToken>,
-    /// Event sinks of jobs submitted with one.
-    sinks: HashMap<JobId, Arc<JobSink>>,
+}
+
+impl SchedState {
+    /// Jobs waiting in the queue (not yet picked up by a worker).
+    fn queued(&self) -> usize {
+        self.live.values().filter(|job| !job.running).count()
+    }
+
+    /// Ends a live job: forgets it and moves its terminal state into its
+    /// sink, under the state lock, so a caller `wait`ing on the job finds
+    /// `Done` in the sink. A queued job's heap entry stays behind; workers
+    /// skip ids that are no longer live.
+    fn finish(&mut self, id: JobId, terminal: JobState) {
+        if let Some(job) = self.live.remove(&id) {
+            job.sink.push(JobEvent::Done(terminal));
+        }
+    }
 }
 
 struct Shared {
@@ -334,14 +304,8 @@ impl ReplayScheduler {
             registry,
             state: Mutex::new(SchedState {
                 queue: BinaryHeap::new(),
-                jobs: HashMap::new(),
-                progress: HashMap::new(),
+                live: HashMap::new(),
                 next_id: 1,
-                next_seq: 0,
-                outstanding: 0,
-                queued: 0,
-                cancels: HashMap::new(),
-                sinks: HashMap::new(),
             }),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
@@ -362,51 +326,34 @@ impl ReplayScheduler {
         self.workers.len()
     }
 
-    /// Enqueues a job; returns its id immediately.
-    pub fn submit(&self, job: QueryJob) -> Result<JobId, RegistryError> {
-        self.submit_inner(job, None)
-    }
-
-    /// Enqueues a job with an event sink: the executing worker pushes
-    /// streamed log chunks, progress, anomalies, and finally the terminal
-    /// state into `sink` — the push side of the serving layer's
-    /// backpressured live streaming.
-    pub fn submit_with_sink(
-        &self,
-        job: QueryJob,
-        sink: Arc<JobSink>,
-    ) -> Result<JobId, RegistryError> {
-        self.submit_inner(job, Some(sink))
-    }
-
-    fn submit_inner(
-        &self,
-        job: QueryJob,
-        sink: Option<Arc<JobSink>>,
-    ) -> Result<JobId, RegistryError> {
+    /// Enqueues a job and returns its id immediately. The executing
+    /// worker pushes streamed log chunks, progress, anomalies, and finally
+    /// the terminal state into `sink` — the one place the job's answer is
+    /// delivered.
+    pub fn submit(&self, job: QueryJob, sink: Arc<JobSink>) -> Result<JobId, RegistryError> {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(RegistryError::Scheduler("scheduler is shut down".into()));
         }
         let mut state = self.shared.state.lock().unwrap();
-        if self.shared.queue_limit > 0 && state.queued >= self.shared.queue_limit {
+        let queued = state.queued();
+        if self.shared.queue_limit > 0 && queued >= self.shared.queue_limit {
             return Err(RegistryError::Scheduler(format!(
-                "queue full ({} queued jobs)",
-                state.queued
+                "queue full ({queued} queued jobs)"
             )));
         }
         let id = state.next_id;
         state.next_id += 1;
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.jobs.insert(id, JobState::Queued);
-        state.outstanding += 1;
-        state.queued += 1;
-        if let Some(sink) = sink {
-            state.sinks.insert(id, sink);
-        }
+        state.live.insert(
+            id,
+            LiveJob {
+                running: false,
+                cancel: CancelToken::new(),
+                sink,
+                progress: JobProgress::default(),
+            },
+        );
         state.queue.push(QueuedJob {
             priority: job.priority,
-            seq,
             id,
             job,
         });
@@ -415,106 +362,69 @@ impl ReplayScheduler {
         Ok(id)
     }
 
-    /// Current state of a job (`None` for unknown ids).
+    /// `Queued` or `Running` for a live job; `None` once it finished (its
+    /// terminal state is in its sink) or for an unknown id.
     pub fn status(&self, id: JobId) -> Option<JobState> {
-        self.shared.state.lock().unwrap().jobs.get(&id).cloned()
+        let state = self.shared.state.lock().unwrap();
+        let job = state.live.get(&id)?;
+        Some(if job.running {
+            JobState::Running
+        } else {
+            JobState::Queued
+        })
     }
 
-    /// Streaming progress of a job (`None` before its replay started).
-    /// Running jobs update continuously as workers complete micro-ranges;
-    /// finished jobs retain their final counters.
+    /// Streaming progress of a live job, updated continuously as its
+    /// replay workers complete micro-ranges.
     pub fn progress(&self, id: JobId) -> Option<JobProgress> {
-        self.shared.state.lock().unwrap().progress.get(&id).copied()
+        let state = self.shared.state.lock().unwrap();
+        state.live.get(&id).map(|job| job.progress)
     }
 
-    /// Cancels a job if it is still queued. Returns `true` on success;
-    /// running or finished jobs are not interrupted (use
-    /// [`ReplayScheduler::cancel_job`] for cooperative mid-flight
-    /// cancellation).
-    pub fn cancel(&self, id: JobId) -> bool {
-        let mut state = self.shared.state.lock().unwrap();
-        match state.jobs.get(&id) {
-            Some(JobState::Queued) => {
-                Self::cancel_queued_locked(&mut state, id);
-                drop(state);
-                self.shared.job_done.notify_all();
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Cancels a job wherever it is in its lifecycle: queued jobs become
-    /// terminal `Cancelled` immediately; running jobs get their
-    /// cancellation token fired, and the replay's workers bail out at the
-    /// next iteration boundary (the replay errors with `Cancelled`, the
-    /// result is never cached, and the job slot frees).
+    /// Cancels a live job: a queued one becomes terminal `Cancelled`
+    /// immediately; a running one gets its cancellation token fired, and
+    /// the replay's workers bail out at the next iteration boundary (the
+    /// replay errors with `Cancelled`, the result is never cached, and the
+    /// job slot frees).
     pub fn cancel_job(&self, id: JobId) -> CancelResult {
         let mut state = self.shared.state.lock().unwrap();
-        match state.jobs.get(&id) {
-            Some(JobState::Queued) => {
-                Self::cancel_queued_locked(&mut state, id);
+        match state.live.get(&id) {
+            None => CancelResult::NotCancellable,
+            Some(job) if job.running => {
+                // The worker observes the token and finishes the job.
+                job.cancel.cancel();
+                CancelResult::CancelRequested
+            }
+            Some(_) => {
+                state.finish(id, JobState::Cancelled);
                 drop(state);
                 self.shared.job_done.notify_all();
                 CancelResult::Cancelled
             }
-            Some(JobState::Running) => {
-                if let Some(token) = state.cancels.get(&id) {
-                    token.cancel();
-                }
-                // `outstanding` is untouched: the worker observes the
-                // token, finishes with `Cancelled`, and decrements.
-                CancelResult::CancelRequested
-            }
-            _ => CancelResult::NotCancellable,
         }
     }
 
-    /// Marks a queued job Cancelled under the state lock: terminal state,
-    /// slot bookkeeping, and the sink's Done event (the heap entry stays;
-    /// workers skip ids no longer Queued).
-    fn cancel_queued_locked(state: &mut SchedState, id: JobId) {
-        state.jobs.insert(id, JobState::Cancelled);
-        state.outstanding -= 1;
-        state.queued = state.queued.saturating_sub(1);
-        if let Some(sink) = state.sinks.remove(&id) {
-            sink.push(JobEvent::Done(JobState::Cancelled));
-        }
-    }
-
-    /// Blocks until `id` reaches a terminal state and returns it.
-    pub fn wait(&self, id: JobId) -> Result<JobState, RegistryError> {
+    /// Blocks until `id` is no longer live; its terminal state is then
+    /// the last event in its sink.
+    pub fn wait(&self, id: JobId) {
         let mut state = self.shared.state.lock().unwrap();
-        loop {
-            match state.jobs.get(&id) {
-                None => {
-                    return Err(RegistryError::Scheduler(format!("unknown job {id}")));
-                }
-                Some(s) if s.is_terminal() => return Ok(s.clone()),
-                Some(_) => {
-                    state = self.shared.job_done.wait(state).unwrap();
-                }
-            }
+        while state.live.contains_key(&id) {
+            state = self.shared.job_done.wait(state).unwrap();
         }
     }
 
     /// Blocks until every submitted job is terminal.
     pub fn drain(&self) {
         let mut state = self.shared.state.lock().unwrap();
-        while state.outstanding > 0 {
+        while !state.live.is_empty() {
             state = self.shared.job_done.wait(state).unwrap();
         }
-    }
-
-    /// Jobs submitted and not yet terminal.
-    pub fn outstanding(&self) -> usize {
-        self.shared.state.lock().unwrap().outstanding
     }
 
     /// Jobs waiting in the queue (not yet picked up by a worker) — the
     /// depth admission control sheds on.
     pub fn queued_depth(&self) -> usize {
-        self.shared.state.lock().unwrap().queued
+        self.shared.state.lock().unwrap().queued()
     }
 }
 
@@ -525,18 +435,11 @@ impl Drop for ReplayScheduler {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // Anything still queued is now cancelled.
-        let mut state = self.shared.state.lock().unwrap();
-        let ids: Vec<JobId> = state
-            .jobs
-            .iter()
-            .filter(|(_, s)| matches!(s, JobState::Queued))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in ids {
-            Self::cancel_queued_locked(&mut state, id);
+        // The workers finished their running jobs: what is still live is
+        // queued, and now cancelled.
+        for (_, job) in self.shared.state.lock().unwrap().live.drain() {
+            job.sink.push(JobEvent::Done(JobState::Cancelled));
         }
-        drop(state);
         self.shared.job_done.notify_all();
     }
 }
@@ -553,18 +456,14 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                // Pop past entries cancelled while queued.
                 match state.queue.pop() {
                     Some(q) => {
-                        if matches!(state.jobs.get(&q.id), Some(JobState::Queued)) {
-                            state.jobs.insert(q.id, JobState::Running);
-                            state.queued = state.queued.saturating_sub(1);
-                            let cancel = CancelToken::new();
-                            state.cancels.insert(q.id, cancel.clone());
-                            let sink = state.sinks.get(&q.id).cloned();
-                            break (q.id, q.job, cancel, sink);
+                        // Heap entries of jobs cancelled while queued are
+                        // stale: their ids are no longer live.
+                        if let Some(live) = state.live.get_mut(&q.id) {
+                            live.running = true;
+                            break (q.id, q.job, live.cancel.clone(), live.sink.clone());
                         }
-                        // else: stale entry for a cancelled job — drop it.
                     }
                     None => {
                         state = shared.work_ready.wait(state).unwrap();
@@ -580,7 +479,11 @@ fn worker_loop(shared: &Shared, worker: usize) {
         let t0 = flor_obs::clock::now_ns();
         let mut on_event = |ev: QueryEvent| {
             let mut state = shared.state.lock().unwrap();
-            let p = state.progress.entry(id).or_default();
+            let p = &mut state
+                .live
+                .get_mut(&id)
+                .expect("a running job is live")
+                .progress;
             p.wall_ns = flor_obs::clock::since_ns(t0);
             let forwarded = match ev {
                 QueryEvent::Entries(chunk) => {
@@ -603,16 +506,14 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 QueryEvent::Anomaly(a) => JobEvent::Anomaly(a),
             };
             drop(state);
-            if let Some(sink) = &sink {
-                sink.push(forwarded);
-            }
+            sink.push(forwarded);
         };
-        let outcome = shared.registry.query_streaming_cancellable(
+        let outcome = shared.registry.query_impl(
             &job.run_id,
             &job.probed_source,
             job.workers,
+            Some(&mut on_event as &mut dyn FnMut(QueryEvent)),
             Some(cancel),
-            &mut on_event,
         );
         let wall_ns = flor_obs::clock::since_ns(t0);
         drop(span);
@@ -621,34 +522,12 @@ fn worker_loop(shared: &Shared, worker: usize) {
             flor_obs::metrics::histogram_named(&format!("tenant.{}.job_ns", job.tenant))
                 .observe(wall_ns);
         }
-        let terminal = match &outcome {
-            Ok(result) => {
-                let mut state = shared.state.lock().unwrap();
-                let p = state.progress.entry(id).or_default();
-                // The replay's own first-entry clock (measured from replay
-                // start, after queueing) supersedes the observer's estimate.
-                if result.stream_first_entry_ns > 0 {
-                    p.stream_first_entry_ns = result.stream_first_entry_ns;
-                }
-                p.statements_elided = result.statements_elided;
-                p.slice_permille = result.slice_permille;
-                p.slice_cache_hits = result.slice_cache_hits;
-                drop(state);
-                JobState::Completed(result.clone())
-            }
+        let terminal = match outcome {
+            Ok(result) => JobState::Completed(result),
             Err(RegistryError::Engine(flor_core::FlorError::Cancelled)) => JobState::Cancelled,
             Err(e) => JobState::Failed(e.to_string()),
         };
-        let mut state = shared.state.lock().unwrap();
-        state.progress.entry(id).or_default().wall_ns = wall_ns;
-        state.jobs.insert(id, terminal.clone());
-        state.outstanding -= 1;
-        state.cancels.remove(&id);
-        let sink = state.sinks.remove(&id);
-        drop(state);
-        if let Some(sink) = sink {
-            sink.push(JobEvent::Done(terminal));
-        }
+        shared.state.lock().unwrap().finish(id, terminal);
         shared.job_done.notify_all();
     }
 }
@@ -676,7 +555,6 @@ mod tests {
         sink.push(JobEvent::Entries(vec![entry(1)]));
         // Queue full (cap 2): dropped.
         sink.push(JobEvent::Entries(vec![entry(2), entry(3)]));
-        assert_eq!(sink.dropped_entries(), 2);
 
         // The reader drains, freeing queue space…
         let delivered: Vec<LogEntry> = sink
@@ -692,11 +570,63 @@ mod tests {
         // …but a post-drop chunk still drops: queueing entry 4 after the
         // lost 2..=3 would corrupt the stream.
         sink.push(JobEvent::Entries(vec![entry(4)]));
-        assert_eq!(sink.dropped_entries(), 3);
         assert!(sink.drain().is_empty());
 
         // The terminal event always lands.
         sink.push(JobEvent::Done(JobState::Cancelled));
-        assert!(sink.is_done());
+        assert!(matches!(
+            sink.drain()[..],
+            [JobEvent::Done(JobState::Cancelled)]
+        ));
+    }
+
+    /// A finished job's answer leaves the scheduler with its `Done`: after
+    /// many jobs, nothing of them is left behind.
+    #[test]
+    fn finished_jobs_leave_no_scheduler_state() {
+        let dir = std::env::temp_dir().join(format!(
+            "flor-sched-test-forget-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Arc::new(Registry::open(&dir).unwrap());
+        registry
+            .record_run("r", "import flor\nx = 1\nlog(\"x\", x)\n", |o| {
+                o.adaptive = false
+            })
+            .unwrap();
+        let sched = ReplayScheduler::new(registry, 2);
+        let sinks: Vec<(JobId, Arc<JobSink>)> = (0..200)
+            .map(|i| {
+                let sink = Arc::new(JobSink::new(false, 4, || {}));
+                let job = QueryJob {
+                    // Every fourth job fails: an unknown run.
+                    run_id: if i % 4 == 3 { "nope" } else { "r" }.into(),
+                    probed_source: "import flor\nx = 1\nlog(\"x\", x)\nlog(\"y\", x)\n".into(),
+                    workers: 1,
+                    ..QueryJob::default()
+                };
+                (sched.submit(job, sink.clone()).unwrap(), sink)
+            })
+            .collect();
+        sched.drain();
+        {
+            let state = sched.shared.state.lock().unwrap();
+            assert_eq!((state.live.len(), state.queue.len()), (0, 0));
+        }
+        for (id, sink) in sinks {
+            assert!(sched.status(id).is_none() && sched.progress(id).is_none());
+            assert_eq!(sched.cancel_job(id), CancelResult::NotCancellable);
+            let done = sink.drain().pop();
+            match (id % 4, done) {
+                (0, Some(JobEvent::Done(JobState::Failed(e)))) => {
+                    assert!(e.contains("nope"), "{e}")
+                }
+                (_, Some(JobEvent::Done(JobState::Completed(o)))) => assert_eq!(o.log.len(), 2),
+                (_, other) => panic!("job {id}: {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,8 +10,8 @@
 //! - its write buffer fills to the high-water mark → the loop stops
 //!   draining its sinks (events coalesce/overflow in the bounded sink;
 //!   entry drops are sticky, so what was delivered stays a contiguous
-//!   log prefix and the rest catches up from the stored outcome at
-//!   completion);
+//!   log prefix and the rest catches up from the log of the `Done`
+//!   event at completion);
 //! - if the peer accepts no bytes for `write_stall_timeout_ms`, the
 //!   connection is dropped and its jobs cancelled — workers never wait.
 //!
@@ -48,7 +48,7 @@ pub struct ServerConfig {
     /// Admission policy applied to every submission.
     pub admission: AdmissionPolicy,
     /// Per-job sink bound: queued event chunks beyond this are dropped
-    /// and caught up from the stored outcome at completion.
+    /// and caught up from the finished job's log at completion.
     pub entry_queue_cap: usize,
     /// Per-connection write-buffer high-water mark, bytes: above it the
     /// loop stops generating output for that connection until the peer

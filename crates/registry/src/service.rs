@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Answer to one hindsight query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct QueryOutcome {
     /// The queried run.
     pub run_id: String,
@@ -343,27 +343,13 @@ impl Registry {
         self.query_impl(run_id, probed_source, workers, Some(on_event), None)
     }
 
-    /// [`Registry::query_streaming`] with a cooperative cancellation
-    /// token: once it fires, the replay's workers stop at their next
-    /// iteration boundary and the query fails with
-    /// `FlorError::Cancelled`. Cancelled replays are never cached, so a
-    /// re-issued identical query replays fresh (or joins another
-    /// in-flight replay via single-flight).
-    pub fn query_streaming_cancellable(
-        &self,
-        run_id: &str,
-        probed_source: &str,
-        workers: usize,
-        cancel: Option<flor_core::CancelToken>,
-        on_event: &mut dyn FnMut(QueryEvent),
-    ) -> Result<QueryOutcome, RegistryError> {
-        self.query_impl(run_id, probed_source, workers, Some(on_event), cancel)
-    }
-
-    /// Shared body of [`Registry::query`] / [`Registry::query_streaming`].
-    /// `observer: None` skips event construction entirely — a cache hit on
-    /// the non-streaming path must not clone its log just to drop it.
-    fn query_impl(
+    /// Shared body of [`Registry::query`] / [`Registry::query_streaming`]
+    /// and the scheduler's jobs. `observer: None` skips event construction
+    /// entirely — a cache hit on the non-streaming path must not clone its
+    /// log just to drop it. Once `cancel` fires, the replay's workers stop
+    /// at their next iteration boundary and the query fails with
+    /// `FlorError::Cancelled`; cancelled replays are never cached.
+    pub(crate) fn query_impl(
         &self,
         run_id: &str,
         probed_source: &str,

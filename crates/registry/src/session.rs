@@ -4,9 +4,10 @@
 //! handled here so the stdin adapter (`flor_cli::serve_io`) and the epoll
 //! socket server ([`crate::server`]) share one implementation and cannot
 //! drift byte-wise. A session owns its submitted jobs, its tenant
-//! identity, its admission permits, and — for streamed queries — the
-//! bounded per-job [`JobSink`]s that decouple replay workers from this
-//! client's read pace.
+//! identity, its admission permits, and the bounded per-job [`JobSink`]s
+//! that decouple replay workers from this client's read pace. A job's
+//! sink and log live only until its `+done` line is written; after that
+//! the session keeps the few fields its report line and `status` print.
 //!
 //! Verbs (one command per line, space-separated):
 //!
@@ -16,8 +17,10 @@
 //! - `stream <run> <probed.flr> [priority]` — enqueue and stream results
 //!   live as `+entry` / `+progress` / `+anomaly` / `+done <id> …` lines
 //! - `watch <id>` — stream `+progress` / `+done` for an existing job
-//! - `status <id>` / `cancel <id>` — poll or cancel (queued jobs cancel
-//!   immediately; running jobs stop cooperatively mid-replay)
+//! - `status <id>` — a job of this session, or any connection's queued
+//!   or running job (another connection's finished job is `unknown`)
+//! - `cancel <id>` — queued jobs cancel immediately; running jobs stop
+//!   cooperatively mid-replay
 //! - `tenant <name>` — tag subsequent submissions for quotas + metrics
 //! - `metrics [tenant]` — process-wide or per-tenant snapshot, one JSON
 //!   line
@@ -40,7 +43,8 @@ use crate::error::RegistryError;
 use crate::scheduler::{
     CancelResult, JobEvent, JobId, JobSink, JobState, QueryJob, ReplayScheduler,
 };
-use crate::service::{QueryOutcome, Registry};
+use crate::service::Registry;
+use flor_core::logstream::LogEntry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -61,17 +65,76 @@ pub enum SessionControl {
 }
 
 struct JobView {
-    sink: Arc<JobSink>,
     /// Emit `+entry` lines (the `stream` verb).
     emit_entries: bool,
     /// Emit `+progress`/`+anomaly`/`+done` lines (`stream` or `watch`).
     emit_events: bool,
-    /// `+entry` lines written so far (catch-up index into the final log).
+    /// `+entry` lines written so far — where the catch-up resumes.
     entries_written: usize,
-    /// Terminal state received from the sink, not yet fully rendered.
-    pending_done: Option<JobState>,
-    /// Terminal event fully rendered; nothing more will be emitted.
-    finished: bool,
+    stage: Stage,
+}
+
+enum Stage {
+    /// Queued or running: events arrive through the job's sink.
+    Live(Arc<JobSink>),
+    /// `Done` arrived: the log entries the bounded sink dropped are
+    /// written (at most `entry_cap` a poll) before the `+done` line.
+    CatchingUp(JobResult, std::vec::IntoIter<LogEntry>),
+    /// `+done` is written (or not wanted): all that is left of the job.
+    Finished(JobResult),
+}
+
+/// A finished job as its result lines and `status` describe it: the
+/// terminal state without its log.
+enum JobResult {
+    /// `run "<run>" <key> (fresh|cached), N entries, M anomalies`, and N.
+    Completed(String, usize),
+    Failed(String),
+    Cancelled,
+}
+
+impl JobResult {
+    /// Splits a terminal state into its summary and its log.
+    fn split(state: JobState) -> (JobResult, Vec<LogEntry>) {
+        match state {
+            JobState::Completed(o) => {
+                let how = if o.cached { "cached" } else { "fresh" };
+                let (entries, anomalies) = (o.log.len(), o.anomalies.len());
+                let text = format!(
+                    "run {:?} {} ({how}), {entries} entries, {anomalies} anomalies",
+                    o.run_id, o.key
+                );
+                (JobResult::Completed(text, entries), o.log)
+            }
+            JobState::Failed(e) => (JobResult::Failed(e), Vec::new()),
+            JobState::Cancelled => (JobResult::Cancelled, Vec::new()),
+            JobState::Queued | JobState::Running => unreachable!("Done carries a terminal state"),
+        }
+    }
+
+    /// The job's result line: `+done N …` on its event stream (`event`),
+    /// `job N …` in the in-order `drain`/`quit` report.
+    fn line(&self, id: JobId, event: bool) -> String {
+        let (head, done) = if event {
+            ("+done", "")
+        } else {
+            ("job", " done:")
+        };
+        match self {
+            JobResult::Completed(text, _) => format!("{head} {id}{done} {text}"),
+            JobResult::Failed(e) => format!("{head} {id} FAILED: {e}"),
+            JobResult::Cancelled => format!("{head} {id} cancelled"),
+        }
+    }
+
+    /// The `status <id>` answer for the finished job.
+    fn status_line(&self, id: JobId) -> String {
+        match self {
+            JobResult::Completed(_, entries) => format!("job {id}: completed ({entries} entries)"),
+            JobResult::Failed(e) => format!("job {id}: Failed({e:?})"),
+            JobResult::Cancelled => format!("job {id}: Cancelled"),
+        }
+    }
 }
 
 /// One client's protocol state machine (see the module docs).
@@ -133,16 +196,6 @@ impl ServeSession {
         }
     }
 
-    /// The scheduler this session submits to.
-    pub fn scheduler(&self) -> &Arc<ReplayScheduler> {
-        &self.scheduler
-    }
-
-    /// Jobs this session submitted.
-    pub fn submitted_jobs(&self) -> &[JobId] {
-        &self.submitted
-    }
-
     /// Handles one protocol line, appending output lines to `out`.
     pub fn handle_line(
         &mut self,
@@ -153,13 +206,7 @@ impl ServeSession {
         let parts: Vec<&str> = line.split_whitespace().collect();
         match parts.as_slice() {
             [] => {}
-            ["quit"] | ["exit"] => {
-                self.quitting = true;
-                if self.blocking {
-                    self.scheduler.drain();
-                }
-                return self.poll_events(out);
-            }
+            ["quit"] | ["exit"] => return self.finish(out),
             ["runs"] => {
                 for r in self.registry.runs() {
                     out.push(format!(
@@ -184,7 +231,7 @@ impl ServeSession {
                         view.emit_events = true;
                         out.push(format!("watching job {id}"));
                         if self.blocking {
-                            self.scheduler.wait(id)?;
+                            self.scheduler.wait(id);
                             self.pump_job_to_end(id, out);
                         }
                     }
@@ -207,38 +254,7 @@ impl ServeSession {
             }
             ["status", id] => match id.parse::<JobId>() {
                 Err(_) => out.push(format!("bad job id {id:?}")),
-                Ok(id) => match self.scheduler.status(id) {
-                    None => out.push(format!("job {id}: unknown")),
-                    Some(JobState::Completed(o)) => {
-                        out.push(format!("job {id}: completed ({} entries)", o.log.len()))
-                    }
-                    Some(JobState::Running) => {
-                        let p = self.scheduler.progress(id).unwrap_or_default();
-                        // Prose over the same `(name, value)` list
-                        // `JobProgress::fields` exposes — a counter
-                        // renamed or dropped there panics here instead
-                        // of silently drifting between surfaces.
-                        let fields = p.fields();
-                        let f = |name: &str| -> u64 {
-                            fields
-                                .iter()
-                                .find(|(n, _)| *n == name)
-                                .map(|(_, v)| *v)
-                                .unwrap_or_else(|| panic!("JobProgress::fields lost {name:?}"))
-                        };
-                        out.push(format!(
-                            "job {id}: running ({}/{} iterations, {} steal(s), \
-                             {} entries streamed, {} stmt(s) elided, {:.1}ms elapsed)",
-                            f("iterations_done"),
-                            f("iterations_total"),
-                            f("steals"),
-                            f("entries_streamed"),
-                            f("statements_elided"),
-                            f("wall_ns") as f64 / 1e6
-                        ))
-                    }
-                    Some(s) => out.push(format!("job {id}: {s:?}")),
-                },
+                Ok(id) => self.status(id, out),
             },
             ["cancel", id] => match id.parse::<JobId>() {
                 Err(_) => out.push(format!("bad job id {id:?}")),
@@ -331,7 +347,7 @@ impl ServeSession {
             priority,
             tenant: self.tenant.clone(),
         };
-        let id = match self.scheduler.submit_with_sink(job, sink.clone()) {
+        let id = match self.scheduler.submit(job, sink.clone()) {
             Ok(id) => id,
             Err(e) => {
                 // A full queue sheds this submission; the session lives on.
@@ -344,12 +360,10 @@ impl ServeSession {
         self.views.insert(
             id,
             JobView {
-                sink,
                 emit_entries: streaming,
                 emit_events: streaming,
                 entries_written: 0,
-                pending_done: None,
-                finished: false,
+                stage: Stage::Live(sink),
             },
         );
         self.permits.insert(id, self.tenant.clone());
@@ -359,17 +373,44 @@ impl ServeSession {
         if streaming && self.blocking {
             // Stdin mode has no event loop: deliver the stream after the
             // job completes (record order is preserved either way).
-            self.scheduler.wait(id)?;
+            self.scheduler.wait(id);
             self.pump_job_to_end(id, out);
         }
         Ok(())
+    }
+
+    /// `status <id>`: a live job's state from the scheduler, else this
+    /// session's finished job from its view (taking a `Done` still
+    /// waiting in the sink first).
+    fn status(&mut self, id: JobId, out: &mut Vec<String>) {
+        match self.scheduler.status(id) {
+            Some(JobState::Running) => {
+                let p = self.scheduler.progress(id).unwrap_or_default();
+                return out.push(format!(
+                    "job {id}: running ({}/{} iterations, {} steal(s), \
+                     {} entries streamed, {:.1}ms elapsed)",
+                    p.iterations_done,
+                    p.iterations_total,
+                    p.steals,
+                    p.entries_streamed,
+                    p.wall_ns as f64 / 1e6
+                ));
+            }
+            Some(_) => return out.push(format!("job {id}: Queued")),
+            None => {}
+        }
+        self.pump_job(id, out);
+        out.push(match self.views.get(&id).map(|v| &v.stage) {
+            Some(Stage::CatchingUp(result, _) | Stage::Finished(result)) => result.status_line(id),
+            _ => format!("job {id}: unknown"),
+        });
     }
 
     /// Blocking-mode delivery: the job is terminal, so repeated pumps
     /// (each capped at `entry_cap` catch-up entries) run to the `+done`
     /// line without an event loop to re-poll.
     fn pump_job_to_end(&mut self, id: JobId, out: &mut Vec<String>) {
-        while self.views.get(&id).is_some_and(|v| !v.finished) {
+        while self.result(id).is_none() {
             self.pump_job(id, out);
         }
     }
@@ -386,41 +427,21 @@ impl ServeSession {
         while self
             .submitted
             .get(self.settled)
-            .is_some_and(|id| self.views.get(id).is_none_or(|v| v.finished))
+            .is_some_and(|id| self.result(*id).is_some())
         {
             self.settled += 1;
         }
         // In-order completion report (the `drain` / `quit` contract).
         if self.quitting || self.draining || self.blocking {
-            while self.reported < self.submitted.len() {
-                let id = self.submitted[self.reported];
-                match self.scheduler.status(id) {
-                    Some(JobState::Completed(o)) => out.push(format!(
-                        "job {id} done: run {:?} {} ({}), {} entries, {} anomalies",
-                        o.run_id,
-                        o.key,
-                        if o.cached { "cached" } else { "fresh" },
-                        o.log.len(),
-                        o.anomalies.len()
-                    )),
-                    Some(JobState::Failed(e)) => out.push(format!("job {id} FAILED: {e}")),
-                    Some(JobState::Cancelled) => out.push(format!("job {id} cancelled")),
-                    Some(JobState::Queued | JobState::Running) => break,
-                    None => break,
-                }
-                self.note_terminal(id);
+            while let Some(&id) = self.submitted.get(self.reported) {
+                let Some(result) = self.result(id) else {
+                    break;
+                };
+                out.push(result.line(id, false));
                 self.reported += 1;
             }
         }
-        if self.quitting
-            && self.reported == self.submitted.len()
-            && self.submitted.iter().all(|id| {
-                self.views
-                    .get(id)
-                    .map(|v| v.finished || !v.emit_events)
-                    .unwrap_or(true)
-            })
-        {
+        if self.quitting && self.reported == self.submitted.len() {
             if !self.finished {
                 self.finished = true;
                 out.push(format!("# served {} job(s)", self.submitted.len()));
@@ -430,7 +451,16 @@ impl ServeSession {
         Ok(SessionControl::Continue)
     }
 
-    /// EOF on the input: same contract as `quit`.
+    /// The result of a job pumped to its end (`+done` written or not
+    /// wanted).
+    fn result(&self, id: JobId) -> Option<&JobResult> {
+        match &self.views.get(&id)?.stage {
+            Stage::Finished(result) => Some(result),
+            _ => None,
+        }
+    }
+
+    /// `quit`, or EOF on the input.
     pub fn finish(&mut self, out: &mut Vec<String>) -> Result<SessionControl, RegistryError> {
         self.quitting = true;
         if self.blocking {
@@ -444,105 +474,81 @@ impl ServeSession {
     /// every admission slot it still holds — a vanished client must not
     /// pin quota or burn replay workers.
     pub fn abort(&mut self) {
-        for &id in &self.submitted {
-            match self.scheduler.status(id) {
-                Some(s) if s.is_terminal() => {}
-                Some(_) => {
-                    self.scheduler.cancel_job(id);
-                }
-                None => {}
-            }
+        // Jobs no longer live answer `NotCancellable`.
+        for &id in &self.submitted[self.settled..] {
+            self.scheduler.cancel_job(id);
         }
-        let permits: Vec<(JobId, String)> = self.permits.drain().collect();
-        for (_, tenant) in permits {
+        for (_, tenant) in self.permits.drain() {
             self.admission.release(&tenant);
         }
     }
 
-    /// Releases the admission slot of a now-terminal job (idempotent).
-    fn note_terminal(&mut self, id: JobId) {
-        if let Some(tenant) = self.permits.remove(&id) {
-            self.admission.release(&tenant);
-        }
-    }
-
-    /// Drains one job's sink into protocol lines per its view flags.
+    /// Drains one job's sink into protocol lines per its view flags; at
+    /// its `Done`, drops the sink, writes the catch-up entries and the
+    /// `+done` line, and keeps only the job's [`JobResult`].
     fn pump_job(&mut self, id: JobId, out: &mut Vec<String>) {
-        let cap = self.entry_cap;
         let Some(view) = self.views.get_mut(&id) else {
             return;
         };
-        if view.finished {
-            return;
-        }
-        for ev in view.sink.drain() {
-            match ev {
-                JobEvent::Entries(chunk) => {
-                    if view.emit_entries {
-                        for e in &chunk {
-                            out.push(format!("+entry {id} {e}"));
+        if let Stage::Live(sink) = &view.stage {
+            for ev in sink.drain() {
+                match ev {
+                    JobEvent::Entries(chunk) => {
+                        if view.emit_entries {
+                            for e in &chunk {
+                                out.push(format!("+entry {id} {e}"));
+                            }
+                            view.entries_written += chunk.len();
                         }
-                        view.entries_written += chunk.len();
                     }
-                }
-                JobEvent::Progress(p) => {
-                    if view.emit_events {
-                        let kv: Vec<String> =
-                            p.fields().iter().map(|(k, v)| format!("{k}={v}")).collect();
-                        out.push(format!("+progress {id} {}", kv.join(" ")));
+                    JobEvent::Progress(p) => {
+                        if view.emit_events {
+                            let kv: Vec<String> =
+                                p.fields().iter().map(|(k, v)| format!("{k}={v}")).collect();
+                            out.push(format!("+progress {id} {}", kv.join(" ")));
+                        }
                     }
-                }
-                JobEvent::Anomaly(a) => {
-                    if view.emit_events {
-                        out.push(format!("+anomaly {id} {a}"));
+                    JobEvent::Anomaly(a) => {
+                        if view.emit_events {
+                            out.push(format!("+anomaly {id} {a}"));
+                        }
                     }
-                }
-                JobEvent::Done(state) => {
-                    view.pending_done = Some(state);
+                    JobEvent::Done(state) => {
+                        // `Done` is the sink's last event: the sink goes
+                        // with it, and so does the admission slot.
+                        let (result, mut log) = JobResult::split(state);
+                        let dropped = if view.emit_entries {
+                            log.drain(..view.entries_written.min(log.len()));
+                            log
+                        } else {
+                            Vec::new()
+                        };
+                        view.stage = Stage::CatchingUp(result, dropped.into_iter());
+                        if let Some(tenant) = self.permits.remove(&id) {
+                            self.admission.release(&tenant);
+                        }
+                    }
                 }
             }
         }
-        // Render a terminal state: catch up entries the bounded sink
-        // dropped (at most `entry_cap` per poll, so one slow stream can't
-        // flood the write buffer), then the `+done` line.
-        if let Some(state) = view.pending_done.take() {
-            let mut still_pending = false;
-            if view.emit_entries {
-                if let JobState::Completed(o) = &state {
-                    let end = o.log.len().min(view.entries_written + cap);
-                    for e in &o.log[view.entries_written.min(o.log.len())..end] {
-                        out.push(format!("+entry {id} {e}"));
-                    }
-                    view.entries_written = end;
-                    still_pending = end < o.log.len();
-                }
+        // Catch up the entries the bounded sink dropped (at most
+        // `entry_cap` per poll, so one slow stream can't flood the write
+        // buffer), then the `+done` line.
+        if let Stage::CatchingUp(result, dropped) = &mut view.stage {
+            for e in dropped.by_ref().take(self.entry_cap) {
+                out.push(format!("+entry {id} {e}"));
             }
-            if still_pending {
-                view.pending_done = Some(state);
+            if dropped.len() > 0 {
                 // More catch-up next poll; re-fire the waker so the
                 // transport comes back without waiting for a tick.
                 (self.wake)();
-            } else {
-                if view.emit_events {
-                    out.push(match &state {
-                        JobState::Completed(o) => format!(
-                            "+done {id} run {:?} {} ({}), {} entries, {} anomalies",
-                            o.run_id,
-                            o.key,
-                            if o.cached { "cached" } else { "fresh" },
-                            o.log.len(),
-                            o.anomalies.len()
-                        ),
-                        JobState::Failed(e) => format!("+done {id} FAILED: {e}"),
-                        JobState::Cancelled => format!("+done {id} cancelled"),
-                        JobState::Queued | JobState::Running => {
-                            unreachable!("Done carries a terminal state")
-                        }
-                    });
-                }
-                view.finished = true;
-                self.note_terminal(id);
+                return;
             }
+            if view.emit_events {
+                out.push(result.line(id, true));
+            }
+            let result = std::mem::replace(result, JobResult::Cancelled);
+            view.stage = Stage::Finished(result);
         }
     }
 }
@@ -554,19 +560,6 @@ pub fn banner(registry_root: &std::path::Path, pool_size: usize) -> String {
         "# serving registry {} with {} replay workers",
         registry_root.display(),
         pool_size
-    )
-}
-
-/// Convenience used by tests and `QueryOutcome` consumers: the drain
-/// report line for a completed job (the exact bytes `drain` emits).
-pub fn done_line(id: JobId, o: &QueryOutcome) -> String {
-    format!(
-        "job {id} done: run {:?} {} ({}), {} entries, {} anomalies",
-        o.run_id,
-        o.key,
-        if o.cached { "cached" } else { "fresh" },
-        o.log.len(),
-        o.anomalies.len()
     )
 }
 
@@ -593,26 +586,32 @@ for epoch in flor.partition(range(3)):
     log(\"wn\", net.weight_norm())
 ";
 
-    /// A long-lived connection must not pay for its history on every
-    /// poll: jobs pumped to their `+done` leave the polled window.
-    #[test]
-    fn polls_skip_jobs_already_pumped_to_their_end() {
+    /// A socket-mode session on a fresh registry in a per-test directory.
+    fn session(tag: &str) -> (std::path::PathBuf, Arc<Registry>, ServeSession) {
         let dir = std::env::temp_dir().join(format!(
-            "flor-session-test-settled-{}-{:?}",
+            "flor-session-test-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let registry = Arc::new(Registry::open(dir.join("registry")).unwrap());
+        let scheduler = Arc::new(ReplayScheduler::new(registry.clone(), 1));
+        let admission = Arc::new(AdmissionController::new(AdmissionPolicy::unlimited()));
+        let session = ServeSession::new(registry.clone(), scheduler, admission, false, 64, || {});
+        (dir, registry, session)
+    }
+
+    /// A long-lived connection must not pay for its history on every
+    /// poll: jobs pumped to their `+done` leave the polled window.
+    #[test]
+    fn polls_skip_jobs_already_pumped_to_their_end() {
+        let (dir, registry, mut session) = session("settled");
+        let scheduler = session.scheduler.clone();
         registry
             .record_run("r", SRC, |o| o.adaptive = false)
             .unwrap();
         let probed = dir.join("probed.flr");
         std::fs::write(&probed, SRC.replace("\"wn\"", "\"wn2\"")).unwrap();
-        let scheduler = Arc::new(ReplayScheduler::new(registry.clone(), 1));
-        let admission = Arc::new(AdmissionController::new(AdmissionPolicy::unlimited()));
-        let mut session =
-            ServeSession::new(registry, scheduler.clone(), admission, false, 64, || {});
         let mut out = Vec::new();
         let line = format!("stream r {}", probed.display());
         for round in 1..=3usize {
@@ -630,5 +629,98 @@ for epoch in flor.partition(range(3)):
         let lines = out.len();
         session.poll_events(&mut out).unwrap();
         assert_eq!(out.len(), lines);
+
+        // A `+progress` line carries exactly the live counters.
+        let progress = out.iter().find(|l| l.starts_with("+progress 1 ")).unwrap();
+        let keys: Vec<&str> = progress
+            .split(' ')
+            .skip(2)
+            .map(|kv| kv.split('=').next().unwrap())
+            .collect();
+        assert_eq!(
+            keys.join(" "),
+            "iterations_done iterations_total steals entries_streamed stream_first_entry_ns wall_ns"
+        );
+
+        // Hundreds of answers later, the session holds a summary per job
+        // and no sink, outcome or log entry.
+        for _ in 0..500 {
+            session.handle_line(&line, &mut out).unwrap();
+        }
+        scheduler.drain();
+        session.handle_line("drain", &mut out).unwrap();
+        assert_eq!(session.reported, 503);
+        assert!(session
+            .views
+            .values()
+            .all(|v| matches!(v.stage, Stage::Finished(_))));
+        assert!(session.permits.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The exact bytes of every result line: `+done`, the in-order
+    /// report, `status`, and the closing `# served` count.
+    #[test]
+    fn result_lines_are_byte_stable() {
+        let (dir, _, mut session) = session("golden");
+        let completed = |cached: bool, anomalies: usize| {
+            JobState::Completed(crate::service::QueryOutcome {
+                run_id: "r".into(),
+                key: "00ff".into(),
+                cached,
+                log: (0..2)
+                    .map(|i| LogEntry {
+                        key: "loss".into(),
+                        value: i.to_string(),
+                        section: flor_core::logstream::Section::Iter(i),
+                    })
+                    .collect(),
+                anomalies: vec!["a".into(); anomalies],
+                ..Default::default()
+            })
+        };
+        let states = [
+            completed(false, 1),
+            completed(true, 0),
+            JobState::Failed("unknown run \"nope\"".into()),
+            JobState::Cancelled,
+        ];
+        for (id, state) in (1..).zip(states) {
+            let sink = Arc::new(JobSink::new(false, 4, || {}));
+            sink.push(JobEvent::Done(state));
+            session.submitted.push(id);
+            session.views.insert(
+                id,
+                JobView {
+                    emit_entries: false,
+                    emit_events: true,
+                    entries_written: 0,
+                    stage: Stage::Live(sink),
+                },
+            );
+        }
+        let mut out = Vec::new();
+        for line in ["status 1", "status 2", "status 3", "status 4", "quit"] {
+            session.handle_line(line, &mut out).unwrap();
+        }
+        assert_eq!(
+            out,
+            [
+                "+done 1 run \"r\" 00ff (fresh), 2 entries, 1 anomalies",
+                "job 1: completed (2 entries)",
+                "+done 2 run \"r\" 00ff (cached), 2 entries, 0 anomalies",
+                "job 2: completed (2 entries)",
+                "+done 3 FAILED: unknown run \"nope\"",
+                "job 3: Failed(\"unknown run \\\"nope\\\"\")",
+                "+done 4 cancelled",
+                "job 4: Cancelled",
+                "job 1 done: run \"r\" 00ff (fresh), 2 entries, 1 anomalies",
+                "job 2 done: run \"r\" 00ff (cached), 2 entries, 0 anomalies",
+                "job 3 FAILED: unknown run \"nope\"",
+                "job 4 cancelled",
+                "# served 4 job(s)",
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

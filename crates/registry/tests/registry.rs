@@ -2,10 +2,39 @@
 //! them, serve hindsight queries through the cache and the scheduler.
 
 use flor_core::record::{record, RecordOptions};
-use flor_registry::{CancelResult, JobState, QueryJob, Registry, ReplayScheduler};
+use flor_registry::{
+    CancelResult, JobEvent, JobId, JobSink, JobState, QueryJob, Registry, ReplayScheduler,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A submitted job and the sink its answer arrives in.
+type Submitted = (JobId, Arc<JobSink>);
+
+/// Submits a query with a status-only sink.
+fn submit(sched: &ReplayScheduler, run: &str, src: String, workers: usize, prio: i32) -> Submitted {
+    let job = QueryJob {
+        run_id: run.into(),
+        probed_source: src,
+        workers,
+        priority: prio,
+        tenant: String::new(),
+    };
+    let sink = Arc::new(JobSink::new(false, 16, || {}));
+    (sched.submit(job, sink.clone()).unwrap(), sink)
+}
+
+/// Waits until the job leaves the scheduler and takes its terminal state
+/// from its sink.
+fn wait_done(sched: &ReplayScheduler, (id, sink): &Submitted) -> JobState {
+    sched.wait(*id);
+    assert!(sched.status(*id).is_none(), "a finished job is forgotten");
+    match sink.drain().pop() {
+        Some(JobEvent::Done(state)) => state,
+        other => panic!("job {id} ended without Done: {other:?}"),
+    }
+}
 
 fn tmproot(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -271,22 +300,9 @@ fn scheduler_completes_queued_queries_across_runs() {
     ];
     let mut ids = Vec::new();
     for (run, q, priority) in jobs {
-        ids.push(
-            sched
-                .submit(QueryJob {
-                    run_id: run.into(),
-                    probed_source: q,
-                    workers: 2,
-                    priority,
-                    tenant: String::new(),
-                })
-                .unwrap(),
-        );
+        ids.push(submit(&sched, run, q, 2, priority));
     }
-    sched.drain();
-    assert_eq!(sched.outstanding(), 0);
-
-    let outcomes: Vec<JobState> = ids.iter().map(|&id| sched.wait(id).unwrap()).collect();
+    let outcomes: Vec<JobState> = ids.iter().map(|job| wait_done(&sched, job)).collect();
     let completed: Vec<_> = outcomes
         .iter()
         .map(|s| match s {
@@ -332,39 +348,15 @@ fn scheduler_priority_orders_queued_work() {
             &format!("    log(\"loss\", avg.mean())\n    log(\"hs_{tag}\", net.weight_norm())\n"),
         )
     };
-    let head = sched
-        .submit(QueryJob {
-            run_id: "r".into(),
-            probed_source: mk("head"),
-            workers: 1,
-            priority: 0,
-            tenant: String::new(),
-        })
-        .unwrap();
-    let low = sched
-        .submit(QueryJob {
-            run_id: "r".into(),
-            probed_source: mk("low"),
-            workers: 1,
-            priority: -1,
-            tenant: String::new(),
-        })
-        .unwrap();
-    let high = sched
-        .submit(QueryJob {
-            run_id: "r".into(),
-            probed_source: mk("high"),
-            workers: 1,
-            priority: 9,
-            tenant: String::new(),
-        })
-        .unwrap();
+    let head = submit(&sched, "r", mk("head"), 1, 0);
+    let low = submit(&sched, "r", mk("low"), 1, -1);
+    let high = submit(&sched, "r", mk("high"), 1, 9);
     // `high` must complete no later than `low` despite being submitted
     // after it. Wait for `low`; by then `high` must already be terminal.
-    sched.wait(head).unwrap();
-    sched.wait(low).unwrap();
+    wait_done(&sched, &head);
+    wait_done(&sched, &low);
     assert!(
-        sched.status(high).unwrap().is_terminal(),
+        matches!(high.1.drain().last(), Some(JobEvent::Done(_))),
         "high-priority job finished before the low-priority one"
     );
     sched.drain();
@@ -377,29 +369,27 @@ fn scheduler_cancel_while_queued() {
     reg.record_run("r", &src, no_adaptive).unwrap();
     let sched = ReplayScheduler::new(reg, 1);
     // Occupy the single worker, then cancel a queued job.
-    let head = sched
-        .submit(QueryJob {
-            run_id: "r".into(),
-            probed_source: probed(&src),
-            workers: 1,
-            priority: 0,
-            tenant: String::new(),
-        })
-        .unwrap();
-    let victim = sched
-        .submit(QueryJob {
-            run_id: "r".into(),
-            probed_source: src.replace("avg.mean()", "avg.mean() * 1.0"),
-            workers: 1,
-            priority: -5,
-            tenant: String::new(),
-        })
-        .unwrap();
-    assert!(sched.cancel(victim), "queued job is cancellable");
-    assert!(matches!(sched.status(victim), Some(JobState::Cancelled)));
-    sched.wait(head).unwrap();
+    let head = submit(&sched, "r", probed(&src), 1, 0);
+    let victim = submit(
+        &sched,
+        "r",
+        src.replace("avg.mean()", "avg.mean() * 1.0"),
+        1,
+        -5,
+    );
+    assert_eq!(
+        sched.cancel_job(victim.0),
+        CancelResult::Cancelled,
+        "queued job is cancellable"
+    );
+    assert!(matches!(wait_done(&sched, &victim), JobState::Cancelled));
+    wait_done(&sched, &head);
     sched.drain();
-    assert!(!sched.cancel(head), "finished job is not cancellable");
+    assert_eq!(
+        sched.cancel_job(head.0),
+        CancelResult::NotCancellable,
+        "finished job is not cancellable"
+    );
 }
 
 #[test]
@@ -437,40 +427,42 @@ for epoch in range(16):
     );
     assert_ne!(q, src);
     let sched = ReplayScheduler::new(reg.clone(), 1);
-    let victim = sched
-        .submit(QueryJob {
-            run_id: "r".into(),
-            probed_source: q.clone(),
-            workers: 1,
-            priority: 0,
-            tenant: String::new(),
-        })
-        .unwrap();
+    let victim = submit(&sched, "r", q.clone(), 1, 0);
 
     // Wait until the replay is demonstrably mid-flight (≥1 iteration in),
     // then fire the cooperative token.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
         assert!(std::time::Instant::now() < deadline, "job never progressed");
-        let running = matches!(sched.status(victim), Some(JobState::Running));
+        let running = matches!(sched.status(victim.0), Some(JobState::Running));
         if running
             && sched
-                .progress(victim)
+                .progress(victim.0)
                 .is_some_and(|p| p.iterations_done >= 1)
         {
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(sched.cancel_job(victim), CancelResult::CancelRequested);
-    {
-        let st = sched.wait(victim).unwrap();
-        assert!(matches!(st, JobState::Cancelled), "got {:?}", st);
-    }
+    assert_eq!(sched.cancel_job(victim.0), CancelResult::CancelRequested);
+    sched.wait(victim.0);
+    let mut events = victim.1.drain();
+    let st = events.pop();
+    assert!(
+        matches!(st, Some(JobEvent::Done(JobState::Cancelled))),
+        "got {st:?}"
+    );
 
     // The iteration counter plateaued: the token stopped the replay before
     // the remaining epochs ran, and it stays put after termination.
-    let at_cancel = sched.progress(victim).unwrap();
+    let at_cancel = events
+        .iter()
+        .rev()
+        .find_map(|ev| match ev {
+            JobEvent::Progress(p) => Some(*p),
+            _ => None,
+        })
+        .unwrap();
     assert!(
         at_cancel.iterations_done < at_cancel.iterations_total,
         "cancelled mid-flight: {}/{}",
@@ -478,27 +470,15 @@ for epoch in range(16):
         at_cancel.iterations_total
     );
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(
-        sched.progress(victim).unwrap().iterations_done,
-        at_cancel.iterations_done,
+    assert!(
+        victim.1.drain().is_empty() && sched.progress(victim.0).is_none(),
         "no iterations after cancellation"
     );
 
     // The worker slot is free: the next job on the same 1-worker pool
     // completes (a cancelled job that pinned its slot would hang this).
-    let follow = sched
-        .submit(QueryJob {
-            run_id: "r".into(),
-            probed_source: src.to_string(),
-            workers: 1,
-            priority: 0,
-            tenant: String::new(),
-        })
-        .unwrap();
-    assert!(matches!(
-        sched.wait(follow).unwrap(),
-        JobState::Completed(_)
-    ));
+    let follow = submit(&sched, "r", src.to_string(), 1, 0);
+    assert!(matches!(wait_done(&sched, &follow), JobState::Completed(_)));
 
     // The aborted replay was never cached: re-issuing the identical query
     // replays fresh, and only its *completed* answer populates the cache.

@@ -7,7 +7,7 @@ use flor_core::parallel::max_speedup_profiled;
 use flor_core::profile::{CostProfile, COST_PROFILE_ARTIFACT};
 use flor_core::record::{record, RecordOptions};
 use flor_core::replay::{replay, replay_reference, ReplayOptions};
-use flor_registry::{QueryEvent, QueryJob, Registry, ReplayScheduler};
+use flor_registry::{JobEvent, JobSink, JobState, QueryEvent, QueryJob, Registry, ReplayScheduler};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -206,18 +206,36 @@ fn scheduler_exposes_streaming_progress() {
         .record_run("skewed", SKEWED_SRC, |o| o.adaptive = false)
         .unwrap();
     let scheduler = ReplayScheduler::new(registry, 2);
+    let sink = Arc::new(JobSink::new(true, 1 << 20, || {}));
     let id = scheduler
-        .submit(QueryJob {
-            run_id: "skewed".into(),
-            probed_source: inner_probed(),
-            workers: 4,
-            priority: 0,
-            tenant: String::new(),
-        })
+        .submit(
+            QueryJob {
+                run_id: "skewed".into(),
+                probed_source: inner_probed(),
+                workers: 4,
+                priority: 0,
+                tenant: String::new(),
+            },
+            sink.clone(),
+        )
         .unwrap();
-    let state = scheduler.wait(id).unwrap();
-    assert!(matches!(state, flor_registry::JobState::Completed(_)));
-    let progress = scheduler.progress(id).expect("progress recorded");
+    scheduler.wait(id);
+    // The job left the scheduler; its final progress and terminal state
+    // are the sink's last `Progress` and its `Done`.
+    assert!(scheduler.progress(id).is_none());
+    let events = sink.drain();
+    let progress = events
+        .iter()
+        .rev()
+        .find_map(|ev| match ev {
+            JobEvent::Progress(p) => Some(*p),
+            _ => None,
+        })
+        .expect("progress streamed");
+    assert!(matches!(
+        events.last(),
+        Some(JobEvent::Done(JobState::Completed(_)))
+    ));
     assert_eq!(progress.iterations_done, 12);
     assert_eq!(progress.iterations_total, 12);
     assert!(progress.entries_streamed > 0);

@@ -18,6 +18,10 @@ run() {
 
 run cargo build --release
 run cargo test -q
+# The end-to-end benchmark is a package of its own (not a workspace
+# member) built against the crates' public APIs: build and test it here so
+# an API change that breaks it fails this gate.
+run cargo test --release --offline --manifest-path benchmark/Cargo.toml
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --check
 
