@@ -43,4 +43,6 @@ pub use augment::{augment_changeset, TypeOracle};
 pub use changeset::{analyze_loop, LoopAnalysis, RefusalReason};
 pub use instrument::{instrument, BlockPlan, InstrumentReport};
 pub use rules::{match_rule, RuleApplication, RuleId};
-pub use slice::{outer_carried_state, slice_program, SlicePlan};
+pub use slice::{
+    outer_carried_state, probe_mutating_call, slice_program, SlicePlan, READ_ONLY_METHODS,
+};

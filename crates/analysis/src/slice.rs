@@ -52,7 +52,12 @@
 //!   — the slicer refuses and replay runs the full program.
 //!
 //! Only statements inside the main-loop body are candidates; the
-//! preamble and postamble always run in full.
+//! preamble always runs in full. The postamble is either run in full or
+//! not at all: replay skips it, and emits its recorded log instead, when
+//! no probe lands in it and every probe is read-only
+//! ([`probe_mutating_call`]) — `flor-core`'s `ReplayPlan` decides. The
+//! slice itself (and so its fingerprint) treats the postamble as live
+//! either way.
 
 use crate::instrument::BlockPlan;
 use flor_lang::ast::{Expr, Program, Stmt};
@@ -63,6 +68,25 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 /// result; statements whose only calls are pure are elidable. Mirrors
 /// `flor-core`'s interpreter builtins.
 const PURE_BUILTINS: &[&str] = &["range", "len", "min", "max", "abs", "busy"];
+
+/// Methods that read their receiver and change nothing, on every object
+/// kind that has them. A probe calling only these and the pure builtins
+/// (`range`, `len`, `min`, `max`, `abs`, `busy`) leaves the program
+/// state as it found it. `flor-core` pins the list
+/// against its method dispatch: each entry leaves its receiver's
+/// snapshot bytes unchanged.
+pub const READ_ONLY_METHODS: &[&str] = &[
+    "weight_norm",
+    "grad_norm",
+    "num_params",
+    "mean",
+    "norm",
+    "max",
+    "item",
+    "shape",
+    "size",
+    "num_batches",
+];
 
 /// Builtins that construct objects. They advance the interpreter's
 /// global constructor-seed counter, so they are never elided; their
@@ -697,6 +721,49 @@ fn has_pinned_call(e: &Expr) -> bool {
     }
 }
 
+/// The first call in a probe's arguments that may change program state —
+/// a function that is not a pure builtin, a method outside
+/// [`READ_ONLY_METHODS`], or a computed callee — printed for a refusal
+/// reason. `None` means evaluating the probe leaves every value as it
+/// found it, so the code after it computes what it did at record time.
+pub fn probe_mutating_call(probe: &Stmt) -> Option<String> {
+    fn first(e: &Expr) -> Option<String> {
+        match e {
+            Expr::Call { func, args } => {
+                let (read_only, recv) = match func.as_ref() {
+                    Expr::Name(f) => (is_pure_builtin(f), None),
+                    Expr::Attr { obj, name } => {
+                        (READ_ONLY_METHODS.contains(&name.as_str()), Some(obj))
+                    }
+                    _ => (false, None),
+                };
+                if !read_only {
+                    return Some(e.to_string());
+                }
+                recv.and_then(|r| first(r))
+                    .or_else(|| args.iter().find_map(|a| first(&a.value)))
+            }
+            Expr::Attr { obj, .. } => first(obj),
+            Expr::Subscript { obj, index } => first(obj).or_else(|| first(index)),
+            Expr::Bin { lhs, rhs, .. } => first(lhs).or_else(|| first(rhs)),
+            Expr::Unary { expr, .. } => first(expr),
+            Expr::List(items) | Expr::Tuple(items) => items.iter().find_map(first),
+            Expr::Name(_)
+            | Expr::Int(_)
+            | Expr::Float(_)
+            | Expr::Str(_)
+            | Expr::Bool(_)
+            | Expr::NoneLit => None,
+        }
+    }
+    match probe {
+        Stmt::ExprStmt {
+            expr: Expr::Call { args, .. },
+        } if probe.is_log_stmt() => args.iter().find_map(|a| first(&a.value)),
+        _ => Some("a probe that is not a log statement".into()),
+    }
+}
+
 fn stmt_name_leaves(s: &Stmt) -> Vec<String> {
     let mut out = Vec::new();
     collect_stmt_names(s, &mut out);
@@ -1160,6 +1227,32 @@ mod tests {
         let out = pruned_src(&plan, &prog);
         assert!(out.contains("meter()"), "seed counter discipline: {out}");
         assert!(!out.contains("busy(1)"), "{out}");
+    }
+
+    #[test]
+    fn probe_mutating_call_names_the_first_call_that_may_write() {
+        let probe = |src: &str| {
+            let prog = parse(src).expect("parse");
+            probe_mutating_call(&prog.body[0])
+        };
+        for read_only in [
+            "log(\"w\", net.weight_norm() + 3)\n",
+            "log(\"g\", max(net.grad_norm(), abs(x)), avg.mean())\n",
+            "flor.log(\"b\", len(batch), batch.size(), preds.shape())\n",
+        ] {
+            assert_eq!(probe(read_only), None, "{read_only}");
+        }
+        assert_eq!(
+            probe("log(\"m\", 1 + net.accuracy(batch))\n").as_deref(),
+            Some("net.accuracy(batch)")
+        );
+        // The receiver of a read-only method is checked too.
+        assert_eq!(
+            probe("log(\"n\", loader.epoch().size())\n").as_deref(),
+            Some("loader.epoch()")
+        );
+        assert!(probe("log(\"e\", evaluate(net, data))\n").is_some());
+        assert!(probe("x = net.weight_norm()\n").is_some(), "not a log");
     }
 
     #[test]

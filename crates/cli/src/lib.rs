@@ -5,9 +5,9 @@
 
 use flor_analysis::instrument::instrument;
 use flor_core::record::{record, run_vanilla, RecordOptions};
-use flor_core::replay::{replay, replay_reference, ReplayOptions, ReplayReport};
+use flor_core::replay::{replay, replay_reference, Postamble, ReplayOptions, ReplayReport};
 use flor_core::sample::replay_sample;
-use flor_core::InitMode;
+use flor_core::{InitMode, Section};
 use flor_lang::{parse, print_program};
 use flor_net::{ClientConn, Endpoint};
 use flor_registry::{
@@ -437,7 +437,8 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
 }
 
 /// The lines `flor replay` and `flor sample` both end with: what the
-/// slicer did, what the scheduler did, and every deferred-check anomaly.
+/// slicer did, whether the postamble ran, what the scheduler did, and
+/// every deferred-check anomaly.
 fn write_replay_trailer(out: &mut String, report: &ReplayReport) {
     match &report.slice_refusal {
         Some(reason) => {
@@ -450,6 +451,19 @@ fn write_replay_trailer(out: &mut String, report: &ReplayReport) {
                 report.stats.statements_elided,
                 report.stats.slice_fraction() * 100.0
             );
+        }
+    }
+    match &report.postamble {
+        Postamble::Memoized => {
+            let post = report.log.iter().filter(|e| e.section == Section::Post);
+            let _ = writeln!(
+                out,
+                "# postamble: memoized ({} recorded entries)",
+                post.count()
+            );
+        }
+        Postamble::Executed(reason) => {
+            let _ = writeln!(out, "# postamble: executed ({reason})");
         }
     }
     let _ = writeln!(

@@ -513,9 +513,10 @@ impl Interp {
 
         self.exit_main_loop();
         // Only a worker ending at the final iteration owns the true final
-        // state; everyone else's postamble is suppressed. No worker owns
-        // an empty main loop.
-        if n == 0 || state_at != n {
+        // state; everyone else's postamble is suppressed. An empty loop's
+        // final state is the preamble's, which every worker holds: the
+        // owner of deque 0 answers for it.
+        if state_at != n || (n == 0 && deque != 0) {
             self.log.set_suppressed(true);
         }
         Ok(())
@@ -1589,6 +1590,84 @@ mod tests {
             .run(&prog)
             .unwrap_or_else(|e| panic!("script failed: {e}\n{src}"));
         interp
+    }
+
+    #[test]
+    fn read_only_methods_leave_every_receiver_unchanged() {
+        // Replay memoizes the postamble only for probes whose calls are
+        // all in `READ_ONLY_METHODS` (or pure builtins); the list must not
+        // drift from `call_method`. Every value kind a script can build,
+        // with training state in it.
+        let mut i = run_vanilla(
+            "\
+data = synth_data(n=12, dim=4, classes=2, seed=1)
+loader = dataloader(data, batch_size=4, seed=1)
+net = mlp(input=4, hidden=6, classes=2, depth=1, seed=1)
+optimizer = sgd(net, lr=0.1, momentum=0.9)
+sched = step_lr(optimizer)
+criterion = cross_entropy()
+swa = swa_averager()
+avg = meter()
+for batch in loader.epoch():
+    optimizer.zero_grad()
+    preds = net.forward(batch)
+    loss = criterion.forward(preds, batch)
+    grad = criterion.backward()
+    net.backward(grad)
+    optimizer.step()
+    avg.update(loss)
+    swa.update(net)
+sched.step()
+items = [loss, 1, \"s\"]
+",
+        );
+        i.env
+            .set("scalar".to_string(), Value::Tensor(Tensor::scalar(0.5)));
+        let names = [
+            "data",
+            "loader",
+            "net",
+            "optimizer",
+            "sched",
+            "criterion",
+            "swa",
+            "avg",
+            "batch",
+            "preds",
+            "grad",
+            "scalar",
+            "loss",
+            "items",
+        ];
+        let bytes = |v: &Value| flor_chkpt::encode(&v.snapshot().unwrap());
+        let mut implemented = BTreeSet::new();
+        for name in names {
+            let v = i.env.get(name).unwrap().clone();
+            for &method in flor_analysis::READ_ONLY_METHODS {
+                // `item()` is defined on one-element tensors only.
+                if method == "item" && matches!(&v, Value::Tensor(t) if t.numel() != 1) {
+                    continue;
+                }
+                let before = bytes(&v);
+                let no_args = CallArgs::new(Vec::new(), Vec::new());
+                match i.call_method(v.clone(), method, no_args) {
+                    Ok(_) => {
+                        implemented.insert(method);
+                        assert_eq!(bytes(&v), before, "{name}.{method}() mutated {name}");
+                    }
+                    Err(e) => assert!(e.to_string().contains("no method"), "{name}.{method}: {e}"),
+                }
+            }
+        }
+        let listed: BTreeSet<&str> = flor_analysis::READ_ONLY_METHODS.iter().copied().collect();
+        assert_eq!(implemented, listed, "a listed method no object implements");
+        // The check can see a mutation: drawing an epoch advances the
+        // loader's shuffle.
+        let loader = i.env.get("loader").unwrap().clone();
+        let before = bytes(&loader);
+        let no_args = CallArgs::new(Vec::new(), Vec::new());
+        i.call_method(loader.clone(), "epoch", no_args).unwrap();
+        assert_ne!(bytes(&loader), before);
     }
 
     #[test]

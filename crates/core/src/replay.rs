@@ -12,10 +12,13 @@
 //!    diff it against the recorded one — added log statements become
 //!    probes, attributed to their enclosing SkipBlock; anything else
 //!    poisons checkpoint reuse — then slice the program down to the
-//!    dependency cone of its log statements. Every later decision (which
-//!    blocks restore, whether a worker may rewind or jump to an anchor,
-//!    where a range's initialization starts, how ranges are priced) is a
-//!    method on the plan.
+//!    dependency cone of its log statements, and decide whether the
+//!    postamble (the code after the main loop) runs at all: it is
+//!    *memoized* — not compiled, its recorded log emitted instead — when
+//!    no probe can change what it prints ([`Postamble`]). Every later
+//!    decision (which blocks restore, whether a worker may rewind or jump
+//!    to an anchor, where a range's initialization starts, how ranges are
+//!    priced) is a method on the plan.
 //! 2. [`replay_plan`] compiles the sliced program to bytecode and runs `G`
 //!    workers against a shared [`ReplayRuntime`]: each pulls cost-sized
 //!    micro-ranges off the work-stealing queue (seeded contiguously to
@@ -27,10 +30,12 @@
 //!    record-order prefix as soon as it is contiguous — no barrier join —
 //!    and runs the deferred correctness check on that prefix: the replayed
 //!    fingerprint must match the record log everywhere both produced
-//!    output.
+//!    output. A memoized postamble's recorded entries follow the last
+//!    iteration's.
 //!
 //! [`replay_reference`] is the oracle the tests compare that path against:
-//! one worker tree-walking the *unsliced* instrumented program.
+//! one worker tree-walking the *unsliced* instrumented program, preamble
+//! and postamble included.
 
 use crate::error::FlorError;
 use crate::interp::{Interp, Mode, ReplayCtx, ReplayStats};
@@ -39,12 +44,14 @@ use crate::parallel::{seed_cost_ranges, InitMode, MicroRange, RangeQueue};
 use crate::profile::{sliced_cost, CostProfile, COST_PROFILE_ARTIFACT};
 use crate::record::{fnv1a64, source_version};
 use crate::stream::{RangeSink, StreamEvent, StreamMsg, StreamingMerger};
+use crate::vm::ModuleCache;
 use flor_analysis::instrument::instrument;
-use flor_analysis::SlicePlan;
+use flor_analysis::{probe_mutating_call, SlicePlan};
 use flor_chkpt::CheckpointStore;
 use flor_lang::ast::{Expr, Program, Stmt};
-use flor_lang::compile::Module;
+use flor_lang::compile::{path_step, Module};
 use flor_lang::{diff_programs, parse, print_program, prune_program, DiffReport, ProbeSite};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -92,6 +99,38 @@ impl ReplayOptions {
     }
 }
 
+/// Whether replay runs the postamble — the top-level code after the main
+/// loop — or emits what it printed at record time.
+///
+/// `record_log.txt` is written only after a run completes, so its `Post`
+/// section is the postamble's whole output. The paper's memoization
+/// argument (a block whose side effects are known need not run again)
+/// then applies one level above SkipBlocks: the postamble is
+/// [`Postamble::Memoized`] when
+///
+/// - (a) the diff is pure hindsight,
+/// - (b) the program has exactly one `flor.partition` loop, at top level,
+/// - (c) the new postamble is structurally the recorded one (no probe
+///   lands there), and
+/// - (d) every probe is read-only ([`probe_mutating_call`]),
+///
+/// because then it reads what it read at record time and prints what it
+/// printed then. Otherwise it runs, and the plan says why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Postamble {
+    /// Not compiled and not run: the merger emits the record log's `Post`
+    /// entries once the last iteration's are out.
+    Memoized,
+    /// Run, for the reason given.
+    Executed(String),
+}
+
+impl Default for Postamble {
+    fn default() -> Self {
+        Postamble::Executed("no plan was built".into())
+    }
+}
+
 /// Every front-end decision of one hindsight query, made once by
 /// [`ReplayPlan::build`] and shared (behind an `Arc`) by the registry's
 /// cache lookup, the driver and every worker.
@@ -111,8 +150,11 @@ pub struct ReplayPlan {
     pub(crate) cuts_provable: bool,
     /// What the slicer decided, including why it refused if it did.
     pub(crate) slice: SlicePlan,
+    /// Whether the postamble runs; see [`ReplayPlan::postamble`].
+    pub(crate) postamble: Postamble,
     /// The instrumented new program: what the VM compiles (minus
-    /// `slice.dead`) and the reference tree-walks in full.
+    /// `slice.dead` and a memoized postamble) and the reference
+    /// tree-walks in full.
     pub(crate) program: Program,
     /// The run's recorded per-iteration costs, if it has any.
     pub(crate) profile: Option<CostProfile>,
@@ -190,6 +232,7 @@ impl ReplayPlan {
             let region = u64::from(slice.region_stmts);
             flor_obs::instant(flor_obs::Category::Slice, "slice_refused", region, 0);
         }
+        let postamble = postamble_rule(&recorded_prog, &inst.program, &diff);
         // The slice class: textually different probes that parse,
         // instrument and slice to the same live cone print the same
         // canonical program. A sliced module is cached under the source
@@ -209,6 +252,12 @@ impl ReplayPlan {
             }
             fingerprint = Some(hash);
         }
+        // A module without its postamble must never be served to a replay
+        // that runs it — the same text against another run, say, where
+        // the diff is impure — so the key names the elision.
+        if postamble == Postamble::Memoized {
+            module_key.push_str("+p");
+        }
         Ok(ReplayPlan {
             outer_carried: flor_analysis::outer_carried_state(&inst.program, &inst.blocks)
                 .is_some(),
@@ -217,6 +266,7 @@ impl ReplayPlan {
             main_blocks,
             cuts_provable,
             slice,
+            postamble,
             program: inst.program,
             profile,
             fingerprint,
@@ -244,10 +294,35 @@ impl ReplayPlan {
         self.fingerprint
     }
 
-    /// Key of this query's compiled module in a
-    /// [`ModuleCache`](crate::vm::ModuleCache).
+    /// Key of this query's compiled module in a [`ModuleCache`]: the
+    /// source version, plus `+s<fingerprint>` when the slice elides
+    /// statements and `+p` when the postamble is memoized.
     pub fn module_key(&self) -> &str {
         &self.module_key
+    }
+
+    /// Whether production replay runs the postamble, and why if it does.
+    /// The reference ignores this and always runs it.
+    pub fn postamble(&self) -> &Postamble {
+        &self.postamble
+    }
+
+    /// Lowers what production replay executes to bytecode — the program
+    /// minus the slice's dead statements and, when memoized, minus the
+    /// postamble — through `cache` under [`Self::module_key`] when given.
+    pub fn compile(&self, cache: Option<&ModuleCache>) -> Result<Arc<Module>, FlorError> {
+        let mut dead = Cow::Borrowed(&self.slice.dead);
+        if self.postamble == Postamble::Memoized {
+            let body = &self.program.body;
+            if let Some(main) = body.iter().position(is_partition_loop) {
+                let post = (main + 1..body.len()).map(|i| vec![path_step(0, i)]);
+                dead.to_mut().extend(post);
+            }
+        }
+        match cache {
+            Some(cache) => cache.get_or_compile_sliced(&self.module_key, &self.program, &dead),
+            None => crate::vm::compile_program_sliced(&self.program, &dead),
+        }
     }
 
     /// Non-hindsight source changes were detected: no checkpoint may be
@@ -472,6 +547,9 @@ pub struct ReplayReport {
     /// slice that applied, found nothing dead, or was never asked — the
     /// reference).
     pub slice_refusal: Option<String>,
+    /// Whether the postamble ran or its recorded entries were emitted
+    /// (the reference always runs it).
+    pub postamble: Postamble,
     /// Wall-clock time of the replay, ns.
     pub wall_ns: u64,
 }
@@ -485,6 +563,61 @@ impl ReplayReport {
             .iter()
             .filter(|e| !record_keys.contains(e.key.as_str()))
             .collect()
+    }
+}
+
+/// `for v in flor.partition(inner):` — the main-loop form the interpreter
+/// and the compiler hand to the range executor.
+fn is_partition_loop(stmt: &Stmt) -> bool {
+    matches!(
+        stmt,
+        Stmt::For { iter: Expr::Call { func, args }, .. }
+            if args.len() == 1
+                && matches!(
+                    func.as_ref(),
+                    Expr::Attr { obj, name } if name == "partition" && obj.as_name() == Some("flor")
+                )
+    )
+}
+
+/// `flor.partition` loops anywhere in `body`, nested ones included.
+fn partition_loops(body: &[Stmt]) -> usize {
+    body.iter()
+        .map(|s| match s {
+            Stmt::For { body, .. } => usize::from(is_partition_loop(s)) + partition_loops(body),
+            Stmt::If { then, orelse, .. } => partition_loops(then) + partition_loops(orelse),
+            Stmt::SkipBlock { body, .. } => partition_loops(body),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// The [`Postamble`] rule: the first of conditions (a)–(d) that fails
+/// names why the postamble runs.
+fn postamble_rule(recorded: &Program, new: &Program, diff: &DiffReport) -> Postamble {
+    let executed = |why: &str| Postamble::Executed(why.into());
+    if !diff.is_pure_hindsight() {
+        return executed("source changed beyond hindsight logging");
+    }
+    let main = |p: &Program| p.body.iter().position(is_partition_loop);
+    let (Some(rec_main), Some(new_main)) = (main(recorded), main(new)) else {
+        return executed("no top-level flor.partition main loop");
+    };
+    if partition_loops(&new.body) > 1 {
+        return executed("a second flor.partition loop");
+    }
+    if recorded.body[rec_main + 1..] != new.body[new_main + 1..] {
+        return executed("a probe lands in the postamble");
+    }
+    match diff
+        .probes
+        .iter()
+        .find_map(|p| probe_mutating_call(&p.stmt))
+    {
+        Some(call) => {
+            Postamble::Executed(format!("a probe calls `{call}`, which may mutate state"))
+        }
+        None => Postamble::Memoized,
     }
 }
 
@@ -507,20 +640,9 @@ fn main_loop_blocks(prog: &Program) -> Vec<String> {
         }
     }
     let mut out = Vec::new();
-    for stmt in &prog.body {
-        if let Stmt::For { iter, body, .. } = stmt {
-            let is_partitioned = matches!(
-                iter,
-                Expr::Call { func, .. }
-                    if matches!(
-                        func.as_ref(),
-                        Expr::Attr { obj, name }
-                            if name == "partition" && obj.as_name() == Some("flor")
-                    )
-            );
-            if is_partitioned {
-                collect(body, &mut out);
-            }
+    for stmt in prog.body.iter().filter(|s| is_partition_loop(s)) {
+        if let Stmt::For { body, .. } = stmt {
+            collect(body, &mut out);
         }
     }
     out
@@ -574,12 +696,7 @@ pub fn replay_plan(
     opts: &ReplayOptions,
     mut on_event: impl FnMut(StreamEvent<'_>),
 ) -> Result<ReplayReport, FlorError> {
-    let module = match &opts.module_cache {
-        Some(cache) => {
-            cache.get_or_compile_sliced(&plan.module_key, &plan.program, &plan.slice.dead)?
-        }
-        None => crate::vm::compile_program_sliced(&plan.program, &plan.slice.dead)?,
-    };
+    let module = plan.compile(opts.module_cache.as_deref())?;
     let runtime = ReplayRuntime::new(&plan, opts);
     run_plan(plan, store, runtime, Some(module), &mut on_event)
 }
@@ -599,8 +716,9 @@ pub fn replay_reference(
     run_plan(plan, store, runtime, None, &mut |_| {})
 }
 
-/// Runs `runtime`'s workers and the merger. `module: None` tree-walks
-/// `plan.program` in full instead of executing the compiled slice.
+/// Runs `runtime`'s workers and the merger. `module` is what
+/// [`ReplayPlan::compile`] lowered; `None` tree-walks `plan.program` in
+/// full instead, postamble included.
 pub(crate) fn run_plan(
     plan: Arc<ReplayPlan>,
     store: Arc<CheckpointStore>,
@@ -608,11 +726,25 @@ pub(crate) fn run_plan(
     module: Option<Arc<Module>>,
     on_event: &mut dyn FnMut(StreamEvent<'_>),
 ) -> Result<ReplayReport, FlorError> {
-    // The record log feeds the incremental deferred check.
+    // The record log feeds the incremental deferred check, and stands in
+    // for a memoized postamble.
     let record_log = LogStream::parse_text(
         &String::from_utf8(store.get_artifact("record_log.txt")?)
             .map_err(|_| crate::error::rt("record log is not valid UTF-8"))?,
     );
+    let postamble = match module {
+        Some(_) => plan.postamble.clone(),
+        None => Postamble::Executed("the reference runs it in full".into()),
+    };
+    match &postamble {
+        Postamble::Memoized => flor_obs::counter!("replay.postamble_memoized").inc(),
+        Postamble::Executed(_) if module.is_some() => {
+            flor_obs::counter!("replay.postamble_refusals").inc();
+            let probes = plan.diff.probes.len() as u64;
+            flor_obs::instant(flor_obs::Category::Slice, "postamble_refused", probes, 0);
+        }
+        Postamble::Executed(_) => {}
+    }
 
     // Interpreter values are Rc-based (single-threaded by design, like
     // CPython); each worker owns a fresh interpreter inside its thread —
@@ -643,8 +775,9 @@ pub(crate) fn run_plan(
                     unreachable!()
                 };
                 // Whatever the main loop didn't drain: preamble entries of
-                // a loop-less program, and the postamble (suppressed — and
-                // therefore empty — unless this worker owns the final state).
+                // a loop-less program, and the postamble (empty when
+                // memoized or when this worker does not own the final
+                // state, whose postamble is suppressed).
                 let leftover = interp.log.into_entries();
                 let (pre, post): (Vec<LogEntry>, Vec<LogEntry>) = leftover
                     .into_iter()
@@ -661,6 +794,9 @@ pub(crate) fn run_plan(
     // sink is gone; entries stream to the observer as prefixes complete.
     flor_obs::set_lane(flor_obs::trace::LANE_DRIVER, "driver");
     let mut merger = StreamingMerger::new(&record_log, t0, on_event);
+    if postamble == Postamble::Memoized {
+        merger.memoize_post();
+    }
     merger.run(&rx);
 
     let mut stats = ReplayStats::default();
@@ -712,6 +848,7 @@ pub(crate) fn run_plan(
         anomalies,
         stats,
         slice_refusal: module.and(plan.slice.fallback.clone()),
+        postamble,
         wall_ns,
     })
 }
@@ -926,10 +1063,113 @@ for epoch in flor.partition(range(5)):
     fn plan_keys_are_the_bytes_existing_caches_hold() {
         // Computed at the commit before `ReplayPlan` existed, from
         // `slice_fingerprint` and `replay_streaming`'s module key: a
-        // registry `cache/` written then must keep hitting.
+        // registry `cache/` written then must keep hitting. The module
+        // key gained `+p` when memoized postambles stopped being
+        // compiled; it keys the in-memory `ModuleCache` only, which no
+        // earlier process left behind.
         let plan = build(&inner_probed());
         assert_eq!(plan.fingerprint(), Some(0x21c9_b231_ca05_e7c6));
-        assert_eq!(plan.module_key(), "8030229ee8567a13+s21c9b231ca05e7c6");
+        assert_eq!(plan.module_key(), "8030229ee8567a13+s21c9b231ca05e7c6+p");
+    }
+
+    #[test]
+    fn plan_memoizes_the_postamble_only_when_no_probe_can_change_it() {
+        let refused = |src: &str| match build(src).postamble() {
+            Postamble::Executed(why) => why.clone(),
+            Postamble::Memoized => panic!("memoized:\n{src}"),
+        };
+        for src in [
+            outer_probed(),
+            inner_probed(),
+            TRAIN_SRC.replace(
+                "avg = meter()\n",
+                "avg = meter()\nlog(\"n\", net.num_params())\n",
+            ),
+        ] {
+            assert_eq!(build(&src).postamble(), &Postamble::Memoized, "{src}");
+        }
+        let impure = TRAIN_SRC.replace("lr=0.1", "lr=0.05");
+        assert!(refused(&impure).contains("beyond hindsight"));
+        let in_post = format!("{TRAIN_SRC}log(\"late\", acc)\n");
+        assert_eq!(refused(&in_post), "a probe lands in the postamble");
+        let mutating = TRAIN_SRC.replace(
+            "        optimizer.step()\n",
+            "        optimizer.step()\n        log(\"m\", net.accuracy(batch))\n",
+        );
+        assert!(refused(&mutating).contains("`net.accuracy(batch)`"));
+        // Unpartitioned programs have no "after the loop" to memoize.
+        let flat = "x = 1\nlog(\"x\", x)\n";
+        let plan = ReplayPlan::build(&recorded(flat), flat, None, |_, _| true).unwrap();
+        assert!(matches!(plan.postamble(), Postamble::Executed(_)));
+        // A second partition loop shares the sections of the first.
+        let second = format!("{TRAIN_SRC}for k in flor.partition(range(2)):\n    busy(0)\n");
+        let probed = second.replace(
+            "    log(\"loss\", avg.mean())\n",
+            "    log(\"loss\", avg.mean())\n    log(\"w\", net.weight_norm())\n",
+        );
+        let plan =
+            ReplayPlan::build(&recorded(&second), &probed, dense_profile(6), |_, _| true).unwrap();
+        let want = Postamble::Executed("a second flor.partition loop".into());
+        assert_eq!(plan.postamble(), &want);
+    }
+
+    #[test]
+    fn a_shared_module_cache_keeps_memoized_and_executed_postambles_apart() {
+        // One probed text, pure against run `a` (postamble memoized) and
+        // impure against run `b` (recorded with another learning rate, so
+        // its postamble runs). With the slice inactive, only the `+p`
+        // suffix tells their modules apart.
+        let (a, b) = (tmproot("memo-key-a"), tmproot("memo-key-b"));
+        record(TRAIN_SRC, &opts_exact(&a)).unwrap();
+        record(&TRAIN_SRC.replace("lr=0.1", "lr=0.05"), &opts_exact(&b)).unwrap();
+        let probed = TRAIN_SRC.replace(
+            "        optimizer.step()\n",
+            "        optimizer.step()\n        log(\"waste\", waste)\n",
+        );
+        let plan = |root: &PathBuf| {
+            ReplayPlan::prepare(&CheckpointStore::open(root).unwrap(), &probed).unwrap()
+        };
+        let (plan_a, plan_b) = (plan(&a), plan(&b));
+        assert_eq!(plan_a.postamble(), &Postamble::Memoized);
+        assert!(matches!(plan_b.postamble(), Postamble::Executed(_)));
+        assert!(!plan_a.slice().is_active(), "every statement is live");
+        assert_eq!(plan_a.module_key(), format!("{}+p", plan_b.module_key()));
+
+        for order in [[&a, &b], [&b, &a]] {
+            let opts = ReplayOptions {
+                module_cache: Some(Arc::new(ModuleCache::new())),
+                ..ReplayOptions::default()
+            };
+            for root in order {
+                let rep = replay(&probed, root, &opts).unwrap();
+                let reference = replay_reference(&probed, root).unwrap();
+                assert_eq!(rep.log, reference.log, "{}", root.display());
+                assert!(rep.log.iter().any(|e| e.key == "accuracy"));
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_main_loop_still_prints_its_postamble() {
+        let src = TRAIN_SRC.replace("range(6)", "range(0)");
+        let root = tmproot("empty-loop");
+        record(&src, &opts_exact(&root)).unwrap();
+        // The unprobed replay memoizes the postamble; a mutating preamble
+        // probe makes every worker's VM and the reference run it.
+        let mutating = src.replace(
+            "avg = meter()\n",
+            "avg = meter()\nlog(\"batches\", len(loader.epoch()))\n",
+        );
+        for probed in [src.clone(), mutating] {
+            let (_, vanilla) = crate::record::run_vanilla(&probed).unwrap();
+            assert!(vanilla.iter().any(|e| e.section == Section::Post));
+            let reference = replay_reference(&probed, &root).unwrap();
+            assert_eq!(reference.log, vanilla, "reference\n{probed}");
+            for workers in [1, 3] {
+                let rep = replay(&probed, &root, &ReplayOptions::with_workers(workers)).unwrap();
+                assert_eq!(rep.log, vanilla, "{workers} worker(s)\n{probed}");
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn sampler(
 ) -> Result<impl Fn(&[u64]) -> Result<ReplayReport, FlorError>, FlorError> {
     let store = Arc::new(CheckpointStore::open(store_root)?);
     let plan = Arc::new(ReplayPlan::prepare(&store, new_src)?);
-    let module = crate::vm::compile_program_sliced(&plan.program, &plan.slice.dead)?;
+    let module = plan.compile(None)?;
     let opts = ReplayOptions {
         init_mode: InitMode::Weak,
         ..ReplayOptions::default()

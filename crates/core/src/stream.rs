@@ -8,11 +8,14 @@
 //! merger: workers send each completed micro-range's entries over a
 //! channel, and [`StreamingMerger`] emits the record-order prefix as soon
 //! as it becomes contiguous — preamble first, then iterations in global
-//! order, then the postamble once the final owner finishes. A sampled
-//! replay's ranges never become contiguous; they flush in iteration order
-//! when the merge finishes. The deferred fingerprint check (paper §5.2.2)
-//! runs incrementally on the same prefix, so anomalies surface with the
-//! entries that caused them, not at the end.
+//! order, then the postamble once the final owner finishes — or, when the
+//! plan memoized it, the record log's postamble entries as soon as the
+//! prefix reaches the loop's end. A sampled replay's ranges never become
+//! contiguous; they flush in iteration order when the merge finishes (a
+//! memoized postamble with them, if the last iteration was sampled). The
+//! deferred fingerprint check (paper §5.2.2) runs incrementally on the
+//! same prefix, so anomalies surface with the entries that caused them,
+//! not at the end.
 //!
 //! The merge is byte-identical to the old barrier merge
 //! ([`merge_worker_logs`]) for every partitioning and steal order —
@@ -113,6 +116,9 @@ pub struct StreamingMerger<'a> {
     pre: Option<Vec<LogEntry>>,
     pre_emitted: bool,
     post: Vec<LogEntry>,
+    /// Recorded postamble entries standing in for a postamble replay did
+    /// not run, until the prefix reaches `n_iters`.
+    memo_post: Option<Vec<LogEntry>>,
     merged: Vec<LogEntry>,
     anomalies: Vec<String>,
     n_iters: Option<u64>,
@@ -146,6 +152,7 @@ impl<'a> StreamingMerger<'a> {
             pre: None,
             pre_emitted: false,
             post: Vec::new(),
+            memo_post: None,
             merged: Vec::new(),
             anomalies: Vec::new(),
             n_iters: None,
@@ -153,6 +160,14 @@ impl<'a> StreamingMerger<'a> {
             steals: 0,
             first_entry_ns: None,
         }
+    }
+
+    /// The replay does not run the postamble: emit the record log's `Post`
+    /// entries in its place, right after iteration `n_iters - 1`'s (and
+    /// so never, in a sampled replay that skips that iteration).
+    pub fn memoize_post(&mut self) {
+        let recorded = self.record_by_section.get(&Section::Post);
+        self.memo_post = Some(recorded.cloned().unwrap_or_default());
     }
 
     /// Feeds one worker message, emitting whatever prefix it completes.
@@ -166,6 +181,8 @@ impl<'a> StreamingMerger<'a> {
             }
             StreamMsg::Total { n_iters } => {
                 self.n_iters = Some(n_iters);
+                // An empty loop's prefix is already complete.
+                self.advance();
             }
             StreamMsg::Range {
                 start,
@@ -224,6 +241,11 @@ impl<'a> StreamingMerger<'a> {
             }
             self.next = end;
             self.emit(entries);
+        }
+        if self.n_iters == Some(self.next) {
+            if let Some(post) = self.memo_post.take() {
+                self.emit(post);
+            }
         }
     }
 
@@ -348,6 +370,44 @@ mod tests {
         let vals: Vec<&str> = merged.iter().map(|x| x.value.as_str()).collect();
         assert_eq!(vals, vec!["p", "0", "1", "2", "3", "q"]);
         assert!(anomalies.is_empty());
+    }
+
+    #[test]
+    fn memoized_postamble_streams_after_the_last_iteration() {
+        let record = vec![
+            e("loss", "0", Section::Iter(0)),
+            e("loss", "1", Section::Iter(1)),
+            e("accuracy", "a", Section::Post),
+        ];
+        let range = |g: u64| StreamMsg::Range {
+            start: g,
+            end: g + 1,
+            stolen: false,
+            entries: vec![e("probe", &g.to_string(), Section::Iter(g))],
+        };
+        let run = |ranges: Vec<StreamMsg>| {
+            let mut streamed = Vec::new();
+            let mut merger = StreamingMerger::new(&record, flor_obs::clock::now_ns(), |ev| {
+                if let StreamEvent::Entries(chunk) = ev {
+                    streamed.extend(chunk.iter().map(|x| x.value.clone()));
+                }
+            });
+            merger.memoize_post();
+            merger.push(StreamMsg::Total { n_iters: 2 });
+            merger.push(StreamMsg::Pre {
+                pid: 0,
+                entries: Vec::new(),
+            });
+            for r in ranges {
+                merger.push(r);
+            }
+            drop(merger);
+            streamed
+        };
+        // Out before `finish`: no wait on worker joins.
+        assert_eq!(run(vec![range(1), range(0)]), ["0", "1", "a"]);
+        // A sample that skips the last iteration never reaches the end.
+        assert_eq!(run(vec![range(0)]), ["0"]);
     }
 
     #[test]

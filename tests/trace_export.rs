@@ -472,6 +472,105 @@ fn read_once_contract_is_visible_in_metrics_and_store_stats() {
 }
 
 #[test]
+fn postamble_memoization_is_counted_and_refusals_say_why() {
+    // A replay that runs the postamble when it could have emitted the
+    // recorded one must say so, like a slicer refusal. Every other test in
+    // this binary replays read-only probes outside the postamble, so the
+    // refusal deltas below are this test's alone; the memoized counter
+    // only grows. (Both refusals here keep the slice: the slicer refusal
+    // test counts `slice.refusals` exactly.)
+    let dir = tmp_dir("postamble");
+    std::fs::create_dir_all(&dir).unwrap();
+    let registry = Registry::open(dir.join("registry")).unwrap();
+    let src = SKEWED_1K_SRC
+        .replace("range(16)", "range(4)")
+        .replace("n=320", "n=40")
+        + "acc = evaluate(net, data)\nlog(\"accuracy\", acc)\n";
+    let (_, rec) = registry
+        .record_run("post", &src, |o| o.adaptive = false)
+        .unwrap();
+    let after = |anchor: &str, probe: &str| {
+        let probed = src.replace(anchor, &format!("{anchor}{probe}"));
+        assert_ne!(probed, src);
+        probed
+    };
+    let memoized = flor_obs::metrics::counter("replay.postamble_memoized");
+    let refusals = flor_obs::metrics::counter("replay.postamble_refusals");
+    for (name, probed, reason) in [
+        (
+            "outer",
+            after(
+                "    log(\"loss\", avg.mean())\n",
+                "    log(\"w\", net.weight_norm())\n",
+            ),
+            None,
+        ),
+        (
+            "postamble",
+            after("log(\"accuracy\", acc)\n", "log(\"late\", acc)\n"),
+            Some("a probe lands in the postamble"),
+        ),
+        (
+            "mutating",
+            after(
+                "        optimizer.step()\n",
+                "        log(\"m\", net.accuracy(batch))\n",
+            ),
+            Some("a probe calls `net.accuracy(batch)`, which may mutate state"),
+        ),
+    ] {
+        let (memoized_before, refusals_before) = (memoized.get(), refusals.get());
+        let session = TraceSession::start();
+        let outcome = registry.query("post", &probed, 2).unwrap();
+        let trace = session.finish();
+        assert!(
+            !outcome.cached && outcome.anomalies.is_empty(),
+            "{name}: {outcome:?}"
+        );
+        assert!(outcome.log.iter().any(|e| e.key == "accuracy"), "{name}");
+        let refused_events = trace
+            .events
+            .iter()
+            .filter(|e| e.cat == Category::Slice && e.name == "postamble_refused")
+            .count();
+        let (memoized_now, refusals_now) = (memoized.get(), refusals.get());
+        // The CLI prints the decision where `flor replay` ends.
+        let script = dir.join(format!("{name}.flr"));
+        std::fs::write(&script, &probed).unwrap();
+        let argv = ["replay", script.to_str().unwrap(), "--store"];
+        let argv = argv
+            .iter()
+            .copied()
+            .chain([rec.store_root.to_str().unwrap()]);
+        let out = flor_cli::run_cli(&argv.map(String::from).collect::<Vec<_>>()).unwrap();
+        match reason {
+            None => {
+                assert!(memoized_now > memoized_before, "{name}");
+                assert_eq!(refusals_now, refusals_before, "{name}");
+                assert_eq!(refused_events, 0, "{name}");
+                assert!(
+                    out.contains("# postamble: memoized (1 recorded entries)"),
+                    "{out}"
+                );
+            }
+            Some(reason) => {
+                assert_eq!(refusals_now - refusals_before, 1, "{name}: one refusal");
+                assert_eq!(refused_events, 1, "{name}");
+                assert!(
+                    out.contains(&format!("# postamble: executed ({reason})")),
+                    "{out}"
+                );
+            }
+        }
+    }
+    // Both counters are on the `metrics` surface.
+    let metrics = registry.metrics_snapshot().to_json();
+    for name in ["replay.postamble_memoized", "replay.postamble_refusals"] {
+        assert!(metrics.contains(name), "{name} missing from {metrics}");
+    }
+}
+
+#[test]
 fn slicer_refusals_are_counted_and_say_why() {
     // A slicer that cannot prove elision safe runs the full program; that
     // fallback must be counted and named, never silent. `slice.refusals`

@@ -1,11 +1,13 @@
 //! The differential table: production replay (sliced, range-scheduled,
 //! on the bytecode VM — including stolen-range boundaries, where workers
 //! re-enter the VM at iteration granularity with checkpoint-restored
-//! slots), and sampled replay on the same executor, against
-//! `replay_reference`, the one-worker tree-walk of the unsliced program.
+//! slots — and with the postamble memoized wherever the plan allows), and
+//! sampled replay on the same executor, against `replay_reference`, the
+//! one-worker tree-walk of the unsliced program, and against a
+//! from-scratch run of the probed script.
 
 use flor_core::record::{record, run_vanilla, RecordOptions};
-use flor_core::replay::{replay, replay_reference, ReplayOptions};
+use flor_core::replay::{replay, replay_reference, Postamble, ReplayOptions};
 use flor_core::sample::replay_sample;
 use flor_core::{InitMode, LogEntry, Section};
 use std::collections::BTreeSet;
@@ -59,46 +61,131 @@ fn probed_after(after: &str, probe: &str) -> String {
     probed
 }
 
-/// The probe placements of the table, by what they make replay do.
-fn probes() -> Vec<(&'static str, String)> {
+/// `TRAIN_SRC` with a second `flor.partition` loop in its postamble. The
+/// bare `busy(0)` call keeps instrumentation from wrapping the loop in a
+/// SkipBlock (rule 5), so every replay runs it.
+fn second_loop_src() -> String {
+    format!(
+        "{TRAIN_SRC}total = 0\nfor k in flor.partition(range(3)):\n    busy(0)\n    total = total + k\nlog(\"total\", total)\n"
+    )
+}
+
+/// One row of the table: a recorded script, the script replayed against
+/// it, and what the plan must decide about the postamble — `None` for
+/// memoized, else a fragment of the reason it runs.
+struct Case {
+    name: &'static str,
+    recorded: String,
+    probed: String,
+    executes_postamble: Option<&'static str>,
+}
+
+/// The table's rows, by what they make replay do.
+fn cases() -> Vec<Case> {
+    let case = |name, probed, executes_postamble| Case {
+        name,
+        recorded: TRAIN_SRC.to_string(),
+        probed,
+        executes_postamble,
+    };
+    let second = second_loop_src();
     vec![
         // Forces the skipblocks to re-execute: real training iterations
         // on the VM.
-        (
+        case(
             "inner",
             probed_after(
                 "        optimizer.step()\n",
                 "        log(\"gnorm\", net.grad_norm())\n",
             ),
+            None,
         ),
         // Skipblocks restore and only the probe line executes — the
         // restore→slots boundary.
-        (
+        case(
             "outer",
             probed_after(
                 "    log(\"loss\", avg.mean())\n",
                 "    log(\"wnorm\", net.weight_norm())\n",
             ),
+            None,
         ),
         // Reads state the preamble built, before any iteration ran: every
         // worker runs the preamble, the merger must keep exactly one copy.
-        (
+        case(
             "preamble",
             probed_after(
                 "optimizer = sgd(net, lr=0.1)\n",
                 "log(\"init_wnorm\", net.weight_norm())\n",
             ),
+            None,
         ),
         // Reads the final state after the loop: only the final range's
-        // owner may answer.
-        (
+        // owner may answer. (Not `net.grad_norm()`: checkpoints hold
+        // weights, not gradients, so a restored run reads 0 where a
+        // from-scratch one reads the last batch's.)
+        case(
             "postamble",
             probed_after(
                 "log(\"final\", net.weight_norm())\n",
-                "log(\"final_gnorm\", net.grad_norm())\n",
+                "log(\"final_loss\", avg.mean())\n",
             ),
+            Some("a probe lands in the postamble"),
         ),
+        // Every block re-executes under the new learning rate.
+        case(
+            "impure",
+            TRAIN_SRC.replace("lr=0.1", "lr=0.05"),
+            Some("beyond hindsight logging"),
+        ),
+        // A forward pass in a probe rewrites the model's activations.
+        case(
+            "mutating",
+            probed_after(
+                "        optimizer.step()\n",
+                "        log(\"m\", net.accuracy(batch))\n",
+            ),
+            Some("`net.accuracy(batch)`"),
+        ),
+        Case {
+            name: "second-loop",
+            probed: second.replace(
+                "    log(\"loss\", avg.mean())\n",
+                "    log(\"loss\", avg.mean())\n    log(\"wnorm\", net.weight_norm())\n",
+            ),
+            recorded: second,
+            executes_postamble: Some("a second flor.partition loop"),
+        },
     ]
+}
+
+/// Records every distinct script of `cases` once, returning each case
+/// beside its store.
+fn record_cases(tag: &str, cases: Vec<Case>) -> Vec<(Case, PathBuf)> {
+    let mut stores: Vec<(String, PathBuf)> = Vec::new();
+    cases
+        .into_iter()
+        .map(|case| {
+            let root = match stores.iter().find(|(src, _)| *src == case.recorded) {
+                Some((_, root)) => root.clone(),
+                None => {
+                    let root = record_exact(&case.recorded, &format!("{tag}-{}", stores.len()));
+                    stores.push((case.recorded.clone(), root.clone()));
+                    root
+                }
+            };
+            (case, root)
+        })
+        .collect()
+}
+
+/// Asserts the plan's postamble decision is the one `case` names.
+fn assert_postamble(case: &Case, got: &Postamble, at: &str) {
+    match (case.executes_postamble, got) {
+        (None, Postamble::Memoized) => {}
+        (Some(want), Postamble::Executed(why)) if why.contains(want) => {}
+        (want, got) => panic!("{at}: postamble {got:?}, want {want:?}"),
+    }
 }
 
 fn opts(workers: usize, init_mode: InitMode) -> ReplayOptions {
@@ -110,25 +197,37 @@ fn opts(workers: usize, init_mode: InitMode) -> ReplayOptions {
 
 #[test]
 fn production_replay_equals_the_reference_for_every_probe_placement() {
-    let root = record_exact(TRAIN_SRC, "table");
-
-    for (name, probed) in probes() {
-        let reference = replay_reference(&probed, &root).unwrap();
+    for (case, root) in record_cases("table", cases()) {
+        let (name, probed) = (case.name, &case.probed);
+        let reference = replay_reference(probed, &root).unwrap();
+        let (_, vanilla) = run_vanilla(probed).unwrap();
+        assert_eq!(reference.log, vanilla, "{name}: reference vs from-scratch");
         assert!(
-            reference.anomalies.is_empty(),
-            "{name}: {:?}",
-            reference.anomalies
+            matches!(reference.postamble, Postamble::Executed(_)),
+            "{name}: the reference runs the postamble"
         );
-        assert_eq!(reference.probes.len(), 1, "{name}");
-        assert!(
-            reference.log.len() > 9,
-            "{name}: the probe must have produced output"
-        );
+        if name == "impure" {
+            // The poisoning is surfaced first; the changed learning rate
+            // then legitimately diverges from the recorded losses.
+            assert!(reference.anomalies[0].contains("source changed"));
+        } else {
+            assert!(
+                reference.anomalies.is_empty(),
+                "{name}: {:?}",
+                reference.anomalies
+            );
+            assert_eq!(reference.probes.len(), 1, "{name}");
+            assert!(
+                reference.log.len() > 9,
+                "{name}: the probe must have produced output"
+            );
+        }
         for workers in [1usize, 2, 3] {
             for init_mode in [InitMode::Strong, InitMode::Weak] {
-                let rep = replay(&probed, &root, &opts(workers, init_mode)).unwrap();
+                let rep = replay(probed, &root, &opts(workers, init_mode)).unwrap();
                 let at = format!("{name} workers={workers} {init_mode:?}");
-                assert!(rep.anomalies.is_empty(), "{at}: {:?}", rep.anomalies);
+                assert_postamble(&case, &rep.postamble, &at);
+                assert_eq!(rep.anomalies, reference.anomalies, "{at}");
                 assert_eq!(rep.log, reference.log, "{at} diverged from the reference");
                 // Restore/execute counters are worker-dependent (a stolen
                 // range re-initializes through restores, and which worker
@@ -236,16 +335,16 @@ fn sampled_replay_equals_the_reference_for_every_probe_and_selection() {
     // Sampling runs on the range executor: each selection must print, for
     // the iterations it picks, exactly what the reference prints, and be
     // checked like any replay.
-    let train = record_exact(TRAIN_SRC, "sample");
-    let carry = record_exact(CARRY_SRC, "sample-carry");
-    let mut cases: Vec<(&str, String, &PathBuf)> = probes()
-        .into_iter()
-        .map(|(name, probed)| (name, probed, &train))
-        .collect();
-    cases.push(("impure", TRAIN_SRC.replace("lr=0.1", "lr=0.05"), &train));
-    cases.push(("outer-carried", carry_probed(), &carry));
-    for (name, probed, root) in cases {
-        let reference = replay_reference(&probed, root).unwrap();
+    let mut table = cases();
+    table.push(Case {
+        name: "outer-carried",
+        recorded: CARRY_SRC.to_string(),
+        probed: carry_probed(),
+        executes_postamble: None,
+    });
+    for (case, root) in record_cases("sample", table) {
+        let (name, probed, root) = (case.name, &case.probed, &root);
+        let reference = replay_reference(probed, root).unwrap();
         // Every iteration logs its loss, so the last one names the length.
         let n = reference
             .log
@@ -264,7 +363,8 @@ fn sampled_replay_equals_the_reference_for_every_probe_and_selection() {
             vec![2, 999],
         ] {
             let at = format!("{name} {selection:?}");
-            let sampled = replay_sample(&probed, root, &selection).unwrap();
+            let sampled = replay_sample(probed, root, &selection).unwrap();
+            assert_postamble(&case, &sampled.postamble, &at);
             let picked: BTreeSet<u64> = selection.iter().copied().filter(|&g| g < n).collect();
             let in_sample = |s: Section| matches!(s, Section::Iter(g) if picked.contains(&g));
             let any_iter = |s: Section| matches!(s, Section::Iter(_));

@@ -196,6 +196,8 @@ for epoch in flor.partition(range(6)):
         optimizer.step()
         avg.update(loss)
     log("loss", avg.mean())
+acc = evaluate(net, data)
+log("accuracy", acc)
 EOF
 sed 's/        optimizer.step()/        optimizer.step()\n        log("probe_gnorm", net.grad_norm())/' \
     "$TRACE_DIR/train.flr" > "$TRACE_DIR/probed.flr"
@@ -215,6 +217,27 @@ fi
 echo "trace smoke: $store_reads store_read span(s) == $restored restored"
 run cargo run --release -q -p flor-bench --bin trace_check -- \
     "$TRACE_DIR/trace.json" --min-events 20 --min-lanes 2 --min-categories 4
+
+# Postamble memo smoke: an outer probe cannot change what the code after
+# the main loop prints, so replay must not run it — it emits the recorded
+# `accuracy` line instead, byte-equal to a from-scratch run's.
+sed 's/    log("loss", avg.mean())/&\n    log("probe_wnorm", net.weight_norm())/' \
+    "$TRACE_DIR/train.flr" > "$TRACE_DIR/outer.flr"
+run ./target/release/flor record "$TRACE_DIR/train.flr" --store "$TRACE_DIR/store" --no-adaptive
+echo
+echo "==> flor replay (outer probe, 2 workers)"
+./target/release/flor replay "$TRACE_DIR/outer.flr" --store "$TRACE_DIR/store" --workers 2 \
+    | tee "$TRACE_DIR/replay.out" | grep '^#'
+./target/release/flor run "$TRACE_DIR/outer.flr" > "$TRACE_DIR/run.out"
+replayed_acc=$(grep '^\[post\] accuracy' "$TRACE_DIR/replay.out" || true)
+run_acc=$(grep '^\[post\] accuracy' "$TRACE_DIR/run.out" || true)
+if ! grep -q '^# postamble: memoized' "$TRACE_DIR/replay.out" \
+    || [[ -z "$run_acc" || "$replayed_acc" != "$run_acc" ]]; then
+    echo "postamble smoke: want a memoized postamble whose accuracy line equals flor run's" >&2
+    echo "  replay: ${replayed_acc:-none}; run: ${run_acc:-none}" >&2
+    exit 1
+fi
+echo "postamble smoke: memoized, $replayed_acc"
 
 if [[ "${1:-}" == "--bench" ]]; then
     for bench in bench_registry bench_codec bench_tensor; do
