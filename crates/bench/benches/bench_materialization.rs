@@ -55,7 +55,7 @@ fn bench_materialization(c: &mut Criterion) {
                 });
             },
         );
-        mat.flush();
+        mat.flush().expect("checkpoint writes");
     }
     group.finish();
 }

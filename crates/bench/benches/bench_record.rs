@@ -59,7 +59,7 @@ fn bench_submit(c: &mut Criterion) {
                     });
                 },
             );
-            mat.flush();
+            mat.flush().expect("checkpoint writes");
             // Each fixture store grows to multiple GiB; leaking it fills
             // /tmp after a handful of CI runs.
             drop(mat);

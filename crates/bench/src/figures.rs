@@ -71,7 +71,7 @@ pub fn fig05(payload_bytes: usize) -> String {
             );
         }
         let main_elapsed = t0.elapsed().as_secs_f64();
-        mat.flush();
+        mat.flush().expect("checkpoint writes");
         let stats = mat.stats();
         results.push((name, stats.main_thread_ns as f64 / 1e9));
         rows.push(vec![

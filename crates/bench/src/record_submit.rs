@@ -153,7 +153,7 @@ pub fn measure_submit(
     for seq in 0..3u64 {
         mat.submit("warmup", seq, fixture.build_payload(mode));
     }
-    mat.flush();
+    mat.flush().expect("checkpoint writes");
     // Everything counted so far is warmup; subtract it from every reported
     // counter so the committed numbers describe only the timed jobs.
     let warmup = mat.stats();
@@ -164,7 +164,7 @@ pub fn measure_submit(
         mat.submit("sb_0", seq, payload);
         per_job_ns.push(t0.elapsed().as_nanos() as u64);
     }
-    mat.flush();
+    mat.flush().expect("checkpoint writes");
     let stats = mat.stats();
     drop(mat);
     let _ = std::fs::remove_dir_all(&dir);
@@ -207,7 +207,7 @@ mod tests {
             let store = Arc::new(CheckpointStore::open(&dir).unwrap());
             let mat = Materializer::new(store.clone(), Strategy::ForkBatched, 2);
             mat.submit("sb_0", 0, fixture.build_payload(mode));
-            mat.flush();
+            mat.flush().expect("checkpoint writes");
             let payload = store.get("sb_0", 0).unwrap();
             // Encoded payload is mode-independent (zero-copy is lossless).
             let tree = flor_chkpt::decode(&payload).unwrap();

@@ -6,9 +6,8 @@
 //! the shared segment buffer — plus the cold open (manifest read once,
 //! one stat per segment).
 //!
-//! Used by the `bench_replay` criterion bench and the `bench_replay_json`
-//! binary that emits `BENCH_replay.json` (`flor-sim`'s `cost::read_cost`
-//! constants come from it).
+//! Used by the `bench_replay_json` binary that emits `BENCH_replay.json`
+//! (`flor-sim`'s `cost::read_cost` constants come from it).
 
 use flor_chkpt::CheckpointStore;
 use std::path::PathBuf;

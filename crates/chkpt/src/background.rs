@@ -272,11 +272,6 @@ impl Materializer {
         }
     }
 
-    /// The strategy in use.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
     /// Submits one checkpoint. The caller-visible cost of this call is the
     /// quantity Figure 5 measures.
     pub fn submit(&self, block_id: &str, seq: u64, payload: Payload) {
@@ -298,7 +293,10 @@ impl Materializer {
                 };
                 match result {
                     Ok(meta) => self.worker_stats.observe_metas(std::slice::from_ref(&meta)),
-                    Err(e) => self.errors.lock().push(e.to_string()),
+                    Err(e) => self
+                        .errors
+                        .lock()
+                        .push(format!("checkpoint write of {block_id}.{seq} failed: {e}")),
                 }
                 self.dispatches.fetch_add(1, Ordering::Relaxed);
             }
@@ -365,14 +363,17 @@ impl Materializer {
     }
 
     /// Flushes pending batches and blocks until all background work is
-    /// durable. Call at end of run (record exit).
+    /// durable. Call at end of run (record exit). Fails with the first
+    /// checkpoint write that failed since the last flush (naming how many
+    /// others failed with it): a run whose checkpoints did not all land
+    /// must not report success.
     ///
     /// Only the dispatch itself is charged to `main_thread_ns`: Figure 5's
     /// metric is "how long the main thread takes to finish executing,
     /// ignoring any child processes and letting them run in the
     /// background" — the durability barrier happens after the training
     /// program's work is done.
-    pub fn flush(&self) {
+    pub fn flush(&self) -> Result<(), String> {
         let t0 = flor_obs::clock::now_ns();
         let batch = {
             let mut pending = self.pending.lock();
@@ -391,6 +392,15 @@ impl Materializer {
             while self.in_flight.load(Ordering::Acquire) > 0 {
                 std::thread::sleep(std::time::Duration::from_micros(100));
             }
+        }
+        let errors = std::mem::take(&mut *self.errors.lock());
+        match errors.split_first() {
+            None => Ok(()),
+            Some((first, [])) => Err(first.clone()),
+            Some((first, rest)) => Err(format!(
+                "{first} (and {} more failed checkpoint write(s))",
+                rest.len()
+            )),
         }
     }
 
@@ -413,16 +423,12 @@ impl Materializer {
             stored_bytes: self.worker_stats.stored_bytes.load(Ordering::Relaxed),
         }
     }
-
-    /// Background write errors observed so far (surfaced to deferred checks).
-    pub fn errors(&self) -> Vec<String> {
-        self.errors.lock().clone()
-    }
 }
 
 impl Drop for Materializer {
     fn drop(&mut self) {
-        self.flush();
+        // Callers that care about write failures flush explicitly first.
+        let _ = self.flush();
         for _ in 0..self.workers.len() {
             self.send(WorkerMsg::Shutdown);
         }
@@ -443,6 +449,11 @@ fn write_jobs(
     errors: &Mutex<Vec<String>>,
     stats: &WorkerStats,
 ) {
+    let first = jobs
+        .first()
+        .map(|j| format!("{}.{}", j.block_id, j.seq))
+        .unwrap_or_default();
+    let n = jobs.len();
     let mut batch = store.batch();
     pool.with_buffer(|buf| {
         for job in jobs {
@@ -457,7 +468,9 @@ fn write_jobs(
     });
     match batch.commit() {
         Ok(metas) => stats.observe_metas(&metas),
-        Err(e) => errors.lock().push(format!("background write failed: {e}")),
+        Err(e) => errors.lock().push(format!(
+            "background checkpoint write of {first} ({n} in its batch) failed: {e}"
+        )),
     }
 }
 
@@ -505,7 +518,7 @@ mod tests {
                 })),
             );
         }
-        mat.flush();
+        mat.flush().unwrap();
         (mat.stats(), store)
     }
 
@@ -592,7 +605,7 @@ mod tests {
                 delay_us: 5_000,
             })),
         );
-        mat.flush();
+        mat.flush().unwrap();
         // After flush the checkpoint must be durable.
         assert!(store.contains("sb_0", 0));
     }
@@ -631,7 +644,7 @@ mod tests {
         for seq in 0..12u64 {
             mat.submit("sb_0", seq, Payload::Bytes(payload(seq)));
         }
-        mat.flush();
+        mat.flush().unwrap();
         let stats = mat.stats();
         assert_eq!(stats.delta_checkpoints + stats.keyframe_checkpoints, 12);
         assert!(stats.delta_checkpoints >= 6, "{stats:?}");
@@ -657,10 +670,9 @@ mod tests {
                 Payload::Deferred(Arc::new(BytesSnapshot(vec![seq as u8; 4096]))),
             );
         }
-        mat.flush();
+        mat.flush().unwrap();
         for seq in 0..BATCH_OBJECTS as u64 + 3 {
             assert_eq!(store.get("sb_0", seq).unwrap(), vec![seq as u8; 4096]);
         }
-        assert!(mat.errors().is_empty());
     }
 }

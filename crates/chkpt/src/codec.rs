@@ -205,7 +205,7 @@ impl CVal {
     }
 
     /// Approximate in-memory size in bytes (used by materialization
-    /// batching and the spool cost model).
+    /// batching and the adaptive controller's cost estimate).
     pub fn approx_bytes(&self) -> usize {
         match self {
             CVal::Unit | CVal::Bool(_) => 1,

@@ -1,4 +1,4 @@
-//! LZ77-style compression — the gzip stand-in for checkpoint spooling.
+//! LZ77-style compression — the gzip stand-in for stored checkpoints.
 //!
 //! "The checkpoints materialized by Flor record were compressed by a
 //! background process, before being spooled to an S3 bucket" (paper §6.2,

@@ -3,23 +3,22 @@
 //! Chunked compression used to spawn a fresh `thread::scope` fan-out per
 //! call — a thread spawn + join barrier on every large-payload submit.
 //! This module keeps one lazily-spawned pool of persistent workers per
-//! process and gives the hot paths two primitives:
-//!
-//! - [`parallel_map`]: a *scoped* fan-out — borrows non-`'static` data,
-//!   returns index-ordered results, and never deadlocks even when every
-//!   pool worker is busy, because the calling thread always drains the
-//!   shared job queue itself (helpers only steal alongside it).
-//! - [`spawn`]: fire-and-forget background work (`'static` jobs — e.g.
-//!   shipping a sealed segment to the spool tier).
+//! process and gives the hot paths [`parallel_map`]: a *scoped* fan-out
+//! that borrows non-`'static` data, returns index-ordered results, and
+//! never deadlocks even when every pool worker is busy, because the
+//! calling thread always drains the shared job queue itself (helpers only
+//! steal alongside it).
 //!
 //! The scoped borrow is made sound the classic way: the caller blocks
 //! until every helper task it submitted has *exited* (not merely until
 //! all jobs are done), so the erased pointers the helpers hold never
-//! outlive the call frame.
+//! outlive the call frame. The latch itself is reference-counted: a
+//! helper still inside its exit signal when the caller wakes must not be
+//! touching the caller's stack.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crossbeam::channel::{unbounded, Sender};
 
@@ -57,8 +56,7 @@ fn pool() -> &'static Pool {
                     IN_POOL.with(|f| f.set(true));
                     while let Ok(job) = rx.recv() {
                         // A panicking task must not kill the worker: the
-                        // scoped caller re-raises map panics itself, and a
-                        // background job's panic is its own problem.
+                        // scoped caller re-raises map panics itself.
                         let _ = catch_unwind(AssertUnwindSafe(job));
                     }
                 })
@@ -68,16 +66,9 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Submits a fire-and-forget job to the pool.
-pub fn spawn(job: impl FnOnce() + Send + 'static) {
-    let p = pool();
-    if p.tx.send(Box::new(job)).is_err() {
-        panic!("executor channel closed");
-    }
-}
-
-/// Shared state of one `parallel_map` call, reached from helper tasks via
-/// an erased pointer (sound because the caller outlives every helper).
+/// Shared state of one `parallel_map` call, co-owned by the caller and
+/// every helper task (a helper signals its exit through it, so it must
+/// outlive the caller's frame).
 struct MapCtx {
     next: AtomicUsize,
     done_jobs: AtomicUsize,
@@ -113,7 +104,7 @@ where
 
     let mut results: Vec<Option<T>> = Vec::with_capacity(jobs);
     results.resize_with(jobs, || None);
-    let ctx = MapCtx {
+    let ctx = Arc::new(MapCtx {
         next: AtomicUsize::new(0),
         done_jobs: AtomicUsize::new(0),
         exited_helpers: AtomicUsize::new(0),
@@ -121,12 +112,12 @@ where
         jobs,
         latch: Mutex::new(()),
         cv: Condvar::new(),
-    };
+    });
 
     // Erase the borrows for the 'static job channel. Sound: this frame
     // blocks below until done_jobs == jobs AND every helper has exited,
-    // so no helper can touch these pointers after the frame unwinds.
-    let ctx_addr = &ctx as *const MapCtx as usize;
+    // and a helper touches neither `f` nor `results` once it has counted
+    // its exit.
     let f_addr = &f as *const F as usize;
     let res_addr = results.as_mut_ptr() as usize;
 
@@ -151,12 +142,12 @@ where
     };
 
     for _ in 0..helpers {
+        let ctx = Arc::clone(&ctx);
         let job: Job = Box::new(move || {
-            // SAFETY: see ctx_addr erasure comment — the caller's latch
-            // keeps all three allocations alive until this task exits.
-            let ctx = unsafe { &*(ctx_addr as *const MapCtx) };
+            // SAFETY: see the erasure comment — the caller's latch keeps
+            // both allocations alive until this task counts its exit.
             let f = unsafe { &*(f_addr as *const F) };
-            drain(ctx, f, res_addr as *mut Option<T>);
+            drain(&ctx, f, res_addr as *mut Option<T>);
             ctx.exited_helpers.fetch_add(1, Ordering::Release);
             let _g = ctx.latch.lock().unwrap();
             ctx.cv.notify_all();
@@ -228,19 +219,5 @@ mod tests {
             }
             i
         });
-    }
-
-    #[test]
-    fn spawn_runs_detached_jobs() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for i in 0..4 {
-            let tx = tx.clone();
-            spawn(move || {
-                let _ = tx.send(i);
-            });
-        }
-        let mut got: Vec<i32> = (0..4).map(|_| rx.recv().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
     }
 }

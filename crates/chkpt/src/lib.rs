@@ -1,8 +1,7 @@
 //! # flor-chkpt
 //!
 //! The checkpoint substrate for flor-rs: everything between "here is the
-//! state a SkipBlock must memoize" and "the bytes are durably on disk
-//! (and spooled to cheap object storage)".
+//! state a SkipBlock must memoize" and "the bytes are durably on disk".
 //!
 //! Reproduces three pieces of *Hindsight Logging for Model Training*
 //! (Garcia et al., VLDB 2020):
@@ -21,17 +20,18 @@
 //!   background, batched). Rust has no GIL, so "fork" is realized as cheap
 //!   `Arc` snapshot handles consumed by worker threads — same critical-path
 //!   economics, different OS mechanism (see DESIGN.md).
-//! - **Storage & spooling** ([`store`], [`spool`]): a segmented on-disk
-//!   checkpoint store with one write layout, one LZ encoder, and one read
-//!   path — payloads packed into large append-only segment files with
-//!   CRC-protected footer indexes, a sharded in-memory index, zero-copy
+//! - **Storage** ([`store`]): a segmented on-disk checkpoint store with
+//!   one write layout, one LZ encoder, and one read path — payloads packed
+//!   into large append-only segment files with CRC-protected footer
+//!   indexes, a sharded in-memory index, zero-copy
 //!   [`store::CheckpointStore::get_bytes`] reads out of mmap'd segment
 //!   buffers (with a counted, traced heap-read fallback where mapping is
-//!   unavailable), and a compacting GC — plus the S3 spool cost model
-//!   behind Table 4. Writes land through [`store::WriteBatch`] group
+//!   unavailable), a shared content-addressed dedup arena ([`dedup`]), and
+//!   a compacting GC. Writes land through [`store::WriteBatch`] group
 //!   commits — one batched segment append and one batched manifest append
 //!   (and, under [`store::Durability::GroupCommit`], one fsync barrier)
-//!   per materializer batch instead of per checkpoint.
+//!   per materializer batch instead of per checkpoint. The S3 cost of
+//!   keeping those bytes (Table 4) is priced by `flor-sim`'s cost model.
 
 #![warn(missing_docs)]
 
@@ -42,7 +42,6 @@ pub mod dedup;
 pub mod delta;
 pub mod exec;
 mod mmap;
-pub mod spool;
 pub mod store;
 
 pub use background::{Materializer, MaterializerStats, Payload, SerializeSnapshot, Strategy};

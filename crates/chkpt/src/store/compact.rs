@@ -13,8 +13,7 @@
 use super::index::IndexEntry;
 use super::manifest::{write_atomic, Location};
 use super::segment::{
-    append_entry, encode_footer, scan_segment_dir, spool_segment_path, SegmentIndexEntry,
-    SEGMENT_MAGIC,
+    append_entry, encode_footer, scan_segment_dir, SegmentIndexEntry, SEGMENT_MAGIC,
 };
 use super::write::{arbitrate_stored, DeltaBase};
 use super::{CheckpointStore, StoreError};
@@ -209,9 +208,8 @@ impl CheckpointStore {
             bytes_written: 0,
         };
 
-        // Verbatim moves — no decompression. Through the buffer pool, not
-        // a bare `fs::read`: a demoted segment's bytes fault back from the
-        // spool tier here exactly like on the read path.
+        // Verbatim moves — no decompression, through the same buffer pool
+        // as the read path.
         for &(block, seq, e) in by_seg.values().flatten() {
             let (stored, raw_stored) = self.stored_payload(block, seq, e)?;
             rewriter.rewrite(block, seq, e, stored.as_ref(), raw_stored, None)?;
@@ -307,14 +305,6 @@ impl CheckpointStore {
                 report.segments_removed += 1;
             }
         }
-        // Every pre-compaction segment — including ones demoted to the
-        // spool — was either rewritten into a fresh local segment or dead,
-        // so no spool copy is referenced anymore.
-        if let Some(spool) = self.spool_dir.read().clone() {
-            for id in self.cold_segment_ids() {
-                let _ = fs::remove_file(spool_segment_path(&spool, id));
-            }
-        }
         // Segment buffers are stale, and chain shapes changed: the delta
         // caches must not serve stale depths or reconstructions.
         self.pool.clear();
@@ -331,31 +321,6 @@ impl CheckpointStore {
         flor_obs::histogram!("store.compact_ns").observe(flor_obs::clock::since_ns(t0));
         flor_obs::counter!("store.compactions").inc();
         Ok(report)
-    }
-
-    /// Runs [`CheckpointStore::compact`] only when the estimated dead
-    /// fraction of segment disk bytes reaches `garbage_ratio` (0.0–1.0).
-    pub fn maybe_compact(
-        &self,
-        garbage_ratio: f64,
-    ) -> Result<Option<CompactionReport>, StoreError> {
-        let s = self.stats();
-        if s.segment_disk_bytes > 0
-            && s.dead_segment_bytes > 0
-            && (s.dead_segment_bytes as f64) >= garbage_ratio * (s.segment_disk_bytes as f64)
-        {
-            return Ok(Some(self.compact()?));
-        }
-        Ok(None)
-    }
-
-    /// Spawns [`CheckpointStore::compact`] on a background thread. Writers
-    /// queue behind it; readers are unaffected.
-    pub fn compact_in_background(
-        self: &std::sync::Arc<Self>,
-    ) -> std::thread::JoinHandle<Result<CompactionReport, StoreError>> {
-        let store = self.clone();
-        std::thread::spawn(move || store.compact())
     }
 }
 
@@ -407,21 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn maybe_compact_respects_threshold() {
-        let store = CheckpointStore::open(tmpdir("maybe-compact")).unwrap();
-        store.put("sb_0", 0, &incompressible(4096, 1)).unwrap();
-        // No garbage yet: below any threshold.
-        assert!(store.maybe_compact(0.1).unwrap().is_none());
-        for round in 0..10u32 {
-            store
-                .put("sb_0", 0, &incompressible(4096, round + 2))
-                .unwrap();
-        }
-        assert!(store.maybe_compact(0.5).unwrap().is_some());
-        assert!(store.maybe_compact(0.5).unwrap().is_none(), "already clean");
-    }
-
-    #[test]
     fn background_compaction_runs_concurrently_with_reads() {
         let store = std::sync::Arc::new(CheckpointStore::open(tmpdir("bg-compact")).unwrap());
         for seq in 0..8u64 {
@@ -442,7 +392,11 @@ mod tests {
                 }
             })
         };
-        let report = store.compact_in_background().join().unwrap().unwrap();
+        let compactor = {
+            let store = store.clone();
+            std::thread::spawn(move || store.compact())
+        };
+        let report = compactor.join().unwrap().unwrap();
         assert_eq!(report.rewritten_entries, 8);
         reader.join().unwrap();
     }

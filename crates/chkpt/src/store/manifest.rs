@@ -238,9 +238,9 @@ impl ManifestFile {
 pub fn write_atomic(dest: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let dir = dest.parent().unwrap_or_else(|| Path::new("."));
     // Unique per invocation, not just per process: concurrent writers of
-    // the same destination (e.g. a background spool ship racing an explicit
-    // demotion) must not share a temp sibling, or one rename steals the
-    // other's half-written file.
+    // the same destination (e.g. two handles interning one dedup blob)
+    // must not share a temp sibling, or one rename steals the other's
+    // half-written file.
     static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
     let tmp = dir.join(format!(
         ".{}.tmp.{}.{}",

@@ -10,9 +10,12 @@
 //!   seg/<NNNNNNNN>.seg    append-only segment files packing many checkpoint
 //!                         payloads, each self-described by a footer index
 //!   artifacts/<name>      named artifacts (recorded source, record logs)
-//!   DEDUP, SPOOL          optional pointer files naming the shared dedup
-//!                         arena and the cold-tier spool directory
+//!   DEDUP                 optional pointer file naming the shared dedup
+//!                         arena
 //! ```
+//!
+//! A checkpoint's bytes live in one of two tiers: a slice of a mapped
+//! local segment, or a blob in the dedup arena.
 //!
 //! A checkpoint's location is `@<seg>:<off>:<len>[:r|:d<base>:<depth>]` —
 //! a payload slice inside a segment (`:r` = stored uncompressed,
@@ -37,7 +40,7 @@
 //! | `read` | zero-copy [`CheckpointStore::get_bytes`], delta-chain resolution |
 //! | `write` | [`WriteBatch`] group commit, the delta-encode policy |
 //! | `compact` | compaction / GC, [`CompactionReport`] |
-//! | `tier` | dedup-arena and spool attachment, demotion |
+//! | `tier` | dedup-arena attachment and reference accounting |
 //! | `stats` | [`StoreStats`] |
 //!
 //! Every read is CRC-verified, so corruption surfaces as
@@ -66,7 +69,6 @@ pub use options::{
     DEFAULT_SEGMENT_TARGET_BYTES,
 };
 pub use recovery::{MissingEntry, RecoveryReport};
-pub(crate) use segment::spool_segment_path;
 pub use segment::{read_segment_footer, SegmentIndexEntry};
 pub use stats::{StoreStats, CHAIN_DEPTH_BUCKETS};
 pub use write::WriteBatch;
@@ -171,13 +173,11 @@ pub struct CheckpointStore {
     /// Shared content-addressed keyframe arena, when a `DEDUP` pointer
     /// file (written by the registry at claim time) names one.
     dedup: RwLock<Option<Arc<DedupIndex>>>,
-    /// Cold-tier spool directory, when a `SPOOL` pointer file names one
-    /// (or [`CheckpointStore::attach_spool`] set it).
-    spool_dir: RwLock<Option<PathBuf>>,
+    /// Stages that resolved to an existing dedup blob instead of new bytes.
+    dedup_hits: AtomicU64,
     /// Auto-tunable compression effort (clamped to
     /// [`MIN_EFFORT`]..=[`MAX_EFFORT`](crate::compress::MAX_EFFORT)).
     effort: AtomicU8,
-    tier: tier::TierCounters,
     delta_write: write::DeltaWriteState,
     restore_cache: read::RestoreCache,
     reads: read::ReadCounters,
@@ -243,25 +243,19 @@ impl CheckpointStore {
             next_seg: AtomicU64::new(0),
             pool: pool::SegmentPool::default(),
             dedup: RwLock::new(None),
-            spool_dir: RwLock::new(None),
+            dedup_hits: AtomicU64::new(0),
             effort: AtomicU8::new(DEFAULT_EFFORT),
-            tier: tier::TierCounters::default(),
             delta_write: write::DeltaWriteState::default(),
             restore_cache: read::RestoreCache::default(),
             reads: read::ReadCounters::default(),
             gc: compact::CompactionCounters::default(),
             recovery: RecoveryReport::default(),
         };
-        // Tier attachments must land before the manifest loads: spool
-        // presence decides whether a referenced-but-locally-absent segment
-        // is cold (readable) or missing (dropped), and dedup entries need
-        // their arena to restore at all. A named-but-unopenable arena is a
-        // loud failure — silently dropping it would turn every dup entry
-        // into read-time corruption.
-        if let Some(dir) = tier::read_pointer_file(&store.root, tier::SPOOL_POINTER_FILE) {
-            *store.spool_dir.get_mut() = Some(dir);
-        }
-        if let Some(dir) = tier::read_pointer_file(&store.root, tier::DEDUP_POINTER_FILE) {
+        // The arena attaches before the manifest loads: dedup entries need
+        // it to restore at all. A named-but-unopenable arena is a loud
+        // failure — silently dropping it would turn every dup entry into
+        // read-time corruption.
+        if let Some(dir) = tier::read_dedup_pointer(&store.root) {
             *store.dedup.get_mut() = Some(DedupIndex::open(&dir)?);
         }
         if let Ok(text) = fs::read_to_string(store.root.join("artifacts").join(EFFORT_ARTIFACT)) {

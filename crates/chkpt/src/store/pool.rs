@@ -1,20 +1,17 @@
 //! The segment buffer pool: one shared, refcounted whole-segment buffer
-//! per resident segment, byte-budgeted with LRU demotion.
+//! per resident segment, byte-budgeted with LRU eviction.
 //!
 //! Buffers are file mappings ([`load_file`]): the kernel faults in only
 //! the pages a read touches and the memory stays reclaimable page cache.
 //! Where mapping is unsupported or the kernel refuses it, the segment is
 //! read into heap instead and counted (`mmap_fallbacks`), so the slower
-//! path is never taken silently. A segment absent locally faults back
-//! from the spool tier through the same pool.
+//! path is never taken silently.
 
-use super::segment::spool_segment_path;
 use super::{CheckpointStore, StoreError};
 use crate::mmap::load_file;
 use bytes::{Buf, Bytes};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::io::ErrorKind;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,8 +102,8 @@ impl SegmentPool {
     }
 
     /// One segment file → shared buffer, counted as a map or a fallback.
-    /// `NotFound` from the open propagates untouched — both the relocation
-    /// retry and the spool fault-back depend on it.
+    /// `NotFound` from the open propagates untouched — the relocation
+    /// retry depends on it.
     fn load(&self, path: &Path) -> std::io::Result<Bytes> {
         let bytes = load_file(path)?;
         if bytes.backing_is_file() {
@@ -129,32 +126,9 @@ impl CheckpointStore {
             return Ok(b);
         }
         self.pool.misses.fetch_add(1, Ordering::Relaxed);
-        let b = self.fault_segment(seg)?;
+        let b = self.pool.load(&self.segment_path(seg))?;
         self.pool.admit(seg, b.clone());
         Ok(b)
-    }
-
-    /// Establishes a segment's shared buffer: the local file first, then —
-    /// when the local copy was demoted — fault-back from the spool tier.
-    fn fault_segment(&self, seg: u64) -> Result<Bytes, StoreError> {
-        let absent = match self.pool.load(&self.segment_path(seg)) {
-            Err(e) if e.kind() == ErrorKind::NotFound => e,
-            loaded => return Ok(loaded?),
-        };
-        let Some(spool) = self.spool_dir.read().clone() else {
-            return Err(absent.into());
-        };
-        match self.pool.load(&spool_segment_path(&spool, seg)) {
-            // Report the *canonical* location's NotFound: the
-            // relocation-retry contract keys off it.
-            Err(ce) if ce.kind() == ErrorKind::NotFound => Err(absent.into()),
-            loaded => {
-                let b = loaded?;
-                self.tier.cold_reads.fetch_add(1, Ordering::Relaxed);
-                flor_obs::counter!("store.tier_cold_reads").inc();
-                Ok(b)
-            }
-        }
     }
 
     /// Zero-copy slice of one segment-resident entry's stored bytes, with

@@ -20,7 +20,7 @@ use super::manifest::Location;
 use super::segment::FLAG_RAW;
 use super::write::DeltaBase;
 use super::{crc32, CheckpointStore, StoreError};
-use crate::compress::{compress_auto_effort, decompress_any};
+use crate::compress::decompress_any;
 use crate::delta;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -379,31 +379,8 @@ impl CheckpointStore {
         )
     }
 
-    /// A *self-contained* stored representation of a checkpoint, suitable
-    /// for shipping to object storage: non-delta entries return their
-    /// on-disk bytes verbatim; delta entries are resolved through their
-    /// chain and re-compressed standalone (a delta frame without its base
-    /// would be unrestorable in a bucket). The `bool` reports whether a
-    /// chain was resolved.
-    pub fn export_stored(&self, block_id: &str, seq: u64) -> Result<(Vec<u8>, bool), StoreError> {
-        if self.chain_info(block_id, seq).is_some() {
-            let payload = self.get_bytes(block_id, seq)?;
-            let compressed =
-                compress_auto_effort(payload.as_ref(), self.effort.load(Ordering::Relaxed));
-            let stored = if compressed.len() >= payload.len() {
-                payload.to_vec()
-            } else {
-                compressed
-            };
-            return Ok((stored, true));
-        }
-        Ok((self.get_stored(block_id, seq)?, false))
-    }
-
     /// The stored (possibly compressed; for delta entries, the raw delta
-    /// frame) representation of a checkpoint as it sits on disk. Spooling
-    /// uses [`CheckpointStore::export_stored`] instead, which resolves
-    /// chains into self-contained objects.
+    /// frame) representation of a checkpoint as it sits on disk.
     pub fn get_stored(&self, block_id: &str, seq: u64) -> Result<Vec<u8>, StoreError> {
         self.read_with_relocation_retry(block_id, seq, |entry| {
             Ok(self.stored_payload(block_id, seq, entry)?.0.to_vec())
@@ -514,6 +491,26 @@ mod tests {
     }
 
     #[test]
+    fn delta_stored_form_and_standalone_export() {
+        let store = CheckpointStore::open(tmpdir("delta-export")).unwrap();
+        store.put("sb_0", 0, &drifting_payload(0, 2048)).unwrap();
+        store.put("sb_0", 1, &drifting_payload(1, 2048)).unwrap();
+        // On-disk form of the chained entry is a delta frame…
+        let stored = store.get_stored("sb_0", 1).unwrap();
+        assert!(delta::is_delta(&stored));
+        // …which reads resolve through its chain to the full payload.
+        assert_eq!(store.get("sb_0", 1).unwrap(), drifting_payload(1, 2048));
+        // The keyframe's stored form is standalone: no delta, and it
+        // decompresses to the payload without the store.
+        let key_stored = store.get_stored("sb_0", 0).unwrap();
+        assert!(!delta::is_delta(&key_stored));
+        assert_eq!(
+            decompress_any(&key_stored).unwrap_or(key_stored),
+            drifting_payload(0, 2048)
+        );
+    }
+
+    #[test]
     fn delta_chains_shrink_storage_and_roundtrip_across_reopen() {
         let dir = tmpdir("delta-roundtrip");
         {
@@ -602,27 +599,5 @@ mod tests {
         }
         // The re-put base itself reads fine.
         assert_eq!(store.get("sb_0", 0).unwrap(), drifting_payload(7, 2048));
-    }
-
-    #[test]
-    fn delta_stored_form_and_standalone_export() {
-        let store = CheckpointStore::open(tmpdir("delta-export")).unwrap();
-        store.put("sb_0", 0, &drifting_payload(0, 2048)).unwrap();
-        store.put("sb_0", 1, &drifting_payload(1, 2048)).unwrap();
-        // On-disk form of the chained entry is a delta frame…
-        let stored = store.get_stored("sb_0", 1).unwrap();
-        assert!(delta::is_delta(&stored));
-        // …but the export is self-contained.
-        let (exported, resolved) = store.export_stored("sb_0", 1).unwrap();
-        assert!(resolved);
-        assert!(!delta::is_delta(&exported));
-        let payload = decompress_any(&exported).unwrap_or_else(|_| exported.clone());
-        assert_eq!(payload, drifting_payload(1, 2048));
-        let (key_export, key_resolved) = store.export_stored("sb_0", 0).unwrap();
-        assert!(!key_resolved);
-        assert_eq!(
-            decompress_any(&key_export).unwrap_or(key_export),
-            drifting_payload(0, 2048)
-        );
     }
 }

@@ -1,9 +1,9 @@
 //! Open-time recovery: load the MANIFEST, check every live entry's data
-//! is reachable in some tier, drop what is not, and say so.
+//! is reachable, drop what is not, and say so.
 //!
-//! Opening reads the MANIFEST once and stats each *segment* once — never
-//! one `stat` per checkpoint. Entries whose segment is gone from both the
-//! local and the spool tier are dropped from the index (delta entries
+//! Opening reads the MANIFEST once and lists `seg/` once — never one
+//! `stat` per checkpoint. Entries whose segment is gone from `seg/` are
+//! dropped from the index (delta entries
 //! whose chain base went with them cascade out too), surfaced in the
 //! [`RecoveryReport`], and the MANIFEST is rewritten so byte totals stay
 //! truthful. Unreferenced ("orphaned") segments — the visible residue of
@@ -70,9 +70,7 @@ impl RecoveryReport {
 }
 
 impl CheckpointStore {
-    /// Builds the index from the MANIFEST (the tier attachments must
-    /// already be in place: spool presence decides whether a referenced-
-    /// but-locally-absent segment is cold or missing).
+    /// Builds the index from the MANIFEST.
     pub(crate) fn load_manifest(&self) -> Result<RecoveryReport, StoreError> {
         let mut report = RecoveryReport::default();
 
@@ -82,9 +80,6 @@ impl CheckpointStore {
         let local = scan_segment_dir(&self.seg_dir())?;
         report.stale_temp_files = local.temp_files.len() as u64;
         let local_segs: HashSet<u64> = local.segments.iter().map(|(id, _)| *id).collect();
-        // Cold tier: segments shipped to the spool are present (readable
-        // via fault-back), just not local.
-        let cold_segs: HashSet<u64> = self.cold_segment_ids().into_iter().collect();
 
         let path = self.manifest.path();
         let mut parsed: Vec<((String, u64), IndexEntry)> = Vec::new();
@@ -124,12 +119,11 @@ impl CheckpointStore {
             .collect();
 
         // A fresh writer session must never reuse a segment id that lives
-        // only in the spool (demoted) or only in the manifest (local copy
-        // lost) — colliding ids would splice two runs' payloads together.
+        // only in the manifest (local copy lost) — colliding ids would
+        // splice two runs' payloads together.
         self.next_seg.store(
             local_segs
                 .iter()
-                .chain(&cold_segs)
                 .chain(&referenced_segs)
                 .max()
                 .map_or(0, |m| m + 1),
@@ -154,19 +148,16 @@ impl CheckpointStore {
             }
         }
 
-        // Validate data presence. A spool-only segment is cold, not
-        // missing: reads fault it back through the buffer pool. In-bounds
-        // checks happen at read time (a too-short segment is corruption
-        // and must fail loudly), and blob presence is the dedup arena's
-        // contract (blobs are refcounted and synced before the manifest
-        // line that references them), so a missing blob also fails loudly
-        // at read time — neither is a droppable entry here.
+        // Validate data presence. In-bounds checks happen at read time (a
+        // too-short segment is corruption and must fail loudly), and blob
+        // presence is the dedup arena's contract (blobs are refcounted and
+        // synced before the manifest line that references them), so a
+        // missing blob also fails loudly at read time — neither is a
+        // droppable entry here.
         let mut dead: Vec<bool> = winners
             .iter()
             .map(|(_, entry)| match &entry.loc {
-                Location::Segment { seg, .. } => {
-                    !local_segs.contains(seg) && !cold_segs.contains(seg)
-                }
+                Location::Segment { seg, .. } => !local_segs.contains(seg),
                 Location::Dup { .. } => false,
             })
             .collect();

@@ -1,5 +1,5 @@
 //! The segment file format: entry framing, the sealed-segment footer
-//! index, and the `<NNNNNNNN>.seg` naming every tier shares.
+//! index, and the `seg/<NNNNNNNN>.seg` naming.
 //!
 //! ```text
 //! segment   := magic "FLRSEG1\n" entry* [footer trailer]
@@ -65,14 +65,9 @@ impl SegmentIndexEntry {
     }
 }
 
-/// File name of segment `seg` in `seg/` and in a spool's `segments/`.
+/// File name of segment `seg` in `seg/`.
 pub(crate) fn segment_file_name(seg: u64) -> String {
     format!("{seg:08}.seg")
-}
-
-/// Cold-tier path of one segment inside a spool directory.
-pub(crate) fn spool_segment_path(spool: &Path, seg: u64) -> PathBuf {
-    spool.join("segments").join(segment_file_name(seg))
 }
 
 /// What one directory of segment files holds.
@@ -85,9 +80,9 @@ pub(crate) struct SegmentDir {
     pub(crate) temp_files: Vec<PathBuf>,
 }
 
-/// Lists the `<id>.seg` files (and temp siblings) of `dir` — `seg/` or a
-/// spool's `segments/`. A missing directory lists as empty: read-only
-/// opens create nothing, and a spool may not have received a segment yet.
+/// Lists the `<id>.seg` files (and temp siblings) of `dir` (a store's
+/// `seg/`). A missing directory lists as empty: read-only opens create
+/// nothing.
 pub(crate) fn scan_segment_dir(dir: &Path) -> std::io::Result<SegmentDir> {
     let mut out = SegmentDir::default();
     let Ok(rd) = fs::read_dir(dir) else {

@@ -72,13 +72,6 @@ pub struct StoreStats {
     /// Content-hash checks of dedup blobs by reads through the attached
     /// arena in this process: one per blob, however often it is read.
     pub dedup_hash_verifies: u64,
-    /// Segments resident in the spool (cold) tier.
-    pub tier_cold_segments: u64,
-    /// Segment faults served from the spool tier.
-    pub tier_cold_reads: u64,
-    /// Sealed segments whose local copy was dropped after a verified
-    /// spool copy existed.
-    pub tier_demotions: u64,
     /// Segment buffers established via mmap.
     pub mmap_faults: u64,
     /// Segments and dedup blobs read into heap because mapping was
@@ -131,9 +124,6 @@ impl StoreStats {
             ("dedup_referenced_bytes", self.dedup_referenced_bytes),
             ("dedup_hits", self.dedup_hits),
             ("dedup_hash_verifies", self.dedup_hash_verifies),
-            ("tier_cold_segments", self.tier_cold_segments),
-            ("tier_cold_reads", self.tier_cold_reads),
-            ("tier_demotions", self.tier_demotions),
             ("mmap_faults", self.mmap_faults),
             ("mmap_fallbacks", self.mmap_fallbacks),
             ("compression_effort", self.compression_effort),
@@ -179,18 +169,15 @@ impl CheckpointStore {
             chain_links_resolved: self.reads.chain_links.load(Ordering::Relaxed),
             restore_cache_hits: self.reads.restore_cache_hits.load(Ordering::Relaxed),
             dedup_referenced_bytes: self.dedup_referenced_bytes(),
-            dedup_hits: self.tier.dedup_hits.load(Ordering::Relaxed),
+            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
             dedup_hash_verifies: self
                 .dedup
                 .read()
                 .as_ref()
                 .map_or(0, |arena| arena.hash_verifies()),
-            tier_cold_reads: self.tier.cold_reads.load(Ordering::Relaxed),
-            tier_demotions: self.tier.demotions.load(Ordering::Relaxed),
             mmap_faults: self.pool.mmap_faults.load(Ordering::Relaxed),
             mmap_fallbacks: self.pool.mmap_fallbacks.load(Ordering::Relaxed),
             compression_effort: u64::from(self.compression_effort()),
-            tier_cold_segments: self.cold_segment_ids().len() as u64,
             ..StoreStats::default()
         };
         // Live framing overhead counts as live when estimating dead bytes.

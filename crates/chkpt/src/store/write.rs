@@ -219,18 +219,6 @@ impl CheckpointStore {
         if self.opts.durability == Durability::GroupCommit {
             file.sync_data()?;
         }
-        // Cold tier: ship the freshly sealed segment in the background
-        // (copy, not move — dropping the local copy is a separate, explicit
-        // demotion step). Shipping is incremental: each seal ships exactly
-        // one segment, so spool residency tracks commit progress instead of
-        // arriving in one end-of-run burst.
-        if let Some(spool) = self.spool_dir.read().clone() {
-            let src = self.segment_path(active.id);
-            let id = active.id;
-            crate::exec::spawn(move || {
-                let _ = crate::spool::ship_segment_file(&spool, id, &src);
-            });
-        }
         Ok(())
     }
 }
@@ -467,7 +455,7 @@ impl WriteBatch<'_> {
                 match idx.intern(*hash, *meta, &s.stored) {
                     Ok(outcome @ (Interned::Hit | Interned::Inserted)) => {
                         if outcome == Interned::Hit {
-                            store.tier.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                            store.dedup_hits.fetch_add(1, Ordering::Relaxed);
                         }
                         interned_any = true;
                         let loc = Location::Dup {

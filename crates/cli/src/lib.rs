@@ -637,11 +637,7 @@ fn cmd_store(args: &Args) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "tiering:      {} cold segment(s), {} cold reads, {} demotions, \
-             {} mmap faults, {} mmap fallbacks",
-            f("tier_cold_segments"),
-            f("tier_cold_reads"),
-            f("tier_demotions"),
+            "mmap:         {} faults, {} fallbacks",
             f("mmap_faults"),
             f("mmap_fallbacks")
         );
@@ -1259,8 +1255,9 @@ for epoch in range(4):
         assert!(out.contains("compression:"), "{out}");
         assert!(out.contains("delta chains:"), "{out}");
         assert!(out.contains("chain depths: 0:"), "{out}");
-        assert!(out.contains("tiering:"), "{out}");
-        assert!(out.contains("0 mmap fallbacks"), "{out}");
+        assert!(out.contains("mmap:"), "{out}");
+        assert!(out.contains("0 fallbacks"), "{out}");
+        assert!(!out.contains("cold"), "{out}");
         assert!(out.contains("dedup:"), "{out}");
         assert!(out.contains("effort:       level"), "{out}");
         assert!(out.contains("recovery:     clean"), "{out}");

@@ -247,11 +247,12 @@ impl Interp {
         }
     }
 
-    /// Runs a whole program.
+    /// Runs a whole program. In record mode, waits for every background
+    /// checkpoint write to land, failing if any did not.
     pub fn run(&mut self, prog: &Program) -> Result<(), FlorError> {
         self.exec_body(&prog.body)?;
         if let Mode::Record(ctx) = &mut self.mode {
-            ctx.materializer.flush();
+            ctx.materializer.flush().map_err(rt)?;
         }
         Ok(())
     }

@@ -62,11 +62,12 @@
 use crate::adaptive::{AdaptiveController, DEFAULT_EPSILON};
 use crate::error::{rt, FlorError};
 use crate::logstream::{LogEntry, LogStream, Section};
+use crate::skipblock::{next_seq, tune_compression_effort};
 use flor_chkpt::{
     encode, encode_into, BytesMut, CVal, CheckpointStore, Materializer, Payload, SerializeSnapshot,
     Strategy,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -112,6 +113,8 @@ pub struct Session {
     log: LogStream,
     iter: Option<u64>,
     standalone_seq: HashMap<String, u64>,
+    /// Blocks already executed in the current iteration.
+    blocks_this_iter: HashSet<String>,
     restored: u64,
     executed: u64,
 }
@@ -147,6 +150,7 @@ impl Session {
             log: LogStream::new(),
             iter: None,
             standalone_seq: HashMap::new(),
+            blocks_this_iter: HashSet::new(),
             restored: 0,
             executed: 0,
         })
@@ -166,6 +170,7 @@ impl Session {
             log: LogStream::new(),
             iter: None,
             standalone_seq: HashMap::new(),
+            blocks_this_iter: HashSet::new(),
             restored: 0,
             executed: 0,
         })
@@ -175,6 +180,7 @@ impl Session {
     /// sections follow it).
     pub fn begin_iter(&mut self, g: u64) {
         self.iter = Some(g);
+        self.blocks_this_iter.clear();
         self.log.set_section(Section::Iter(g));
     }
 
@@ -191,21 +197,20 @@ impl Session {
 
     /// Runs (or restores) a SkipBlock over `state`. Returns `true` if the
     /// body executed, `false` if the state was restored from a checkpoint.
+    /// Sequenced like the interpreter's SkipBlocks: running one block
+    /// twice in one iteration is an error.
     pub fn skip_block<S: Checkpointable>(
         &mut self,
         id: &str,
         state: &mut S,
         body: impl FnOnce(&mut S),
     ) -> Result<bool, FlorError> {
-        let seq = match self.iter {
-            Some(g) => g,
-            None => {
-                let c = self.standalone_seq.entry(id.to_string()).or_insert(0);
-                let seq = (1u64 << 48) + *c;
-                *c += 1;
-                seq
-            }
-        };
+        let seq = next_seq(
+            self.iter,
+            &mut self.standalone_seq,
+            &mut self.blocks_this_iter,
+            id,
+        )?;
         match self.kind {
             SessionKind::Record => {
                 let t0 = flor_obs::clock::now_ns();
@@ -226,19 +231,7 @@ impl Session {
                         flor_obs::clock::since_ns(t1).max(1),
                         bytes,
                     );
-                    // Same ε-driven effort tuning as the interpreter path
-                    // (see `skipblock::exec_record`).
-                    if self.controller.is_adaptive() {
-                        let overhead = self.controller.record_overhead();
-                        let eps = self.controller.epsilon();
-                        let effort = self.store.compression_effort();
-                        if overhead > eps && effort > flor_chkpt::compress::MIN_EFFORT {
-                            self.store.set_compression_effort(effort - 1);
-                        } else if overhead < 0.5 * eps && effort < flor_chkpt::compress::MAX_EFFORT
-                        {
-                            self.store.set_compression_effort(effort + 1);
-                        }
-                    }
+                    tune_compression_effort(&self.controller, &self.store);
                 }
                 self.executed += 1;
                 Ok(true)
@@ -279,10 +272,11 @@ impl Session {
     }
 
     /// Finishes the session: flushes background writes (record) and
-    /// persists the session log artifact. Returns the log.
+    /// persists the session log artifact. Returns the log, or the first
+    /// checkpoint write that failed.
     pub fn finish(mut self) -> Result<Vec<LogEntry>, FlorError> {
         if let Some(mat) = self.materializer.take() {
-            mat.flush();
+            mat.flush().map_err(rt)?;
             drop(mat);
             self.store
                 .put_artifact("native_record_log.txt", self.log.to_text().as_bytes())?;
@@ -401,5 +395,34 @@ mod tests {
         s.skip_block("pre", &mut state2, |c| c.0 += 1).unwrap();
         assert_eq!(state2.0, 2);
         assert_eq!(s.restored(), 2);
+    }
+
+    #[test]
+    fn a_block_runs_at_most_once_per_iteration() {
+        let mut state = Counter(0);
+        let mut s = Session::record_with(tmpdir("twice"), 1.0 / 15.0, false).unwrap();
+        s.begin_iter(0);
+        s.skip_block("train", &mut state, |c| c.0 += 1).unwrap();
+        let err = s.skip_block("train", &mut state, |c| c.0 += 1).unwrap_err();
+        assert!(err.to_string().contains("more than once"), "{err}");
+        assert_eq!(state.0, 1, "the refused execution must not run");
+        // The next iteration starts a fresh set.
+        s.begin_iter(1);
+        s.skip_block("train", &mut state, |c| c.0 += 1).unwrap();
+        s.finish().unwrap();
+    }
+
+    #[test]
+    fn a_failed_background_write_fails_finish() {
+        let dir = tmpdir("write-fail");
+        let mut state = Counter(0);
+        let mut s = Session::record_with(&dir, 1.0 / 15.0, false).unwrap();
+        // No segment can be created once `seg/` is a regular file.
+        std::fs::remove_dir_all(dir.join("seg")).unwrap();
+        std::fs::write(dir.join("seg"), b"not a directory").unwrap();
+        s.begin_iter(0);
+        s.skip_block("train", &mut state, |c| c.0 += 1).unwrap();
+        let err = s.finish().unwrap_err();
+        assert!(err.to_string().contains("train.0"), "{err}");
     }
 }

@@ -27,9 +27,6 @@ pub struct RecordOptions {
     pub store_root: PathBuf,
     /// Record-overhead tolerance ε (default 1/15 ≈ 6.67%, as in the paper).
     pub epsilon: f64,
-    /// Background materialization strategy (default ForkBatched — the
-    /// paper's fork() approach).
-    pub strategy: Strategy,
     /// Adaptive checkpointing on/off (off reproduces Figure 7's
     /// "adaptivity disabled" bars).
     pub adaptive: bool,
@@ -51,7 +48,6 @@ impl RecordOptions {
         RecordOptions {
             store_root: store_root.into(),
             epsilon: DEFAULT_EPSILON,
-            strategy: Strategy::ForkBatched,
             adaptive: true,
             background_workers: 2,
             lean: true,
@@ -165,7 +161,13 @@ pub fn record(src: &str, opts: &RecordOptions) -> Result<RecordReport, FlorError
 
     let ctx = RecordCtx {
         store: store.clone(),
-        materializer: Materializer::new(store.clone(), opts.strategy, opts.background_workers),
+        // The paper's fork() approach; the other Figure 5 strategies are
+        // measured by the figure binaries only.
+        materializer: Materializer::new(
+            store.clone(),
+            Strategy::ForkBatched,
+            opts.background_workers,
+        ),
         controller,
         static_changesets,
         lean: opts.lean,

@@ -20,12 +20,15 @@
 //! Non-hindsight source changes (`force_execute_all`) poison every
 //! checkpoint: all blocks execute.
 
+use crate::adaptive::AdaptiveController;
 use crate::error::{rt, FlorError};
 use crate::interp::{Interp, Mode, Phase};
 use crate::oracle::EnvOracle;
 use crate::value::Value;
 use flor_analysis::augment_changeset;
-use flor_chkpt::{encode, encode_into, BytesMut, CVal, Payload, SerializeSnapshot};
+use flor_chkpt::{
+    encode, encode_into, BytesMut, CVal, CheckpointStore, Payload, SerializeSnapshot,
+};
 use flor_lang::ast::Stmt;
 use std::sync::Arc;
 
@@ -117,7 +120,10 @@ fn exec_skipblock_impl(
 
 /// Computes this execution's sequence number: the global main-loop
 /// iteration when inside the main loop, a standalone counter otherwise.
-fn next_seq(
+/// The one sequencing rule of both runtimes (the interpreter and the
+/// native [`Session`](crate::native::Session)): a block executed twice in
+/// one iteration is refused, since its two checkpoints would share a key.
+pub(crate) fn next_seq(
     main_iter: Option<u64>,
     standalone: &mut std::collections::HashMap<String, u64>,
     blocks_this_iter: &mut std::collections::HashSet<String>,
@@ -139,6 +145,26 @@ fn next_seq(
             *counter += 1;
             Ok(seq)
         }
+    }
+}
+
+/// Auto-tunes the store's compression effort from the same ε budget that
+/// gates materialization, after each materialized checkpoint: overhead
+/// well under budget buys smaller checkpoints (higher effort); overhead
+/// over budget sheds compression cost first, before the controller starts
+/// dropping checkpoints outright. `set_compression_effort` is a no-op when
+/// the level is unchanged.
+pub(crate) fn tune_compression_effort(controller: &AdaptiveController, store: &CheckpointStore) {
+    if !controller.is_adaptive() {
+        return;
+    }
+    let overhead = controller.record_overhead();
+    let eps = controller.epsilon();
+    let effort = store.compression_effort();
+    if overhead > eps && effort > flor_chkpt::compress::MIN_EFFORT {
+        store.set_compression_effort(effort - 1);
+    } else if overhead < 0.5 * eps && effort < flor_chkpt::compress::MAX_EFFORT {
+        store.set_compression_effort(effort + 1);
     }
 }
 
@@ -203,22 +229,7 @@ fn exec_record(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
         let main_ns = flor_obs::clock::since_ns(t1);
         ctx.controller
             .observe_materialize(id, main_ns.max(1), est_bytes as u64);
-        // Auto-tune the store's compression effort from the same ε budget
-        // that gates materialization: overhead well under budget buys
-        // smaller checkpoints (higher effort); overhead over budget sheds
-        // compression cost first, before the controller starts dropping
-        // checkpoints outright. `set_compression_effort` is a no-op when
-        // the level is unchanged.
-        if ctx.controller.is_adaptive() {
-            let overhead = ctx.controller.record_overhead();
-            let eps = ctx.controller.epsilon();
-            let effort = ctx.store.compression_effort();
-            if overhead > eps && effort > flor_chkpt::compress::MIN_EFFORT {
-                ctx.store.set_compression_effort(effort - 1);
-            } else if overhead < 0.5 * eps && effort < flor_chkpt::compress::MAX_EFFORT {
-                ctx.store.set_compression_effort(effort + 1);
-            }
-        }
+        tune_compression_effort(&ctx.controller, &ctx.store);
         if let Some(g) = ctx.main_iter {
             ctx.profile.observe(g, compute_ns, Some(main_ns.max(1)));
         }
@@ -314,10 +325,9 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::AdaptiveController;
     use crate::interp::{RecordCtx, ReplayCtx};
     use crate::replay::ReplayPlan;
-    use flor_chkpt::{CheckpointStore, Materializer, Strategy};
+    use flor_chkpt::{Materializer, Strategy};
     use flor_lang::parse;
     use std::collections::{HashMap, HashSet};
     use std::path::PathBuf;
@@ -394,6 +404,23 @@ log(\"acc\", acc)
             assert_eq!(ctx.stats.executed, 0);
         }
         assert_eq!(rec.log.entries(), rep.log.entries());
+    }
+
+    #[test]
+    fn a_failed_background_write_fails_the_record_run() {
+        let root = tmproot("write-fail");
+        let store = Arc::new(CheckpointStore::open(&root).unwrap());
+        // No segment can be created once `seg/` is a regular file.
+        std::fs::remove_dir_all(root.join("seg")).unwrap();
+        std::fs::write(root.join("seg"), b"not a directory").unwrap();
+        let mut rec = Interp::new(record_ctx(
+            store.clone(),
+            HashMap::from([("sb_0".to_string(), vec!["acc".to_string()])]),
+        ));
+        let err = rec.run(&parse(SRC).unwrap()).unwrap_err();
+        let want = format!("sb_0.{STANDALONE_BASE}");
+        assert!(err.to_string().contains(&want), "{err}");
+        assert!(!store.contains("sb_0", STANDALONE_BASE));
     }
 
     #[test]

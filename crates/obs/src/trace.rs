@@ -68,8 +68,9 @@ pub enum Category {
     /// Backward program slicing: computing the dependency cone of the
     /// query's log statements before lowering.
     Slice,
-    /// Tiered-storage movement: cold-tier demotions, spool shipping, and
-    /// spool fault-backs.
+    /// Storage-tier events: a segment or dedup blob read into heap
+    /// because the kernel refused to map it (`mmap_fallback:<kind>`
+    /// instants).
     Tier,
     /// Query-service event loop: connection accepts, socket reads,
     /// protocol dispatch, and backpressured writes.

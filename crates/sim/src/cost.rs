@@ -44,21 +44,6 @@ pub mod read_cost {
     pub fn restore_read_secs(compressed_gb: f64) -> f64 {
         SEGMENTED_GET_SECS + compressed_gb * 1e9 / SEGMENT_READ_BYTES_PER_SEC
     }
-
-    /// Throughput for faulting a demoted (spool-resident) segment back
-    /// through the buffer pool, bytes/second. The spool models the paper's
-    /// S3 bucket; within-region S3 GETs stream at roughly 1/10 of local
-    /// NVMe, so a cold first touch pays ~10× the proportional read cost
-    /// (subsequent reads hit the buffer pool at hot-tier speed).
-    pub const COLD_FAULT_BYTES_PER_SEC: f64 = 2.0e8;
-
-    /// I/O-side cost of the *first* restore from a cold (demoted) segment:
-    /// fixed per-read constant plus the whole-segment fault at spool
-    /// throughput. `segment_gb` is the full segment size — fault-back
-    /// pulls the segment, not just one entry.
-    pub fn cold_restore_read_secs(segment_gb: f64) -> f64 {
-        SEGMENTED_GET_SECS + segment_gb * 1e9 / COLD_FAULT_BYTES_PER_SEC
-    }
 }
 
 /// Delta-chain storage and restore model, with constants measured by
@@ -252,15 +237,6 @@ mod tests {
                 "{}: read cost {io:.3}s vs epoch {:.1}s",
                 w.name,
                 w.epoch_secs()
-            );
-        }
-        // A cold-tier fault pays a 10× throughput penalty over the hot
-        // path, but only on the first touch of a demoted segment.
-        assert!(read_cost::cold_restore_read_secs(0.008) > read_cost::restore_read_secs(0.008));
-        const {
-            assert!(
-                read_cost::COLD_FAULT_BYTES_PER_SEC * 10.0 == read_cost::SEGMENT_READ_BYTES_PER_SEC,
-                "cold tier models ~1/10 hot throughput"
             );
         }
     }

@@ -1,6 +1,6 @@
 //! Crash injection for the tiered, deduplicated storage engine.
 //!
-//! Three crash surfaces the tentpole added, each swept exhaustively:
+//! Two crash surfaces of the dedup tier, each swept exhaustively:
 //!
 //! - **MANIFEST over `@dup` lines**: a v4 manifest truncated at every byte
 //!   offset must reopen into a store whose surviving entries all read back
@@ -12,9 +12,6 @@
 //!   forgot. The commit ordering (arena sync *before* manifest append)
 //!   means a real crash can only over-count references — blobs leak toward
 //!   retention, never toward data loss.
-//! - **Mid-demotion states**: every intermediate state of the ship → verify
-//!   → delete-local sequence leaves the segment readable from at least one
-//!   tier, across a reopen.
 //!
 //! Plus the blob read contract: a damaged or missing blob is loud per-entry
 //! corruption on the next read, and a blob retention unlinks stays readable
@@ -313,95 +310,4 @@ fn a_blob_unlinked_by_retention_stays_readable_while_its_bytes_are_held() {
     );
     // A new read of the pruned entry is loud, not stale.
     assert!(store.get_bytes("sb_0", 0).is_err());
-}
-
-#[test]
-fn every_mid_demotion_crash_state_keeps_segments_readable() {
-    let base = base_dir("demotion");
-    let seal_opts = StoreOptions {
-        segment_target_bytes: 1, // seal after every commit
-        delta_keyframe_interval: 0,
-        ..StoreOptions::default()
-    };
-    // Build one reference store per crash state (cheap: two puts each).
-    let build = |tag: &str| -> (PathBuf, PathBuf) {
-        let root = base.join(tag);
-        let spool = base.join(format!("{tag}-spool"));
-        let store = CheckpointStore::open_opts(&root, seal_opts).unwrap();
-        store.attach_spool(&spool).unwrap();
-        store.put("sb_0", 0, &payload(91)).unwrap();
-        store.put("sb_0", 1, &payload(92)).unwrap();
-        (root, spool)
-    };
-
-    // State 1 — crash before the cold copy's rename: a temp sibling in the
-    // spool, no durable cold copy, local file intact.
-    {
-        let (root, spool) = build("pre-rename");
-        fs::write(
-            spool.join("segments").join(".00000000.seg.tmp.999.0"),
-            b"gar",
-        )
-        .unwrap();
-        let store = CheckpointStore::open(&root).unwrap();
-        assert_eq!(store.get("sb_0", 0).unwrap(), payload(91));
-        // A later demotion ships a fresh, complete copy.
-        store.demote_cold_segments(0).unwrap();
-        assert_eq!(store.get("sb_0", 0).unwrap(), payload(91));
-    }
-
-    // State 2 — crash after the rename, before the local delete: both
-    // copies durable. Reads prefer local; re-demotion verifies the cold
-    // copy instead of re-shipping, then deletes local.
-    {
-        let (root, spool) = build("post-rename");
-        let local = root.join("seg").join("00000000.seg");
-        let cold = spool.join("segments").join("00000000.seg");
-        fs::copy(&local, &cold).unwrap();
-        let store = CheckpointStore::open(&root).unwrap();
-        let demoted = store.demote_cold_segments(0).unwrap();
-        assert!(demoted.contains(&0), "{demoted:?}");
-        assert!(!local.exists());
-        assert_eq!(store.get("sb_0", 0).unwrap(), payload(91));
-    }
-
-    // State 3 — crash after the local delete: cold copy only. A reopen
-    // resolves the manifest's segment reference against the spool (cold,
-    // not missing) and reads fault back.
-    {
-        let (root, spool) = build("post-delete");
-        let local = root.join("seg").join("00000000.seg");
-        let cold = spool.join("segments").join("00000000.seg");
-        fs::copy(&local, &cold).unwrap();
-        fs::remove_file(&local).unwrap();
-        let store = CheckpointStore::open(&root).unwrap();
-        assert!(
-            store.recovery_report().missing_entries.is_empty(),
-            "cold segments are not missing: {:?}",
-            store.recovery_report()
-        );
-        assert_eq!(store.get("sb_0", 0).unwrap(), payload(91));
-        assert_eq!(store.get("sb_0", 1).unwrap(), payload(92));
-        assert!(store.stats().tier_cold_reads >= 1);
-    }
-
-    // State 4 — torn cold copy next to a live local one (crash mid-ship
-    // with a pre-unique-temp layout, or fs corruption): demotion must
-    // detect the length mismatch, re-ship, and stay readable.
-    {
-        let (root, spool) = build("torn-cold");
-        let local = root.join("seg").join("00000000.seg");
-        let cold = spool.join("segments").join("00000000.seg");
-        let bytes = fs::read(&local).unwrap();
-        fs::write(&cold, &bytes[..bytes.len() / 2]).unwrap();
-        let store = CheckpointStore::open(&root).unwrap();
-        let demoted = store.demote_cold_segments(0).unwrap();
-        assert!(demoted.contains(&0), "{demoted:?}");
-        assert_eq!(
-            fs::read(&cold).unwrap().len(),
-            bytes.len(),
-            "torn cold copy must be re-shipped whole before local delete"
-        );
-        assert_eq!(store.get("sb_0", 0).unwrap(), payload(91));
-    }
 }

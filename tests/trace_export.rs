@@ -360,46 +360,6 @@ fn socket_service_emits_serve_category_spans() {
         );
     }
     assert_eq!(Category::Serve.as_str(), "serve");
-}
-
-#[test]
-fn tier_demotion_emits_tier_category_spans() {
-    // The tiered-storage movement path (demote → ship → delete local) runs
-    // under a `tier` span, so storage-operations traces show where cold
-    // data went.
-    let dir = tmp_dir("tier-cat");
-    let spool = tmp_dir("tier-cat-spool");
-    let store = flor_chkpt::CheckpointStore::open_opts(
-        &dir,
-        flor_chkpt::StoreOptions {
-            segment_target_bytes: 1, // seal after every commit
-            delta_keyframe_interval: 0,
-            ..flor_chkpt::StoreOptions::default()
-        },
-    )
-    .unwrap();
-    store.attach_spool(&spool).unwrap();
-    let payload: Vec<u8> = (0u32..4096)
-        .map(|i| (i.wrapping_mul(2_654_435_761)) as u8)
-        .collect();
-    store.put("sb_0", 0, &payload).unwrap();
-    store.put("sb_0", 1, &payload).unwrap();
-
-    let session = TraceSession::start();
-    let demoted = store.demote_cold_segments(0).unwrap();
-    let trace = session.finish();
-    assert!(!demoted.is_empty(), "{demoted:?}");
-    assert!(
-        trace.categories().contains(&Category::Tier),
-        "tier category missing: {:?}",
-        trace.categories()
-    );
-    let span = trace
-        .events
-        .iter()
-        .find(|e| e.cat == Category::Tier)
-        .expect("tier span");
-    assert_eq!(span.name, "demote_cold_segments");
     assert_eq!(Category::Tier.as_str(), "tier");
 }
 
