@@ -1,10 +1,11 @@
 //! Criterion bench: live record overhead (Figure 11's live counterpart) —
 //! vanilla execution vs recorded execution of the cv_train mini workload —
-//! plus the record hot path itself: caller-thread submit latency per
-//! strategy, zero-copy vs the pre-refactor eager-copy construction.
+//! plus the record hot path itself: caller-thread submit latency on the
+//! fork-batched materializer, zero-copy vs the pre-refactor eager-copy
+//! construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use flor_bench::record_submit::{StateFixture, SubmitMode, ALL_STRATEGIES};
+use flor_bench::record_submit::{StateFixture, SubmitMode};
 use flor_bench::scripts;
 use flor_chkpt::{CheckpointStore, Materializer};
 use flor_core::record::{record, run_vanilla, RecordOptions};
@@ -39,32 +40,30 @@ fn bench_submit(c: &mut Criterion) {
     let fixture = StateFixture::new(8, 64 * 1024); // 8 × 256 KiB ≈ 2 MiB/ckpt
     let mut group = c.benchmark_group("record_submit");
     group.throughput(Throughput::Bytes(fixture.raw_bytes() as u64));
-    for strategy in ALL_STRATEGIES {
-        for mode in [SubmitMode::ZeroCopy, SubmitMode::EagerCopy] {
-            let dir = std::env::temp_dir().join(format!(
-                "flor-bench-submit-crit-{strategy:?}-{}-{}",
-                mode.label(),
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let store = Arc::new(CheckpointStore::open(dir.clone()).unwrap());
-            let mat = Materializer::new(store, strategy, 2);
-            group.bench_with_input(
-                BenchmarkId::new(format!("{strategy:?}"), mode.label()),
-                &mode,
-                |b, &mode| {
-                    b.iter(|| {
-                        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-                        mat.submit("bench", seq, fixture.build_payload(mode));
-                    });
-                },
-            );
-            mat.flush().expect("checkpoint writes");
-            // Each fixture store grows to multiple GiB; leaking it fills
-            // /tmp after a handful of CI runs.
-            drop(mat);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+    for mode in [SubmitMode::ZeroCopy, SubmitMode::EagerCopy] {
+        let dir = std::env::temp_dir().join(format!(
+            "flor-bench-submit-crit-{}-{}",
+            mode.label(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(CheckpointStore::open(dir.clone()).unwrap());
+        let mat = Materializer::new(store, 2);
+        group.bench_with_input(
+            BenchmarkId::new("ForkBatched", mode.label()),
+            &mode,
+            |b, &mode| {
+                b.iter(|| {
+                    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+                    mat.submit("bench", seq, fixture.build_payload(mode));
+                });
+            },
+        );
+        mat.flush().expect("checkpoint writes");
+        // Each fixture store grows to multiple GiB; leaking it fills
+        // /tmp after a handful of CI runs.
+        drop(mat);
+        let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
 }

@@ -1,7 +1,7 @@
 //! Caller-thread submit-latency measurement for the record hot path.
 //!
-//! Measures what the training thread pays per checkpoint under each
-//! Figure 5 strategy, for two snapshot-construction modes:
+//! Measures what the training thread pays per checkpoint on Flor's
+//! fork-batched [`Materializer`], for two snapshot-construction modes:
 //!
 //! - [`SubmitMode::ZeroCopy`] — the current pipeline: tensor leaves are
 //!   lazy slab handles (`CVal::lazy`), so building the snapshot tree is
@@ -16,7 +16,7 @@
 //! removed. Used by the `bench_record` criterion bench and the
 //! `bench_record_json` binary that emits `BENCH_record.json`.
 
-use flor_chkpt::{ByteSource, BytesMut, CVal, CheckpointStore, Materializer, Payload, Strategy};
+use flor_chkpt::{ByteSource, BytesMut, CVal, CheckpointStore, Materializer, SerializeSnapshot};
 use flor_core::skipblock::CValSnapshot;
 use flor_tensor::{Pcg64, Tensor};
 use std::sync::Arc;
@@ -92,7 +92,7 @@ impl StateFixture {
     /// Builds one snapshot payload in the given mode — this is the
     /// caller-side work being measured, identical in shape to what
     /// `exec_record` does per SkipBlock.
-    pub fn build_payload(&self, mode: SubmitMode) -> Payload {
+    pub fn build_payload(&self, mode: SubmitMode) -> Arc<dyn SerializeSnapshot> {
         let pairs: Vec<(String, CVal)> = self
             .tensors
             .iter()
@@ -106,15 +106,13 @@ impl StateFixture {
             })
             .collect();
         let objects = pairs.len();
-        Payload::Deferred(Arc::new(CValSnapshot::new(CVal::Map(pairs), objects)))
+        Arc::new(CValSnapshot::new(CVal::Map(pairs), objects))
     }
 }
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
 pub struct SubmitMeasurement {
-    /// Strategy measured.
-    pub strategy: Strategy,
     /// Snapshot construction mode.
     pub mode: SubmitMode,
     /// Checkpoints submitted.
@@ -130,24 +128,23 @@ pub struct SubmitMeasurement {
     pub group_commits: u64,
 }
 
-/// Submits `jobs` checkpoints of `fixture` under `strategy`/`mode`,
+/// Submits `jobs` checkpoints of `fixture` built in `mode`,
 /// timing the caller-side cost of each (build + submit). The store lives
 /// under a throwaway temp directory.
 pub fn measure_submit(
     fixture: &StateFixture,
-    strategy: Strategy,
     mode: SubmitMode,
     jobs: u64,
     tag: &str,
 ) -> SubmitMeasurement {
     let dir = std::env::temp_dir().join(format!(
-        "flor-bench-submit-{tag}-{strategy:?}-{}-{}",
+        "flor-bench-submit-{tag}-{}-{}",
         mode.label(),
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(CheckpointStore::open(&dir).unwrap());
-    let mat = Materializer::new(store, strategy, 2);
+    let mat = Materializer::new(store, 2);
     // Untimed warmup: first-touch page faults, worker spawn, allocator and
     // page-cache warm-up all land here instead of in the first sample.
     for seq in 0..3u64 {
@@ -172,7 +169,6 @@ pub fn measure_submit(
     let mean = per_job_ns.iter().sum::<u64>() / per_job_ns.len().max(1) as u64;
     let median = per_job_ns[per_job_ns.len() / 2];
     SubmitMeasurement {
-        strategy,
         mode,
         jobs,
         mean_submit_ns: mean,
@@ -181,14 +177,6 @@ pub fn measure_submit(
         group_commits: stats.group_commits - warmup.group_commits,
     }
 }
-
-/// The four Figure 5 strategies, in presentation order.
-pub const ALL_STRATEGIES: [Strategy; 4] = [
-    Strategy::Baseline,
-    Strategy::IpcQueue,
-    Strategy::Plasma,
-    Strategy::ForkBatched,
-];
 
 #[cfg(test)]
 mod tests {
@@ -205,7 +193,7 @@ mod tests {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let store = Arc::new(CheckpointStore::open(&dir).unwrap());
-            let mat = Materializer::new(store.clone(), Strategy::ForkBatched, 2);
+            let mat = Materializer::new(store.clone(), 2);
             mat.submit("sb_0", 0, fixture.build_payload(mode));
             mat.flush().expect("checkpoint writes");
             let payload = store.get("sb_0", 0).unwrap();
@@ -221,13 +209,7 @@ mod tests {
     #[test]
     fn measure_submit_reports_sane_numbers() {
         let fixture = StateFixture::new(2, 500);
-        let m = measure_submit(
-            &fixture,
-            Strategy::ForkBatched,
-            SubmitMode::ZeroCopy,
-            10,
-            "sane",
-        );
+        let m = measure_submit(&fixture, SubmitMode::ZeroCopy, 10, "sane");
         assert_eq!(m.jobs, 10);
         assert!(m.mean_submit_ns > 0);
         assert!(m.median_submit_ns <= m.mean_submit_ns * 10);
@@ -244,9 +226,7 @@ mod tests {
         for mode in [SubmitMode::ZeroCopy, SubmitMode::EagerCopy] {
             let mut fixture = StateFixture::new(2, 64);
             let before = fixture.tensors[1].to_bytes();
-            let Payload::Deferred(snapshot) = fixture.build_payload(mode) else {
-                unreachable!("build_payload defers serialization")
-            };
+            let snapshot = fixture.build_payload(mode);
             // The payload now holds the only other handle to this slab, if any.
             let mut tensor = fixture.tensors.pop().unwrap();
             let slab = tensor.data().as_ptr();

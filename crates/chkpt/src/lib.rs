@@ -10,16 +10,14 @@
 //!   format standing in for `cloudpickle`. The paper's §5.1 microbenchmark
 //!   found serialization ≈ 4.3× the cost of the disk write; `bench_codec`
 //!   in `flor-bench` measures the same ratio for this codec.
-//! - **Background materialization** ([`background`]): the paper's Figure 5
-//!   design space. Four strategies differ in *where serialization happens
-//!   relative to the training thread* and whether jobs are batched:
-//!   `Baseline` (everything on the caller, à la cloudpickle), `IpcQueue`
-//!   (serialize on caller, write in background), `Plasma` (hand the object
-//!   to the background immediately), and `ForkBatched` (the paper's fork()
-//!   approach: O(1) snapshot on the caller, serialize+compress+write in the
-//!   background, batched). Rust has no GIL, so "fork" is realized as cheap
-//!   `Arc` snapshot handles consumed by worker threads — same critical-path
-//!   economics, different OS mechanism (see DESIGN.md).
+//! - **Background materialization** ([`background`]): the paper's fork()
+//!   approach from Figure 5's design space — an O(1) snapshot handle on
+//!   the training thread, serialize+compress+write in the background,
+//!   batched. Rust has no GIL, so "fork" is realized as cheap `Arc`
+//!   snapshot handles consumed by worker threads — same critical-path
+//!   economics, different OS mechanism. The three strategies Figure 5
+//!   compares it against (`Baseline`, `IpcQueue`, `Plasma`) are emulated
+//!   over this one writer by `flor-bench`'s `fig05`.
 //! - **Storage** ([`store`]): a segmented on-disk checkpoint store with
 //!   one write layout, one LZ encoder, and one read path — payloads packed
 //!   into large append-only segment files with CRC-protected footer
@@ -44,7 +42,7 @@ pub mod exec;
 mod mmap;
 pub mod store;
 
-pub use background::{Materializer, MaterializerStats, Payload, SerializeSnapshot, Strategy};
+pub use background::{Materializer, MaterializerStats, SerializeSnapshot};
 pub use codec::{decode, encode, encode_into, ByteSource, CVal, CodecError, EncodePool, LazyBytes};
 pub use dedup::DedupIndex;
 pub use store::{

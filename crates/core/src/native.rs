@@ -58,14 +58,18 @@
 //! }
 //! assert_eq!(state2.0, vec![3.0; 4]);
 //! ```
+//!
+//! Unlike a script replay, a native session runs no deferred correctness
+//! check, and its store holds checkpoints only: no source, no record log.
+//! The caller gets each session's log back from [`Session::finish`] and
+//! compares or keeps it as it sees fit.
 
 use crate::adaptive::{AdaptiveController, DEFAULT_EPSILON};
 use crate::error::{rt, FlorError};
 use crate::logstream::{LogEntry, LogStream, Section};
 use crate::skipblock::{next_seq, tune_compression_effort};
 use flor_chkpt::{
-    encode, encode_into, BytesMut, CVal, CheckpointStore, Materializer, Payload, SerializeSnapshot,
-    Strategy,
+    encode, encode_into, BytesMut, CVal, CheckpointStore, Materializer, SerializeSnapshot,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -144,7 +148,7 @@ impl Session {
         Ok(Session {
             kind: SessionKind::Record,
             store: store.clone(),
-            materializer: Some(Materializer::new(store, Strategy::ForkBatched, 2)),
+            materializer: Some(Materializer::new(store, 2)),
             controller,
             probed: Vec::new(),
             log: LogStream::new(),
@@ -225,7 +229,7 @@ impl Session {
                         .materializer
                         .as_ref()
                         .expect("record session has a materializer");
-                    mat.submit(id, seq, Payload::Deferred(Arc::new(NativeSnapshot(cval))));
+                    mat.submit(id, seq, Arc::new(NativeSnapshot(cval)));
                     self.controller.observe_materialize(
                         id,
                         flor_obs::clock::since_ns(t1).max(1),
@@ -271,15 +275,12 @@ impl Session {
         self.log.entries()
     }
 
-    /// Finishes the session: flushes background writes (record) and
-    /// persists the session log artifact. Returns the log, or the first
-    /// checkpoint write that failed.
+    /// Finishes the session: flushes background writes (record). Returns
+    /// the session's log — the only copy, since nothing but checkpoints is
+    /// stored — or the first checkpoint write that failed.
     pub fn finish(mut self) -> Result<Vec<LogEntry>, FlorError> {
         if let Some(mat) = self.materializer.take() {
             mat.flush().map_err(rt)?;
-            drop(mat);
-            self.store
-                .put_artifact("native_record_log.txt", self.log.to_text().as_bytes())?;
         }
         Ok(self.log.into_entries())
     }

@@ -15,7 +15,7 @@ use crate::error::FlorError;
 use crate::interp::{Interp, Mode, RecordCtx};
 use crate::logstream::LogEntry;
 use flor_analysis::instrument::{instrument, BlockPlan, RefusedLoop};
-use flor_chkpt::{CheckpointStore, Materializer, MaterializerStats, Strategy};
+use flor_chkpt::{CheckpointStore, Materializer, MaterializerStats};
 use flor_lang::{parse, print_program};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -76,7 +76,7 @@ pub struct RecordReport {
     pub arena_bytes: u64,
     /// The record log.
     pub log: Vec<LogEntry>,
-    /// Materializer counters (main-thread blocked time, dispatches, …).
+    /// Materializer counters (main-thread blocked time, group commits, …).
     pub materializer: MaterializerStats,
     /// Controller view of cumulative record overhead
     /// (caller-visible materialization time / loop compute time).
@@ -161,13 +161,9 @@ pub fn record(src: &str, opts: &RecordOptions) -> Result<RecordReport, FlorError
 
     let ctx = RecordCtx {
         store: store.clone(),
-        // The paper's fork() approach; the other Figure 5 strategies are
-        // measured by the figure binaries only.
-        materializer: Materializer::new(
-            store.clone(),
-            Strategy::ForkBatched,
-            opts.background_workers,
-        ),
+        // The paper's fork() approach, the one writer there is; the other
+        // Figure 5 strategies are emulated by `flor-bench`'s `fig05`.
+        materializer: Materializer::new(store.clone(), opts.background_workers),
         controller,
         static_changesets,
         lean: opts.lean,

@@ -26,9 +26,7 @@ use crate::interp::{Interp, Mode, Phase};
 use crate::oracle::EnvOracle;
 use crate::value::Value;
 use flor_analysis::augment_changeset;
-use flor_chkpt::{
-    encode, encode_into, BytesMut, CVal, CheckpointStore, Payload, SerializeSnapshot,
-};
+use flor_chkpt::{encode, encode_into, BytesMut, CVal, CheckpointStore, SerializeSnapshot};
 use flor_lang::ast::Stmt;
 use std::sync::Arc;
 
@@ -221,8 +219,7 @@ fn exec_record(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
         }
         let objects = pairs.len();
         let payload = CValSnapshot::new(CVal::Map(pairs), objects);
-        ctx.materializer
-            .submit(id, seq, Payload::Deferred(Arc::new(payload)));
+        ctx.materializer.submit(id, seq, Arc::new(payload));
         // M_i observed: the caller-visible cost (snapshot build + submit).
         // The serialize+compress+write runs in the background, exactly the
         // cost the paper's fork() hides from the training thread.
@@ -327,7 +324,7 @@ mod tests {
     use super::*;
     use crate::interp::{RecordCtx, ReplayCtx};
     use crate::replay::ReplayPlan;
-    use flor_chkpt::{Materializer, Strategy};
+    use flor_chkpt::Materializer;
     use flor_lang::parse;
     use std::collections::{HashMap, HashSet};
     use std::path::PathBuf;
@@ -345,8 +342,10 @@ mod tests {
     fn record_ctx(store: Arc<CheckpointStore>, changesets: HashMap<String, Vec<String>>) -> Mode {
         Mode::Record(Box::new(RecordCtx {
             store: store.clone(),
-            materializer: Materializer::new(store, Strategy::ForkBatched, 2),
-            controller: AdaptiveController::default(),
+            materializer: Materializer::new(store, 2),
+            // Every execution checkpoints: the adaptive controller prices
+            // wall clock, and a cold first write could make it skip.
+            controller: AdaptiveController::default().with_adaptivity_disabled(),
             static_changesets: changesets,
             lean: true,
             main_iter: None,
@@ -371,8 +370,6 @@ mod tests {
     }
 
     /// A standalone (non-main-loop) skipblock accumulating into `acc`.
-    /// `busy(…)` keeps compute above checkpoint cost so the adaptive
-    /// controller materializes deterministically.
     const SRC: &str = "\
 acc = 0
 skipblock \"sb_0\":

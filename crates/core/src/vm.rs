@@ -723,11 +723,7 @@ mod tests {
         let store = Arc::new(flor_chkpt::CheckpointStore::open(dir).unwrap());
         let mut interp = Interp::new(Mode::Record(Box::new(crate::interp::RecordCtx {
             store: store.clone(),
-            materializer: flor_chkpt::Materializer::new(
-                store,
-                flor_chkpt::Strategy::ForkBatched,
-                2,
-            ),
+            materializer: flor_chkpt::Materializer::new(store, 2),
             controller: crate::adaptive::AdaptiveController::default(),
             static_changesets: Default::default(),
             lean: true,

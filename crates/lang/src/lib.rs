@@ -32,9 +32,11 @@
 //!   changes* (which invalidate checkpoint reuse),
 //! - [`compile`]: bytecode compiler lowering a program to the flat
 //!   instruction stream `flor-core`'s replay VM executes (constant pool,
-//!   slot-resolved variables, jump-based control flow),
-//! - [`textdiff`]: a plain line diff used for human-readable reports and by
-//!   Flor's deferred correctness checks over log streams.
+//!   slot-resolved variables, jump-based control flow).
+//!
+//! Flor's deferred correctness check compares log streams, not source
+//! text: `flor-core`'s `replay::deferred_check` groups entries by key and
+//! section.
 
 #![warn(missing_docs)]
 
@@ -44,7 +46,6 @@ pub mod differ;
 pub mod lexer;
 pub mod parser;
 pub mod printer;
-pub mod textdiff;
 
 pub use ast::{Arg, BinOp, Expr, Program, Stmt, UnaryOp};
 pub use compile::{

@@ -6,8 +6,10 @@
 #
 # Emits seven committed artifacts at the repo root so future PRs can be
 # held to the trajectory:
-#   BENCH_record.json       — caller-thread submit latency per materialization
-#                             strategy (zero-copy vs pre-refactor eager copies)
+#   BENCH_record.json       — caller-thread submit latency on the fork-batched
+#                             materializer (zero-copy vs pre-refactor eager
+#                             copies; Figure 5's strategy comparison is
+#                             fig05_materialization's)
 #   BENCH_replay.json       — restore-read latency (zero-copy get_bytes) +
 #                             cold store-open time
 #   BENCH_replay_sched.json — replay scheduling: the cost-aware work-stealing
@@ -56,7 +58,7 @@ run() {
 if [[ "$QUICK" == "1" ]]; then
     run cargo bench -p flor-bench --bench bench_record
 else
-    for bench in bench_record bench_materialization bench_codec; do
+    for bench in bench_record bench_codec; do
         run cargo bench -p flor-bench --bench "$bench"
     done
 fi

@@ -155,9 +155,10 @@ BENCH_BANDS=(
     # internally (concurrent/serial qps_speedup ≥4x, admission_overhead
     # ≥0.7x, slow-reader p99 ≤1.5x).
     "BENCH_serve.json|BENCH_serve.quick.json|qps_speedup=higher admission_overhead=higher|0.70"
-    # BENCH_record's speedup columns are ratios of µs-scale submit costs
+    # BENCH_record's one speedup column (the fork-batched materializer,
+    # zero-copy vs eager-copy snapshots) is a ratio of µs-scale submit costs
     # (O(1) handle pushes) — too noisy for any band, and `bench_record_json`
-    # only prints them. What they stand for is pinned without a clock by
+    # only prints it. What they stand for is pinned without a clock by
     # `record_submit::tests::zero_copy_leaves_share_the_fixture_slabs`.
 )
 for band in "${BENCH_BANDS[@]}"; do
