@@ -34,34 +34,14 @@ const WINDOW: usize = 1 << 16; // u16 offsets
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = MIN_MATCH + 254;
 const HASH_BITS: u32 = 15;
-/// Hash-chain candidates examined per position (newest first) at the
-/// default effort level. Bounds the worst case on degenerate inputs
-/// (e.g. all-identical bytes hash every position into one chain, and f32
-/// slabs put every exponent byte in a tiny alphabet — long chains of
-/// colliding-but-useless candidates).
+/// Hash-chain candidates examined per position (newest first). Bounds
+/// the worst case on degenerate inputs (e.g. all-identical bytes hash
+/// every position into one chain, and f32 slabs put every exponent byte
+/// in a tiny alphabet — long chains of colliding-but-useless candidates).
 pub const MAX_CHAIN: usize = 16;
-/// A match at least this long ends the chain walk at the default effort
-/// level ("good enough" — the marginal gain of a longer candidate almost
-/// never pays for the walk).
+/// A match at least this long ends the chain walk ("good enough" — the
+/// marginal gain of a longer candidate almost never pays for the walk).
 const GOOD_MATCH: usize = 64;
-/// Cheapest effort level: shallow chain walks, eager early-exit.
-pub const MIN_EFFORT: u8 = 1;
-/// Default effort level — the pre-knob encoder behavior, bit-for-bit.
-pub const DEFAULT_EFFORT: u8 = 2;
-/// Most thorough effort level: deep chain walks, reluctant early-exit.
-pub const MAX_EFFORT: u8 = 3;
-
-/// Match-finder parameters `(max_chain, good_match)` for an effort level.
-/// Level [`DEFAULT_EFFORT`] is exactly the historical constants; level 1
-/// quarters the chain walk for ε-pressured recorders, level 3 spends 4×
-/// the walk for sweep re-records with headroom.
-pub(crate) fn effort_params(effort: u8) -> (usize, usize) {
-    match effort.clamp(MIN_EFFORT, MAX_EFFORT) {
-        1 => (MAX_CHAIN / 4, GOOD_MATCH / 2),
-        2 => (MAX_CHAIN, GOOD_MATCH),
-        _ => (MAX_CHAIN * 4, GOOD_MATCH * 2),
-    }
-}
 /// After this many consecutive matchless positions the encoder starts
 /// stepping over input (LZ4-style acceleration): incompressible regions
 /// cost a bounded number of searches instead of one per byte.
@@ -191,17 +171,8 @@ impl TokenWriter {
     }
 }
 
-/// Compresses a byte slice with the hash-chain match finder at
-/// [`DEFAULT_EFFORT`].
+/// Compresses a byte slice with the hash-chain match finder.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    compress_with_effort(input, DEFAULT_EFFORT)
-}
-
-/// Compresses with an explicit effort level (see [`effort_params`]):
-/// higher effort walks longer candidate chains and insists on longer
-/// matches before cutting the walk short — more CPU, smaller output.
-pub fn compress_with_effort(input: &[u8], effort: u8) -> Vec<u8> {
-    let (max_chain, good_match) = effort_params(effort);
     let mut w = TokenWriter::new(input.len() / 2 + 16);
     put_varint(&mut w.out, input.len() as u64);
     w.start_tokens();
@@ -224,7 +195,7 @@ pub fn compress_with_effort(input: &[u8], effort: u8) -> Vec<u8> {
             let h = hash4(&input[i..]);
             let mut cand = head[h];
             let mut walked = 0usize;
-            while cand != NO_POS && walked < max_chain {
+            while cand != NO_POS && walked < MAX_CHAIN {
                 let c = cand as usize;
                 // Staleness guards: ring entries older than one window (or
                 // overwritten by a newer position of the same residue) show
@@ -243,7 +214,7 @@ pub fn compress_with_effort(input: &[u8], effort: u8) -> Vec<u8> {
                     if len > best_len {
                         best_len = len;
                         best_pos = c;
-                        if len >= max_len || len >= good_match {
+                        if len >= max_len || len >= GOOD_MATCH {
                             break;
                         }
                     }
@@ -359,16 +330,11 @@ use crate::exec::parallel_map;
 /// raw_flag) | bodies…` (all varints), so a reader can locate — and
 /// decompress — any chunk independently of the others.
 pub fn compress_chunked(input: &[u8], chunk_size: usize) -> Vec<u8> {
-    compress_chunked_effort(input, chunk_size, DEFAULT_EFFORT)
-}
-
-/// [`compress_chunked`] with an explicit per-chunk effort level.
-pub fn compress_chunked_effort(input: &[u8], chunk_size: usize, effort: u8) -> Vec<u8> {
     let chunk_size = chunk_size.max(1);
     let chunks: Vec<&[u8]> = input.chunks(chunk_size).collect();
     let n = chunks.len();
     let bodies: Vec<(Vec<u8>, bool)> = parallel_map(n, |i| {
-        let c = compress_with_effort(chunks[i], effort);
+        let c = compress(chunks[i]);
         if c.len() >= chunks[i].len() {
             (chunks[i].to_vec(), true)
         } else {
@@ -460,15 +426,10 @@ pub fn decompress_chunked(data: &[u8]) -> Result<Vec<u8>, CompressError> {
 /// chunked frame past [`CHUNK_PARALLEL_MIN`], a single [`compress`] stream
 /// otherwise.
 pub fn compress_auto(input: &[u8]) -> Vec<u8> {
-    compress_auto_effort(input, DEFAULT_EFFORT)
-}
-
-/// [`compress_auto`] with an explicit effort level.
-pub fn compress_auto_effort(input: &[u8], effort: u8) -> Vec<u8> {
     if input.len() >= CHUNK_PARALLEL_MIN {
-        compress_chunked_effort(input, CHUNK_BYTES, effort)
+        compress_chunked(input, CHUNK_BYTES)
     } else {
-        compress_with_effort(input, effort)
+        compress(input)
     }
 }
 
@@ -479,15 +440,6 @@ pub fn decompress_any(data: &[u8]) -> Result<Vec<u8>, CompressError> {
     } else {
         decompress(data)
     }
-}
-
-/// Compression ratio achieved on `input` (original / compressed; > 1 means
-/// the data shrank).
-pub fn ratio(input: &[u8]) -> f64 {
-    if input.is_empty() {
-        return 1.0;
-    }
-    input.len() as f64 / compress(input).len() as f64
 }
 
 #[cfg(test)]
@@ -658,12 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn ratio_reports_sensibly() {
-        assert!(ratio(&vec![0u8; 10_000]) > 10.0);
-        assert!((ratio(b"") - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn overlapping_match_copies_correctly() {
         // "aaaa..." forces matches whose source overlaps the destination.
         let data = vec![b'a'; 1000];
@@ -689,40 +635,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn effort_levels_roundtrip_and_default_matches_legacy() {
-        // Tensor-ish payload with structure at several scales.
+    /// Tensor-ish payload with structure at several scales: `n` f32s.
+    fn tensorish(n: u32) -> Vec<u8> {
         let mut data = Vec::new();
-        for i in 0..20_000u32 {
+        for i in 0..n {
             let v = if i % 7 == 0 { 0.0f32 } else { (i % 97) as f32 };
             data.extend_from_slice(&v.to_le_bytes());
         }
-        for effort in [MIN_EFFORT, DEFAULT_EFFORT, MAX_EFFORT] {
-            let c = compress_with_effort(&data, effort);
-            assert_eq!(decompress(&c).unwrap(), data, "effort {effort}");
-            let ck = compress_chunked_effort(&data, 4096, effort);
-            assert_eq!(
-                decompress_any(&ck).unwrap(),
-                data,
-                "chunked effort {effort}"
-            );
-        }
-        // Level 2 is bit-for-bit the pre-knob encoder.
-        assert_eq!(compress_with_effort(&data, DEFAULT_EFFORT), compress(&data));
-        // Max effort never loses to min effort on structured data.
-        assert!(
-            compress_with_effort(&data, MAX_EFFORT).len()
-                <= compress_with_effort(&data, MIN_EFFORT).len()
-        );
-        // Out-of-range levels clamp instead of panicking.
-        assert_eq!(
-            compress_with_effort(&data, 0),
-            compress_with_effort(&data, MIN_EFFORT)
-        );
-        assert_eq!(
-            compress_with_effort(&data, 200),
-            compress_with_effort(&data, MAX_EFFORT)
-        );
+        data
+    }
+
+    #[test]
+    fn encoder_output_matches_golden_bytes() {
+        let data = tensorish(20_000);
+        let c = compress(&data);
+        assert_eq!(decompress(&c).unwrap(), data);
+        let ck = compress_chunked(&data, 4096);
+        assert_eq!(decompress_any(&ck).unwrap(), data);
+        // Stored checkpoints must stay byte-identical across encoder
+        // edits: these are the length and FNV-1a of the bytes this
+        // encoder has always written. A deeper or shallower chain walk
+        // (other MAX_CHAIN / GOOD_MATCH) changes both.
+        let golden = |bytes: &[u8]| (bytes.len(), crate::dedup::fnv1a64(bytes));
+        assert_eq!(golden(&c), (2282, 0xe462_ffc0_4a61_c6cc));
+        assert_eq!(golden(&compress_auto(&data)), golden(&c));
+        // Past CHUNK_PARALLEL_MIN, compress_auto writes the chunked frame.
+        let big = tensorish(300_000);
+        let auto = compress_auto(&big);
+        assert!(is_chunked(&auto));
+        assert_eq!(golden(&auto), (23_328, 0xda20_e1ca_fbd5_1767));
+        assert_eq!(decompress_any(&auto).unwrap(), big);
     }
 
     #[test]

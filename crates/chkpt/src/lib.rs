@@ -19,9 +19,9 @@
 //!   compares it against (`Baseline`, `IpcQueue`, `Plasma`) are emulated
 //!   over this one writer by `flor-bench`'s `fig05`.
 //! - **Storage** ([`store`]): a segmented on-disk checkpoint store with
-//!   one write layout, one LZ encoder, and one read path — payloads packed
-//!   into large append-only segment files with CRC-protected footer
-//!   indexes, a sharded in-memory index, zero-copy
+//!   one write layout, one LZ encoder at one fixed setting, and one read
+//!   path — payloads packed into large append-only segment files with
+//!   CRC-protected footer indexes, a sharded in-memory index, zero-copy
 //!   [`store::CheckpointStore::get_bytes`] reads out of mmap'd segment
 //!   buffers (with a counted, traced heap-read fallback where mapping is
 //!   unavailable), a shared content-addressed dedup arena ([`dedup`]), and

@@ -7,8 +7,8 @@
 //! stays reclaimable page cache rather than pinned heap, and the existing
 //! zero-copy `Bytes` machinery slices straight out of the mapping
 //! ([`load_file`] is the one entry point both tiers read through). The
-//! workspace vendors every dependency, so the `mmap`/`munmap` syscalls are
-//! issued directly via `std::arch::asm!` on Linux (x86_64/aarch64);
+//! workspace vendors every dependency, so the `mmap`/`munmap` syscalls go
+//! through `flor-sys`'s raw-syscall layer on Linux (x86_64/aarch64);
 //! everywhere else [`MmapRegion::map`] reports unsupported and the store
 //! falls back to reading the file into heap.
 //!
@@ -65,78 +65,6 @@ pub(crate) struct MmapRegion {
 unsafe impl Send for MmapRegion {}
 unsafe impl Sync for MmapRegion {}
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod sys {
-    const PROT_READ: usize = 0x1;
-    const MAP_PRIVATE: usize = 0x2;
-
-    /// `mmap(NULL, len, PROT_READ, MAP_PRIVATE, fd, 0)`. Returns the
-    /// mapping address, or a negated errno in `[-4095, -1]`.
-    ///
-    /// # Safety
-    /// `fd` must be a readable open file descriptor and `len` nonzero.
-    pub(super) unsafe fn mmap(len: usize, fd: i32) -> isize {
-        let ret: isize;
-        #[cfg(target_arch = "x86_64")]
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 9isize => ret, // SYS_mmap
-            in("rdi") 0usize,
-            in("rsi") len,
-            in("rdx") PROT_READ,
-            in("r10") MAP_PRIVATE,
-            in("r8") fd as isize,
-            in("r9") 0usize,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        #[cfg(target_arch = "aarch64")]
-        std::arch::asm!(
-            "svc #0",
-            inlateout("x0") 0usize => ret, // addr hint -> result
-            in("x1") len,
-            in("x2") PROT_READ,
-            in("x3") MAP_PRIVATE,
-            in("x4") fd as isize,
-            in("x5") 0usize,
-            in("x8") 222usize, // SYS_mmap
-            options(nostack)
-        );
-        ret
-    }
-
-    /// `munmap(addr, len)`. Returns 0 or a negated errno.
-    ///
-    /// # Safety
-    /// `(addr, len)` must be exactly a live mapping from [`mmap`].
-    pub(super) unsafe fn munmap(addr: usize, len: usize) -> isize {
-        let ret: isize;
-        #[cfg(target_arch = "x86_64")]
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 11isize => ret, // SYS_munmap
-            in("rdi") addr,
-            in("rsi") len,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        #[cfg(target_arch = "aarch64")]
-        std::arch::asm!(
-            "svc #0",
-            inlateout("x0") addr => ret,
-            in("x1") len,
-            in("x8") 215usize, // SYS_munmap
-            options(nostack)
-        );
-        ret
-    }
-}
-
 impl MmapRegion {
     /// Maps the first `len` bytes of `file` read-only. `Err` means the
     /// caller should fall back to reading the file into heap (platform
@@ -148,19 +76,27 @@ impl MmapRegion {
     ))]
     pub(crate) fn map(file: &File, len: usize) -> io::Result<MmapRegion> {
         use std::os::fd::AsRawFd;
+        const PROT_READ: usize = 0x1;
+        const MAP_PRIVATE: usize = 0x2;
         if len == 0 {
             return Ok(MmapRegion { ptr: 0, len: 0 });
         }
-        // SAFETY: `file` is open for reading and `len > 0`; errors are
-        // reported as negated errno values and checked below.
-        let ret = unsafe { sys::mmap(len, file.as_raw_fd()) };
-        if (-4095..0).contains(&ret) {
-            return Err(io::Error::from_raw_os_error(-ret as i32));
-        }
-        Ok(MmapRegion {
-            ptr: ret as usize,
-            len,
-        })
+        // SAFETY: `mmap(NULL, len, PROT_READ, MAP_PRIVATE, fd, 0)` with
+        // `file` open for reading and `len > 0`; errors come back as
+        // negated errno values.
+        let ret = unsafe {
+            flor_sys::syscall6(
+                flor_sys::nr::MMAP,
+                0,
+                len,
+                PROT_READ,
+                MAP_PRIVATE,
+                file.as_raw_fd() as usize,
+                0,
+            )
+        };
+        let ptr = flor_sys::check(ret)?;
+        Ok(MmapRegion { ptr, len })
     }
 
     /// Unsupported platform: always reports `Unsupported` so the store
@@ -196,7 +132,8 @@ impl Drop for MmapRegion {
             // SAFETY: exactly the mapping produced in `map`; after this the
             // region is gone and no `as_ref` slice can be outstanding (they
             // borrow `self`).
-            let _ = unsafe { sys::munmap(self.ptr, self.len) };
+            let _ =
+                unsafe { flor_sys::syscall6(flor_sys::nr::MUNMAP, self.ptr, self.len, 0, 0, 0, 0) };
         }
     }
 }

@@ -228,7 +228,6 @@ impl CheckpointStore {
         // GC for the entire store.
         let k = self.opts.delta_keyframe_interval;
         let min_bytes = self.opts.delta_min_bytes;
-        let effort = self.effort.load(Ordering::Relaxed);
         let chainable = |payload: &bytes::Bytes| k > 0 && payload.len() as u64 >= min_bytes;
         for (block, entries) in reencode {
             let mut prev: Option<DeltaBase> = None;
@@ -270,8 +269,7 @@ impl CheckpointStore {
                         )?;
                         Some((frame, p.seq, p.depth + 1))
                     });
-                let (stored, raw_stored, new_link) =
-                    arbitrate_stored(encoded, payload.as_ref(), effort);
+                let (stored, raw_stored, new_link) = arbitrate_stored(encoded, payload.as_ref());
                 if old_link.is_some() && new_link.is_none() {
                     report.chains_folded += 1;
                 }

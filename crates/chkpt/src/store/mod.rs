@@ -73,17 +73,13 @@ pub use segment::{read_segment_footer, SegmentIndexEntry};
 pub use stats::{StoreStats, CHAIN_DEPTH_BUCKETS};
 pub use write::WriteBatch;
 
-use crate::compress::{DEFAULT_EFFORT, MAX_EFFORT, MIN_EFFORT};
 use crate::dedup::DedupIndex;
 use parking_lot::{Mutex, RwLock};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-
-/// Artifact persisting the auto-tuned compression effort across reopens.
-const EFFORT_ARTIFACT: &str = "compression_effort.txt";
 
 /// Store failure.
 #[derive(Debug)]
@@ -175,9 +171,6 @@ pub struct CheckpointStore {
     dedup: RwLock<Option<Arc<DedupIndex>>>,
     /// Stages that resolved to an existing dedup blob instead of new bytes.
     dedup_hits: AtomicU64,
-    /// Auto-tunable compression effort (clamped to
-    /// [`MIN_EFFORT`]..=[`MAX_EFFORT`](crate::compress::MAX_EFFORT)).
-    effort: AtomicU8,
     delta_write: write::DeltaWriteState,
     restore_cache: read::RestoreCache,
     reads: read::ReadCounters,
@@ -244,7 +237,6 @@ impl CheckpointStore {
             pool: pool::SegmentPool::default(),
             dedup: RwLock::new(None),
             dedup_hits: AtomicU64::new(0),
-            effort: AtomicU8::new(DEFAULT_EFFORT),
             delta_write: write::DeltaWriteState::default(),
             restore_cache: read::RestoreCache::default(),
             reads: read::ReadCounters::default(),
@@ -257,13 +249,6 @@ impl CheckpointStore {
         // read-time corruption.
         if let Some(dir) = tier::read_dedup_pointer(&store.root) {
             *store.dedup.get_mut() = Some(DedupIndex::open(&dir)?);
-        }
-        if let Ok(text) = fs::read_to_string(store.root.join("artifacts").join(EFFORT_ARTIFACT)) {
-            if let Ok(e) = text.trim().parse::<u8>() {
-                store
-                    .effort
-                    .store(e.clamp(MIN_EFFORT, MAX_EFFORT), Ordering::Relaxed);
-            }
         }
         store.recovery = store.load_manifest()?;
         Ok(store)
@@ -337,28 +322,6 @@ impl CheckpointStore {
         self.index.raw_bytes()
     }
 
-    // ---- compression effort ------------------------------------------------
-
-    /// Current compression effort for new stages (1 = fastest, 3 =
-    /// smallest; see [`crate::compress`]).
-    pub fn compression_effort(&self) -> u8 {
-        self.effort.load(Ordering::Relaxed)
-    }
-
-    /// Sets the compression effort (clamped), persisting it across
-    /// reopens. Best-effort on the artifact write and a no-op when
-    /// unchanged — the auto-tuner calls this every adaptivity epoch and
-    /// must never fail a record phase over a stats file.
-    pub fn set_compression_effort(&self, effort: u8) {
-        let e = effort.clamp(MIN_EFFORT, MAX_EFFORT);
-        if self.effort.swap(e, Ordering::Relaxed) != e && !self.opts.read_only {
-            let _ = fs::write(
-                self.root.join("artifacts").join(EFFORT_ARTIFACT),
-                format!("{e}\n"),
-            );
-        }
-    }
-
     // ---- named artifacts ---------------------------------------------------
 
     /// Writes a named artifact (recorded source, record logs).
@@ -393,7 +356,7 @@ impl Drop for CheckpointStore {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::{incompressible, tmpdir};
+    use super::testutil::tmpdir;
     use super::*;
 
     #[test]
@@ -417,22 +380,5 @@ mod tests {
         assert!(store.has_artifact("source.flr"));
         assert_eq!(store.get_artifact("source.flr").unwrap(), b"import flor\n");
         assert!(!store.has_artifact("nope"));
-    }
-
-    #[test]
-    fn compression_effort_persists_across_reopen() {
-        let dir = tmpdir("effort-persist");
-        {
-            let store = CheckpointStore::open(&dir).unwrap();
-            assert_eq!(store.compression_effort(), DEFAULT_EFFORT);
-            store.set_compression_effort(MAX_EFFORT);
-            store.set_compression_effort(99); // clamps
-            assert_eq!(store.compression_effort(), MAX_EFFORT);
-        }
-        let store = CheckpointStore::open(&dir).unwrap();
-        assert_eq!(store.compression_effort(), MAX_EFFORT);
-        store.put("sb_0", 0, &incompressible(2048, 9)).unwrap();
-        assert_eq!(store.get("sb_0", 0).unwrap(), incompressible(2048, 9));
-        assert_eq!(store.stats().compression_effort, u64::from(MAX_EFFORT));
     }
 }

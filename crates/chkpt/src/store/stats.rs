@@ -77,8 +77,6 @@ pub struct StoreStats {
     /// Segments and dedup blobs read into heap because mapping was
     /// unsupported or refused (0 wherever the mmap backend works).
     pub mmap_fallbacks: u64,
-    /// Current compression effort level (1–3).
-    pub compression_effort: u64,
 }
 
 impl StoreStats {
@@ -126,7 +124,6 @@ impl StoreStats {
             ("dedup_hash_verifies", self.dedup_hash_verifies),
             ("mmap_faults", self.mmap_faults),
             ("mmap_fallbacks", self.mmap_fallbacks),
-            ("compression_effort", self.compression_effort),
         ]
     }
 
@@ -177,7 +174,6 @@ impl CheckpointStore {
                 .map_or(0, |arena| arena.hash_verifies()),
             mmap_faults: self.pool.mmap_faults.load(Ordering::Relaxed),
             mmap_fallbacks: self.pool.mmap_fallbacks.load(Ordering::Relaxed),
-            compression_effort: u64::from(self.compression_effort()),
             ..StoreStats::default()
         };
         // Live framing overhead counts as live when estimating dead bytes.

@@ -49,7 +49,7 @@ use super::segment::{
     append_entry, encode_footer, SegmentIndexEntry, ENTRY_HEADER_BYTES, SEGMENT_MAGIC,
 };
 use super::{crc32, CheckpointStore, CkptMeta, Durability, StoreError};
-use crate::compress::compress_auto_effort;
+use crate::compress::compress_auto;
 use crate::dedup::{BlobMeta, DedupIndex, Interned};
 use crate::delta;
 use bytes::Bytes;
@@ -153,14 +153,13 @@ impl DeltaWriteState {
 pub(crate) fn arbitrate_stored(
     encoded: Option<(Vec<u8>, u64, u32)>,
     payload: &[u8],
-    effort: u8,
 ) -> (Vec<u8>, bool, Option<(u64, u32)>) {
     match encoded {
         Some((frame, base_seq, depth)) if delta::is_clear_win(&frame, payload.len()) => {
             (frame, false, Some((base_seq, depth)))
         }
         other => {
-            let compressed = compress_auto_effort(payload, effort);
+            let compressed = compress_auto(payload);
             match other {
                 Some((frame, base_seq, depth)) if frame.len() < compressed.len() => {
                     (frame, false, Some((base_seq, depth)))
@@ -326,8 +325,7 @@ impl WriteBatch<'_> {
                 *rejects.entry(block_id.to_string()).or_insert(0) += 1;
             }
         }
-        let (stored, raw_stored, delta) =
-            arbitrate_stored(encoded, payload, store.effort.load(Ordering::Relaxed));
+        let (stored, raw_stored, delta) = arbitrate_stored(encoded, payload);
         let rec = SegmentIndexEntry {
             block_id: block_id.to_string(),
             seq,

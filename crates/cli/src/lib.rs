@@ -655,7 +655,6 @@ fn cmd_store(args: &Args) -> Result<String, CliError> {
                 "ies"
             }
         );
-        let _ = writeln!(out, "effort:       level {}", f("compression_effort"));
         out
     };
     match sub {
@@ -1259,7 +1258,6 @@ for epoch in range(4):
         assert!(out.contains("0 fallbacks"), "{out}");
         assert!(!out.contains("cold"), "{out}");
         assert!(out.contains("dedup:"), "{out}");
-        assert!(out.contains("effort:       level"), "{out}");
         assert!(out.contains("recovery:     clean"), "{out}");
 
         let out = cli(&["store", "compact", "--store", store.to_str().unwrap()]).unwrap();

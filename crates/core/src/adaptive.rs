@@ -120,16 +120,6 @@ impl AdaptiveController {
         self
     }
 
-    /// The overhead tolerance ε.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Whether adaptivity is enabled (false in the Figure 7 ablation).
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
     /// The current restore/materialize scaling factor `c`.
     pub fn c(&self) -> f64 {
         self.c

@@ -67,7 +67,7 @@
 use crate::adaptive::{AdaptiveController, DEFAULT_EPSILON};
 use crate::error::{rt, FlorError};
 use crate::logstream::{LogEntry, LogStream, Section};
-use crate::skipblock::{next_seq, tune_compression_effort};
+use crate::skipblock::next_seq;
 use flor_chkpt::{
     encode, encode_into, BytesMut, CVal, CheckpointStore, Materializer, SerializeSnapshot,
 };
@@ -235,7 +235,6 @@ impl Session {
                         flor_obs::clock::since_ns(t1).max(1),
                         bytes,
                     );
-                    tune_compression_effort(&self.controller, &self.store);
                 }
                 self.executed += 1;
                 Ok(true)

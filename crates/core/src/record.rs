@@ -300,6 +300,26 @@ log(\"accuracy\", acc)
     }
 
     #[test]
+    fn adaptive_record_leaves_exactly_the_run_artifacts() {
+        let root = tmproot("artifact-set");
+        record(TRAIN_SRC, &RecordOptions::new(&root)).unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(root.join("artifacts"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "cost_profile.txt",
+                "record_log.txt",
+                "run_meta.txt",
+                "source.flr"
+            ]
+        );
+    }
+
+    #[test]
     fn record_log_matches_vanilla_log() {
         let root = tmproot("logs");
         let report = record(TRAIN_SRC, &RecordOptions::new(&root)).unwrap();

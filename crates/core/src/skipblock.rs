@@ -20,13 +20,12 @@
 //! Non-hindsight source changes (`force_execute_all`) poison every
 //! checkpoint: all blocks execute.
 
-use crate::adaptive::AdaptiveController;
 use crate::error::{rt, FlorError};
 use crate::interp::{Interp, Mode, Phase};
 use crate::oracle::EnvOracle;
 use crate::value::Value;
 use flor_analysis::augment_changeset;
-use flor_chkpt::{encode, encode_into, BytesMut, CVal, CheckpointStore, SerializeSnapshot};
+use flor_chkpt::{encode, encode_into, BytesMut, CVal, SerializeSnapshot};
 use flor_lang::ast::Stmt;
 use std::sync::Arc;
 
@@ -146,26 +145,6 @@ pub(crate) fn next_seq(
     }
 }
 
-/// Auto-tunes the store's compression effort from the same ε budget that
-/// gates materialization, after each materialized checkpoint: overhead
-/// well under budget buys smaller checkpoints (higher effort); overhead
-/// over budget sheds compression cost first, before the controller starts
-/// dropping checkpoints outright. `set_compression_effort` is a no-op when
-/// the level is unchanged.
-pub(crate) fn tune_compression_effort(controller: &AdaptiveController, store: &CheckpointStore) {
-    if !controller.is_adaptive() {
-        return;
-    }
-    let overhead = controller.record_overhead();
-    let eps = controller.epsilon();
-    let effort = store.compression_effort();
-    if overhead > eps && effort > flor_chkpt::compress::MIN_EFFORT {
-        store.set_compression_effort(effort - 1);
-    } else if overhead < 0.5 * eps && effort < flor_chkpt::compress::MAX_EFFORT {
-        store.set_compression_effort(effort + 1);
-    }
-}
-
 fn exec_record(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<(), FlorError> {
     let mut span = flor_obs::span(flor_obs::Category::Record, "record_block");
     // 1. Execute the enclosed loop, timing its compute (C_i).
@@ -226,7 +205,6 @@ fn exec_record(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
         let main_ns = flor_obs::clock::since_ns(t1);
         ctx.controller
             .observe_materialize(id, main_ns.max(1), est_bytes as u64);
-        tune_compression_effort(&ctx.controller, &ctx.store);
         if let Some(g) = ctx.main_iter {
             ctx.profile.observe(g, compute_ns, Some(main_ns.max(1)));
         }
@@ -322,8 +300,10 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptiveController;
     use crate::interp::{RecordCtx, ReplayCtx};
     use crate::replay::ReplayPlan;
+    use flor_chkpt::CheckpointStore;
     use flor_chkpt::Materializer;
     use flor_lang::parse;
     use std::collections::{HashMap, HashSet};

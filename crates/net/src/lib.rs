@@ -3,8 +3,8 @@
 //! Provides exactly what the epoll event loop in `registry::server` needs —
 //! nonblocking TCP/Unix listeners and connections, an epoll poller with
 //! u64 tokens, and an eventfd waker for cross-thread wakeups — with zero
-//! external dependencies: every syscall is issued via `std::arch::asm!`
-//! following the `chkpt::mmap` precedent (no libc, no tokio).
+//! external dependencies: every syscall goes through `flor-sys`, the
+//! workspace's one raw-syscall layer (no libc, no tokio).
 //!
 //! On platforms without the raw-syscall backend (anything that is not
 //! Linux x86_64/aarch64) every constructor returns

@@ -1,31 +1,13 @@
-//! Raw Linux syscalls for the event loop, issued via `std::arch::asm!`.
+//! Socket, epoll and eventfd wrappers for the event loop.
 //!
-//! The workspace vendors every dependency (no libc, no tokio), so the
-//! socket/epoll/eventfd calls follow the `chkpt::mmap` precedent: the
-//! syscall instruction is emitted directly on Linux x86_64/aarch64, and
-//! every function returns a negated errno in `[-4095, -1]` on failure.
-//! On other platforms each wrapper reports `Unsupported`, and the
-//! higher-level server falls back to the stdin serve mode.
+//! Each wrapper issues its call through `flor-sys`, the workspace's one
+//! raw-syscall layer, and returns a negated errno in `[-4095, -1]` on
+//! failure. On platforms without that layer each wrapper reports
+//! `Unsupported`, and the higher-level server falls back to the stdin
+//! serve mode.
 
-use std::io;
-
-/// True when this build has a raw-syscall network backend.
-pub fn supported() -> bool {
-    cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-}
-
-/// Converts a raw syscall return into `io::Result<usize>` (negated-errno
-/// convention, like `chkpt::mmap`).
-pub(crate) fn check(ret: isize) -> io::Result<usize> {
-    if (-4095..0).contains(&ret) {
-        Err(io::Error::from_raw_os_error(-ret as i32))
-    } else {
-        Ok(ret as usize)
-    }
-}
+pub(crate) use flor_sys::check;
+pub use flor_sys::supported;
 
 // ---- constants (Linux ABI, identical on x86_64 and aarch64) -------------
 
@@ -75,99 +57,6 @@ pub(crate) struct EpollEvent {
     pub data: u64,
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod imp {
-    /// Per-architecture syscall numbers (asm-generic table on aarch64).
-    #[cfg(target_arch = "x86_64")]
-    pub(super) mod nr {
-        pub const READ: usize = 0;
-        pub const WRITE: usize = 1;
-        pub const CLOSE: usize = 3;
-        pub const SOCKET: usize = 41;
-        pub const CONNECT: usize = 42;
-        pub const SENDTO: usize = 44;
-        pub const SHUTDOWN: usize = 48;
-        pub const BIND: usize = 49;
-        pub const LISTEN: usize = 50;
-        pub const GETSOCKNAME: usize = 51;
-        pub const SETSOCKOPT: usize = 54;
-        pub const UNLINKAT: usize = 263;
-        pub const EPOLL_PWAIT: usize = 281;
-        pub const EPOLL_CTL: usize = 233;
-        pub const ACCEPT4: usize = 288;
-        pub const EVENTFD2: usize = 290;
-        pub const EPOLL_CREATE1: usize = 291;
-    }
-    #[cfg(target_arch = "aarch64")]
-    pub(super) mod nr {
-        pub const READ: usize = 63;
-        pub const WRITE: usize = 64;
-        pub const CLOSE: usize = 57;
-        pub const SOCKET: usize = 198;
-        pub const CONNECT: usize = 203;
-        pub const SENDTO: usize = 206;
-        pub const SHUTDOWN: usize = 210;
-        pub const BIND: usize = 200;
-        pub const LISTEN: usize = 201;
-        pub const GETSOCKNAME: usize = 204;
-        pub const SETSOCKOPT: usize = 208;
-        pub const UNLINKAT: usize = 35;
-        pub const EPOLL_PWAIT: usize = 22;
-        pub const EPOLL_CTL: usize = 21;
-        pub const ACCEPT4: usize = 242;
-        pub const EVENTFD2: usize = 19;
-        pub const EPOLL_CREATE1: usize = 20;
-    }
-
-    /// Issues a 6-argument syscall; unused arguments pass 0. Returns the
-    /// raw kernel return (negated errno in `[-4095, -1]` on failure).
-    ///
-    /// # Safety
-    /// The caller must uphold the specific syscall's contract for every
-    /// pointer/length argument.
-    pub(super) unsafe fn syscall6(
-        n: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        #[cfg(target_arch = "x86_64")]
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") n as isize => ret,
-            in("rdi") a,
-            in("rsi") b,
-            in("rdx") c,
-            in("r10") d,
-            in("r8") e,
-            in("r9") f,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        #[cfg(target_arch = "aarch64")]
-        std::arch::asm!(
-            "svc #0",
-            inlateout("x0") a => ret,
-            in("x1") b,
-            in("x2") c,
-            in("x3") d,
-            in("x4") e,
-            in("x5") f,
-            in("x8") n,
-            options(nostack)
-        );
-        ret
-    }
-}
-
 // ---- wrappers (Linux) ---------------------------------------------------
 //
 // Each wrapper is a thin, safe-shaped veneer: pointers come from slices or
@@ -179,8 +68,8 @@ mod imp {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod calls {
-    use super::imp::{nr, syscall6};
     use super::EpollEvent;
+    use flor_sys::{nr, syscall6};
 
     pub(crate) fn socket(domain: usize, ty: usize, protocol: usize) -> isize {
         // SAFETY: no pointer arguments.

@@ -381,7 +381,7 @@ fn half_close_with_lagging_reader_still_delivers_a_gapless_stream() {
     let config = ServerConfig {
         endpoints: vec![Endpoint::Unix(dir.join("halfclose.sock"))],
         // Unix socket + minimal SO_SNDBUF: in-flight bytes charge to the
-        // server, so the lagging reader jams it within one stream.
+        // server, so a few KiB of unread output jam it.
         sndbuf: 1,
         wrbuf_high_water: 2 * 1024,
         // A sink this small overflows as soon as the write buffer jams.
@@ -393,26 +393,49 @@ fn half_close_with_lagging_reader_still_delivers_a_gapless_stream() {
     let drops_before = flor_obs::metrics::counter("scheduler.sink_dropped_entries").get();
 
     let mut c = Client::connect(&ep);
+    // Jam the connection before the job emits anything. Each `status` of
+    // a non-numeric id echoes the id back, so these four lines queue
+    // 64 KiB of replies the client does not read: far more than the
+    // clamped socket buffer (the kernel minimum, a few KiB) and the
+    // high-water mark hold together. The loop then drains nothing from
+    // the job's sink, which keeps the first range's entries and progress
+    // and drops every later range. One worker replays the 16 epochs as
+    // `RANGES_PER_WORKER` (4) micro-ranges, so the sink overflows however
+    // the run's cost profile sizes them. Jamming on the stream's own
+    // output would not do: whether the sink then overflows depends on
+    // where those wall-clock range sizes fall against the jam.
+    let filler = "x".repeat(16 * 1024);
+    for _ in 0..4 {
+        c.send(&format!("status {filler}"));
+    }
     c.send(&format!("stream slow {}", slow_q.display()));
-    assert!(c.read_line().starts_with("queued job 1:"));
     // stdin EOF while the replay is still running.
     c.conn.shutdown_write().unwrap();
-    // Lag until the whole replay has run against the jammed connection:
-    // the write buffer tops out at the high-water mark, the 2-chunk sink
-    // overflows behind it, and most of the log must arrive via the
-    // completion catch-up.
+    // Lag until the whole replay has run against the jammed connection,
+    // so most of the log must arrive via the completion catch-up. The
+    // scheduler forgets a job as it finishes (its terminal state is in
+    // the session's sink, and arrives below as the stream's `+done`); a
+    // drop shows the server has read the `stream` line, so job 1 missing
+    // from the scheduler after one means it finished.
+    let overflowed =
+        || flor_obs::metrics::counter("scheduler.sink_dropped_entries").get() > drops_before;
     let deadline = Instant::now() + Duration::from_secs(60);
-    // The scheduler forgets a job as it finishes: its terminal state is
-    // in the session's sink, and arrives below as the stream's `+done`.
-    while handle.scheduler().status(1).is_some() {
-        assert!(Instant::now() < deadline, "job 1 never finished");
+    while (!overflowed() || handle.scheduler().status(1).is_some()) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(
-        flor_obs::metrics::counter("scheduler.sink_dropped_entries").get() > drops_before,
+        overflowed(),
         "scenario never overflowed the sink (nothing to catch up)"
     );
+    assert!(
+        handle.scheduler().status(1).is_none(),
+        "job 1 never finished"
+    );
 
+    for _ in 0..4 {
+        assert_eq!(c.read_line(), format!("bad job id {filler:?}"));
+    }
+    assert!(c.read_line().starts_with("queued job 1:"));
     let lines = c.read_until(|l| l.starts_with("# served"));
     assert_eq!(lines.last().unwrap(), "# served 1 job(s)");
     assert!(

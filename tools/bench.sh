@@ -31,14 +31,6 @@
 #                             admission-control overhead and shedding, and
 #                             fresh-replay TTFE beside a jammed slow reader
 
-#
-# The committed BENCH_replay.json, BENCH_compress.json and
-# BENCH_store_tier.json also carry frozen "before" columns and ratios
-# (file_per_checkpoint_prepr, pre_pr, whole_file, *_speedup, …) measured
-# against the v1 layout, the naive-scan encoder and the whole-file reader
-# before those were deleted; the binaries no longer produce them, so a
-# full run that overwrites those files drops that record.
-
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,15 +45,10 @@ run() {
     "$@"
 }
 
-# Criterion benches for the record path (the vendored criterion harness is
-# already time-bounded; quick mode just skips the slower codec/tensor runs).
-if [[ "$QUICK" == "1" ]]; then
-    run cargo bench -p flor-bench --bench bench_record
-else
-    for bench in bench_record bench_codec; do
-        run cargo bench -p flor-bench --bench "$bench"
-    done
-fi
+# Criterion bench for the record path's per-checkpoint work: encode,
+# compress, decompress, disk write (the vendored criterion harness is
+# already time-bounded, so quick and full runs share it).
+run cargo bench -p flor-bench --bench bench_codec
 
 # The benchmark artifacts. Full runs refresh the committed BENCH_*.json;
 # quick (CI smoke) runs write under target/ so they never dirty the tree.

@@ -39,6 +39,18 @@ if grep -rn "Instant::now" \
 fi
 echo "clock lint: OK"
 
+# Syscall gate: `flor-sys` is the workspace's one raw-syscall layer, so
+# inline assembly may appear only under crates/sys/src. A second `asm!`
+# site is a second syscall layer to keep correct per architecture.
+echo
+echo "==> syscall gate (asm! only under crates/sys/src)"
+if grep -rn "asm!" crates src tests examples benchmark/src --include='*.rs' \
+    | grep -v "^crates/sys/src/"; then
+    echo "syscall gate: issue raw syscalls through flor_sys::syscall6" >&2
+    exit 1
+fi
+echo "syscall gate: OK"
+
 # Size gate: the checkpoint store was split out of one 5k-line file; no
 # source file under crates/chkpt/src may regrow past 1,500 lines.
 echo
