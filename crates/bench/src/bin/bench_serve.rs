@@ -1,7 +1,8 @@
 //! Emits `BENCH_serve.json`: the async multi-tenant query service under
 //! realistic socket load. The fixture is one recorded training run with
-//! an inner-loop probe; every phase drives the real epoll server through
-//! real sockets with the line protocol. Columns:
+//! an inner-loop probe; every phase drives the real server (a reader and
+//! a writer thread per connection) through real sockets with the line
+//! protocol. Columns:
 //!
 //! - `serial`: one closed-loop client streaming the same (warm-cache)
 //!   hindsight query, waiting for each `+done` before the next `stream`.
@@ -11,10 +12,9 @@
 //!   round, which is the idle time an async server reclaims.
 //! - `concurrent`: 16 closed-loop clients over 16 connections against
 //!   the same server, same emulated RTT. `qps_speedup` is its aggregate
-//!   qps over `serial` — the event loop overlaps the clients' RTTs and
-//!   amortizes wakeups, submissions, and flushes across connections, so
-//!   aggregate throughput must be ≥4× the serialized single-client
-//!   baseline (asserted in-binary).
+//!   qps over `serial` — the connections' threads overlap the clients'
+//!   RTTs, so aggregate throughput must be ≥4× the serialized
+//!   single-client baseline (asserted in-binary).
 //! - `admission`: the 16-client phase re-run with per-tenant token
 //!   buckets, concurrent-job limits, and backlog shedding switched on
 //!   (generously, so nothing is actually shed): `admission_overhead` is
@@ -39,8 +39,9 @@
 //! Quick mode (`FLOR_BENCH_QUICK=1`, used by `tools/bench.sh` in CI)
 //! trims round counts; the reported ratios are scale-invariant.
 
-use flor_net::{ClientConn, Endpoint};
-use flor_registry::{AdmissionPolicy, Registry, Server, ServerConfig, ServerHandle};
+use flor_registry::{
+    AdmissionPolicy, Conn, Endpoint, Registry, Server, ServerConfig, ServerHandle,
+};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -94,11 +95,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// Minimal blocking protocol client over the real socket.
 struct Client {
-    conn: Arc<ClientConn>,
+    conn: Arc<Conn>,
     reader: BufReader<ArcConn>,
 }
 
-struct ArcConn(Arc<ClientConn>);
+struct ArcConn(Arc<Conn>);
 impl std::io::Read for ArcConn {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         (&*self.0).read(buf)
@@ -107,7 +108,7 @@ impl std::io::Read for ArcConn {
 
 impl Client {
     fn connect(ep: &Endpoint) -> Client {
-        let conn = Arc::new(ClientConn::connect(ep).expect("connect"));
+        let conn = Arc::new(Conn::connect(ep).expect("connect"));
         let mut c = Client {
             reader: BufReader::new(ArcConn(conn.clone())),
             conn,
@@ -221,10 +222,6 @@ fn main() {
     let quick = std::env::var("FLOR_BENCH_QUICK")
         .map(|v| v != "0")
         .unwrap_or(false);
-    if !flor_net::supported() {
-        eprintln!("bench_serve: raw-syscall networking unsupported on this host; skipping");
-        return;
-    }
     // (serial rounds, rounds per concurrent client, fresh queries per
     // client, pipelined streams the slow reader jams with).
     let (serial_rounds, conc_rounds, fresh_per_client, slow_pipeline) = if quick {
@@ -237,7 +234,7 @@ fn main() {
     // The throughput phases emulate a 2ms client RTT (a same-region
     // datacenter link; loopback has none). A serialized issuer pays it
     // once per round; 16 concurrent connections overlap it — the very
-    // idle time the single-threaded event loop exists to reclaim. The
+    // idle time a server with concurrent connections reclaims. The
     // TTFE phases measure the server itself and stay RTT-free.
     let rtt = Duration::from_millis(2);
 
@@ -358,7 +355,6 @@ fn main() {
     let sock_config = || ServerConfig {
         endpoints: vec![Endpoint::Unix(dir.join("bench.sock"))],
         sndbuf: 1,
-        wrbuf_high_water: 8 * 1024,
         write_stall_timeout_ms: 0,
         ..ServerConfig::default()
     };
@@ -375,7 +371,7 @@ fn main() {
     eprintln!("slow reader: same fresh load beside a never-reading stream…");
     let _ = std::fs::remove_file(dir.join("bench.sock"));
     let (handle, ep) = start(&registry, sock_config());
-    let slow = ClientConn::connect(&ep).expect("slow connect");
+    let slow = Conn::connect(&ep).expect("slow connect");
     let mut jam = String::new();
     for _ in 0..slow_pipeline {
         let _ = writeln!(jam, "stream bench {}", warm[0]);
@@ -425,7 +421,7 @@ fn main() {
         body,
         "  \"description\": \"async multi-tenant query service over real sockets: closed-loop \
          warm-cache streaming qps for 1 vs 16 clients under an emulated 2ms client RTT (the \
-         event loop overlaps the clients' round-trips and amortizes wakeups and flushes, so \
+         connections' threads overlap the clients' round-trips, so \
          concurrent aggregate qps is held ≥4x the serialized baseline), the same \
          load under full admission control, a shed demo with a capped tenant, and fresh-replay \
          TTFE p50/p99 with and without a never-reading peer jamming its own Unix-socket \

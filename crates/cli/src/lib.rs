@@ -9,9 +9,8 @@ use flor_core::replay::{replay, replay_reference, Postamble, ReplayOptions, Repl
 use flor_core::sample::replay_sample;
 use flor_core::{InitMode, Section};
 use flor_lang::{parse, print_program};
-use flor_net::{ClientConn, Endpoint};
 use flor_registry::{
-    Registry, ReplayScheduler, ServeSession, Server, ServerConfig, SessionControl,
+    Conn, Endpoint, Registry, ReplayScheduler, ServeSession, Server, ServerConfig, SessionControl,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -957,7 +956,7 @@ fn cmd_query(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> 
 }
 
 /// The `serve` loop over explicit I/O — a thin, byte-compatible adapter
-/// over [`flor_registry::ServeSession`] (the same state machine the epoll
+/// over [`flor_registry::ServeSession`] (the same state machine the
 /// socket server runs; `cmd_serve` wires this one to stdin/stdout, or to
 /// listening sockets with `--listen`). Protocol: one command per line —
 ///
@@ -1065,9 +1064,8 @@ fn cmd_connect(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError
         .get(1)
         .ok_or_else(|| CliError::Usage("missing endpoint".into()))?;
     let ep = Endpoint::parse(spec).map_err(|e| CliError::Usage(format!("bad endpoint: {e}")))?;
-    let conn = Arc::new(
-        ClientConn::connect(&ep).map_err(|e| CliError::Failed(format!("connect {ep}: {e}")))?,
-    );
+    let conn =
+        Arc::new(Conn::connect(&ep).map_err(|e| CliError::Failed(format!("connect {ep}: {e}")))?);
     let writer = {
         let conn = conn.clone();
         std::thread::spawn(move || {

@@ -310,3 +310,77 @@ fn serve_end_to_end_through_the_binary() {
     assert!(text.contains("queued job 1"), "{text}");
     assert!(text.contains("job 1 done: run \"e2e-run\""), "{text}");
 }
+
+/// A server out of file descriptors cannot accept, and the connection
+/// left in the queue keeps its listener ready: the acceptor must back off
+/// rather than retry at once and spin a core until a descriptor frees.
+/// Runs `flor serve --listen` under a small descriptor limit, exhausts it
+/// with idle clients, and reads the server's CPU time from `/proc`.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_backs_off_when_accept_runs_out_of_descriptors() {
+    use flor_registry::{Conn, Endpoint};
+    use std::io::{BufRead, BufReader};
+    use std::time::Duration;
+
+    let (registry, _, _) = setup("emfile");
+    let mut serve = Command::new("bash")
+        .args([
+            "-c",
+            "ulimit -n 48 && exec \"$0\" \"$@\"",
+            env!("CARGO_BIN_EXE_flor"),
+        ])
+        .args(["serve", "--listen", "tcp:127.0.0.1:0", "--registry"])
+        .arg(&registry)
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut listening = String::new();
+    BufReader::new(serve.stdout.take().unwrap())
+        .read_line(&mut listening)
+        .unwrap();
+    let ep = listening
+        .trim()
+        .strip_prefix("# listening on ")
+        .map(|s| Endpoint::parse(s).unwrap())
+        .unwrap_or_else(|| panic!("{listening:?}"));
+    let probe = Conn::connect(&ep).unwrap();
+    let mut replies = BufReader::new(&probe);
+    let mut line = String::new();
+    replies.read_line(&mut line).unwrap();
+    assert!(line.starts_with("# serving registry"), "{line}");
+    // Each connection holds two of the server's 48 descriptors, so these
+    // run it out; the kernel still completes every connect.
+    let idle: Vec<Conn> = (0..48).map(|_| Conn::connect(&ep).unwrap()).collect();
+    std::thread::sleep(Duration::from_millis(300));
+
+    // utime + stime, in clock ticks (100 per second on Linux).
+    let cpu_ticks = || {
+        let stat = std::fs::read_to_string(format!("/proc/{}/stat", serve.id())).unwrap();
+        let fields: Vec<u64> = stat
+            .rsplit_once(") ")
+            .unwrap()
+            .1
+            .split(' ')
+            .skip(11)
+            .take(2)
+            .map(|f| f.parse().unwrap())
+            .collect();
+        fields[0] + fields[1]
+    };
+    let before = cpu_ticks();
+    std::thread::sleep(Duration::from_secs(1));
+    let busy = cpu_ticks() - before;
+
+    (&probe).write_all(b"metrics\n").unwrap();
+    line.clear();
+    replies.read_line(&mut line).unwrap();
+    serve.kill().unwrap();
+    serve.wait().unwrap();
+    drop(idle);
+    assert!(
+        busy < 30,
+        "the server burned {busy} ticks of CPU in one idle second"
+    );
+    assert!(line.contains("\"serve.accept_errors\""), "{line}");
+}

@@ -72,8 +72,8 @@ pub enum Category {
     /// because the kernel refused to map it (`mmap_fallback:<kind>`
     /// instants).
     Tier,
-    /// Query-service event loop: connection accepts, socket reads,
-    /// protocol dispatch, and backpressured writes.
+    /// Query-service connections: accepts, socket reads, protocol
+    /// dispatch, and backpressured writes.
     Serve,
 }
 

@@ -18,9 +18,10 @@
 //!   concurrent-job limits, and latency-aware queue shedding.
 //! - [`session`]: the serve protocol state machine, shared by the stdin
 //!   adapter and the socket server.
-//! - [`server`]: epoll event loop serving the protocol over TCP and Unix
-//!   sockets with per-connection backpressure (vendored `flor-net`
-//!   syscalls; no tokio, no libc).
+//! - [`server`]: the protocol over TCP and Unix sockets, a reader and a
+//!   writer thread per connection, with per-connection backpressure.
+//! - [`conn`]: [`Endpoint`] addresses and the [`Conn`] stream the server,
+//!   `flor connect` and the tests share (`std` sockets).
 //! - [`error`]: [`RegistryError`], composing with `?` across the
 //!   workspace's error types.
 
@@ -29,6 +30,7 @@
 pub mod admission;
 pub mod cache;
 pub mod catalog;
+pub mod conn;
 pub mod error;
 pub mod scheduler;
 pub mod server;
@@ -38,6 +40,7 @@ pub mod session;
 pub use admission::{AdmissionController, AdmissionPolicy};
 pub use cache::{query_key, CachedResult, QueryCache};
 pub use catalog::{RetentionPolicy, RunCatalog, RunRecord};
+pub use conn::{Conn, Endpoint};
 pub use error::RegistryError;
 pub use scheduler::{
     CancelResult, JobEvent, JobId, JobProgress, JobSink, JobState, QueryJob, ReplayScheduler,

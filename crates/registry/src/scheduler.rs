@@ -128,8 +128,8 @@ pub enum JobEvent {
 /// Bounded, job-scoped event queue decoupling replay workers from slow
 /// network readers: the scheduler's worker pushes (never blocking — full
 /// sinks drop entry chunks, the connection catches up from the completed
-/// outcome's log), and the serving event loop drains at its own pace.
-/// `wake` fires after every push so an epoll loop can sleep between
+/// outcome's log), and the connection drains at its own pace. `wake`
+/// fires after every push so the connection's writer can sleep between
 /// events.
 ///
 /// Drops are *sticky*: once one entry chunk is dropped, every later one

@@ -1,7 +1,7 @@
 //! One client's protocol session, independent of transport.
 //!
 //! The line protocol `flor serve` has always spoken on stdin/stdout is
-//! handled here so the stdin adapter (`flor_cli::serve_io`) and the epoll
+//! handled here so the stdin adapter (`flor_cli::serve_io`) and the
 //! socket server ([`crate::server`]) share one implementation and cannot
 //! drift byte-wise. A session owns its submitted jobs, its tenant
 //! identity, its admission permits, and the bounded per-job [`JobSink`]s
@@ -35,7 +35,7 @@
 //! service is built for analysts on the machine that holds the registry:
 //! bind Unix sockets or loopback TCP (the defaults) and front anything
 //! wider with an authenticating proxy. As a guard against a mistyped (or
-//! hostile) path tying up the single dispatch thread, probed sources
+//! hostile) path making the server read a huge file, probed sources
 //! larger than [`MAX_PROBED_SOURCE_BYTES`] are refused without reading.
 
 use crate::admission::AdmissionController;
@@ -50,9 +50,11 @@ use std::sync::Arc;
 
 /// Largest probed-source file `query`/`stream` will read. Probed training
 /// scripts are kilobytes; the cap exists so a path pointing at a huge
-/// file (datasets live next to registries) cannot stall the dispatch
-/// thread or balloon server memory. Reads happen inline on the event
-/// loop, so this bound is also the bound on dispatch latency.
+/// file (datasets live next to registries) cannot balloon server memory.
+/// The read happens inline while the command is dispatched, holding the
+/// connection's session, so this bound is also the bound on how long one
+/// command can delay that connection's own replies and stream (other
+/// connections dispatch on their own threads).
 pub const MAX_PROBED_SOURCE_BYTES: u64 = 1 << 20;
 
 /// What the transport should do after a session call.
@@ -167,8 +169,8 @@ pub struct ServeSession {
 
 impl ServeSession {
     /// Creates a session. `wake` fires whenever one of this session's job
-    /// sinks receives an event — a socket server passes its poller waker,
-    /// the stdin adapter a no-op.
+    /// sinks receives an event — the socket server passes its writer
+    /// thread's wake-up, the stdin adapter a no-op.
     pub fn new(
         registry: Arc<Registry>,
         scheduler: Arc<ReplayScheduler>,
@@ -371,7 +373,7 @@ impl ServeSession {
             "queued job {id}: run {run_id:?} priority {priority}"
         ));
         if streaming && self.blocking {
-            // Stdin mode has no event loop: deliver the stream after the
+            // Stdin mode has no writer thread: deliver the stream after the
             // job completes (record order is preserved either way).
             self.scheduler.wait(id);
             self.pump_job_to_end(id, out);
@@ -408,7 +410,7 @@ impl ServeSession {
 
     /// Blocking-mode delivery: the job is terminal, so repeated pumps
     /// (each capped at `entry_cap` catch-up entries) run to the `+done`
-    /// line without an event loop to re-poll.
+    /// line without a writer thread to re-poll.
     fn pump_job_to_end(&mut self, id: JobId, out: &mut Vec<String>) {
         while self.result(id).is_none() {
             self.pump_job(id, out);
@@ -417,8 +419,8 @@ impl ServeSession {
 
     /// Drains every job sink and the in-order completion report; returns
     /// `Quit` once a requested quit has nothing left to deliver. Socket
-    /// transports call this whenever the session's waker fired (and on
-    /// ticks); the stdin adapter reaches it via `drain`/`quit`.
+    /// transports call this whenever the session's `wake` fired; the stdin
+    /// adapter reaches it via `drain`/`quit`.
     pub fn poll_events(&mut self, out: &mut Vec<String>) -> Result<SessionControl, RegistryError> {
         for i in self.settled..self.submitted.len() {
             let id = self.submitted[i];
@@ -539,8 +541,8 @@ impl ServeSession {
                 out.push(format!("+entry {id} {e}"));
             }
             if dropped.len() > 0 {
-                // More catch-up next poll; re-fire the waker so the
-                // transport comes back without waiting for a tick.
+                // More catch-up next poll; re-fire `wake` so the
+                // transport comes back for it.
                 (self.wake)();
                 return;
             }

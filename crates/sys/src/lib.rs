@@ -1,24 +1,18 @@
 //! Raw Linux syscalls — the one place in the workspace that issues them.
 //!
-//! The workspace vendors every dependency (no libc), so the socket, epoll
-//! and eventfd calls of `flor-net` and the `mmap`/`munmap` of
-//! `flor-chkpt`'s segment mapping all go through [`syscall6`]: the
-//! syscall instruction emitted directly on Linux x86_64/aarch64, with a
-//! per-architecture table of syscall numbers in [`nr`]. Every call
-//! returns the raw kernel result, a negated errno in `[-4095, -1]` on
-//! failure; [`check`] turns it into an `io::Result`. Elsewhere neither
-//! [`syscall6`] nor [`nr`] exists, [`supported`] is false, and callers
-//! take their own fallback (the stdin serve mode, heap-read segments).
+//! The workspace vendors every dependency (no libc), so the few calls
+//! `std` has no wrapper for go through [`syscall6`]: the syscall
+//! instruction emitted directly on Linux x86_64/aarch64, with a
+//! per-architecture table of syscall numbers in [`nr`]. They are the
+//! `mmap`/`munmap` of `flor-chkpt`'s segment mapping and the
+//! `setsockopt(SO_SNDBUF)` of the query service's sockets; everything
+//! else, sockets included, is `std`. Every call returns the raw kernel
+//! result, a negated errno in `[-4095, -1]` on failure; [`check`] turns it
+//! into an `io::Result`. Elsewhere neither [`syscall6`] nor [`nr`] exists,
+//! and callers take their own fallback (heap-read segments, the kernel's
+//! default send buffer).
 
 use std::io;
-
-/// True when this build has a raw-syscall backend.
-pub fn supported() -> bool {
-    cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-}
 
 /// Converts a raw syscall return into `io::Result<usize>` (negated-errno
 /// convention).
@@ -33,49 +27,19 @@ pub fn check(ret: isize) -> io::Result<usize> {
 /// Per-architecture syscall numbers (asm-generic table on aarch64).
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub mod nr {
-    pub const READ: usize = 0;
-    pub const WRITE: usize = 1;
     pub const CLOSE: usize = 3;
     pub const MMAP: usize = 9;
     pub const MUNMAP: usize = 11;
-    pub const SOCKET: usize = 41;
-    pub const CONNECT: usize = 42;
-    pub const SENDTO: usize = 44;
-    pub const SHUTDOWN: usize = 48;
-    pub const BIND: usize = 49;
-    pub const LISTEN: usize = 50;
-    pub const GETSOCKNAME: usize = 51;
     pub const SETSOCKOPT: usize = 54;
-    pub const UNLINKAT: usize = 263;
-    pub const EPOLL_PWAIT: usize = 281;
-    pub const EPOLL_CTL: usize = 233;
-    pub const ACCEPT4: usize = 288;
-    pub const EVENTFD2: usize = 290;
-    pub const EPOLL_CREATE1: usize = 291;
 }
 
 /// Per-architecture syscall numbers (asm-generic table on aarch64).
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
 pub mod nr {
-    pub const READ: usize = 63;
-    pub const WRITE: usize = 64;
     pub const CLOSE: usize = 57;
     pub const MMAP: usize = 222;
     pub const MUNMAP: usize = 215;
-    pub const SOCKET: usize = 198;
-    pub const CONNECT: usize = 203;
-    pub const SENDTO: usize = 206;
-    pub const SHUTDOWN: usize = 210;
-    pub const BIND: usize = 200;
-    pub const LISTEN: usize = 201;
-    pub const GETSOCKNAME: usize = 204;
     pub const SETSOCKOPT: usize = 208;
-    pub const UNLINKAT: usize = 35;
-    pub const EPOLL_PWAIT: usize = 22;
-    pub const EPOLL_CTL: usize = 21;
-    pub const ACCEPT4: usize = 242;
-    pub const EVENTFD2: usize = 19;
-    pub const EPOLL_CREATE1: usize = 20;
 }
 
 /// Issues a 6-argument syscall; unused arguments pass 0. Returns the

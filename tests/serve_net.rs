@@ -1,14 +1,15 @@
-//! Network-level tests of the epoll query service: the serve protocol
+//! Network-level tests of the socket query service: the serve protocol
 //! over real TCP and Unix sockets, plus fault injection — client
 //! disconnects mid-stream, torn half-written lines, oversized garbage,
 //! and a slow reader hitting the stall timeout. In every case the server
 //! must keep serving other connections, release the dead client's jobs,
 //! and never panic.
 
-#![cfg(target_os = "linux")]
+#![cfg(unix)]
 
-use flor_net::{ClientConn, Endpoint};
-use flor_registry::{AdmissionPolicy, Registry, Server, ServerConfig, ServerHandle};
+use flor_registry::{
+    AdmissionPolicy, Conn, Endpoint, Registry, Server, ServerConfig, ServerHandle,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -104,12 +105,12 @@ fn start(registry: Arc<Registry>, config: ServerConfig) -> (ServerHandle, Endpoi
 }
 
 struct Client {
-    conn: Arc<ClientConn>,
+    conn: Arc<Conn>,
     reader: BufReader<ArcConn>,
 }
 
 /// BufReader needs an owned `io::Read`; wrap the shared client socket.
-struct ArcConn(Arc<ClientConn>);
+struct ArcConn(Arc<Conn>);
 impl std::io::Read for ArcConn {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         (&*self.0).read(buf)
@@ -118,7 +119,7 @@ impl std::io::Read for ArcConn {
 
 impl Client {
     fn connect(ep: &Endpoint) -> Client {
-        let conn = Arc::new(ClientConn::connect(ep).unwrap());
+        let conn = Arc::new(Conn::connect(ep).unwrap());
         let mut c = Client {
             reader: BufReader::new(ArcConn(conn.clone())),
             conn,
@@ -174,9 +175,6 @@ impl Client {
 
 #[test]
 fn tcp_protocol_streams_entries_and_reports_in_order() {
-    if !flor_net::supported() {
-        return;
-    }
     let (registry, _dir, fast_q, _slow_q) = fixture("tcp");
     let (_handle, ep) = start(registry, ServerConfig::default());
     let mut c = Client::connect(&ep);
@@ -215,9 +213,6 @@ fn tcp_protocol_streams_entries_and_reports_in_order() {
 
 #[test]
 fn unix_socket_tenants_quotas_and_per_tenant_metrics() {
-    if !flor_net::supported() {
-        return;
-    }
     let (registry, dir, fast_q, slow_q) = fixture("unix");
     let config = ServerConfig {
         endpoints: vec![Endpoint::Unix(dir.join("serve.sock"))],
@@ -268,9 +263,6 @@ fn unix_socket_tenants_quotas_and_per_tenant_metrics() {
 
 #[test]
 fn disconnect_mid_stream_cancels_the_job_and_other_clients_proceed() {
-    if !flor_net::supported() {
-        return;
-    }
     let (registry, _dir, fast_q, slow_q) = fixture("dc");
     let (_handle, ep) = start(registry, ServerConfig::default());
 
@@ -308,9 +300,6 @@ fn disconnect_mid_stream_cancels_the_job_and_other_clients_proceed() {
 
 #[test]
 fn torn_lines_and_oversized_garbage_never_kill_the_server() {
-    if !flor_net::supported() {
-        return;
-    }
     let (registry, _dir, fast_q, _slow_q) = fixture("torn");
     let (_handle, ep) = start(registry, ServerConfig::default());
 
@@ -328,7 +317,7 @@ fn torn_lines_and_oversized_garbage_never_kill_the_server() {
     // >64KiB of newline-free garbage: the server rejects the line and
     // closes that connection only.
     {
-        let conn = ClientConn::connect(&ep).unwrap();
+        let conn = Conn::connect(&ep).unwrap();
         let garbage = vec![b'x'; 80 * 1024];
         // The server may close before accepting every byte; EPIPE here is
         // part of the scenario, not a failure.
@@ -364,26 +353,20 @@ fn torn_lines_and_oversized_garbage_never_kill_the_server() {
 /// (stdin EOF), then lags before draining the stream. This pins down two
 /// server invariants at once:
 ///
-/// - the lag jams the connection's write buffer past the high-water mark
-///   with a tiny sink cap, so the bounded `JobSink` drops chunks
-///   mid-stream — the delivered `+entry` lines must still be the job's
-///   full log, in order, without gaps or duplicates (sticky drops + the
-///   completion catch-up);
-/// - after EOF the half-closed socket stays level-triggered readable
-///   forever — the loop must keep serving (not spin or drop the peer)
-///   until the stream finishes, then close cleanly.
+/// - the lag jams the connection's writes with a tiny sink cap, so the
+///   bounded `JobSink` drops chunks mid-stream — the delivered `+entry`
+///   lines must still be the job's full log, in order, without gaps or
+///   duplicates (sticky drops + the completion catch-up);
+/// - after EOF on the half-closed socket the server must keep serving
+///   (not drop the peer) until the stream finishes, then close cleanly.
 #[test]
 fn half_close_with_lagging_reader_still_delivers_a_gapless_stream() {
-    if !flor_net::supported() {
-        return;
-    }
     let (registry, dir, _fast_q, slow_q) = fixture("halfclose");
     let config = ServerConfig {
         endpoints: vec![Endpoint::Unix(dir.join("halfclose.sock"))],
         // Unix socket + minimal SO_SNDBUF: in-flight bytes charge to the
         // server, so a few KiB of unread output jam it.
         sndbuf: 1,
-        wrbuf_high_water: 2 * 1024,
         // A sink this small overflows as soon as the write buffer jams.
         entry_queue_cap: 2,
         write_stall_timeout_ms: 0, // lag is the scenario, not a fault
@@ -396,9 +379,9 @@ fn half_close_with_lagging_reader_still_delivers_a_gapless_stream() {
     // Jam the connection before the job emits anything. Each `status` of
     // a non-numeric id echoes the id back, so these four lines queue
     // 64 KiB of replies the client does not read: far more than the
-    // clamped socket buffer (the kernel minimum, a few KiB) and the
-    // high-water mark hold together. The loop then drains nothing from
-    // the job's sink, which keeps the first range's entries and progress
+    // clamped socket buffer (the kernel minimum, a few KiB) holds, so the
+    // connection's writer blocks. It then drains nothing from the job's
+    // sink, which keeps the first range's entries and progress
     // and drops every later range. One worker replays the 16 epochs as
     // `RANGES_PER_WORKER` (4) micro-ranges, so the sink overflows however
     // the run's cost profile sizes them. Jamming on the stream's own
@@ -463,9 +446,6 @@ fn half_close_with_lagging_reader_still_delivers_a_gapless_stream() {
 
 #[test]
 fn slow_reader_is_dropped_on_stall_without_blocking_other_connections() {
-    if !flor_net::supported() {
-        return;
-    }
     let (registry, dir, fast_q, slow_q) = fixture("stall");
     let config = ServerConfig {
         // A Unix socket charges all in-flight bytes to the sender's
@@ -475,7 +455,6 @@ fn slow_reader_is_dropped_on_stall_without_blocking_other_connections() {
         endpoints: vec![Endpoint::Unix(dir.join("stall.sock"))],
         pool_workers: 2,
         sndbuf: 1,
-        wrbuf_high_water: 2 * 1024,
         write_stall_timeout_ms: 300,
         ..ServerConfig::default()
     };
@@ -487,7 +466,7 @@ fn slow_reader_is_dropped_on_stall_without_blocking_other_connections() {
     let mut slow = Client::connect(&ep);
     slow.send(&format!("stream slow {}", slow_q.display()));
 
-    // Meanwhile a normal client gets full service on the same loop.
+    // Meanwhile a normal client gets full service from the same server.
     let mut fast = Client::connect(&ep);
     fast.send(&format!("query fast {}", fast_q.display()));
     assert!(fast.read_line().starts_with("queued job"));
@@ -517,4 +496,132 @@ fn slow_reader_is_dropped_on_stall_without_blocking_other_connections() {
     // The server is still healthy afterwards.
     let tail = fast.quit();
     assert!(tail.last().unwrap().starts_with("# served 1"), "{tail:?}");
+}
+
+/// A Unix listener binds over the socket file a previous server left
+/// behind and unlinks its path at shutdown; a TCP listener on port 0
+/// reports the port the kernel chose. Both serve.
+#[test]
+fn listeners_replace_a_stale_socket_file_and_resolve_port_zero() {
+    let dir = tmpdir("listeners");
+    let registry = Arc::new(Registry::open(dir.join("registry")).unwrap());
+    let path = dir.join("stale.sock");
+    // `std` leaves the socket file of a dropped listener behind.
+    drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
+    assert!(path.exists());
+    let config = ServerConfig {
+        endpoints: vec![
+            Endpoint::Unix(path.clone()),
+            Endpoint::Tcp(std::net::Ipv4Addr::LOCALHOST, 0),
+        ],
+        ..ServerConfig::default()
+    };
+    let mut handle = Server::start(registry, config).unwrap();
+    let eps = handle.local_endpoints().to_vec();
+    assert_eq!(eps[0], Endpoint::Unix(path.clone()));
+    assert!(
+        matches!(eps[1], Endpoint::Tcp(ip, port) if ip.is_loopback() && port != 0),
+        "{eps:?}"
+    );
+    for ep in &eps {
+        let tail = Client::connect(ep).quit();
+        assert_eq!(tail, ["# served 0 job(s)"], "{ep}");
+    }
+    handle.shutdown();
+    assert!(!path.exists(), "shutdown should unlink {path:?}");
+}
+
+/// Reads `conn` on a thread until EOF or an error; the receiver gets the
+/// outcome (true for EOF or a reset) once the peer has closed.
+fn watch_for_close(conn: Arc<Conn>) -> std::sync::mpsc::Receiver<bool> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut buf = [0u8; 4096];
+        loop {
+            match std::io::Read::read(&mut &*conn, &mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+        }
+        let _ = tx.send(true);
+    });
+    rx
+}
+
+/// Shutdown with live connections: one idle client blocked in `read`,
+/// and one whose heavy stream sits behind unread output on a jammed Unix
+/// socket (its writer thread blocked in a write that never times out).
+/// Shutdown returns promptly, closes both sockets, cancels the jammed
+/// job and counts the aborted connections; the registry and tenant are
+/// then served by a fresh server as before.
+#[test]
+fn shutdown_with_live_connections_closes_them_and_cancels_their_jobs() {
+    let (registry, dir, fast_q, slow_q) = fixture("shutdown");
+    let config = || ServerConfig {
+        endpoints: vec![Endpoint::Unix(dir.join("shutdown.sock"))],
+        admission: AdmissionPolicy {
+            max_tenant_jobs: 1,
+            ..AdmissionPolicy::unlimited()
+        },
+        sndbuf: 1,
+        write_stall_timeout_ms: 0,
+        ..ServerConfig::default()
+    };
+    let (handle, ep) = start(registry.clone(), config());
+    let aborted_before = flor_obs::metrics::counter("serve.aborted_conns").get();
+
+    let idle = Client::connect(&ep);
+    let idle_closed = watch_for_close(idle.conn.clone());
+    let mut jammed = Client::connect(&ep);
+    jammed.send("tenant net-shutdown");
+    assert_eq!(jammed.read_line(), "tenant set: \"net-shutdown\"");
+    // 16 KiB of reply the client never reads: far more than the clamped
+    // socket buffer, so the writer thread blocks, and the stream's
+    // acknowledgement and output queue behind it.
+    jammed.send(&format!("status {}", "x".repeat(16 * 1024)));
+    jammed.send(&format!("stream slow {}", slow_q.display()));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.scheduler().status(1).is_none() {
+        assert!(Instant::now() < deadline, "job 1 never submitted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let jammed_closed = watch_for_close(jammed.conn.clone());
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut handle = handle;
+        handle.shutdown();
+        let _ = tx.send(handle);
+    });
+    let handle = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown did not return within 10 s");
+    for (closed, who) in [(idle_closed, "idle"), (jammed_closed, "jammed")] {
+        assert!(
+            closed.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "the {who} client never saw its socket close"
+        );
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.scheduler().status(1).is_some() {
+        assert!(
+            Instant::now() < deadline,
+            "the jammed job was never cancelled"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(flor_obs::metrics::counter("serve.aborted_conns").get() >= aborted_before + 2);
+    drop(handle);
+
+    // The tenant's one job slot is free on a fresh server.
+    let (_handle, ep) = start(registry, config());
+    let mut c = Client::connect(&ep);
+    c.send("tenant net-shutdown");
+    assert_eq!(c.read_line(), "tenant set: \"net-shutdown\"");
+    c.send(&format!("query fast {}", fast_q.display()));
+    assert!(c.read_line().starts_with("queued job 1:"));
+    c.send("drain");
+    c.read_until(|l| l.starts_with("job 1 done:"));
+    let tail = c.quit();
+    assert_eq!(tail.last().unwrap(), "# served 1 job(s)", "{tail:?}");
 }

@@ -301,13 +301,10 @@ fn cli_query_trace_flag_writes_a_parseable_chrome_trace() {
 
 #[test]
 fn socket_service_emits_serve_category_spans() {
-    // The epoll query service wraps its event-loop stages in `serve`
-    // spans — accept, read (line parse + dispatch), dispatch (one per
-    // protocol command), write (flush) — so a trace of a serving
-    // process shows where connection time goes.
-    if !flor_net::supported() {
-        return;
-    }
+    // The socket query service wraps its connection stages in `serve`
+    // spans — accept (connection set-up), read (line parse + dispatch),
+    // dispatch (one per protocol command), write (socket writes) — so a
+    // trace of a serving process shows where connection time goes.
     let dir = tmp_dir("serve-cat");
     std::fs::create_dir_all(&dir).unwrap();
     let small = SKEWED_1K_SRC
@@ -324,7 +321,7 @@ fn socket_service_emits_serve_category_spans() {
     let handle =
         flor_registry::Server::start(registry, flor_registry::ServerConfig::default()).unwrap();
     let ep = handle.local_endpoints()[0].clone();
-    let conn = flor_net::ClientConn::connect(&ep).unwrap();
+    let conn = flor_registry::Conn::connect(&ep).unwrap();
     use std::io::{BufRead, Write};
     (&conn)
         .write_all(format!("query serve-cat {}\ndrain\nquit\n", probed.display()).as_bytes())

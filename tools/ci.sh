@@ -43,10 +43,18 @@ echo "clock lint: OK"
 # inline assembly may appear only under crates/sys/src. A second `asm!`
 # site is a second syscall layer to keep correct per architecture.
 echo
-echo "==> syscall gate (asm! only under crates/sys/src)"
+echo "==> syscall gate (asm! only under crates/sys/src; no socket syscalls but SETSOCKOPT)"
 if grep -rn "asm!" crates src tests examples benchmark/src --include='*.rs' \
     | grep -v "^crates/sys/src/"; then
     echo "syscall gate: issue raw syscalls through flor_sys::syscall6" >&2
+    exit 1
+fi
+# `std` is the one socket layer: the syscall table carries no socket,
+# epoll or eventfd number but SETSOCKOPT, for the `SO_SNDBUF` `std`
+# cannot set.
+if grep -rniE "const (SOCKET|SOCKETPAIR|BIND|LISTEN|ACCEPT4?|CONNECT|SHUTDOWN|GETSOCKNAME|GETPEERNAME|GETSOCKOPT|SENDTO|RECVFROM|SENDM?MSG|RECVM?MSG|EPOLL_[A-Z0-9_]*|EVENTFD2?)\b" \
+    crates/sys/src --include='*.rs'; then
+    echo "syscall gate: sockets, polling and wake-ups go through std, not flor_sys::nr" >&2
     exit 1
 fi
 echo "syscall gate: OK"
