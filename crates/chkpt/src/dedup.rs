@@ -506,18 +506,6 @@ impl DedupIndex {
     pub fn entries(&self) -> u64 {
         self.inner.lock().unwrap().slots.len() as u64
     }
-
-    /// Total bytes in the blob arena directory.
-    pub fn blob_bytes(&self) -> u64 {
-        fs::read_dir(self.dir.join("blobs"))
-            .map(|rd| {
-                rd.flatten()
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //!
 //! - **Serialization** ([`codec`]): a hand-rolled, versioned, tagged binary
 //!   format standing in for `cloudpickle`. The paper's §5.1 microbenchmark
-//!   found serialization ≈ 4.3× the cost of the disk write; `bench_codec`
-//!   in `flor-bench` measures the same ratio for this codec.
+//!   found serialization ≈ 4.3× the cost of the disk write; `flor-bench`'s
+//!   Figure 5 report prints the same split for its Baseline bar.
 //! - **Background materialization** ([`background`]): the paper's fork()
 //!   approach from Figure 5's design space — an O(1) snapshot handle on
 //!   the training thread, serialize+compress+write in the background,
@@ -46,8 +46,8 @@ pub use background::{Materializer, MaterializerStats, SerializeSnapshot};
 pub use codec::{decode, encode, encode_into, ByteSource, CVal, CodecError, EncodePool, LazyBytes};
 pub use dedup::DedupIndex;
 pub use store::{
-    CheckpointStore, CkptMeta, CompactionReport, Durability, RecoveryReport, StoreError,
-    StoreOptions, StoreStats, WriteBatch,
+    write_dedup_pointer, CheckpointStore, CkptMeta, CompactionReport, Durability, RecoveryReport,
+    StoreError, StoreOptions, StoreStats, WriteBatch,
 };
 
 // Byte-buffer types used in the public API (`ByteSource::write_to`,

@@ -40,7 +40,7 @@
 //! | `read` | zero-copy [`CheckpointStore::get_bytes`], delta-chain resolution |
 //! | `write` | [`WriteBatch`] group commit, the delta-encode policy |
 //! | `compact` | compaction / GC, [`CompactionReport`] |
-//! | `tier` | dedup-arena attachment and reference accounting |
+//! | `tier` | dedup-arena attachment, the `DEDUP` pointer file ([`write_dedup_pointer`]), reference accounting |
 //! | `stats` | [`StoreStats`] |
 //!
 //! Every read is CRC-verified, so corruption surfaces as
@@ -71,6 +71,7 @@ pub use options::{
 pub use recovery::{MissingEntry, RecoveryReport};
 pub use segment::{read_segment_footer, SegmentIndexEntry};
 pub use stats::{StoreStats, CHAIN_DEPTH_BUCKETS};
+pub use tier::write_dedup_pointer;
 pub use write::WriteBatch;
 
 use crate::dedup::DedupIndex;

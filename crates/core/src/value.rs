@@ -646,6 +646,52 @@ mod tests {
         assert_eq!(v2.snapshot().unwrap(), snap);
     }
 
+    /// What zero-copy means, checked without a clock: a model snapshot's
+    /// tensor leaves hold the parameters' slabs, so the training step's
+    /// next write to a parameter copies it first (copy-on-write) and the
+    /// snapshot keeps the bytes it was taken from. Deep-copied leaves would
+    /// leave the parameters' slabs unshared, and the write would land in
+    /// place.
+    #[test]
+    fn zero_copy_leaves_share_the_training_slabs() {
+        let mut rng = Pcg64::seeded(1);
+        let model = mlp(4, 8, 2, 1, &mut rng);
+        let before: Vec<(String, Vec<u8>)> = model
+            .state_dict()
+            .iter()
+            .map(|(name, t)| (name.to_string(), t.to_bytes()))
+            .collect();
+        let v = Value::obj(Obj::Model(model));
+        let snap = v.snapshot().unwrap();
+        let Value::Obj(obj) = &v else { unreachable!() };
+        let Obj::Model(m) = &mut *obj.borrow_mut() else {
+            unreachable!()
+        };
+        let mut params = 0;
+        m.visit_params_mut(&mut |p| {
+            let slab = p.value.data().as_ptr();
+            p.value.data_mut()[0] += 1.0;
+            assert_ne!(
+                p.value.data().as_ptr(),
+                slab,
+                "{}: written in place",
+                p.name
+            );
+            params += 1;
+        });
+        assert_eq!(params, before.len());
+        let tree = flor_chkpt::decode(&flor_chkpt::encode(&snap)).unwrap();
+        let state = tree.get("v").unwrap();
+        for (name, bytes) in &before {
+            let leaf = state.get(name).unwrap().as_bytes().unwrap();
+            assert_eq!(
+                leaf.to_vec(),
+                *bytes,
+                "{name}: the snapshot keeps its bytes"
+            );
+        }
+    }
+
     #[test]
     fn object_snapshot_without_existing_fails() {
         let mut rng = Pcg64::seeded(1);

@@ -24,7 +24,7 @@
 use crate::cache::{query_key, CachedResult, QueryCache};
 use crate::catalog::{RunCatalog, RunRecord};
 use crate::error::RegistryError;
-use flor_chkpt::CheckpointStore;
+use flor_chkpt::{write_dedup_pointer, CheckpointStore};
 use flor_core::logstream::LogEntry;
 use flor_core::record::{
     log_iterations, record, source_version, RecordOptions, RecordReport, RUN_META_ARTIFACT,
@@ -198,10 +198,7 @@ impl Registry {
                     // same script dedup their unchanged checkpoints across
                     // generations (and across runs). The pointer file is
                     // read at store open, so `record` needs no plumbing.
-                    std::fs::write(
-                        candidate.join("DEDUP"),
-                        format!("{}\n", self.dedup_arena_dir().display()),
-                    )?;
+                    write_dedup_pointer(&candidate, &self.dedup_arena_dir())?;
                     return Ok(candidate);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => gen += 1,

@@ -24,10 +24,11 @@ pub mod machine {
 pub const S3_USD_PER_GB_MONTH: f64 = 0.023;
 
 /// Measured checkpoint-read constants of the segmented storage engine,
-/// taken from `bench_replay_json` (the committed `BENCH_replay.json`
-/// table). The replay simulator folds these into the restore
-/// cost `R = c·M` so simulated replay latency reflects the real read path,
-/// not just the paper's compute-side scaling factor.
+/// taken from the last `BENCH_replay.json` of the since-retired
+/// `bench_replay_json` microbenchmark (in git history). The replay
+/// simulator folds these into the restore cost `R = c·M` so simulated
+/// replay latency reflects the real read path, not just the paper's
+/// compute-side scaling factor.
 pub mod read_cost {
     /// Median `get_bytes` latency for a segment-resident checkpoint,
     /// seconds (fixed per-read cost: sharded index lookup + shared-buffer
@@ -46,9 +47,10 @@ pub mod read_cost {
     }
 }
 
-/// Delta-chain storage and restore model, with constants measured by
-/// `bench_compress_json` (the committed `BENCH_compress.json` drifting-
-/// tensor table: ~5% of tensor elements move per checkpoint version).
+/// Delta-chain storage and restore model, with constants measured by the
+/// since-retired `bench_compress_json` microbenchmark (its last
+/// `BENCH_compress.json` drifting-tensor table, in git history: ~5% of
+/// tensor elements move per checkpoint version).
 pub mod delta_cost {
     use super::read_cost;
 
@@ -243,8 +245,8 @@ mod tests {
 
     #[test]
     fn delta_storage_reduction_meets_the_acceptance_bar() {
-        // BENCH_compress.json's measured frame ratio at the default K=8
-        // must model out to the committed ≥3× bytes-on-disk reduction.
+        // The measured frame ratio at the default K=8 must model out to
+        // the ≥3× bytes-on-disk reduction the store's tests hold.
         let r = delta_cost::reduction_vs_flat(32, 8);
         assert!(r >= 3.0, "modelled reduction {r:.2}");
         // More checkpoints between keyframes → more reduction; K=0 is flat.

@@ -93,7 +93,7 @@ pub fn simulate_replay(
 
     let c = workload.epoch_secs();
     // Restore cost: the paper's compute-side R = c·M plus the storage
-    // engine's measured read constants (BENCH_replay.json) for pulling the
+    // engine's measured read constants (`cost::read_cost`) for pulling the
     // checkpoint out of a segment.
     let r = workload.restore_secs()
         + crate::cost::read_cost::restore_read_secs(workload.compressed_ckpt_gb);

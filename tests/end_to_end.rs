@@ -166,7 +166,7 @@ fn hindsight_probe_values_match_fresh_instrumented_run() {
 fn record_overhead_is_modest_on_live_training() {
     // Paper's Figure 11 shape, live: record within a reasonable factor of
     // vanilla for a compute-dominated workload. This is a pathology guard,
-    // not a measurement (fig11_record_overhead does best-of-3 in release
+    // not a measurement (`figures fig11` does best-of-3 in release
     // mode); the test binary runs tests concurrently, so the bound is
     // generous and we take the best of three runs.
     let src = scripts::CV_TRAIN;

@@ -22,6 +22,19 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Deterministic xorshift bytes, distinct per seed.
+fn incompressible(seed: u32, n: usize) -> Vec<u8> {
+    let mut x = seed.wrapping_mul(2654435761).max(1);
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x as u8
+        })
+        .collect()
+}
+
 fn exact_opts(root: &PathBuf) -> RecordOptions {
     let mut o = RecordOptions::new(root);
     o.adaptive = false;
@@ -274,12 +287,11 @@ fn compaction_crash_at_every_byte_offset_loses_no_live_checkpoint() {
     fs::create_dir_all(&base).unwrap();
 
     // Live content: two blocks, a few seqs, with superseded re-puts so
-    // compaction has real garbage to drop. Payloads come from the shared
-    // deterministic incompressible generator, seeded per (block, seq,
-    // round).
+    // compaction has real garbage to drop. Payloads are deterministic
+    // incompressible xorshift bytes, seeded per (block, seq, round).
     let payload = |block: &str, seq: u64, round: u32| -> Vec<u8> {
         let tag = *block.as_bytes().last().expect("non-empty block id") as u32;
-        flor_bench::replay_read::payload((seq as u32 + 1) * 1009 + round * 97 + tag, 1500)
+        incompressible((seq as u32 + 1) * 1009 + round * 97 + tag, 1500)
     };
     let live_keys: Vec<(&str, u64)> = vec![("sb_a", 0), ("sb_a", 1), ("sb_a", 2), ("sb_b", 0)];
 

@@ -246,6 +246,10 @@ fn unix_socket_tenants_quotas_and_per_tenant_metrics() {
     c.read_until(|l| l.starts_with("job 1 done:"));
     c.send(&format!("query fast {}", fast_q.display()));
     assert!(c.read_line().starts_with("queued job 2:"));
+    // Drained, the session reports each completion as it lands: read job
+    // 2's before asking for metrics, so no report can come between a
+    // `metrics` command and its reply.
+    c.read_until(|l| l.starts_with("job 2 done:"));
 
     // Per-tenant metrics: one JSON line scoped to this tenant's counters.
     c.send("metrics net-alice");

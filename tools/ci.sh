@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate for flor-rs. Run from the repo root:
 #
-#   ./tools/ci.sh          # build + test + clippy
-#   ./tools/ci.sh --bench  # also run the criterion benches
+#   ./tools/ci.sh          # build + test + clippy + the gates below
 #
 # Everything is offline: external dependencies are vendored under
 # crates/vendor/, so no network or cargo registry is required.
@@ -134,14 +133,10 @@ if [[ $(grep -c . <<<"$init_sites") -ne 1 ]] || ! grep -q "crates/core/src/inter
 fi
 echo "one-executor gate: OK"
 
-# Record-hot-path smoke bench: quick criterion pass + quick submit-latency
-# JSON (written under target/, never dirties the committed artifact).
-run ./tools/bench.sh --quick
-
-# Bench-regression gate: scale-invariant metrics of the quick runs must
-# stay within a tolerance band of the committed full-scale baselines.
-# Ratios and per-unit medians only — absolute totals differ between quick
-# and full fixtures by design. One row per band:
+# Bench-regression gate: scale-invariant metrics of the quick microbenchmark
+# runs must stay within a tolerance band of the committed full-scale
+# baselines. Ratios only — absolute totals differ between quick and full
+# fixtures by design. One row per band:
 #
 #   committed file | quick file | key=direction ... | tolerance
 #
@@ -149,8 +144,6 @@ run ./tools/bench.sh --quick
 # widened with FLOR_BENCH_TOLERANCE on a noisy host. A row that names its
 # own tolerance is catastrophe-only; the comment above it says why.
 BENCH_BANDS=(
-    "BENCH_replay.json|BENCH_replay.quick.json|segmented.median_ns=lower|"
-    "BENCH_compress.json|BENCH_compress.quick.json|delta_frame_ratio=lower|"
     # The live columns are fixture- and host-load-dependent (the quick
     # fixture replays once on whatever cores CI has), so the gate uses the
     # deterministic paper-scale simulation of the same scheduler.
@@ -161,26 +154,38 @@ BENCH_BANDS=(
     # catastrophe-only (a real VM regression is ≥2×; the committed
     # full-scale number is the precise record).
     "BENCH_interp.json|BENCH_interp.quick.json|vm_speedup=higher|0.55"
-    # The dedup bytes-on-disk ratio is a pure byte count, deterministic
-    # across scales. (The mmap path is guarded inside bench_store_tier:
-    # every touched segment is one map and zero heap fallbacks.)
-    "BENCH_store_tier.json|BENCH_store_tier.quick.json|dedup_bytes_ratio=higher|"
-    # A warm restore of an arena-backed (`@dup`) checkpoint may cost at
-    # most 1.25x a segment-resident one of the same size (same fixture in
-    # quick mode): committed 1.05 x (1 + 0.19) = 1.25. Past that, blob
-    # reads have grown a copy, a per-read hash or a pool again.
-    "BENCH_store_tier.json|BENCH_store_tier.quick.json|dup_restore_ratio=lower|0.19"
     # Closed-loop socket measurements on whatever core CI has, so
     # catastrophe-only: the bench binary asserts the hard acceptance floors
-    # internally (concurrent/serial qps_speedup ≥4x, admission_overhead
-    # ≥0.7x, slow-reader p99 ≤1.5x).
+    # internally (concurrent/serial qps_speedup ≥4x, the median of two
+    # paired admitted/uncontrolled qps ratios ≥0.7x, slow-reader p99
+    # ≤1.5x).
     "BENCH_serve.json|BENCH_serve.quick.json|qps_speedup=higher admission_overhead=higher|0.70"
-    # BENCH_record's one speedup column (the fork-batched materializer,
-    # zero-copy vs eager-copy snapshots) is a ratio of µs-scale submit costs
-    # (O(1) handle pushes) — too noisy for any band, and `bench_record_json`
-    # only prints it. What they stand for is pinned without a clock by
-    # `record_submit::tests::zero_copy_leaves_share_the_fixture_slabs`.
 )
+
+# Baseline gate: every committed BENCH_*.json at the root has a producer
+# in tools/bench.sh that refreshes it and a band above that reads it. A
+# baseline with neither is a frozen number nothing checks.
+echo
+echo "==> baseline gate (each root BENCH_*.json: a tools/bench.sh producer and a band)"
+for committed in BENCH_*.json; do
+    if ! grep -Eq "^[A-Z_]+_OUT=${committed//./\\.}\$" tools/bench.sh; then
+        echo "baseline gate: $committed has no producer in tools/bench.sh" >&2
+        exit 1
+    fi
+    banded=0
+    for band in "${BENCH_BANDS[@]}"; do
+        [[ "${band%%|*}" == "$committed" ]] && banded=1
+    done
+    if [[ "$banded" -eq 0 ]]; then
+        echo "baseline gate: $committed has no row in BENCH_BANDS" >&2
+        exit 1
+    fi
+done
+echo "baseline gate: OK"
+
+# The quick microbenchmark runs (written under target/, never dirtying the
+# committed artifacts), then their bands.
+run ./tools/bench.sh --quick
 for band in "${BENCH_BANDS[@]}"; do
     IFS='|' read -r committed quick keys tolerance <<<"$band"
     # shellcheck disable=SC2086  # $keys is a space-separated key list
@@ -259,12 +264,6 @@ if ! grep -q '^# postamble: memoized' "$TRACE_DIR/replay.out" \
     exit 1
 fi
 echo "postamble smoke: memoized, $replayed_acc"
-
-if [[ "${1:-}" == "--bench" ]]; then
-    for bench in bench_registry bench_codec bench_tensor; do
-        run cargo bench -p flor-bench --bench "$bench"
-    done
-fi
 
 echo
 echo "tier-1 gate: OK"
