@@ -72,36 +72,6 @@ pub fn is_delta(data: &[u8]) -> bool {
     data.len() >= 2 && data[0..2] == DELTA_MAGIC
 }
 
-/// Byte-shuffles `data` into f32 lanes: byte 0 of every aligned 4-byte
-/// word, then byte 1, byte 2, byte 3; a non-multiple-of-4 tail is appended
-/// verbatim. A pure permutation — [`unshuffle`] inverts it exactly.
-pub fn shuffle(data: &[u8]) -> Vec<u8> {
-    let words = data.len() / 4;
-    let mut out = Vec::with_capacity(data.len());
-    for lane in 0..4 {
-        for w in 0..words {
-            out.push(data[w * 4 + lane]);
-        }
-    }
-    out.extend_from_slice(&data[words * 4..]);
-    out
-}
-
-/// Inverts [`shuffle`].
-pub fn unshuffle(data: &[u8]) -> Vec<u8> {
-    let words = data.len() / 4;
-    let mut out = vec![0u8; data.len()];
-    let mut pos = 0usize;
-    for lane in 0..4 {
-        for w in 0..words {
-            out[w * 4 + lane] = data[pos];
-            pos += 1;
-        }
-    }
-    out[words * 4..].copy_from_slice(&data[pos..]);
-    out
-}
-
 /// XOR of `new` against `base`, `new.len()` bytes long: positions past the
 /// end of `base` carry `new`'s bytes verbatim (XOR against implicit
 /// zeros), so payloads may grow or shrink between versions. The encode
@@ -219,41 +189,6 @@ fn rle0_encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverts [`rle0_encode`]; `raw_len` bounds the output.
-fn rle0_decode(data: &[u8], raw_len: usize) -> Result<Vec<u8>, CompressError> {
-    // Bounded initial reserve: a corrupt declared length must not allocate
-    // ahead of actual decoded data (runs are validated against `raw_len`
-    // as they stream, so growth tracks real output).
-    let mut out = Vec::with_capacity(raw_len.min(1 << 24));
-    let mut pos = 0usize;
-    while out.len() < raw_len {
-        let zeros = crate::compress::get_varint(data, &mut pos)? as usize;
-        if zeros > raw_len - out.len() {
-            return Err(err("zero run exceeds declared length"));
-        }
-        out.resize(out.len() + zeros, 0);
-        if out.len() == raw_len && pos == data.len() {
-            break;
-        }
-        let lits = crate::compress::get_varint(data, &mut pos)? as usize;
-        if lits > raw_len - out.len() {
-            return Err(err("literal run exceeds declared length"));
-        }
-        let body = data
-            .get(pos..pos + lits)
-            .ok_or_else(|| err("truncated literal run"))?;
-        pos += lits;
-        out.extend_from_slice(body);
-    }
-    if out.len() != raw_len {
-        return Err(err(format!(
-            "delta stream decoded {} bytes, expected {raw_len}",
-            out.len()
-        )));
-    }
-    Ok(out)
-}
-
 /// Delta-encodes `new` against `base`. Returns `None` when a delta is not
 /// worthwhile — the XOR stream has too few zero bytes (the payload
 /// effectively rewrote itself), or the finished frame fails to shrink at
@@ -328,6 +263,13 @@ pub fn header(frame: &[u8]) -> Result<DeltaHeader, CompressError> {
 /// reconstructed full payload. The caller is responsible for having
 /// verified that `base` is the right payload (the store checks the
 /// frame's `base_crc` against the base's index entry).
+///
+/// One pass over the output and one over the changed bytes: the output
+/// starts as a copy of the base (a zero run of the XOR stream is the
+/// identity, so it only advances the position), and each literal byte is
+/// XORed in at its unshuffled position. The token stream is validated
+/// whole before the `raw_len`-byte output is allocated, so a corrupt frame
+/// fails without allocating for its declared length.
 pub fn decode(frame: &[u8], base: &[u8]) -> Result<Vec<u8>, CompressError> {
     let h = header(frame)?;
     let flags = frame[2];
@@ -347,30 +289,204 @@ pub fn decode(frame: &[u8], base: &[u8]) -> Result<Vec<u8>, CompressError> {
     if h.raw_len > 1 << 36 {
         return Err(err("implausible delta length"));
     }
+    let decompressed;
     let rle = if flags & FLAG_LZ != 0 {
-        decompress(body)?
+        decompressed = decompress(body)?;
+        &decompressed[..]
     } else {
-        body.to_vec()
+        body
     };
-    let shuffled = rle0_decode(&rle, raw_len)?;
-    let delta = if flags & FLAG_SHUFFLED != 0 {
-        unshuffle(&shuffled)
+    for_each_literal_run(rle, raw_len, |_, _| {})?;
+    let mut out = Vec::with_capacity(raw_len);
+    out.extend_from_slice(&base[..base.len().min(raw_len)]);
+    // Positions past the base carry the delta verbatim (XOR against
+    // implicit zeros).
+    out.resize(raw_len, 0);
+    // An unshuffled stream is all "tail": every position maps to itself.
+    let words = if flags & FLAG_SHUFFLED != 0 {
+        raw_len / 4
     } else {
-        shuffled
+        0
     };
-    // Invert the XOR: positions past the base carry the delta verbatim.
-    let mut out = delta;
-    let common = base.len().min(out.len());
-    for i in 0..common {
-        out[i] ^= base[i];
-    }
+    for_each_literal_run(rle, raw_len, |at, lits| {
+        xor_unshuffled(&mut out, words, at, lits)
+    })?;
     Ok(out)
+}
+
+/// Walks the zero-RLE token stream of a `raw_len`-byte delta, calling
+/// `literal(at, bytes)` for each literal run at its position `at` in the
+/// (shuffled) stream; zero runs only advance the position.
+fn for_each_literal_run(
+    data: &[u8],
+    raw_len: usize,
+    mut literal: impl FnMut(usize, &[u8]),
+) -> Result<(), CompressError> {
+    let mut pos = 0usize;
+    let mut at = 0usize;
+    while at < raw_len {
+        let zeros = crate::compress::get_varint(data, &mut pos)? as usize;
+        if zeros > raw_len - at {
+            return Err(err("zero run exceeds declared length"));
+        }
+        at += zeros;
+        if at == raw_len && pos == data.len() {
+            break;
+        }
+        let lits = crate::compress::get_varint(data, &mut pos)? as usize;
+        if lits > raw_len - at {
+            return Err(err("literal run exceeds declared length"));
+        }
+        let body = data
+            .get(pos..pos + lits)
+            .ok_or_else(|| err("truncated literal run"))?;
+        pos += lits;
+        literal(at, body);
+        at += lits;
+    }
+    if at != raw_len {
+        return Err(err(format!(
+            "delta stream decoded {at} bytes, expected {raw_len}"
+        )));
+    }
+    Ok(())
+}
+
+/// XORs `lits`, found at position `at` of a stream shuffled into four
+/// lanes of `words` bytes each (then a verbatim tail), into `out` at the
+/// positions [`shuffled_xor_with_zeros`] took them from. A run splits at
+/// the lane boundaries into at most five pieces — four stride-4 ones and
+/// the contiguous tail — with one division per piece, none per byte.
+fn xor_unshuffled(out: &mut [u8], words: usize, mut at: usize, mut lits: &[u8]) {
+    while at < words * 4 && !lits.is_empty() {
+        let (lane, w) = (at / words, at % words);
+        let n = (words - w).min(lits.len());
+        for (o, l) in out[w * 4 + lane..].iter_mut().step_by(4).zip(&lits[..n]) {
+            *o ^= l;
+        }
+        at += n;
+        lits = &lits[n..];
+    }
+    for (o, l) in out[at..at + lits.len()].iter_mut().zip(lits) {
+        *o ^= l;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::crc32;
+    use proptest::prelude::*;
+
+    /// Byte-shuffles `data` into f32 lanes: byte 0 of every aligned 4-byte
+    /// word, then byte 1, byte 2, byte 3; a non-multiple-of-4 tail is
+    /// appended verbatim — the permutation the encoder's fused pass
+    /// applies.
+    fn shuffle(data: &[u8]) -> Vec<u8> {
+        let words = data.len() / 4;
+        let mut out = Vec::with_capacity(data.len());
+        for lane in 0..4 {
+            for w in 0..words {
+                out.push(data[w * 4 + lane]);
+            }
+        }
+        out.extend_from_slice(&data[words * 4..]);
+        out
+    }
+
+    /// Inverts [`shuffle`].
+    fn unshuffle(data: &[u8]) -> Vec<u8> {
+        let words = data.len() / 4;
+        let mut out = vec![0u8; data.len()];
+        let mut pos = 0usize;
+        for lane in 0..4 {
+            for w in 0..words {
+                out[w * 4 + lane] = data[pos];
+                pos += 1;
+            }
+        }
+        out[words * 4..].copy_from_slice(&data[pos..]);
+        out
+    }
+
+    /// Inverts [`rle0_encode`] into a whole stream; `raw_len` bounds it.
+    fn rle0_decode(data: &[u8], raw_len: usize) -> Result<Vec<u8>, CompressError> {
+        let mut out = Vec::with_capacity(raw_len);
+        for_each_literal_run(data, raw_len, |at, lits| {
+            out.resize(at, 0);
+            out.extend_from_slice(lits);
+        })?;
+        out.resize(raw_len, 0);
+        Ok(out)
+    }
+
+    /// The composed decoder the fused [`decode`] replaces — one whole pass
+    /// and one allocation per stage: `xor(unshuffle(rle0_decode(..)))`.
+    fn decode_composed(frame: &[u8], base: &[u8]) -> Result<Vec<u8>, CompressError> {
+        let h = header(frame)?;
+        let flags = frame[2];
+        let body_at = frame.len() - frame_body_len(frame);
+        let rle = if flags & FLAG_LZ != 0 {
+            decompress(&frame[body_at..])?
+        } else {
+            frame[body_at..].to_vec()
+        };
+        let stream = rle0_decode(&rle, h.raw_len as usize)?;
+        let mut out = if flags & FLAG_SHUFFLED != 0 {
+            unshuffle(&stream)
+        } else {
+            stream
+        };
+        for (o, b) in out.iter_mut().zip(base) {
+            *o ^= b;
+        }
+        Ok(out)
+    }
+
+    /// Bytes of `frame` after its header.
+    fn frame_body_len(frame: &[u8]) -> usize {
+        let mut pos = 3usize;
+        for _ in 0..3 {
+            crate::compress::get_varint(frame, &mut pos).unwrap();
+        }
+        frame.len() - (pos + 4)
+    }
+
+    /// A frame of `new` against `base` whether or not [`encode`] would
+    /// judge it worthwhile, shuffled and LZ-compressed as asked — so the
+    /// decoder is exercised on dense deltas and on every flag combination.
+    fn frame_of(base: &[u8], new: &[u8], shuffled: bool, lz: bool) -> Vec<u8> {
+        let delta = xor_delta(base, new);
+        let stream = if shuffled { shuffle(&delta) } else { delta };
+        let rle = rle0_encode(&stream);
+        let body = if lz { compress(&rle) } else { rle };
+        let mut frame = DELTA_MAGIC.to_vec();
+        frame.push(if shuffled { FLAG_SHUFFLED } else { 0 } | if lz { FLAG_LZ } else { 0 });
+        crate::compress::put_varint(&mut frame, 0);
+        crate::compress::put_varint(&mut frame, 1);
+        crate::compress::put_varint(&mut frame, new.len() as u64);
+        frame.extend_from_slice(&crc32(base).to_le_bytes());
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    /// `base` with about `per_mille`/1000 of its bytes changed, resized to
+    /// `len` (growth is fresh noise).
+    fn edited(base: &[u8], len: usize, per_mille: u64, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        (0..len)
+            .map(|i| match base.get(i) {
+                Some(&b) if next() % 1000 >= per_mille => b,
+                _ => next() as u8,
+            })
+            .collect()
+    }
 
     fn drifted(base: &[f32], step: usize, fraction_denom: usize) -> Vec<f32> {
         // Perturb every `fraction_denom`-th element a little, like one
@@ -542,5 +658,58 @@ mod tests {
         assert_eq!(rle0_decode(&rle0_encode(&ones), ones.len()).unwrap(), ones);
         let empty: Vec<u8> = Vec::new();
         assert_eq!(rle0_decode(&rle0_encode(&empty), 0).unwrap(), empty);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Round-trip and fused-vs-composed over short, odd-length,
+        /// growing and shrinking payloads, sparse and dense XOR.
+        #[test]
+        fn fused_decode_roundtrips_and_equals_the_composed_oracle(
+            base_len in prop_oneof![0usize..8, 0usize..700],
+            new_len in prop_oneof![0usize..8, 0usize..700],
+            per_mille in prop_oneof![Just(0u64), Just(5), Just(100), Just(600), Just(1000)],
+            seed in 1u64..u64::MAX,
+            shuffled in any::<bool>(),
+            lz in any::<bool>(),
+        ) {
+            let base = edited(&[], base_len, 1000, seed);
+            let new = edited(&base, new_len, per_mille, seed ^ 0x9E37_79B9);
+            if let Some(frame) = encode(&base, &new, 0, crc32(&base), 1) {
+                prop_assert_eq!(&decode(&frame, &base).unwrap(), &new);
+                prop_assert_eq!(decode(&frame, &base).unwrap(), decode_composed(&frame, &base).unwrap());
+            }
+            let frame = frame_of(&base, &new, shuffled, lz);
+            let fused = decode(&frame, &base).unwrap();
+            prop_assert_eq!(&fused, &new);
+            prop_assert_eq!(fused, decode_composed(&frame, &base).unwrap());
+        }
+    }
+
+    #[test]
+    fn fused_and_composed_decoders_fail_alike_on_every_truncation() {
+        // Same verdict on every prefix of a dense frame: a corrupt stream
+        // fails both decoders, with the same message.
+        let base = edited(&[], 999, 1000, 3);
+        let new = edited(&base, 1001, 300, 5);
+        for (shuffled, lz) in [(true, false), (true, true), (false, false)] {
+            let frame = frame_of(&base, &new, shuffled, lz);
+            for cut in 0..frame.len() {
+                let fused = decode(&frame[..cut], &base);
+                if cut < frame.len() - frame_body_len(&frame) {
+                    assert!(fused.is_err(), "cut {cut} inside the header");
+                    continue;
+                }
+                match (fused, decode_composed(&frame[..cut], &base)) {
+                    (Ok(f), Ok(c)) => assert_eq!(f, c, "cut {cut}"),
+                    (Err(f), Err(c)) => assert_eq!(f.message, c.message, "cut {cut}"),
+                    (f, c) => panic!(
+                        "cut {cut}: fused {:?} vs composed {:?}",
+                        f.is_ok(),
+                        c.is_ok()
+                    ),
+                }
+            }
+        }
     }
 }

@@ -46,8 +46,8 @@ pub use background::{Materializer, MaterializerStats, SerializeSnapshot};
 pub use codec::{decode, encode, encode_into, ByteSource, CVal, CodecError, EncodePool, LazyBytes};
 pub use dedup::DedupIndex;
 pub use store::{
-    write_dedup_pointer, CheckpointStore, CkptMeta, CompactionReport, Durability, RecoveryReport,
-    StoreError, StoreOptions, StoreStats, WriteBatch,
+    write_dedup_pointer, CheckpointStore, CkptMeta, CompactionReport, Durability, ReadCursor,
+    RecoveryReport, StoreError, StoreOptions, StoreStats, WriteBatch,
 };
 
 // Byte-buffer types used in the public API (`ByteSource::write_to`,

@@ -16,7 +16,7 @@ use super::segment::{
     append_entry, encode_footer, scan_segment_dir, SegmentIndexEntry, SEGMENT_MAGIC,
 };
 use super::write::{arbitrate_stored, DeltaBase};
-use super::{CheckpointStore, StoreError};
+use super::{CheckpointStore, ReadCursor, StoreError};
 use crate::delta;
 use std::collections::{BTreeMap, HashSet};
 use std::fs;
@@ -229,11 +229,12 @@ impl CheckpointStore {
         let k = self.opts.delta_keyframe_interval;
         let min_bytes = self.opts.delta_min_bytes;
         let chainable = |payload: &bytes::Bytes| k > 0 && payload.len() as u64 >= min_bytes;
+        let mut cursor = ReadCursor::default();
         for (block, entries) in reencode {
             let mut prev: Option<DeltaBase> = None;
             for (seq, entry) in entries {
                 let old_link = entry.loc.delta_link();
-                let payload = self.read_payload(block, seq, entry);
+                let payload = self.read_payload(&mut cursor, block, seq, entry);
                 if let Location::Dup { .. } = entry.loc {
                     // Arena-resident: kept verbatim, but its payload still
                     // serves as the chain base for the block's later
@@ -304,10 +305,9 @@ impl CheckpointStore {
             }
         }
         // Segment buffers are stale, and chain shapes changed: the delta
-        // caches must not serve stale depths or reconstructions.
+        // write cache must not serve stale depths.
         self.pool.clear();
         self.delta_write.clear();
-        self.restore_cache.clear();
 
         report.reclaimed_bytes = old_bytes.saturating_sub(rewriter.bytes_written);
         self.gc.runs.fetch_add(1, Ordering::Relaxed);

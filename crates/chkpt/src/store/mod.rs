@@ -37,7 +37,7 @@
 //! | `index` | the sharded in-memory `(block, seq)` index |
 //! | `segment` | segment entry/footer/trailer bytes, `<id>.seg` naming |
 //! | `pool` | the mmap-backed segment buffer pool and its heap fallback |
-//! | `read` | zero-copy [`CheckpointStore::get_bytes`], delta-chain resolution |
+//! | `read` | zero-copy [`CheckpointStore::get_bytes`], delta-chain resolution, [`ReadCursor`] |
 //! | `write` | [`WriteBatch`] group commit, the delta-encode policy |
 //! | `compact` | compaction / GC, [`CompactionReport`] |
 //! | `tier` | dedup-arena attachment, the `DEDUP` pointer file ([`write_dedup_pointer`]), reference accounting |
@@ -68,6 +68,7 @@ pub use options::{
     Durability, StoreOptions, DEFAULT_DELTA_KEYFRAME_INTERVAL, DEFAULT_DELTA_MIN_BYTES,
     DEFAULT_SEGMENT_TARGET_BYTES,
 };
+pub use read::ReadCursor;
 pub use recovery::{MissingEntry, RecoveryReport};
 pub use segment::{read_segment_footer, SegmentIndexEntry};
 pub use stats::{StoreStats, CHAIN_DEPTH_BUCKETS};
@@ -173,7 +174,6 @@ pub struct CheckpointStore {
     /// Stages that resolved to an existing dedup blob instead of new bytes.
     dedup_hits: AtomicU64,
     delta_write: write::DeltaWriteState,
-    restore_cache: read::RestoreCache,
     reads: read::ReadCounters,
     gc: compact::CompactionCounters,
     recovery: RecoveryReport,
@@ -239,7 +239,6 @@ impl CheckpointStore {
             dedup: RwLock::new(None),
             dedup_hits: AtomicU64::new(0),
             delta_write: write::DeltaWriteState::default(),
-            restore_cache: read::RestoreCache::default(),
             reads: read::ReadCounters::default(),
             gc: compact::CompactionCounters::default(),
             recovery: RecoveryReport::default(),

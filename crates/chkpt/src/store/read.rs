@@ -1,5 +1,5 @@
 //! The read path: zero-copy `get_bytes`, CRC verification on every read,
-//! and iterative delta-chain resolution behind a per-block restore cache.
+//! and iterative delta-chain resolution through a per-reader chain cache.
 //!
 //! [`CheckpointStore::get_bytes`] resolves `(block, seq)` through the
 //! sharded index to the entry's stored bytes — a [`Bytes`] slice of the
@@ -10,10 +10,17 @@
 //! payloads pay exactly the decompression, and the payload CRC is checked
 //! on **every** read (a blob's content hash only on its first read per
 //! process — see [`crate::dedup`]). Delta entries walk toward their
-//! keyframe, stopping at the restore cache (sequential replay restores pay
-//! O(1) links each, not O(depth)); every level is CRC-verified, and each
-//! frame's recorded base CRC is checked against the live base entry so a
-//! re-put base fails loudly instead of decoding garbage.
+//! keyframe; every level is CRC-verified, and each frame's recorded base
+//! CRC is checked against the live base entry so a re-put base fails
+//! loudly instead of decoding garbage.
+//!
+//! A [`ReadCursor`] is one reader's chain cache: the last payload it
+//! decoded or decompressed per block (a zero-copy slice is not kept). A walk stops at the cursor's payload when its
+//! `(seq, crc, length)` matches the live index entry, so a reader that
+//! restores a chain in order decodes one link per delta entry. The store
+//! itself holds no resolved payloads — concurrent readers cannot evict
+//! each other's bases, and a reader's cache is freed with the reader.
+//! `get_bytes` reads through a fresh cursor.
 
 use super::index::IndexEntry;
 use super::manifest::Location;
@@ -23,13 +30,8 @@ use super::{crc32, CheckpointStore, StoreError};
 use crate::compress::decompress_any;
 use crate::delta;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Byte budget for the per-block last-reconstructed-payload cache that
-/// makes sequential chain restores O(1) links each.
-const RESTORE_CACHE_BUDGET_BYTES: u64 = 256 << 20;
 
 #[derive(Default)]
 pub(crate) struct ReadCounters {
@@ -40,58 +42,49 @@ pub(crate) struct ReadCounters {
     pub(crate) restore_cache_hits: AtomicU64,
 }
 
-/// block → (seq, payload crc, reconstructed payload): the most recent
-/// chain resolution per block, so a sequential replay restores each delta
-/// with one link instead of re-walking to the keyframe.
+/// One reader's chain cache: the last payload it decoded or decompressed
+/// per block, keyed by the entry's `(seq, crc)`. Owned by one reader (a replay
+/// worker's prefetch thread, a compaction pass) for the life of its
+/// schedule and dropped with it; see the module docs.
 #[derive(Default)]
-pub(crate) struct RestoreCache {
-    map: Mutex<HashMap<String, (u64, u32, Bytes)>>,
-    /// Payload bytes resident in `map` (updated under its lock).
-    bytes: AtomicU64,
+pub struct ReadCursor {
+    last: HashMap<String, (u64, u32, Bytes)>,
 }
 
-impl RestoreCache {
-    fn get(&self, block_id: &str, seq: u64, crc: u32) -> Option<Bytes> {
-        let map = self.map.lock();
-        let (cseq, ccrc, bytes) = map.get(block_id)?;
-        (*cseq == seq && *ccrc == crc).then(|| bytes.clone())
+impl ReadCursor {
+    /// Reads, verifies and returns the payload for `(block_id, seq)`, as
+    /// [`CheckpointStore::get_bytes`] does, resolving a delta chain only
+    /// as far down as this cursor's last payload of the block.
+    pub fn get_bytes(
+        &mut self,
+        store: &CheckpointStore,
+        block_id: &str,
+        seq: u64,
+    ) -> Result<Bytes, StoreError> {
+        // Disabled tracing costs one atomic load here.
+        let mut span = flor_obs::span(flor_obs::Category::RestoreChain, "store_read");
+        span.set_args(seq, 0);
+        store.reads.reads.fetch_add(1, Ordering::Relaxed);
+        store.read_with_relocation_retry(block_id, seq, |entry| {
+            store.read_payload(self, block_id, seq, entry)
+        })
     }
 
-    /// Parks the most recent reconstruction for a block (bounded by
-    /// [`RESTORE_CACHE_BUDGET_BYTES`]; one entry per block).
-    fn put(&self, block_id: &str, seq: u64, crc: u32, payload: Bytes) {
-        let incoming = payload.len() as u64;
-        let mut map = self.map.lock();
-        while self.bytes.load(Ordering::Relaxed) + incoming > RESTORE_CACHE_BUDGET_BYTES {
-            let Some(victim) = map.keys().next().cloned() else {
-                break;
-            };
-            self.forget(&mut map, &victim);
+    /// This cursor's payload of `block_id`, if it is the one `entry`
+    /// describes.
+    fn hit(&self, block_id: &str, seq: u64, entry: &IndexEntry) -> Option<Bytes> {
+        let (cseq, ccrc, payload) = self.last.get(block_id)?;
+        (*cseq == seq && *ccrc == entry.crc && payload.len() as u64 == entry.raw)
+            .then(|| payload.clone())
+    }
+
+    fn keep(&mut self, block_id: &str, seq: u64, crc: u32, payload: Bytes) {
+        match self.last.get_mut(block_id) {
+            Some(slot) => *slot = (seq, crc, payload),
+            None => {
+                self.last.insert(block_id.to_string(), (seq, crc, payload));
+            }
         }
-        self.forget(&mut map, block_id);
-        map.insert(block_id.to_string(), (seq, crc, payload));
-        self.bytes.fetch_add(incoming, Ordering::Relaxed);
-    }
-
-    fn forget(&self, map: &mut HashMap<String, (u64, u32, Bytes)>, block_id: &str) {
-        if let Some((_, _, old)) = map.remove(block_id) {
-            self.bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Drops the block's reconstruction if it is of `seq`: a re-put over
-    /// it would otherwise leave stale bytes serving later chain walks.
-    pub(crate) fn invalidate(&self, block_id: &str, seq: u64) {
-        let mut map = self.map.lock();
-        if map.get(block_id).is_some_and(|(cseq, _, _)| *cseq == seq) {
-            self.forget(&mut map, block_id);
-        }
-    }
-
-    pub(crate) fn clear(&self) {
-        let mut map = self.map.lock();
-        map.clear();
-        self.bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -104,16 +97,11 @@ impl CheckpointStore {
     /// per-segment buffer (all readers of one segment share one backing),
     /// or the `@dup` blob's own mapping — and no payload bytes are copied.
     /// Compressed entries pay exactly one decompression into a fresh
-    /// buffer. Either way the payload CRC is verified on every read.
+    /// buffer. Either way the payload CRC is verified on every read. Each
+    /// call resolves a delta chain from its keyframe; a reader restoring a
+    /// schedule reads through one [`ReadCursor`] instead.
     pub fn get_bytes(&self, block_id: &str, seq: u64) -> Result<Bytes, StoreError> {
-        // Disabled tracing costs one atomic load here — this is the ~1µs
-        // restore read the replay bench gates.
-        let mut span = flor_obs::span(flor_obs::Category::RestoreChain, "store_read");
-        span.set_args(seq, 0);
-        self.reads.reads.fetch_add(1, Ordering::Relaxed);
-        self.read_with_relocation_retry(block_id, seq, |entry| {
-            self.read_payload(block_id, seq, entry)
-        })
+        ReadCursor::default().get_bytes(self, block_id, seq)
     }
 
     /// Reads and verifies the checkpoint payload for `(block_id, seq)`.
@@ -134,7 +122,7 @@ impl CheckpointStore {
         &self,
         block_id: &str,
         seq: u64,
-        read: impl Fn(&IndexEntry) -> Result<T, StoreError>,
+        mut read: impl FnMut(&IndexEntry) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let missing = || StoreError::Missing {
             block_id: block_id.to_string(),
@@ -156,18 +144,28 @@ impl CheckpointStore {
     }
 
     /// Reads and verifies one entry's payload at its recorded location,
-    /// resolving delta chains.
+    /// resolving delta chains through `cursor`, and keeps a decoded or
+    /// decompressed payload there.
     pub(crate) fn read_payload(
         &self,
+        cursor: &mut ReadCursor,
         block_id: &str,
         seq: u64,
         entry: &IndexEntry,
     ) -> Result<Bytes, StoreError> {
-        if entry.loc.delta_link().is_some() {
+        let payload = if entry.loc.delta_link().is_some() {
             self.reads.delta_reads.fetch_add(1, Ordering::Relaxed);
-            return self.resolve_delta(block_id, seq, entry);
+            self.resolve_delta(cursor, block_id, seq, entry)?
+        } else {
+            self.read_keyframe_payload(block_id, seq, entry)?
+        };
+        // Keep what took work to produce. A slice of a file mapping costs
+        // only its CRC to read again, and keeping it would hold its pages
+        // resident until the reader ends.
+        if !payload.backing_is_file() {
+            cursor.keep(block_id, seq, entry.crc, payload.clone());
         }
-        self.read_keyframe_payload(block_id, seq, entry)
+        Ok(payload)
     }
 
     /// One entry's stored bytes as they sit in their tier — a zero-copy
@@ -249,14 +247,15 @@ impl CheckpointStore {
     }
 
     /// Resolves a delta entry: walks the chain toward its keyframe,
-    /// stopping early at a per-block restore-cache hit, then applies the
-    /// collected frames newest-last. Every reconstructed level is verified
+    /// stopping early at the cursor's payload of the block, then applies
+    /// the collected frames newest-last. Every reconstructed level is verified
     /// against its index entry's length and CRC, and every frame's
     /// recorded base CRC is checked against the base entry — a base that
     /// was re-put with different content fails loudly as corruption
     /// instead of silently decoding garbage.
     fn resolve_delta(
         &self,
+        cursor: &ReadCursor,
         block_id: &str,
         seq: u64,
         entry: &IndexEntry,
@@ -266,8 +265,8 @@ impl CheckpointStore {
             seq: s,
             detail,
         };
-        let cache_hit = |seq: u64, crc: u32| {
-            let hit = self.restore_cache.get(block_id, seq, crc)?;
+        let cache_hit = |seq: u64, entry: &IndexEntry| {
+            let hit = cursor.hit(block_id, seq, entry)?;
             self.reads
                 .restore_cache_hits
                 .fetch_add(1, Ordering::Relaxed);
@@ -275,9 +274,9 @@ impl CheckpointStore {
         };
         let mut span = flor_obs::span(flor_obs::Category::RestoreChain, "chain_resolve");
         let t0 = flor_obs::clock::now_ns();
-        // The requested seq itself may be the cached reconstruction —
-        // repeated reads of one delta entry must not re-walk its chain.
-        if let Some(hit) = cache_hit(seq, entry.crc) {
+        // The requested seq itself may be the cursor's payload — repeated
+        // reads of one delta entry must not re-walk its chain.
+        if let Some(hit) = cache_hit(seq, entry) {
             return Ok(hit);
         }
         // Walk down: collect (seq, entry, frame) from the target toward
@@ -313,8 +312,8 @@ impl CheckpointStore {
                 ));
             }
             frames.push((cur_seq, cur, frame));
-            // Restore-cache hit on the base ends the walk.
-            if let Some(hit) = cache_hit(base_seq, base_entry.crc) {
+            // The cursor holding the base ends the walk.
+            if let Some(hit) = cache_hit(base_seq, &base_entry) {
                 break hit;
             }
             cur_seq = base_seq;
@@ -331,8 +330,6 @@ impl CheckpointStore {
             self.reads.chain_links.fetch_add(1, Ordering::Relaxed);
             payload = Bytes::from_vec(decoded);
         }
-        self.restore_cache
-            .put(block_id, seq, entry.crc, payload.clone());
         span.set_args(frames.len() as u64, payload.len() as u64);
         flor_obs::histogram!("store.chain_resolve_ns").observe(flor_obs::clock::since_ns(t0));
         Ok(payload)
@@ -351,17 +348,23 @@ impl CheckpointStore {
     /// out of order, so when the write cache has no usable base the stage
     /// path chains against whatever *is* durable (frames record their
     /// base seq explicitly, so a gap chain — seq 4 on seq 1 — is just as
-    /// valid as a dense one).
+    /// valid as a dense one). A version at `max_depth` or deeper cannot
+    /// take a child, so it is not read.
     pub(crate) fn delta_base_from_index(
         &self,
         block_id: &str,
         before_seq: u64,
+        max_depth: u32,
     ) -> Option<DeltaBase> {
         let (seq, entry) = self.index.newest_before(block_id, before_seq)?;
+        let depth = entry.loc.delta_link().map_or(0, |(_, d)| d);
+        if depth >= max_depth {
+            return None;
+        }
         let payload = self.get_bytes(block_id, seq).ok()?;
         Some(DeltaBase {
             seq,
-            depth: entry.loc.delta_link().map_or(0, |(_, d)| d),
+            depth,
             crc: entry.crc,
             payload,
         })
@@ -550,8 +553,9 @@ mod tests {
                 .put("sb_0", seq, &drifting_payload(seq, 2048))
                 .unwrap();
         }
+        let mut reader = ReadCursor::default();
         for seq in 0..8u64 {
-            store.get_bytes("sb_0", seq).unwrap();
+            reader.get_bytes(&store, "sb_0", seq).unwrap();
         }
         let s = store.stats();
         assert!(s.delta_reads >= 7, "{s:?}");
@@ -571,15 +575,62 @@ mod tests {
                 .put("sb_0", seq, &drifting_payload(seq, 2048))
                 .unwrap();
         }
-        store.get_bytes("sb_0", 5).unwrap();
+        let mut reader = ReadCursor::default();
+        reader.get_bytes(&store, "sb_0", 5).unwrap();
         let links_after_first = store.stats().chain_links_resolved;
-        store.get_bytes("sb_0", 5).unwrap();
+        reader.get_bytes(&store, "sb_0", 5).unwrap();
         let s = store.stats();
         assert_eq!(
             s.chain_links_resolved, links_after_first,
             "second read of the same entry must not re-walk the chain: {s:?}"
         );
         assert!(s.restore_cache_hits >= 1, "{s:?}");
+        // The store itself keeps nothing: a cursor-less read walks again.
+        store.get_bytes("sb_0", 5).unwrap();
+        assert_eq!(
+            store.stats().chain_links_resolved,
+            links_after_first * 2,
+            "get_bytes must resolve with no shared state"
+        );
+    }
+
+    #[test]
+    fn interleaved_readers_decode_one_link_per_delta_entry_each() {
+        // Two readers restore one chained block in order, interleaved and
+        // half a chain apart — two workers, or two queries on one pooled
+        // handle. A store-wide cache of one payload per block made each
+        // evict the other's base and re-walk to the keyframe; with a cache
+        // per reader, each decodes exactly one link per delta entry.
+        let store = CheckpointStore::open(tmpdir("delta-interleave")).unwrap();
+        let n = 24u64;
+        for seq in 0..n {
+            store
+                .put("sb_0", seq, &drifting_payload(seq, 2048))
+                .unwrap();
+        }
+        let deltas = (0..n)
+            .filter(|&seq| store.chain_info("sb_0", seq).is_some())
+            .count() as u64;
+        assert!(deltas >= n - 4, "{:?}", store.stats());
+        let before = store.stats();
+        let (mut a, mut b) = (ReadCursor::default(), ReadCursor::default());
+        for seq in 0..n + 3 {
+            if seq < n {
+                let got = a.get_bytes(&store, "sb_0", seq).unwrap();
+                assert_eq!(got.as_ref(), &drifting_payload(seq, 2048)[..]);
+            }
+            if let Some(lag) = seq.checked_sub(3) {
+                let got = b.get_bytes(&store, "sb_0", lag).unwrap();
+                assert_eq!(got.as_ref(), &drifting_payload(lag, 2048)[..]);
+            }
+        }
+        let s = store.stats();
+        assert_eq!(s.delta_reads - before.delta_reads, 2 * deltas, "{s:?}");
+        assert_eq!(
+            s.chain_links_resolved - before.chain_links_resolved,
+            2 * deltas,
+            "one link per delta entry per reader: {s:?}"
+        );
     }
 
     #[test]

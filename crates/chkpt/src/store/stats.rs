@@ -58,8 +58,8 @@ pub struct StoreStats {
     pub delta_reads: u64,
     /// Chain links decoded across all delta reads (frames applied).
     pub chain_links_resolved: u64,
-    /// Chain-base resolutions served by the per-block restore cache
-    /// instead of a recursive decode.
+    /// Chain-base resolutions served by the reading cursor's last payload
+    /// of the block ([`super::ReadCursor`]) instead of a recursive decode.
     pub restore_cache_hits: u64,
     /// Live checkpoints stored as `@dup` references into the shared arena.
     pub dedup_entries: u64,

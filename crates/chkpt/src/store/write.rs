@@ -303,11 +303,7 @@ impl WriteBatch<'_> {
                 .cloned()
                 .or_else(|| store.delta_write.bases.lock().get(block_id).cloned())
                 .filter(|b| b.seq < seq && b.depth + 1 < k)
-                .or_else(|| {
-                    store
-                        .delta_base_from_index(block_id, seq)
-                        .filter(|b| b.depth + 1 < k)
-                });
+                .or_else(|| store.delta_base_from_index(block_id, seq, k - 1));
             if let Some(b) = base {
                 base_found = true;
                 if let Some(frame) =
@@ -343,7 +339,9 @@ impl WriteBatch<'_> {
         let dup = if stored.len() >= DEDUP_MIN_BYTES && store.dedup.read().is_some() {
             let meta = BlobMeta {
                 stored_len: stored.len() as u64,
-                stored_crc: crc32(&stored),
+                // A raw-stored payload is its own stored form: its CRC is
+                // already in hand.
+                stored_crc: if raw_stored { crc } else { crc32(&stored) },
                 raw_len: rec.raw,
                 payload_crc: crc,
                 flags: rec.flags(),
@@ -537,7 +535,6 @@ impl WriteBatch<'_> {
                 raw_bytes: rec.raw,
                 chain_depth: loc.delta_link().map_or(0, |(_, d)| d),
             });
-            store.restore_cache.invalidate(&rec.block_id, rec.seq);
             let entry = IndexEntry {
                 loc,
                 raw: rec.raw,

@@ -104,8 +104,9 @@ pub struct ReplayStats {
     /// Restores that resolved a delta-chain entry (store-level counter,
     /// attributed to this replay).
     pub delta_restores: u64,
-    /// Delta links decoded across those restores (≈ `delta_restores` when
-    /// the store's restore cache rides sequential partitions).
+    /// Delta links decoded across those restores (= `delta_restores` when
+    /// each worker's prefetch cursor rides a sequential partition from a
+    /// keyframe).
     pub chain_links: u64,
     /// Statement nodes the dependency slicer elided from execution
     /// (0 when it refused or found nothing dead, and for the reference).

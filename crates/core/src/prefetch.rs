@@ -7,9 +7,9 @@
 //! range by range — so nothing is fetched for a range another worker
 //! steals), and a background thread pulls each checkpoint through the
 //! store's zero-copy [`get_bytes`](flor_chkpt::CheckpointStore::get_bytes)
-//! path, so file I/O, CRC and decompression overlap with the interpreter's
-//! own execution instead of serializing behind it — the worker-thread
-//! analogue of the record phase's background materializer.
+//! path, so file I/O, CRC, decompression and chain decode overlap with the
+//! interpreter's own execution instead of serializing behind it — the
+//! worker-thread analogue of the record phase's background materializer.
 //!
 //! ## Each key is fetched once
 //!
@@ -19,13 +19,13 @@
 //! counts those), and returns `None` — the caller reads the store itself —
 //! only for keys that were never scheduled, whose fetch failed (the direct
 //! read re-surfaces the error with full context), or once the fetch
-//! thread is gone. So store reads per replay equal restores, and
-//! because one thread reads a worker's schedule in restore order, every
-//! delta entry finds its base in the store's per-block restore cache and
-//! decodes exactly one link: chain links decoded equal delta entries
-//! restored. (Two readers interleaving on one chain evict each other's
-//! base and re-walk links; that was the cost of letting the worker race
-//! its own prefetcher.)
+//! thread is gone. So store reads per replay equal restores. The fetch
+//! thread reads through its own [`ReadCursor`] for the life of the
+//! replay, in restore order, so every delta entry whose base it restored
+//! before finds that base in its cursor and decodes exactly one link:
+//! chain links decoded equal delta entries restored, however many other
+//! workers or queries read the same store at once — no reader holds
+//! another's bases. The cursor is freed when the fetch thread ends.
 //!
 //! Fetched buffers are refcounted [`Bytes`] slices of file mappings, and
 //! outstanding (fetched, not yet consumed) memory is capped so a worker
@@ -39,8 +39,9 @@
 //! the kernel can drop, so each slice charges only its own length
 //! ([`Bytes::backing_is_file`]).
 
-use flor_chkpt::{Bytes, CheckpointStore};
+use flor_chkpt::{Bytes, CheckpointStore, ReadCursor};
 use parking_lot::{Mutex, MutexGuard};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, PoisonError};
 
@@ -200,15 +201,16 @@ pub struct Prefetcher {
 impl Prefetcher {
     /// Spawns a prefetch thread that reads `keys` (the start of the
     /// worker's restore schedule, in restore order; see
-    /// [`Prefetcher::extend`]) through `store.get_bytes`. Keys without a
-    /// checkpoint and read errors park nothing — the consumer's own read
-    /// owns error reporting.
+    /// [`Prefetcher::extend`]) through one [`ReadCursor`] it owns. Keys
+    /// without a checkpoint and read errors park nothing — the consumer's
+    /// own read owns error reporting.
     pub fn spawn(store: Arc<CheckpointStore>, keys: Vec<(String, u64)>) -> Prefetcher {
+        let cursor = RefCell::new(ReadCursor::default());
         Self::spawn_with(
             move |block, seq| {
                 store
                     .contains(block, seq)
-                    .then(|| store.get_bytes(block, seq).ok())
+                    .then(|| cursor.borrow_mut().get_bytes(&store, block, seq).ok())
                     .flatten()
             },
             keys,
@@ -561,8 +563,8 @@ mod tests {
         }
         assert!(store.stats().delta_entries >= 6, "{:?}", store.stats());
         // Schedule starts mid-chain: seq 3's chain walks back to the
-        // keyframe; 4..8 each resolve one link off the warm restore cache,
-        // because one thread reads them in order.
+        // keyframe; 4..8 each resolve one link off the fetch thread's
+        // cursor, because one thread reads them in order.
         let before = store.stats();
         let p = Prefetcher::spawn(store.clone(), keys("sb_0", 3..8));
         p.drain();

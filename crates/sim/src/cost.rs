@@ -103,9 +103,9 @@ pub mod delta_cost {
 
     /// Restore cost of one checkpoint of `raw_gb` through a chain of
     /// `depth` links: the keyframe read plus one decode per link. A
-    /// sequential replay pays `depth ≈ 1` per restore (the store's
-    /// per-block restore cache serves each delta's base); only random
-    /// access pays [`mean_chain_depth`].
+    /// sequential replay pays `depth ≈ 1` per restore (the reader's chain
+    /// cache serves each delta's base); only random access pays
+    /// [`mean_chain_depth`].
     pub fn restore_chain_secs(raw_gb: f64, depth: f64) -> f64 {
         read_cost::restore_read_secs(raw_gb) + depth * raw_gb * CHAIN_LINK_SECS_PER_GB
     }
@@ -266,12 +266,12 @@ mod tests {
         // Worst-case random-access restore (mean chain depth at K=8) must
         // stay a small correction to an epoch for every Table 3 workload —
         // the delta chains must not threaten the paper's replay-latency
-        // story. (Sequential replay pays ~1 link via the restore cache.)
+        // story. (Sequential replay pays ~1 link via the reader's cache.)
         let depth = delta_cost::mean_chain_depth(8);
         assert!((depth - 3.5).abs() < 1e-9);
         for w in ALL_WORKLOADS {
             // Sequential replay — the hot path, one link per restore via
-            // the per-block restore cache — stays a small correction.
+            // the reader's chain cache — stays a small correction.
             let sequential = delta_cost::restore_chain_secs(w.compressed_ckpt_gb, 1.0);
             assert!(
                 sequential < 0.10 * w.epoch_secs(),

@@ -379,15 +379,17 @@ log(\"accuracy\", acc)
                 report.stats.prefetch_hits, report.stats.restored,
                 "{tag}, {workers} worker(s): main-loop restores come through the prefetcher"
             );
+            // Each worker's prefetch thread reads its schedule in order
+            // through its own cursor, so every delta restore decodes
+            // exactly its own link — at two workers too: neither evicts
+            // the other's base.
+            assert_eq!(
+                report.stats.chain_links, report.stats.delta_restores,
+                "{tag}, {workers} worker(s): one link per delta restore"
+            );
             if workers == 1 {
-                // One reader walks the whole chain in order, so each delta
-                // entry decodes exactly its own link off the restore cache.
-                // (Two workers share the store's one-entry-per-block cache
-                // and may evict each other's base; their link count is not
-                // pinned.)
                 assert_eq!(report.stats.restored, 10);
                 assert_eq!(report.stats.delta_restores, stored.delta_entries, "{tag}");
-                assert_eq!(report.stats.chain_links, stored.delta_entries, "{tag}");
             }
         }
         stored.delta_entries

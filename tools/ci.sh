@@ -58,6 +58,27 @@ if grep -rniE "const (SOCKET|SOCKETPAIR|BIND|LISTEN|ACCEPT4?|CONNECT|SHUTDOWN|GE
 fi
 echo "syscall gate: OK"
 
+# One-CRC gate: the payload checksum runs on every read, so it has one
+# implementation to keep fast and bit-identical — the carry-less fold and
+# its slicing-by-8 fallback in crates/chkpt/src/store/crc.rs. CPU
+# intrinsics (`std::arch` / `core::arch`, feature detection) appear only
+# there, apart from flor-sys's `asm!` syscall site; the CRC polynomial
+# appears nowhere else, so a second table or loop cannot drift from it.
+echo
+echo "==> one-CRC gate (arch intrinsics and 0xEDB88320 only in store/crc.rs)"
+crc_file="crates/chkpt/src/store/crc.rs"
+if grep -rnE "(std|core)::arch|is_x86_feature_detected" crates src tests examples benchmark/src \
+    --include='*.rs' | grep -v "^$crc_file:" | grep -vE "^crates/sys/src/[^:]*:[0-9]+:.*arch::asm!"; then
+    echo "one-CRC gate: CPU intrinsics belong in $crc_file (or flor-sys's asm! site)" >&2
+    exit 1
+fi
+if grep -rniE "0xedb8_?8320" crates src tests examples benchmark/src --include='*.rs' \
+    | grep -v "^$crc_file:"; then
+    echo "one-CRC gate: checksum through flor_chkpt::store::crc32, not a second CRC" >&2
+    exit 1
+fi
+echo "one-CRC gate: OK"
+
 # Size gate: the checkpoint store was split out of one 5k-line file; no
 # source file under crates/chkpt/src may regrow past 1,500 lines.
 echo
