@@ -22,25 +22,18 @@ pub struct RefusalReason {
 
 /// Outcome of analyzing one loop.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoopAnalysis {
+pub(crate) struct LoopAnalysis {
     /// Changeset after rule application (before loop-scope filtering),
     /// in first-added order.
-    pub raw_changeset: Vec<String>,
+    pub(crate) raw_changeset: Vec<String>,
     /// Names the loop *defines* (plain-name assignment targets and loop
     /// variables) — input to the scope filter.
-    pub defined_names: BTreeSet<String>,
+    pub(crate) defined_names: BTreeSet<String>,
     /// Per-statement rule trace `(pretty stmt, rule number)` for statements
     /// that activated a rule — mirrors Figure 6's line-by-line comments.
     pub rule_trace: Vec<(String, u8)>,
     /// If set, the loop is refused and must be left uninstrumented.
     pub refusal: Option<RefusalReason>,
-}
-
-impl LoopAnalysis {
-    /// True if the loop may be instrumented.
-    pub fn ok(&self) -> bool {
-        self.refusal.is_none()
-    }
 }
 
 /// Analyzes a `for` loop: header plus body, recursively.
@@ -54,7 +47,7 @@ impl LoopAnalysis {
 ///
 /// # Panics
 /// Panics if `stmt` is not a `For` loop.
-pub fn analyze_loop(stmt: &Stmt) -> LoopAnalysis {
+pub(crate) fn analyze_loop(stmt: &Stmt) -> LoopAnalysis {
     let (var, iter, body) = match stmt {
         Stmt::For { var, iter, body } => (var, iter, body),
         other => panic!("analyze_loop on non-loop statement: {other:?}"),
@@ -171,7 +164,7 @@ for batch in loader.epoch():
     optimizer.step()
 ";
         let a = analyze_loop(&first_loop(src));
-        assert!(a.ok(), "refused: {:?}", a.refusal);
+        assert!(a.refusal.is_none(), "refused: {:?}", a.refusal);
         assert_eq!(
             a.raw_changeset,
             vec![
@@ -198,7 +191,7 @@ for epoch in range(10):
     evaluate(net, test_data)
 ";
         let a = analyze_loop(&first_loop(src));
-        assert!(!a.ok());
+        assert!(a.refusal.is_some());
         let refusal = a.refusal.unwrap();
         assert_eq!(refusal.rule, RuleId::Rule5);
         assert!(refusal.stmt.contains("evaluate"));
@@ -212,7 +205,7 @@ for i in range(10):
     acc = acc
 ";
         let a = analyze_loop(&first_loop(src));
-        assert!(!a.ok());
+        assert!(a.refusal.is_some());
         assert_eq!(a.refusal.unwrap().rule, RuleId::Rule0);
     }
 
@@ -225,7 +218,7 @@ for epoch in range(5):
     scheduler.step()
 ";
         let a = analyze_loop(&first_loop(src));
-        assert!(a.ok());
+        assert!(a.refusal.is_none());
         assert!(a.raw_changeset.contains(&"optimizer".to_string()));
         assert!(a.raw_changeset.contains(&"scheduler".to_string()));
         assert!(a.raw_changeset.contains(&"loader".to_string()));
@@ -241,7 +234,7 @@ for epoch in range(5):
         mystery(batch)
 ";
         let a = analyze_loop(&first_loop(src));
-        assert!(!a.ok());
+        assert!(a.refusal.is_some());
         assert_eq!(a.refusal.unwrap().rule, RuleId::Rule5);
     }
 
@@ -255,7 +248,7 @@ for i in range(5):
         warmup.step()
 ";
         let a = analyze_loop(&first_loop(src));
-        assert!(a.ok());
+        assert!(a.refusal.is_none());
         assert!(a.raw_changeset.contains(&"optimizer".to_string()));
         assert!(a.raw_changeset.contains(&"warmup".to_string()));
     }
@@ -269,7 +262,11 @@ for i in range(5):
     flor.log(\"lr\", optimizer.lr)
 ";
         let a = analyze_loop(&first_loop(src));
-        assert!(a.ok(), "log statements must be exempt: {:?}", a.refusal);
+        assert!(
+            a.refusal.is_none(),
+            "log statements must be exempt: {:?}",
+            a.refusal
+        );
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct InstrumentReport {
     /// The main loop, if the program has a top-level loop.
     pub main_loop: Option<MainLoopInfo>,
     /// Whether the program opts in with `import flor`.
-    pub has_flor_import: bool,
+    pub(crate) has_flor_import: bool,
 }
 
 /// Instruments a user program. See module docs.

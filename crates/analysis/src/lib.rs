@@ -17,22 +17,22 @@
 //!    the loop body are assumed dead after the loop and dropped — the step
 //!    that keeps checkpoints lean ("loop-scoped variables are very common
 //!    and can be large").
-//! 4. **Library augmentation** ([`augment`]): at *runtime*, encoded library
+//! 4. **Library augmentation** (`augment`): at *runtime*, encoded library
 //!    knowledge closes the changeset over side-effect edges the rules cannot
 //!    see: a PyTorch-style optimizer updates its model; a scheduler updates
 //!    its optimizer.
-//! 5. **Instrumentation** ([`instrument`]): qualifying loops are wrapped in
+//! 5. **Instrumentation** ([`mod@instrument`]): qualifying loops are wrapped in
 //!    `skipblock "sb_<n>":` constructs (paper §4.2); the main loop is left
 //!    unwrapped but its iterator is wrapped in `flor.partition(...)` for
 //!    hindsight parallelism (paper Figure 8).
-//! 6. **Slicing** ([`slice`]): at replay time, a backward slice over the
+//! 6. **Slicing** ([`mod@slice`]): at replay time, a backward slice over the
 //!    instrumented program computes the dependency cone of the log
 //!    statements so everything outside it can be elided from execution
 //!    (checkpoint restores cut the slice at unprobed block boundaries).
 
 #![warn(missing_docs)]
 
-pub mod augment;
+pub(crate) mod augment;
 pub mod changeset;
 pub mod instrument;
 pub mod rules;
@@ -40,7 +40,7 @@ pub mod scope;
 pub mod slice;
 
 pub use augment::{augment_changeset, TypeOracle};
-pub use changeset::{analyze_loop, LoopAnalysis, RefusalReason};
+pub use changeset::RefusalReason;
 pub use instrument::{instrument, BlockPlan, InstrumentReport};
 pub use rules::{match_rule, RuleApplication, RuleId};
 pub use slice::{

@@ -12,50 +12,12 @@
 //! scope, so "defined in the loop" only makes a variable loop-local when the
 //! loop is its first definition.
 
-use flor_lang::ast::{Expr, Stmt};
 use std::collections::BTreeSet;
-
-/// Names defined by a statement sequence, in order, stopping at (and not
-/// descending into) the statement `until` points at — used to compute the
-/// set of names defined *before* a given loop.
-pub fn defined_before(body: &[Stmt], target: &Stmt, defined: &mut BTreeSet<String>) -> bool {
-    for stmt in body {
-        if std::ptr::eq(stmt, target) {
-            return true;
-        }
-        match stmt {
-            Stmt::Assign { targets, .. } => {
-                for t in targets {
-                    if let Expr::Name(n) = t {
-                        defined.insert(n.clone());
-                    }
-                }
-            }
-            Stmt::For { var, body, .. } => {
-                defined.insert(var.clone());
-                if defined_before(body, target, defined) {
-                    return true;
-                }
-            }
-            Stmt::If { then, orelse, .. }
-                if defined_before(then, target, defined)
-                    || defined_before(orelse, target, defined) =>
-            {
-                return true;
-            }
-            Stmt::SkipBlock { body, .. } if defined_before(body, target, defined) => {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
-}
 
 /// Applies the loop-scope filter: removes from `raw_changeset` every name
 /// that the loop defines (`loop_defined`) unless it was already defined
 /// before the loop (`pre_defined`).
-pub fn filter_loop_scoped(
+pub(crate) fn filter_loop_scoped(
     raw_changeset: &[String],
     loop_defined: &BTreeSet<String>,
     pre_defined: &BTreeSet<String>,
@@ -101,68 +63,77 @@ mod tests {
         );
     }
 
+    /// The instrumented inner loop's changeset for `src`.
+    fn changeset(src: &str) -> Vec<String> {
+        let report = crate::instrument::instrument(&parse(src).unwrap());
+        assert_eq!(report.blocks.len(), 1, "one inner loop");
+        report.blocks[0].static_changeset.clone()
+    }
+
     #[test]
     fn defined_before_walks_program_order() {
-        let prog = parse(
+        let cs = changeset(
             "\
+import flor
 net = resnet()
 opt = sgd(net)
 for e in range(3):
-    opt.step()
+    for b in loader.epoch():
+        net = net.train_step(b)
+        opt = sgd(net)
+        fresh = net.train_step(b)
+    log(\"x\", fresh)
 ",
-        )
-        .unwrap();
-        let target = &prog.body[2];
-        let mut defined = BTreeSet::new();
-        let found = defined_before(&prog.body, target, &mut defined);
-        assert!(found);
-        assert!(defined.contains("net"));
-        assert!(defined.contains("opt"));
-        assert!(!defined.contains("e"));
+        );
+        assert!(cs.contains(&"net".to_string()), "{cs:?}");
+        assert!(cs.contains(&"opt".to_string()), "{cs:?}");
+        assert!(!cs.contains(&"fresh".to_string()), "{cs:?}");
     }
 
     #[test]
     fn defined_before_sees_outer_loop_vars_for_inner_loop() {
-        let prog = parse(
+        let cs = changeset(
             "\
+import flor
 for e in range(3):
     acc = 0
     for b in loader.epoch():
-        opt.step()
+        e = e + 1
+        acc = acc + net.train_step(b)
+        y = b
+    log(\"acc\", acc)
 ",
-        )
-        .unwrap();
-        // Find the inner loop.
-        let inner = match &prog.body[0] {
-            Stmt::For { body, .. } => &body[1],
-            _ => unreachable!(),
-        };
-        let mut defined = BTreeSet::new();
-        let found = defined_before(&prog.body, inner, &mut defined);
-        assert!(found);
-        assert!(defined.contains("e"), "outer loop var visible");
-        assert!(
-            defined.contains("acc"),
-            "outer loop body assignment visible"
         );
-        assert!(!defined.contains("b"));
+        assert!(
+            cs.contains(&"e".to_string()),
+            "outer loop var visible: {cs:?}"
+        );
+        assert!(
+            cs.contains(&"acc".to_string()),
+            "outer loop body assignment visible: {cs:?}"
+        );
+        assert!(!cs.contains(&"b".to_string()), "{cs:?}");
+        assert!(!cs.contains(&"y".to_string()), "{cs:?}");
     }
 
     #[test]
     fn defined_before_stops_at_target() {
-        let prog = parse(
+        let cs = changeset(
             "\
+import flor
 a = 1
 for e in range(3):
-    opt.step()
-b = 2
+    for i in range(2):
+        a = a + 1
+        late = a
+    log(\"a\", a)
+late = 2
 ",
-        )
-        .unwrap();
-        let target = &prog.body[1];
-        let mut defined = BTreeSet::new();
-        defined_before(&prog.body, target, &mut defined);
-        assert!(defined.contains("a"));
-        assert!(!defined.contains("b"), "later definitions must not count");
+        );
+        assert!(cs.contains(&"a".to_string()), "{cs:?}");
+        assert!(
+            !cs.contains(&"late".to_string()),
+            "later definitions must not count: {cs:?}"
+        );
     }
 }

@@ -24,7 +24,7 @@
 //!   that may refer to the same object: plain copies, container
 //!   literals, attribute/subscript reads, and constructor calls (e.g.
 //!   `sgd(net)` aliases the optimizer to the model, mirroring
-//!   [`crate::augment`]'s runtime knowledge). Strong kills apply only
+//!   `crate::augment`'s runtime knowledge). Strong kills apply only
 //!   to singleton classes.
 //! - **Loop-carried deps.** Nested loops run a backward fixpoint on
 //!   the body's live-out so a value consumed in the *next* iteration

@@ -48,7 +48,7 @@ pub fn lean() -> String {
 /// Ablation 2 — **adaptive checkpointing** (§5.3), live. The fine-tuning
 /// mini carries a frozen ballast; with Eq. 4 active it checkpoints
 /// sparsely, without it every epoch pays the full materialization cost.
-pub fn adaptive_live() -> String {
+pub(crate) fn adaptive_live() -> String {
     let mut rows = Vec::new();
     for (name, src) in [
         ("cv_train", scripts::CV_TRAIN),

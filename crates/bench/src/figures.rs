@@ -163,7 +163,7 @@ pub fn fig05(payload_bytes: usize) -> String {
 
 /// Figure 7: record overhead with adaptivity disabled vs enabled, per
 /// workload, against the ε = 6.67% tolerance line.
-pub fn fig07() -> String {
+pub(crate) fn fig07() -> String {
     let mut rows = Vec::new();
     for w in ALL_WORKLOADS {
         let off = simulate_record(w, EPSILON, false);
@@ -192,7 +192,7 @@ pub fn fig07() -> String {
 
 /// Figure 10: parallel replay time as a fraction of vanilla on 4 GPUs,
 /// inner probe (full re-execution), weak vs strong initialization.
-pub fn fig10() -> String {
+pub(crate) fn fig10() -> String {
     let mut rows = Vec::new();
     for w in ALL_WORKLOADS {
         let rec = simulate_record(w, EPSILON, true);
@@ -214,7 +214,7 @@ pub fn fig10() -> String {
 
 /// Figure 11: record vs vanilla runtime per workload (paper scale), plus a
 /// live miniature measurement through the real engine.
-pub fn fig11() -> String {
+pub(crate) fn fig11() -> String {
     let mut rows = Vec::new();
     let mut sum = 0.0;
     for w in ALL_WORKLOADS {
@@ -284,7 +284,7 @@ for epoch in range(8):
 /// Figure 12: replay latency by probe position. Top: outer probes
 /// (partial + parallel). Bottom: inner probes (parallel only). Each
 /// workload uses the best configuration of up to 4 machines × 4 GPUs.
-pub fn fig12() -> String {
+pub(crate) fn fig12() -> String {
     let gpu_options = [4usize, 8, 12, 16];
     let mut rows = Vec::new();
     for w in ALL_WORKLOADS {
@@ -326,7 +326,7 @@ pub fn fig12() -> String {
 }
 
 /// Figure 13: RsNt scale-out across 4-GPU machines, weak initialization.
-pub fn fig13() -> String {
+pub(crate) fn fig13() -> String {
     let w = Workload::by_name("RsNt").unwrap();
     let rec = simulate_record(w, EPSILON, true);
     let mut rows = Vec::new();
@@ -356,7 +356,7 @@ pub fn fig13() -> String {
 /// configuration only appears if its GPUs stay ≥ 80% load-balanced
 /// (`epochs / (⌈epochs/G⌉·G)`); billing idle GPUs is what would inflate
 /// marginal cost.
-pub fn fig14() -> String {
+pub(crate) fn fig14() -> String {
     let mut rows = Vec::new();
     for name in ["Cifr", "RsNt", "Wiki", "RnnT"] {
         let w = Workload::by_name(name).unwrap();

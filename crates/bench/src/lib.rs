@@ -19,19 +19,19 @@
 
 #![warn(missing_docs)]
 
-pub mod ablations;
+pub(crate) mod ablations;
 pub mod figures;
 pub mod replay_sched;
 pub mod scripts;
-pub mod tables;
-pub mod util;
+pub(crate) mod tables;
+pub(crate) mod util;
 
 /// One report section: its name on the `figures` command line, its title,
 /// and the regenerator that produces its body.
-pub type Experiment = (&'static str, &'static str, fn() -> String);
+pub(crate) type Experiment = (&'static str, &'static str, fn() -> String);
 
 /// Figure 5's default payload: 16 MiB per checkpoint.
-pub const FIG05_DEFAULT_BYTES: usize = 16 << 20;
+pub(crate) const FIG05_DEFAULT_BYTES: usize = 16 << 20;
 
 /// Every table, figure and ablation, in report order.
 pub const EXPERIMENTS: [Experiment; 13] = [

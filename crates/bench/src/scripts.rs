@@ -8,8 +8,8 @@
 //! | [`CV_TRAIN`]   | Cifr / ImgN | small model, many epochs — checkpoints cheap |
 //! | [`RESNET`]     | RsNt        | deep residual net, bigger checkpoints |
 //! | [`FINETUNE`]   | RTE / CoLA  | frozen ballast ≫ compute — periodic checkpoints |
-//! | [`LANGMODEL`]  | Wiki        | embedding-heavy text model |
-//! | [`SEQ`]        | RnnT / Jasp | sequence classification over tokens |
+//! | `LANGMODEL`  | Wiki        | embedding-heavy text model |
+//! | `SEQ`        | RnnT / Jasp | sequence classification over tokens |
 
 /// Epochs in each mini workload's main loop.
 pub const MINI_EPOCHS: u64 = 8;
@@ -94,7 +94,7 @@ log(\"accuracy\", acc)
 ";
 
 /// Language-model-style workload over token sequences.
-pub const LANGMODEL: &str = "\
+pub(crate) const LANGMODEL: &str = "\
 import flor
 data = token_data(n=96, seq=12, vocab=48, classes=4, seed=19)
 loader = dataloader(data, batch_size=24, seed=19)
@@ -119,7 +119,7 @@ log(\"accuracy\", acc)
 ";
 
 /// Sequence-task workload (token classification, deeper text model).
-pub const SEQ: &str = "\
+pub(crate) const SEQ: &str = "\
 import flor
 data = token_data(n=64, seq=16, vocab=64, classes=4, seed=23)
 loader = dataloader(data, batch_size=16, seed=23)
@@ -145,7 +145,7 @@ log(\"accuracy\", acc)
 
 /// Speech-style workload: 1-D convolutions over feature bands (the Jasper
 /// counterpart, now with real convolutions in the live pipeline).
-pub const SPEECH: &str = "\
+pub(crate) const SPEECH: &str = "\
 import flor
 data = synth_data(n=64, dim=24, classes=3, spread=0.3, seed=37)
 loader = dataloader(data, batch_size=16, seed=37)

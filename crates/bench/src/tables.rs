@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 /// Table 1: the side-effect rules, demonstrated on worked examples through
 /// the real rule matcher.
-pub fn tab01() -> String {
+pub(crate) fn tab01() -> String {
     let examples = [
         (
             "0",
@@ -56,7 +56,7 @@ pub fn tab01() -> String {
 
 /// Table 2: the adaptive-checkpointing symbols, shown live by driving the
 /// controller with an RTE-shaped cost stream.
-pub fn tab02() -> String {
+pub(crate) fn tab02() -> String {
     let w = Workload::by_name("RTE").unwrap();
     let mut ctrl = AdaptiveController::new(1.0 / 15.0);
     let c_ns = (w.epoch_secs() * 1e9) as u64;
@@ -115,7 +115,7 @@ pub fn tab02() -> String {
 }
 
 /// Table 3: the evaluation workloads.
-pub fn tab03() -> String {
+pub(crate) fn tab03() -> String {
     let rows: Vec<Vec<String>> = ALL_WORKLOADS
         .iter()
         .map(|w| {
@@ -149,7 +149,7 @@ pub fn tab03() -> String {
 
 /// Table 4: checkpoint sizes from adaptive-checkpoint placement × per-ckpt
 /// size, and the S3 monthly bill.
-pub fn tab04() -> String {
+pub(crate) fn tab04() -> String {
     let paper: &[(&str, f64, f64)] = &[
         ("ImgN", 0.051, 0.001),
         ("Cifr", 0.705, 0.01),

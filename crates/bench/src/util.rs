@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 
 /// Renders rows as a fixed-width text table with a header rule.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -36,7 +36,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// A fresh temp directory for a harness run.
-pub fn fresh_dir(tag: &str) -> PathBuf {
+pub(crate) fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "flor-bench-{tag}-{}-{:?}",
         std::process::id(),
@@ -47,7 +47,7 @@ pub fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 /// Formats seconds as `1.23 s` / `45.6 ms` / `789 µs`.
-pub fn fmt_secs(secs: f64) -> String {
+pub(crate) fn fmt_secs(secs: f64) -> String {
     if secs >= 1.0 {
         format!("{secs:.2} s")
     } else if secs >= 1e-3 {

@@ -277,13 +277,6 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-/// Zigzag for the legacy varint I64 form (the encoder now emits fixed
-/// width; this survives for tests pinning legacy-stream decoding).
-#[cfg(test)]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
@@ -501,6 +494,13 @@ impl EncodePool {
     pub fn idle(&self) -> usize {
         self.bufs.lock().len()
     }
+}
+
+/// Zigzag for the legacy varint I64 form (the encoder now emits fixed
+/// width; this survives for tests pinning legacy-stream decoding).
+#[cfg(test)]
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! length (4).
 //!
 //! [`compress`] is the one encoder: a **hash-chain match finder** (per
-//! 4-byte-prefix chains walked newest-first, bounded by [`MAX_CHAIN`])
+//! 4-byte-prefix chains walked newest-first, bounded by `MAX_CHAIN`)
 //! that finds the longest match among recent candidates instead of only
 //! the single most recent one. (The tests keep a single-entry-table
 //! matcher as a differential oracle: both encoders' output must
@@ -23,8 +23,8 @@
 //! ([`compress_chunked`]): the input is split into fixed-size chunks, each
 //! compressed as an *independent* token stream (its own magic + length),
 //! so chunks compress — and decompress — in parallel across a bounded
-//! thread fan-out. [`compress_auto`] picks the chunked frame for inputs
-//! past [`CHUNK_PARALLEL_MIN`]; [`decompress_any`] dispatches on the frame
+//! thread fan-out. `compress_auto` picks the chunked frame for inputs
+//! past `CHUNK_PARALLEL_MIN`; `decompress_any` dispatches on the frame
 //! magic, so callers never care which encoder produced the bytes.
 
 const MAGIC: [u8; 2] = [0xF1, 0x02];
@@ -38,7 +38,7 @@ const HASH_BITS: u32 = 15;
 /// the worst case on degenerate inputs (e.g. all-identical bytes hash
 /// every position into one chain, and f32 slabs put every exponent byte
 /// in a tiny alphabet — long chains of colliding-but-useless candidates).
-pub const MAX_CHAIN: usize = 16;
+pub(crate) const MAX_CHAIN: usize = 16;
 /// A match at least this long ends the chain walk ("good enough" — the
 /// marginal gain of a longer candidate almost never pays for the walk).
 const GOOD_MATCH: usize = 64;
@@ -50,9 +50,9 @@ const SKIP_TRIGGER: usize = 64;
 /// most this many bytes.
 const MAX_SKIP_STEP: usize = 32;
 /// Uncompressed bytes per chunk of a chunked frame.
-pub const CHUNK_BYTES: usize = 256 * 1024;
+pub(crate) const CHUNK_BYTES: usize = 256 * 1024;
 /// [`compress_auto`] switches to the parallel chunked frame at this size.
-pub const CHUNK_PARALLEL_MIN: usize = 1024 * 1024;
+pub(crate) const CHUNK_PARALLEL_MIN: usize = 1024 * 1024;
 /// `u32` position sentinel for the hash-chain tables.
 const NO_POS: u32 = u32::MAX;
 
@@ -425,7 +425,7 @@ pub fn decompress_chunked(data: &[u8]) -> Result<Vec<u8>, CompressError> {
 /// Compresses with the frame best suited to the input size: the parallel
 /// chunked frame past [`CHUNK_PARALLEL_MIN`], a single [`compress`] stream
 /// otherwise.
-pub fn compress_auto(input: &[u8]) -> Vec<u8> {
+pub(crate) fn compress_auto(input: &[u8]) -> Vec<u8> {
     if input.len() >= CHUNK_PARALLEL_MIN {
         compress_chunked(input, CHUNK_BYTES)
     } else {
@@ -434,7 +434,7 @@ pub fn compress_auto(input: &[u8]) -> Vec<u8> {
 }
 
 /// Decompresses either frame kind, dispatching on the magic.
-pub fn decompress_any(data: &[u8]) -> Result<Vec<u8>, CompressError> {
+pub(crate) fn decompress_any(data: &[u8]) -> Result<Vec<u8>, CompressError> {
     if is_chunked(data) {
         decompress_chunked(data)
     } else {

@@ -23,7 +23,7 @@
 //!
 //! ## Read contract
 //!
-//! [`DedupIndex::read_stored`] is zero-copy, like a segment read: the
+//! `DedupIndex::read_stored` is zero-copy, like a segment read: the
 //! returned `Bytes` is a slice, past the header, of a read-only mapping of
 //! the blob file (heap only where mapping is refused — counted in
 //! `store.mmap_fallbacks`). Blobs are written once through temp + rename
@@ -96,15 +96,15 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
 /// index entry from a reference: the identity of the *stored* bytes plus
 /// the payload-level meta the manifest also carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlobMeta {
+pub(crate) struct BlobMeta {
     /// Stored (post-arbitration) byte length.
-    pub stored_len: u64,
+    pub(crate) stored_len: u64,
     /// CRC32 of the stored bytes.
-    pub stored_crc: u32,
+    pub(crate) stored_crc: u32,
     /// Uncompressed payload length.
     pub raw_len: u64,
     /// CRC32 of the uncompressed payload.
-    pub payload_crc: u32,
+    pub(crate) payload_crc: u32,
     /// Segment-entry flags of the stored representation (raw/delta).
     pub flags: u8,
 }
@@ -126,7 +126,7 @@ struct Inner {
 
 /// Outcome of [`DedupIndex::intern`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interned {
+pub(crate) enum Interned {
     /// The bytes were already in the arena; a reference was acquired.
     Hit,
     /// First occurrence: the blob was written and a reference acquired.
@@ -154,7 +154,7 @@ fn instances() -> &'static Mutex<HashMap<PathBuf, Weak<DedupIndex>>> {
 }
 
 /// Arena I/O failure.
-pub type DedupError = std::io::Error;
+pub(crate) type DedupError = std::io::Error;
 
 fn corrupt(msg: String) -> DedupError {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
@@ -350,7 +350,7 @@ impl DedupIndex {
     }
 
     /// Content address of a stored representation.
-    pub fn hash_of(stored: &[u8]) -> u64 {
+    pub(crate) fn hash_of(stored: &[u8]) -> u64 {
         fnv1a64(stored)
     }
 
@@ -359,7 +359,12 @@ impl DedupIndex {
     /// (caller keeps its own copy) on meta mismatch. The `+` op is
     /// appended to the log but **not yet synced** — callers must
     /// [`DedupIndex::sync`] before persisting any reference to it.
-    pub fn intern(&self, hash: u64, meta: BlobMeta, stored: &[u8]) -> Result<Interned, DedupError> {
+    pub(crate) fn intern(
+        &self,
+        hash: u64,
+        meta: BlobMeta,
+        stored: &[u8],
+    ) -> Result<Interned, DedupError> {
         let mut inner = self.inner.lock().unwrap();
         match inner.slots.get(&hash) {
             Some(slot) if slot.meta == meta => {
@@ -440,7 +445,7 @@ impl DedupIndex {
     /// index: reads must work even for references whose `+` op
     /// over-counted away — those simply re-check the hash every time.
     /// Missing or corrupt blobs are loud errors.
-    pub fn read_stored(&self, hash: u64) -> Result<(Bytes, u8, u64, u32), DedupError> {
+    pub(crate) fn read_stored(&self, hash: u64) -> Result<(Bytes, u8, u64, u32), DedupError> {
         let path = self.blob_path(hash);
         let mut blob = load_file(&path).map_err(|e| {
             std::io::Error::new(
@@ -478,26 +483,14 @@ impl DedupIndex {
         Ok((blob, flags, raw_len, payload_crc))
     }
 
-    /// Content-hash checks [`DedupIndex::read_stored`] has performed: one
+    /// Content-hash checks `DedupIndex::read_stored` has performed: one
     /// per live blob per process, however often the blob is read.
     pub fn hash_verifies(&self) -> u64 {
         self.hash_verifies.load(Ordering::Relaxed)
     }
 
-    /// Current reference count of `hash` (0 when absent) — test and
-    /// retention introspection.
-    pub fn refs(&self, hash: u64) -> i64 {
-        self.inner
-            .lock()
-            .unwrap()
-            .slots
-            .get(&hash)
-            .map(|s| s.refs)
-            .unwrap_or(0)
-    }
-
     /// Stored byte length of the live blob `hash` (`None` when absent).
-    pub fn stored_len(&self, hash: u64) -> Option<u64> {
+    pub(crate) fn stored_len(&self, hash: u64) -> Option<u64> {
         let inner = self.inner.lock().unwrap();
         inner.slots.get(&hash).map(|s| s.meta.stored_len)
     }
@@ -505,6 +498,20 @@ impl DedupIndex {
     /// Number of live (positively referenced) blobs.
     pub fn entries(&self) -> u64 {
         self.inner.lock().unwrap().slots.len() as u64
+    }
+}
+
+#[cfg(test)]
+impl DedupIndex {
+    /// Current reference count of `hash` (0 when absent).
+    pub(crate) fn refs(&self, hash: u64) -> i64 {
+        self.inner
+            .lock()
+            .unwrap()
+            .slots
+            .get(&hash)
+            .map(|s| s.refs)
+            .unwrap_or(0)
     }
 }
 

@@ -57,7 +57,7 @@ fn err(m: impl Into<String>) -> CompressError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaHeader {
     /// Sequence number of the base checkpoint this frame decodes against.
-    pub base_seq: u64,
+    pub(crate) base_seq: u64,
     /// Chain depth of this frame (base's depth + 1; keyframes are 0).
     pub depth: u32,
     /// Length of the reconstructed payload.
@@ -68,25 +68,8 @@ pub struct DeltaHeader {
 }
 
 /// True when `data` starts with the delta-frame magic.
-pub fn is_delta(data: &[u8]) -> bool {
+pub(crate) fn is_delta(data: &[u8]) -> bool {
     data.len() >= 2 && data[0..2] == DELTA_MAGIC
-}
-
-/// XOR of `new` against `base`, `new.len()` bytes long: positions past the
-/// end of `base` carry `new`'s bytes verbatim (XOR against implicit
-/// zeros), so payloads may grow or shrink between versions. The encode
-/// hot path uses the fused [`shuffled_xor_with_zeros`] instead; this
-/// composed form survives as its differential-test oracle.
-#[cfg(test)]
-fn xor_delta(base: &[u8], new: &[u8]) -> Vec<u8> {
-    let common = base.len().min(new.len());
-    let mut out: Vec<u8> = base[..common]
-        .iter()
-        .zip(&new[..common])
-        .map(|(b, n)| b ^ n)
-        .collect();
-    out.extend_from_slice(&new[common..]);
-    out
 }
 
 /// Fused hot path of [`encode`]: produces `shuffle(new XOR base)` in one
@@ -235,7 +218,7 @@ pub fn encode(
 /// True when `frame` is an unambiguous storage win over any plain
 /// encoding of a payload of `raw_len` bytes (at most half the raw size) —
 /// the store skips compressing the payload at all in that case.
-pub fn is_clear_win(frame: &[u8], raw_len: usize) -> bool {
+pub(crate) fn is_clear_win(frame: &[u8], raw_len: usize) -> bool {
     frame.len() * 2 <= raw_len
 }
 
@@ -370,6 +353,23 @@ fn xor_unshuffled(out: &mut [u8], words: usize, mut at: usize, mut lits: &[u8]) 
     for (o, l) in out[at..at + lits.len()].iter_mut().zip(lits) {
         *o ^= l;
     }
+}
+
+/// XOR of `new` against `base`, `new.len()` bytes long: positions past the
+/// end of `base` carry `new`'s bytes verbatim (XOR against implicit
+/// zeros), so payloads may grow or shrink between versions. The encode
+/// hot path uses the fused [`shuffled_xor_with_zeros`] instead; this
+/// composed form survives as its differential-test oracle.
+#[cfg(test)]
+fn xor_delta(base: &[u8], new: &[u8]) -> Vec<u8> {
+    let common = base.len().min(new.len());
+    let mut out: Vec<u8> = base[..common]
+        .iter()
+        .zip(&new[..common])
+        .map(|(b, n)| b ^ n)
+        .collect();
+    out.extend_from_slice(&new[common..]);
+    out
 }
 
 #[cfg(test)]

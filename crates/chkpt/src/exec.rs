@@ -3,7 +3,7 @@
 //! Chunked compression used to spawn a fresh `thread::scope` fan-out per
 //! call — a thread spawn + join barrier on every large-payload submit.
 //! This module keeps one lazily-spawned pool of persistent workers per
-//! process and gives the hot paths [`parallel_map`]: a *scoped* fan-out
+//! process and gives the hot paths `parallel_map`: a *scoped* fan-out
 //! that borrows non-`'static` data, returns index-ordered results, and
 //! never deadlocks even when every pool worker is busy, because the
 //! calling thread always drains the shared job queue itself (helpers only
@@ -84,7 +84,7 @@ struct MapCtx {
 /// depends on pool availability); helpers steal indices from the same
 /// atomic queue. Panics in `f` are re-raised on the caller after all
 /// tasks finish.
-pub fn parallel_map<T, F>(jobs: usize, f: F) -> Vec<T>
+pub(crate) fn parallel_map<T, F>(jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

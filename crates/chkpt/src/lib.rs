@@ -6,7 +6,7 @@
 //! Reproduces three pieces of *Hindsight Logging for Model Training*
 //! (Garcia et al., VLDB 2020):
 //!
-//! - **Serialization** ([`codec`]): a hand-rolled, versioned, tagged binary
+//! - **Serialization** (`codec`): a hand-rolled, versioned, tagged binary
 //!   format standing in for `cloudpickle`. The paper's §5.1 microbenchmark
 //!   found serialization ≈ 4.3× the cost of the disk write; `flor-bench`'s
 //!   Figure 5 report prints the same split for its Baseline bar.
@@ -34,7 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod background;
-pub mod codec;
+pub(crate) mod codec;
 pub mod compress;
 pub mod dedup;
 pub mod delta;

@@ -83,10 +83,6 @@ impl Index {
         self.with_block(block, |m| m.len() as u64).unwrap_or(0)
     }
 
-    pub(crate) fn latest_seq(&self, block: &str) -> Option<u64> {
-        self.with_block(block, |m| m.keys().next_back().copied())?
-    }
-
     /// The newest entry of `block` strictly below `before_seq`.
     pub(crate) fn newest_before(&self, block: &str, before_seq: u64) -> Option<(u64, IndexEntry)> {
         self.with_block(block, |m| {

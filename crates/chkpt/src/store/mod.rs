@@ -56,22 +56,16 @@ mod read;
 mod recovery;
 mod segment;
 mod stats;
-#[cfg(test)]
-mod testutil;
 mod tier;
 mod write;
 
 pub use compact::CompactionReport;
 pub use crc::crc32;
 pub use manifest::write_atomic;
-pub use options::{
-    Durability, StoreOptions, DEFAULT_DELTA_KEYFRAME_INTERVAL, DEFAULT_DELTA_MIN_BYTES,
-    DEFAULT_SEGMENT_TARGET_BYTES,
-};
+pub use options::{Durability, StoreOptions};
 pub use read::ReadCursor;
 pub use recovery::{MissingEntry, RecoveryReport};
-pub use segment::{read_segment_footer, SegmentIndexEntry};
-pub use stats::{StoreStats, CHAIN_DEPTH_BUCKETS};
+pub use stats::StoreStats;
 pub use tier::write_dedup_pointer;
 pub use write::WriteBatch;
 
@@ -297,11 +291,6 @@ impl CheckpointStore {
         self.index.count(block_id)
     }
 
-    /// Highest stored sequence number for a block, if any.
-    pub fn latest_seq(&self, block_id: &str) -> Option<u64> {
-        self.index.latest_seq(block_id)
-    }
-
     /// All `(block_id, seq)` pairs, sorted.
     pub fn entries(&self) -> Vec<(String, u64)> {
         let mut all: Vec<(String, u64)> = Vec::new();
@@ -353,6 +342,9 @@ impl Drop for CheckpointStore {
         let _ = self.seal_active_segment();
     }
 }
+
+#[cfg(test)]
+mod testutil;
 
 #[cfg(test)]
 mod tests {

@@ -55,8 +55,8 @@ impl Default for StoreOptions {
 }
 
 /// Default segment roll threshold.
-pub const DEFAULT_SEGMENT_TARGET_BYTES: u64 = 8 * 1024 * 1024;
+pub(crate) const DEFAULT_SEGMENT_TARGET_BYTES: u64 = 8 * 1024 * 1024;
 /// Default delta keyframe interval (chain length bound).
-pub const DEFAULT_DELTA_KEYFRAME_INTERVAL: u32 = 8;
+pub(crate) const DEFAULT_DELTA_KEYFRAME_INTERVAL: u32 = 8;
 /// Default minimum payload size for delta encoding.
-pub const DEFAULT_DELTA_MIN_BYTES: u64 = 1024;
+pub(crate) const DEFAULT_DELTA_MIN_BYTES: u64 = 1024;

@@ -20,7 +20,7 @@
 //! the authoritative index — an unsealed segment (crash before roll) is
 //! still fully readable through it.
 
-use super::{crc32, StoreError};
+use super::crc32;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -38,7 +38,7 @@ pub(crate) const FLAG_DELTA: u8 = 2;
 /// One record of a segment footer (and of the in-memory pending footer of
 /// the active segment).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentIndexEntry {
+pub(crate) struct SegmentIndexEntry {
     /// Block id.
     pub block_id: String,
     /// Sequence number.
@@ -52,10 +52,10 @@ pub struct SegmentIndexEntry {
     /// CRC32 of the uncompressed payload.
     pub crc: u32,
     /// True when the payload is stored uncompressed.
-    pub raw_stored: bool,
+    pub(crate) raw_stored: bool,
     /// True when the payload is a delta frame (the frame's own header
     /// carries the base seq, depth, and base CRC).
-    pub delta_stored: bool,
+    pub(crate) delta_stored: bool,
 }
 
 impl SegmentIndexEntry {
@@ -143,15 +143,41 @@ pub(crate) fn encode_footer(recs: &[SegmentIndexEntry]) -> Vec<u8> {
     body
 }
 
+/// Reads a sealed segment's trailer and returns its footer length, or
+/// `None` when the file has no (valid-magic) trailer.
+pub(crate) fn read_trailer_footer_len(path: &Path, file_len: u64) -> std::io::Result<Option<u64>> {
+    use std::io::{Read, Seek, SeekFrom};
+    if file_len < TRAILER_BYTES + SEGMENT_MAGIC.len() as u64 {
+        return Ok(None);
+    }
+    let mut f = fs::File::open(path)?;
+    f.seek(SeekFrom::End(-(TRAILER_BYTES as i64)))?;
+    let mut trailer = [0u8; TRAILER_BYTES as usize];
+    f.read_exact(&mut trailer)?;
+    if &trailer[12..] != FOOTER_MAGIC {
+        return Ok(None);
+    }
+    Ok(Some(u64::from_le_bytes(
+        trailer[..8].try_into().expect("8 bytes"),
+    )))
+}
+
+#[cfg(test)]
+use super::StoreError;
+
 /// Reads the footer index of a sealed segment file. Returns `Ok(None)` for
 /// an unsealed (footerless) segment; errors only on I/O or a corrupt
 /// footer. The footer makes segments self-describing — the index can be
 /// rebuilt from it without the MANIFEST.
-pub fn read_segment_footer(path: &Path) -> Result<Option<Vec<SegmentIndexEntry>>, StoreError> {
+#[cfg(test)]
+pub(crate) fn read_segment_footer(
+    path: &Path,
+) -> Result<Option<Vec<SegmentIndexEntry>>, StoreError> {
     let data = fs::read(path)?;
     parse_segment_footer(&data)
 }
 
+#[cfg(test)]
 fn parse_segment_footer(data: &[u8]) -> Result<Option<Vec<SegmentIndexEntry>>, StoreError> {
     let bad = |d: &str| StoreError::BadManifest(format!("segment footer: {d}"));
     if data.len() < TRAILER_BYTES as usize + SEGMENT_MAGIC.len()
@@ -202,23 +228,4 @@ fn parse_segment_footer(data: &[u8]) -> Result<Option<Vec<SegmentIndexEntry>>, S
         });
     }
     Ok(Some(recs))
-}
-
-/// Reads a sealed segment's trailer and returns its footer length, or
-/// `None` when the file has no (valid-magic) trailer.
-pub(crate) fn read_trailer_footer_len(path: &Path, file_len: u64) -> std::io::Result<Option<u64>> {
-    use std::io::{Read, Seek, SeekFrom};
-    if file_len < TRAILER_BYTES + SEGMENT_MAGIC.len() as u64 {
-        return Ok(None);
-    }
-    let mut f = fs::File::open(path)?;
-    f.seek(SeekFrom::End(-(TRAILER_BYTES as i64)))?;
-    let mut trailer = [0u8; TRAILER_BYTES as usize];
-    f.read_exact(&mut trailer)?;
-    if &trailer[12..] != FOOTER_MAGIC {
-        return Ok(None);
-    }
-    Ok(Some(u64::from_le_bytes(
-        trailer[..8].try_into().expect("8 bytes"),
-    )))
 }

@@ -10,7 +10,7 @@ use std::sync::atomic::Ordering;
 
 /// Depth buckets in [`StoreStats::chain_depth_hist`] (deeper chains land
 /// in the last bucket).
-pub const CHAIN_DEPTH_BUCKETS: usize = 16;
+pub(crate) const CHAIN_DEPTH_BUCKETS: usize = 16;
 
 /// Aggregate counters for `flor store stats` and the registry surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub struct StoreStats {
     /// Total bytes of all segment files.
     pub segment_disk_bytes: u64,
     /// Stored payload bytes of live segment entries.
-    pub live_segment_bytes: u64,
+    pub(crate) live_segment_bytes: u64,
     /// Estimated reclaimable segment bytes (superseded payloads and torn
     /// tails; segment/entry framing is accounted as live).
     pub dead_segment_bytes: u64,

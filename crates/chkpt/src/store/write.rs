@@ -201,7 +201,7 @@ impl CheckpointStore {
     /// Seals the active segment (writes its footer index), if any. Called
     /// automatically on drop and before rolling to a new segment; safe to
     /// call at any quiescent point (e.g. end of record).
-    pub fn seal_active_segment(&self) -> Result<(), StoreError> {
+    pub(crate) fn seal_active_segment(&self) -> Result<(), StoreError> {
         if self.opts.read_only {
             return Ok(()); // nothing to seal; called unconditionally by Drop
         }
@@ -562,7 +562,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(store.count("sb_0"), 5);
-        assert_eq!(store.latest_seq("sb_0"), Some(4));
+        assert_eq!(store.entries().last(), Some(&("sb_0".to_string(), 4)));
         assert_eq!(store.get("sb_0", 3).unwrap(), b"payload3");
     }
 
@@ -746,7 +746,7 @@ mod tests {
         assert_eq!(s.sealed_segments, s.segments, "{s:?}");
         let mut footer_keys = Vec::new();
         for entry in fs::read_dir(dir.join("seg")).unwrap() {
-            let recs = super::super::read_segment_footer(&entry.unwrap().path())
+            let recs = super::super::segment::read_segment_footer(&entry.unwrap().path())
                 .unwrap()
                 .unwrap();
             for r in recs {
@@ -785,7 +785,7 @@ mod tests {
         assert_eq!(&s.chain_depth_hist[..4], &[3, 3, 3, 3]);
         for seq in 0..12u64 {
             assert_eq!(
-                store.chain_info("sb_0", seq),
+                store.index.lookup("sb_0", seq).unwrap().loc.delta_link(),
                 if seq % 4 == 0 {
                     None
                 } else {

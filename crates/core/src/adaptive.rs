@@ -36,11 +36,11 @@ use std::collections::HashMap;
 
 /// Default overhead tolerance: the paper's 6.67% (= 1/15), chosen so
 /// memoized loops compute at least 15× longer than they take to checkpoint.
-pub const DEFAULT_EPSILON: f64 = 1.0 / 15.0;
+pub(crate) const DEFAULT_EPSILON: f64 = 1.0 / 15.0;
 
 /// Default restore/materialize scaling factor prior (`c = 1.0` naive prior;
 /// the paper reports an observed average of 1.38 across workloads).
-pub const DEFAULT_C: f64 = 1.0;
+pub(crate) const DEFAULT_C: f64 = 1.0;
 
 /// Per-block bookkeeping (Table 2 row per loop `i`).
 #[derive(Debug, Clone, Default)]
@@ -50,11 +50,11 @@ pub struct BlockStats {
     /// `k_i`: checkpoints materialized so far.
     pub checkpoints: u64,
     /// Total compute time, ns.
-    pub total_compute_ns: u64,
+    pub(crate) total_compute_ns: u64,
     /// Total materialize time, ns.
-    pub total_materialize_ns: u64,
+    pub(crate) total_materialize_ns: u64,
     /// Total restore time, ns (replay feeds this back to refine `c`).
-    pub total_restore_ns: u64,
+    pub(crate) total_restore_ns: u64,
 }
 
 impl BlockStats {
@@ -127,7 +127,7 @@ impl AdaptiveController {
 
     /// Predicted materialization time for a payload of `bytes`, from the
     /// calibrated throughput model.
-    pub fn estimate_materialize_ns(&self, block: &str, bytes: u64) -> u64 {
+    pub(crate) fn estimate_materialize_ns(&self, block: &str, bytes: u64) -> u64 {
         let stats = self.blocks.get(block);
         match stats {
             Some(s) if s.checkpoints > 0 => s.mean_materialize_ns() as u64,

@@ -31,7 +31,7 @@ impl Env {
     }
 
     /// Looks up a name without erroring. Borrowing, like [`Env::get`].
-    pub fn try_get(&self, name: &str) -> Option<&Value> {
+    pub(crate) fn try_get(&self, name: &str) -> Option<&Value> {
         self.vars.get(name)
     }
 

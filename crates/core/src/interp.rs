@@ -63,16 +63,16 @@ pub struct RecordCtx {
     /// Adaptive checkpointing controller (Eq. 4).
     pub controller: AdaptiveController,
     /// Per-block static changesets from instrumentation.
-    pub static_changesets: HashMap<String, Vec<String>>,
+    pub(crate) static_changesets: HashMap<String, Vec<String>>,
     /// Lean checkpointing: when false, checkpoint the whole environment
     /// (the ablation baseline for §5.2).
     pub lean: bool,
     /// Current main-loop iteration, if inside the main loop.
-    pub main_iter: Option<u64>,
+    pub(crate) main_iter: Option<u64>,
     /// Sequence counters for blocks outside the main loop.
-    pub standalone_seq: HashMap<String, u64>,
+    pub(crate) standalone_seq: HashMap<String, u64>,
     /// Guard: blocks already executed in the current main-loop iteration.
-    pub blocks_this_iter: HashSet<String>,
+    pub(crate) blocks_this_iter: HashSet<String>,
     /// Per-iteration cost observations, persisted as the run's
     /// [`cost profile`](crate::profile::CostProfile) so replay can schedule
     /// cost-aware micro-ranges.
@@ -142,11 +142,11 @@ pub struct ReplayCtx {
     /// Current phase.
     pub phase: Phase,
     /// Current main-loop iteration.
-    pub main_iter: Option<u64>,
+    pub(crate) main_iter: Option<u64>,
     /// Sequence counters for blocks outside the main loop.
-    pub standalone_seq: HashMap<String, u64>,
+    pub(crate) standalone_seq: HashMap<String, u64>,
     /// Guard: blocks already executed in the current iteration.
-    pub blocks_this_iter: HashSet<String>,
+    pub(crate) blocks_this_iter: HashSet<String>,
     /// Restore/execute counters.
     pub stats: ReplayStats,
     /// Per-worker checkpoint prefetcher, spawned with the worker's first
@@ -156,7 +156,7 @@ pub struct ReplayCtx {
     /// The replay's shared range queue. `None` (a context built outside
     /// `replay`, or a hand-written second `flor.partition` loop after the
     /// first consumed the queue) drains a one-worker queue of its own.
-    pub runtime: Option<Arc<crate::replay::ReplayRuntime>>,
+    pub(crate) runtime: Option<Arc<crate::replay::ReplayRuntime>>,
     /// Channel to the streaming merger: completed ranges are drained from
     /// the log and sent as soon as they finish.
     pub sink: Option<crate::stream::RangeSink>,
@@ -259,7 +259,7 @@ impl Interp {
     }
 
     /// Executes a statement sequence.
-    pub fn exec_body(&mut self, body: &[Stmt]) -> Result<(), FlorError> {
+    pub(crate) fn exec_body(&mut self, body: &[Stmt]) -> Result<(), FlorError> {
         for stmt in body {
             self.exec_stmt(stmt)?;
         }
@@ -1496,7 +1496,7 @@ pub(crate) fn store_attr_value(recv: Value, name: &str, value: Value) -> Result<
 }
 
 /// Evaluated call arguments: the positional/keyword split.
-pub struct CallArgs {
+pub(crate) struct CallArgs {
     pos: Vec<Value>,
     kw: Vec<(String, Value)>,
 }

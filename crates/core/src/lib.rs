@@ -28,7 +28,7 @@
 //!
 //! ## Module map (paper section in parentheses)
 //!
-//! - [`value`] / [`env`]: the interpreter's Python-like object graph —
+//! - [`value`] / [`mod@env`]: the interpreter's Python-like object graph —
 //!   reference semantics make the optimizer→model aliasing real (§5.2.1).
 //! - [`interp`]: tree-walking interpreter + the ML builtin surface, and
 //!   the main-loop driver both executors share.
@@ -38,8 +38,8 @@
 //!   side-effect memoization, restoration (§4.2).
 //! - [`adaptive`]: the record-overhead / replay-latency invariants and the
 //!   joint invariant, Eqs. 1–4 (§5.3).
-//! - [`record`]: the record phase (§3.1).
-//! - [`replay`]: the replay phase — one [`replay::ReplayPlan`] per query
+//! - [`mod@record`]: the record phase (§3.1).
+//! - [`mod@replay`]: the replay phase — one [`replay::ReplayPlan`] per query
 //!   (probe detection by source diff, slicing, every scheduling policy),
 //!   one production path that executes it, one oracle
 //!   ([`replay::replay_reference`]), deferred correctness checks (§3.2,

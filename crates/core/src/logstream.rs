@@ -77,7 +77,7 @@ impl LogStream {
     }
 
     /// Sets the current section.
-    pub fn set_section(&mut self, section: Section) {
+    pub(crate) fn set_section(&mut self, section: Section) {
         self.section = Some(section);
     }
 
@@ -88,7 +88,7 @@ impl LogStream {
 
     /// Gates output (replay-initialization iterations re-execute unskippable
     /// code whose logs already exist in other workers' partitions).
-    pub fn set_suppressed(&mut self, suppressed: bool) {
+    pub(crate) fn set_suppressed(&mut self, suppressed: bool) {
         self.suppressed = suppressed;
     }
 
@@ -98,7 +98,7 @@ impl LogStream {
     }
 
     /// Consumes the stream.
-    pub fn into_entries(self) -> Vec<LogEntry> {
+    pub(crate) fn into_entries(self) -> Vec<LogEntry> {
         self.entries
     }
 
@@ -111,7 +111,7 @@ impl LogStream {
     }
 
     /// Serializes entries to the artifact text format (one entry per line).
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
             out.push_str(&e.to_string());

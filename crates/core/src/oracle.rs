@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// A [`TypeOracle`] over a live environment.
-pub struct EnvOracle<'a> {
+pub(crate) struct EnvOracle<'a> {
     env: &'a Env,
 }
 

@@ -32,7 +32,7 @@ pub struct WorkerPlan {
     /// First global iteration of the work segment (inclusive).
     pub work_start: u64,
     /// One past the last global iteration of the work segment.
-    pub work_end: u64,
+    pub(crate) work_end: u64,
     /// Initialization segment `[init_start, work_start)`; empty when the
     /// worker starts at iteration 0.
     pub init_start: u64,
@@ -229,7 +229,7 @@ impl MicroRange {
 /// Micro-ranges a worker's seed deque should hold, as a multiple of the
 /// worker count: enough granularity that stealing can rebalance, few enough
 /// that per-range re-initialization stays negligible.
-pub const RANGES_PER_WORKER: u64 = 4;
+pub(crate) const RANGES_PER_WORKER: u64 = 4;
 
 /// Candidate boundaries for range splitting: the anchors below `n_iters`
 /// plus both ends, or every iteration when unconstrained.
@@ -297,7 +297,7 @@ fn pack_spans(bounds: &[u64], parts: usize, seg_cost: &[u64]) -> Vec<MicroRange>
 /// an `n_iters`-iteration main loop: first `0..n_iters` is partitioned
 /// into one contiguous *share* per worker, balanced by per-iteration
 /// `costs` (ns; uniform when empty — missing profile entries cost the
-/// mean), then each share is split into up to [`RANGES_PER_WORKER`]
+/// mean), then each share is split into up to `RANGES_PER_WORKER`
 /// micro-ranges so a drained worker can steal off a straggler without
 /// taking its whole share.
 ///
@@ -532,7 +532,7 @@ impl CancelToken {
     }
 
     /// True once [`CancelToken::cancel`] has been called on any clone.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.flag.load(std::sync::atomic::Ordering::Acquire)
     }
 }

@@ -47,7 +47,7 @@ use std::sync::{Arc, Condvar, PoisonError};
 
 /// Cap on retained backing bytes of fetched-but-unconsumed payloads per
 /// worker (each distinct backing allocation charged once, at full size).
-pub const PREFETCH_BUDGET_BYTES: u64 = 64 << 20;
+pub(crate) const PREFETCH_BUDGET_BYTES: u64 = 64 << 20;
 
 #[derive(Default)]
 struct State {
@@ -68,8 +68,6 @@ struct State {
     /// No (further) fetches will happen: cancelled, dropped, or the fetch
     /// thread died. Releases every waiter.
     stop: bool,
-    /// Checkpoints fetched by the background thread.
-    fetched: u64,
 }
 
 impl State {
@@ -96,7 +94,6 @@ impl State {
         slot.0 += 1;
         slot.1 += add;
         self.outstanding += add;
-        self.fetched += 1;
         self.ready.entry(block).or_default().insert(seq, bytes);
     }
 
@@ -282,16 +279,6 @@ impl Prefetcher {
         self.shared.changed.notify_all();
     }
 
-    /// Checkpoints the background thread has fetched so far.
-    pub fn fetched(&self) -> u64 {
-        self.shared.state.lock().fetched
-    }
-
-    /// Backing bytes currently retained by unconsumed prefetches.
-    pub fn outstanding_backing_bytes(&self) -> u64 {
-        self.shared.state.lock().outstanding
-    }
-
     /// Blocks until everything scheduled so far is parked or has failed
     /// (test hook; never returns while the budget stalls the thread).
     pub fn drain(&self) {
@@ -308,6 +295,25 @@ impl Drop for Prefetcher {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+impl Prefetcher {
+    /// Payloads fetched and not yet taken.
+    pub(crate) fn parked(&self) -> usize {
+        self.shared
+            .state
+            .lock()
+            .ready
+            .values()
+            .map(HashMap::len)
+            .sum()
+    }
+
+    /// Backing bytes currently retained by unconsumed prefetches.
+    fn outstanding_backing_bytes(&self) -> u64 {
+        self.shared.state.lock().outstanding
     }
 }
 
@@ -371,7 +377,7 @@ mod tests {
         // The schedule grows range by range.
         p.extend(keys("sb_0", 4..6));
         p.drain();
-        assert_eq!(p.fetched(), 6);
+        assert_eq!(p.parked(), 6);
         for seq in 0..6u64 {
             let b = p.take("sb_0", seq).expect("prefetched");
             assert_eq!(b.as_ref(), format!("payload-{seq}").as_bytes());
@@ -392,7 +398,7 @@ mod tests {
         ];
         let p = Prefetcher::spawn(store, keys);
         p.drain();
-        assert_eq!(p.fetched(), 1);
+        assert_eq!(p.parked(), 1);
         assert!(p.take("sb_0", 0).is_some());
         assert!(p.take("sb_0", 9).is_none());
     }
@@ -413,7 +419,7 @@ mod tests {
             assert_eq!(got.as_ref(), &[1u8; 5][..]);
         });
         assert_eq!(p.take("sb_0", 0).unwrap().len(), 3);
-        assert_eq!(p.fetched(), 2);
+        assert_eq!(p.parked(), 0);
     }
 
     #[test]
@@ -426,7 +432,7 @@ mod tests {
             verdicts.send(None).unwrap();
             assert!(consumer.join().unwrap().is_none());
         });
-        assert_eq!(p.fetched(), 0);
+        assert_eq!(p.parked(), 0);
     }
 
     #[test]
@@ -568,7 +574,7 @@ mod tests {
         let before = store.stats();
         let p = Prefetcher::spawn(store.clone(), keys("sb_0", 3..8));
         p.drain();
-        assert_eq!(p.fetched(), 5);
+        assert_eq!(p.parked(), 5);
         for seq in 3..8u64 {
             let b = p.take("sb_0", seq).expect("prefetched");
             assert_eq!(b.as_ref(), &payload(seq)[..], "seq {seq}");

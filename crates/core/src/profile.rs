@@ -23,14 +23,14 @@ pub const COST_PROFILE_ARTIFACT: &str = "cost_profile.txt";
 /// Largest iteration index [`CostProfile::parse_text`] accepts — the
 /// profile is advisory, so a corrupt index line is skipped rather than
 /// allowed to drive an arbitrarily large allocation.
-pub const MAX_PROFILED_ITERATIONS: u64 = 1 << 24;
+pub(crate) const MAX_PROFILED_ITERATIONS: u64 = 1 << 24;
 
 /// Slice-adjusted estimate of one *executed* iteration's replay cost:
 /// the recorded compute cost scaled by the slice's live statement
 /// fraction (in permille). Recorded profiles measure the full loop
 /// body; when dead-statement elision drops part of it, pricing seeded
 /// ranges at full cost would skew work-stealing balance.
-pub fn sliced_cost(cost_ns: u64, live_permille: u32) -> u64 {
+pub(crate) fn sliced_cost(cost_ns: u64, live_permille: u32) -> u64 {
     ((cost_ns as u128 * u128::from(live_permille.min(1000))) / 1000).max(1) as u64
 }
 
@@ -38,21 +38,21 @@ pub fn sliced_cost(cost_ns: u64, live_permille: u32) -> u64 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IterCost {
     /// Total SkipBlock compute time in this iteration, ns (`C_i`).
-    pub compute_ns: u64,
+    pub(crate) compute_ns: u64,
     /// Caller-visible materialization time in this iteration, ns (`M_i`,
     /// the quantity the controller's scaling factor `c` is calibrated
     /// against).
-    pub materialize_ns: u64,
+    pub(crate) materialize_ns: u64,
     /// SkipBlock executions observed in this iteration.
     pub blocks: u32,
     /// How many of them materialized a Loop End Checkpoint.
-    pub checkpointed_blocks: u32,
+    pub(crate) checkpointed_blocks: u32,
 }
 
 impl IterCost {
     /// True when every block of the iteration left a checkpoint (the
     /// iteration can be *restored* during replay).
-    pub fn fully_checkpointed(&self) -> bool {
+    pub(crate) fn fully_checkpointed(&self) -> bool {
         self.blocks > 0 && self.checkpointed_blocks == self.blocks
     }
 }
@@ -87,7 +87,7 @@ impl CostProfile {
     /// costs `c·M_i`. Iterations beyond the profile (the replayed run may
     /// be longer than the profiled one) fall back to the mean cost of the
     /// profiled iterations.
-    pub fn replay_cost_ns(&self, g: u64, execute: bool) -> u64 {
+    pub(crate) fn replay_cost_ns(&self, g: u64, execute: bool) -> u64 {
         let Some(it) = self.iters.get(g as usize) else {
             return self.mean_cost_ns(execute);
         };
@@ -100,7 +100,7 @@ impl CostProfile {
     }
 
     /// Mean replay cost across profiled iterations (≥ 1 ns).
-    pub fn mean_cost_ns(&self, execute: bool) -> u64 {
+    pub(crate) fn mean_cost_ns(&self, execute: bool) -> u64 {
         if self.iters.is_empty() {
             return 1;
         }
@@ -135,7 +135,7 @@ impl CostProfile {
     }
 
     /// Serializes to the artifact text format (one iteration per line).
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = format!("scaling_c\t{}\n", self.scaling_c);
         for (g, it) in self.iters.iter().enumerate() {
             out.push_str(&format!(

@@ -64,7 +64,8 @@ pub struct ReplayOptions {
     /// Worker initialization strategy (default Strong, as in the paper).
     pub init_mode: InitMode,
     /// Compiled-module cache shared across replay jobs, keyed by
-    /// [`ReplayPlan::module_key`]. None compiles fresh per job (still
+    /// the plan's module key (source version, slice hash, memoized
+    /// postamble). None compiles fresh per job (still
     /// once, shared by all workers of the job).
     pub module_cache: Option<Arc<crate::vm::ModuleCache>>,
     /// Cooperative cancellation. When set, workers poll the token at
@@ -146,8 +147,6 @@ pub struct ReplayPlan {
     /// The main loop carries state across iterations outside every
     /// skipblock changeset (`analysis::outer_carried_state`).
     pub(crate) outer_carried: bool,
-    /// The slicer's checkpoint-cut precondition held.
-    pub(crate) cuts_provable: bool,
     /// What the slicer decided, including why it refused if it did.
     pub(crate) slice: SlicePlan,
     /// Whether the postamble runs; see [`ReplayPlan::postamble`].
@@ -160,7 +159,9 @@ pub struct ReplayPlan {
     pub(crate) profile: Option<CostProfile>,
     /// See [`ReplayPlan::fingerprint`].
     pub(crate) fingerprint: Option<u64>,
-    /// See [`ReplayPlan::module_key`].
+    /// Key of this query's compiled module in a [`ModuleCache`]: the
+    /// source version, plus `+s<fingerprint>` when the slice elides
+    /// statements and `+p` when the postamble is memoized.
     pub(crate) module_key: String,
 }
 
@@ -264,7 +265,6 @@ impl ReplayPlan {
             diff,
             probed_blocks,
             main_blocks,
-            cuts_provable,
             slice,
             postamble,
             program: inst.program,
@@ -279,12 +279,6 @@ impl ReplayPlan {
         &self.slice
     }
 
-    /// Whether the slicer was allowed checkpoint cuts: the profile claims
-    /// every iteration checkpointed and the store still holds them all.
-    pub fn cuts_provable(&self) -> bool {
-        self.cuts_provable
-    }
-
     /// Content fingerprint of the *semantic* replay this query induces:
     /// the FNV hash of the canonical print of the sliced (falling back to
     /// the full) instrumented program — the registry's slice-class cache
@@ -292,13 +286,6 @@ impl ReplayPlan {
     /// are never memoized).
     pub fn fingerprint(&self) -> Option<u64> {
         self.fingerprint
-    }
-
-    /// Key of this query's compiled module in a [`ModuleCache`]: the
-    /// source version, plus `+s<fingerprint>` when the slice elides
-    /// statements and `+p` when the postamble is memoized.
-    pub fn module_key(&self) -> &str {
-        &self.module_key
     }
 
     /// Whether production replay runs the postamble, and why if it does.
@@ -309,7 +296,7 @@ impl ReplayPlan {
 
     /// Lowers what production replay executes to bytecode — the program
     /// minus the slice's dead statements and, when memoized, minus the
-    /// postamble — through `cache` under [`Self::module_key`] when given.
+    /// postamble — through `cache` under the plan's module key when given.
     pub fn compile(&self, cache: Option<&ModuleCache>) -> Result<Arc<Module>, FlorError> {
         let mut dead = Cow::Borrowed(&self.slice.dead);
         if self.postamble == Postamble::Memoized {
@@ -327,7 +314,7 @@ impl ReplayPlan {
 
     /// Non-hindsight source changes were detected: no checkpoint may be
     /// reused, every block executes.
-    pub fn force_execute_all(&self) -> bool {
+    pub(crate) fn force_execute_all(&self) -> bool {
         !self.diff.is_pure_hindsight()
     }
 
@@ -353,7 +340,7 @@ impl ReplayPlan {
 
     /// Whether a worker may take a range *behind* its current state:
     /// rewinding rebuilds earlier state by restores from iteration 0.
-    pub fn rewind_ok(&self) -> bool {
+    pub(crate) fn rewind_ok(&self) -> bool {
         self.restores_rebuild_state()
     }
 
@@ -387,7 +374,7 @@ impl ReplayPlan {
     /// will *execute* (probed, poisoned or unmemoized) cost their
     /// recorded compute time scaled by the slice's live fraction — the
     /// profile measured the full body — and restored ones `c·M_i`.
-    pub fn range_costs(&self, n: u64) -> Vec<u64> {
+    pub(crate) fn range_costs(&self, n: u64) -> Vec<u64> {
         let executes = self.force_execute_all()
             || self.main_blocks.is_empty()
             || self
@@ -412,7 +399,7 @@ impl ReplayPlan {
     /// initialization segment (every main-loop block restores) followed by
     /// a work segment (every block restores unless probed). Empty when
     /// nothing restores: poisoned reuse, or no memoized blocks.
-    pub fn restore_schedule(
+    pub(crate) fn restore_schedule(
         &self,
         init: std::ops::Range<u64>,
         work: std::ops::Range<u64>,
@@ -506,7 +493,7 @@ impl ReplayRuntime {
     /// `anchors` under weak initialization. A sampled replay seeds worker
     /// 0 alone, with its iterations. Returns the deques plus the cost
     /// vector they were balanced by (the queue weighs victims with it).
-    pub fn seed_ranges(
+    pub(crate) fn seed_ranges(
         &self,
         plan: &ReplayPlan,
         n: u64,
@@ -552,18 +539,6 @@ pub struct ReplayReport {
     pub postamble: Postamble,
     /// Wall-clock time of the replay, ns.
     pub wall_ns: u64,
-}
-
-impl ReplayReport {
-    /// Probe outputs only: entries whose key never appears in the record
-    /// log (the typical "what did I ask for in hindsight" view).
-    pub fn hindsight_entries<'a>(&'a self, record_log: &[LogEntry]) -> Vec<&'a LogEntry> {
-        let record_keys: HashSet<&str> = record_log.iter().map(|e| e.key.as_str()).collect();
-        self.log
-            .iter()
-            .filter(|e| !record_keys.contains(e.key.as_str()))
-            .collect()
-    }
 }
 
 /// `for v in flor.partition(inner):` — the main-loop form the interpreter
@@ -666,30 +641,20 @@ pub fn replay_with_store(
     store: Arc<CheckpointStore>,
     opts: &ReplayOptions,
 ) -> Result<ReplayReport, FlorError> {
-    replay_streaming(new_src, store, opts, |_| {})
-}
-
-/// [`replay_with_store`] with a streaming observer: `on_event` receives
-/// record-order log-entry chunks as soon as the leading contiguous prefix
-/// of iterations completes (long before the last worker finishes), plus
-/// progress counters and incrementally-detected anomalies. The returned
-/// report is identical to the non-streaming call — the final log is the
-/// concatenation of the streamed chunks.
-pub fn replay_streaming(
-    new_src: &str,
-    store: Arc<CheckpointStore>,
-    opts: &ReplayOptions,
-    on_event: impl FnMut(StreamEvent<'_>),
-) -> Result<ReplayReport, FlorError> {
     let plan = Arc::new(ReplayPlan::prepare(&store, new_src)?);
-    replay_plan(plan, store, opts, on_event)
+    replay_plan(plan, store, opts, |_| {})
 }
 
 /// Executes an already-built plan (the registry builds it first, to look
-/// the query's slice class up in its cache). The sliced program is lowered
+/// the query's slice class up in its cache), streaming as it goes:
+/// `on_event` receives record-order log-entry chunks as soon as the
+/// leading contiguous prefix of iterations completes (long before the last
+/// worker finishes), plus progress counters and incrementally-detected
+/// anomalies. The returned report's log is the concatenation of the
+/// streamed chunks. The sliced program is lowered
 /// to bytecode once per job — every worker executes the same shared
 /// module — and, when the caller provides a module cache, reused across
-/// jobs under [`ReplayPlan::module_key`].
+/// jobs under the plan's module key.
 pub fn replay_plan(
     plan: Arc<ReplayPlan>,
     store: Arc<CheckpointStore>,
@@ -893,7 +858,7 @@ pub fn deferred_check(record: &[LogEntry], replay: &[LogEntry]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{record, tests::opts_exact};
+    use crate::record::{record, tests::opts_exact, RecordReport};
 
     fn tmproot(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -906,6 +871,13 @@ mod tests {
     }
 
     const TRAIN_SRC: &str = crate::record::tests::TRAIN_SRC;
+
+    /// Probe outputs only: replay entries whose key the record log never
+    /// wrote.
+    fn hindsight_entries<'a>(rep: &'a ReplayReport, rec: &RecordReport) -> Vec<&'a LogEntry> {
+        let recorded = |e: &&LogEntry| rec.log.iter().any(|r| r.key == e.key);
+        rep.log.iter().filter(|e| !recorded(e)).collect()
+    }
 
     /// TRAIN_SRC with an outer-loop probe (outside the skipblock).
     fn outer_probed() -> String {
@@ -957,7 +929,10 @@ mod tests {
         let outer = build(&outer_probed());
         assert!(outer.probed_blocks.is_empty(), "outer probe");
         assert_eq!(outer.main_blocks, ["sb_0"]);
-        assert!(outer.cuts_provable());
+        assert!(
+            outer.slice().is_active(),
+            "checkpoint cuts elide the training loop"
+        );
         assert!(!outer.force_execute_all() && outer.rewind_ok());
         assert_eq!(outer.restore_schedule(0..1, 1..3).len(), 3);
 
@@ -1041,10 +1016,11 @@ for epoch in flor.partition(range(5)):
             g != 2
         })
         .unwrap();
-        assert!(!gap.cuts_provable());
+        let dense = build(&probed);
+        assert!(gap.slice().elided_stmts < dense.slice().elided_stmts);
         let unprofiled =
             ReplayPlan::build(&recorded(TRAIN_SRC), &probed, None, |_, _| true).unwrap();
-        assert!(!unprofiled.cuts_provable());
+        assert!(unprofiled.slice().elided_stmts < dense.slice().elided_stmts);
     }
 
     #[test]
@@ -1055,21 +1031,21 @@ for epoch in flor.partition(range(5)):
         let (a, b) = (build(&probed), build(&variant));
         assert!(a.fingerprint().is_some());
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.module_key(), b.module_key(), "modules key on the text");
+        assert_ne!(a.module_key, b.module_key, "modules key on the text");
         assert_ne!(a.fingerprint(), build(&outer_probed()).fingerprint());
     }
 
     #[test]
     fn plan_keys_are_the_bytes_existing_caches_hold() {
         // Computed at the commit before `ReplayPlan` existed, from
-        // `slice_fingerprint` and `replay_streaming`'s module key: a
+        // `slice_fingerprint` and the streaming replay's module key: a
         // registry `cache/` written then must keep hitting. The module
         // key gained `+p` when memoized postambles stopped being
         // compiled; it keys the in-memory `ModuleCache` only, which no
         // earlier process left behind.
         let plan = build(&inner_probed());
         assert_eq!(plan.fingerprint(), Some(0x21c9_b231_ca05_e7c6));
-        assert_eq!(plan.module_key(), "8030229ee8567a13+s21c9b231ca05e7c6+p");
+        assert_eq!(plan.module_key, "8030229ee8567a13+s21c9b231ca05e7c6+p");
     }
 
     #[test]
@@ -1133,7 +1109,7 @@ for epoch in flor.partition(range(5)):
         assert_eq!(plan_a.postamble(), &Postamble::Memoized);
         assert!(matches!(plan_b.postamble(), Postamble::Executed(_)));
         assert!(!plan_a.slice().is_active(), "every statement is live");
-        assert_eq!(plan_a.module_key(), format!("{}+p", plan_b.module_key()));
+        assert_eq!(plan_a.module_key, format!("{}+p", plan_b.module_key));
 
         for order in [[&a, &b], [&b, &a]] {
             let opts = ReplayOptions {
@@ -1261,7 +1237,7 @@ log(\"accuracy\", acc)
         assert_eq!(rep.stats.restored, 6);
         assert_eq!(rep.stats.executed, 0);
         // The probe produced one value per epoch.
-        let hindsight = rep.hindsight_entries(&rec.log);
+        let hindsight = hindsight_entries(&rep, &rec);
         assert_eq!(hindsight.len(), 6);
         assert!(hindsight.iter().all(|e| e.key == "hindsight_wnorm"));
     }
@@ -1278,7 +1254,7 @@ log(\"accuracy\", acc)
         assert_eq!(rep.stats.executed, 6);
         assert_eq!(rep.stats.restored, 0);
         // 3 batches per epoch × 6 epochs of grad-norm probes.
-        let hindsight = rep.hindsight_entries(&rec.log);
+        let hindsight = hindsight_entries(&rep, &rec);
         assert_eq!(hindsight.len(), 18);
     }
 
@@ -1391,8 +1367,9 @@ log(\"accuracy\", acc)
         let mut streamed: Vec<LogEntry> = Vec::new();
         let mut progress_seen = 0u64;
         let mut last_total = 0u64;
-        let report = replay_streaming(
-            &inner_probed(),
+        let plan = Arc::new(ReplayPlan::prepare(&store, &inner_probed()).unwrap());
+        let report = replay_plan(
+            plan,
             store,
             &ReplayOptions::with_workers(3),
             |ev| match ev {

@@ -9,7 +9,7 @@
 //! order of traversal (e.g. for binary search)."
 //!
 //! Sampling is not a second executor: [`replay_sample`] runs the one range
-//! executor ([`crate::replay`]) over a queue seeded with one range per
+//! executor ([`mod@crate::replay`]) over a queue seeded with one range per
 //! requested iteration, sliced, prefetched and checked like any replay.
 //! It asks for weak initialization, so each sampled iteration starts from
 //! the nearest checkpoint anchor or continues from the last one, whichever

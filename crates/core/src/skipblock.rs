@@ -39,7 +39,7 @@ const STANDALONE_BASE: u64 = 1 << 48;
 /// bytes are copied on the training thread. Serialization (the tagged
 /// encoding, including producing the tensor bytes) runs in the background
 /// worker into a pooled buffer, mirroring the paper's fork() split.
-pub struct CValSnapshot {
+pub(crate) struct CValSnapshot {
     cval: CVal,
     objects: usize,
 }
@@ -88,7 +88,11 @@ fn exec_block_body(interp: &mut Interp, body: &BlockBody<'_>) -> Result<(), Flor
 }
 
 /// Executes a `skipblock "id":` statement in the interpreter's current mode.
-pub fn exec_skipblock(interp: &mut Interp, id: &str, body: &[Stmt]) -> Result<(), FlorError> {
+pub(crate) fn exec_skipblock(
+    interp: &mut Interp,
+    id: &str,
+    body: &[Stmt],
+) -> Result<(), FlorError> {
     exec_skipblock_impl(interp, id, &BlockBody::Tree(body))
 }
 
@@ -436,7 +440,7 @@ log(\"acc\", acc)
                 vec![("sb_0".to_string(), STANDALONE_BASE)],
             );
             p.drain();
-            assert_eq!(p.fetched(), 1);
+            assert_eq!(p.parked(), 1);
             ctx.prefetcher = Some(p);
         }
         let mut rep = Interp::new(mode);

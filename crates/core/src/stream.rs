@@ -18,8 +18,8 @@
 //! not at the end.
 //!
 //! The merge is byte-identical to the old barrier merge
-//! ([`merge_worker_logs`]) for every partitioning and steal order —
-//! property-tested in `tests/proptests.rs`.
+//! ([`merge_worker_logs`](crate::logstream::merge_worker_logs)) for every
+//! partitioning and steal order — property-tested in `tests/proptests.rs`.
 
 use crate::logstream::{LogEntry, Section};
 use crate::replay::deferred_check;
@@ -165,7 +165,7 @@ impl<'a> StreamingMerger<'a> {
     /// The replay does not run the postamble: emit the record log's `Post`
     /// entries in its place, right after iteration `n_iters - 1`'s (and
     /// so never, in a sampled replay that skips that iteration).
-    pub fn memoize_post(&mut self) {
+    pub(crate) fn memoize_post(&mut self) {
         let recorded = self.record_by_section.get(&Section::Post);
         self.memo_post = Some(recorded.cloned().unwrap_or_default());
     }
@@ -306,11 +306,6 @@ impl<'a> StreamingMerger<'a> {
             self.anomalies,
             self.first_entry_ns.unwrap_or(0),
         )
-    }
-
-    /// Time of first emitted entry, ns since `t0` (None before emission).
-    pub fn first_entry_ns(&self) -> Option<u64> {
-        self.first_entry_ns
     }
 }
 
@@ -541,12 +536,12 @@ mod tests {
     #[test]
     fn first_entry_timing_precedes_finish() {
         let mut merger = StreamingMerger::new(&[], flor_obs::clock::now_ns(), |_| {});
-        assert_eq!(merger.first_entry_ns(), None);
+        assert_eq!(merger.first_entry_ns, None);
         merger.push(StreamMsg::Pre {
             pid: 0,
             entries: vec![e("p", "1", Section::Pre)],
         });
-        let early = merger.first_entry_ns().expect("pre emitted immediately");
+        let early = merger.first_entry_ns.expect("pre emitted immediately");
         std::thread::sleep(std::time::Duration::from_millis(2));
         let (_, _, first) = merger.finish();
         assert_eq!(first, early, "finish must not reset the first-entry clock");

@@ -82,7 +82,7 @@ impl Value {
     }
 
     /// Truthiness, Python style.
-    pub fn truthy(&self) -> bool {
+    pub(crate) fn truthy(&self) -> bool {
         match self {
             Value::None => false,
             Value::Bool(b) => *b,
@@ -107,7 +107,7 @@ impl Value {
     }
 
     /// Integer view.
-    pub fn as_i64(&self) -> Result<i64, FlorError> {
+    pub(crate) fn as_i64(&self) -> Result<i64, FlorError> {
         match self {
             Value::Int(i) => Ok(*i),
             Value::Bool(b) => Ok(*b as i64),
@@ -155,7 +155,7 @@ impl Value {
 
     /// Cheap estimate (no cloning) of the snapshot's byte size — the input
     /// to adaptive checkpointing's pre-materialization cost prediction.
-    pub fn estimate_snapshot_bytes(&self) -> usize {
+    pub(crate) fn estimate_snapshot_bytes(&self) -> usize {
         match self {
             Value::None | Value::Bool(_) => 8,
             Value::Int(_) | Value::Float(_) => 16,
@@ -567,7 +567,7 @@ impl Obj {
 }
 
 /// StateDict → CVal map of tensor bytes.
-pub fn state_dict_to_cval(sd: &StateDict) -> CVal {
+pub(crate) fn state_dict_to_cval(sd: &StateDict) -> CVal {
     CVal::Map(
         sd.iter()
             .map(|(name, t)| (name.to_string(), tensor_cval(t)))
@@ -576,7 +576,7 @@ pub fn state_dict_to_cval(sd: &StateDict) -> CVal {
 }
 
 /// CVal map of tensor bytes → StateDict.
-pub fn cval_to_state_dict(cval: &CVal) -> Result<StateDict, FlorError> {
+pub(crate) fn cval_to_state_dict(cval: &CVal) -> Result<StateDict, FlorError> {
     match cval {
         CVal::Map(pairs) => {
             let mut sd = StateDict::new();

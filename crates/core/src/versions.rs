@@ -2,83 +2,21 @@
 //! and Versions").
 //!
 //! "We believe hindsight logging could support querying the past of
-//! multiple versions of a model […] For example, we might be looking for
-//! past Flor logs that show the 'exploding/vanishing gradient' pattern of
-//! Section 2.1. […] This brings up challenges in consistently injecting
-//! hindsight log statements into many programs, and then performing replay
-//! as appropriate."
+//! multiple versions of a model […] This brings up challenges in
+//! consistently injecting hindsight log statements into many programs, and
+//! then performing replay as appropriate."
 //!
-//! This module implements the proof of concept: a [`Probe`] is a *source
-//! transformation* applied uniformly to every run's own recorded source
-//! (each run may differ — different hyperparameters, different epochs), and
-//! [`replay_runs`] replays each store with its consistently-injected probe.
-//! [`find_runs_where`] filters a fleet of past runs by a predicate over the
-//! hindsight output — the paper's "which of my colleagues' runs show this
-//! pattern" query.
+//! A cross-version query probes each run's *own* recorded source, so the
+//! one thing every run must give back is that source: [`recorded_source`]
+//! reads it from the store and strips the instrumentation record added.
+//! The registry serves it (`Registry::run_source`); the tests below replay
+//! a fleet of versions through [`crate::replay::replay`] with it.
 
 use crate::error::FlorError;
-use crate::logstream::LogEntry;
-use crate::replay::{replay, ReplayOptions, ReplayReport};
 use flor_analysis::instrument::strip_instrumentation;
 use flor_chkpt::CheckpointStore;
 use flor_lang::{parse, print_program};
-use std::path::{Path, PathBuf};
-
-/// A hindsight probe injected consistently across program versions: adds a
-/// log statement after every occurrence of an anchor statement.
-///
-/// Working on *source text of the de-instrumented recorded program* keeps
-/// the probe version-agnostic: each run's own code is probed, whatever its
-/// hyperparameters or structure.
-#[derive(Debug, Clone)]
-pub struct Probe {
-    /// Statement line to anchor on (exact text, without indentation),
-    /// e.g. `optimizer.step()`.
-    pub after_stmt: String,
-    /// Log statement to inject (without indentation),
-    /// e.g. `log("g_norm", net.grad_norm())`.
-    pub log_stmt: String,
-}
-
-impl Probe {
-    /// Probe adding `log_stmt` after each `after_stmt`.
-    pub fn new(after_stmt: impl Into<String>, log_stmt: impl Into<String>) -> Self {
-        Probe {
-            after_stmt: after_stmt.into(),
-            log_stmt: log_stmt.into(),
-        }
-    }
-
-    /// Applies the probe to a source text. Returns `None` if the anchor
-    /// statement does not occur (that version cannot answer the query).
-    pub fn apply(&self, src: &str) -> Option<String> {
-        let mut out = String::with_capacity(src.len() + 64);
-        let mut hits = 0;
-        for line in src.lines() {
-            out.push_str(line);
-            out.push('\n');
-            if line.trim_end().ends_with(self.after_stmt.as_str())
-                && line.trim_start() == self.after_stmt
-            {
-                let indent = &line[..line.len() - line.trim_start().len()];
-                out.push_str(indent);
-                out.push_str(&self.log_stmt);
-                out.push('\n');
-                hits += 1;
-            }
-        }
-        (hits > 0).then_some(out)
-    }
-}
-
-/// One run's answer to a cross-version query.
-pub struct RunAnswer {
-    /// The run's store root.
-    pub store: PathBuf,
-    /// The probed replay, or `None` if the probe's anchor does not occur in
-    /// this version.
-    pub report: Option<ReplayReport>,
-}
+use std::path::Path;
 
 /// Reads a run's original (de-instrumented) source back from its store.
 pub fn recorded_source(store_root: &Path) -> Result<String, FlorError> {
@@ -89,50 +27,73 @@ pub fn recorded_source(store_root: &Path) -> Result<String, FlorError> {
     Ok(print_program(&strip_instrumentation(&prog)))
 }
 
-/// Injects `probe` into every run's own recorded source and replays each
-/// store. Runs whose version lacks the anchor statement return
-/// `report: None` rather than failing the whole query.
-pub fn replay_runs(
-    stores: &[PathBuf],
-    probe: &Probe,
-    opts: &ReplayOptions,
-) -> Result<Vec<RunAnswer>, FlorError> {
-    let mut answers = Vec::with_capacity(stores.len());
-    for store in stores {
-        let src = recorded_source(store)?;
-        let report = match probe.apply(&src) {
-            Some(probed) => Some(replay(&probed, store, opts)?),
-            None => None,
-        };
-        answers.push(RunAnswer {
-            store: store.clone(),
-            report,
-        });
-    }
-    Ok(answers)
-}
-
-/// Cross-run filter: replays every store with the probe and returns the
-/// stores whose hindsight log satisfies `pred` — e.g. "gradient norms
-/// exploded".
-pub fn find_runs_where(
-    stores: &[PathBuf],
-    probe: &Probe,
-    opts: &ReplayOptions,
-    mut pred: impl FnMut(&[LogEntry]) -> bool,
-) -> Result<Vec<PathBuf>, FlorError> {
-    let answers = replay_runs(stores, probe, opts)?;
-    Ok(answers
-        .into_iter()
-        .filter(|a| a.report.as_ref().map(|r| pred(&r.log)).unwrap_or(false))
-        .map(|a| a.store)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logstream::LogEntry;
     use crate::record::{record, tests::opts_exact};
+    use crate::replay::{replay, ReplayOptions, ReplayReport};
+    use std::path::PathBuf;
+
+    /// A hindsight probe injected consistently across program versions:
+    /// adds a log statement after every occurrence of an anchor statement.
+    ///
+    /// Working on *source text of the de-instrumented recorded program*
+    /// keeps the probe version-agnostic: each run's own code is probed,
+    /// whatever its hyperparameters or structure.
+    struct Probe {
+        /// Statement line to anchor on (exact text, without indentation),
+        /// e.g. `optimizer.step()`.
+        after_stmt: String,
+        /// Log statement to inject (without indentation),
+        /// e.g. `log("g_norm", net.grad_norm())`.
+        log_stmt: String,
+    }
+
+    impl Probe {
+        /// Probe adding `log_stmt` after each `after_stmt`.
+        fn new(after_stmt: impl Into<String>, log_stmt: impl Into<String>) -> Self {
+            Probe {
+                after_stmt: after_stmt.into(),
+                log_stmt: log_stmt.into(),
+            }
+        }
+
+        /// Applies the probe to a source text. Returns `None` if the anchor
+        /// statement does not occur (that version cannot answer the query).
+        fn apply(&self, src: &str) -> Option<String> {
+            let mut out = String::with_capacity(src.len() + 64);
+            let mut hits = 0;
+            for line in src.lines() {
+                out.push_str(line);
+                out.push('\n');
+                if line.trim_end().ends_with(self.after_stmt.as_str())
+                    && line.trim_start() == self.after_stmt
+                {
+                    let indent = &line[..line.len() - line.trim_start().len()];
+                    out.push_str(indent);
+                    out.push_str(&self.log_stmt);
+                    out.push('\n');
+                    hits += 1;
+                }
+            }
+            (hits > 0).then_some(out)
+        }
+    }
+
+    /// Injects `probe` into every run's own recorded source and replays
+    /// each store; `None` for a version that lacks the probe's anchor.
+    fn replay_runs(stores: &[PathBuf], probe: &Probe) -> Vec<Option<ReplayReport>> {
+        stores
+            .iter()
+            .map(|store| {
+                let src = recorded_source(store).unwrap();
+                probe
+                    .apply(&src)
+                    .map(|probed| replay(&probed, store, &ReplayOptions::default()).unwrap())
+            })
+            .collect()
+    }
 
     fn tmproot(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -215,13 +176,18 @@ for epoch in range({epochs}):
         }
         // Hindsight query: which runs show exploding *weight* magnitudes?
         let probe = Probe::new("optimizer.step()", "log(\"xw\", net.weight_norm())");
-        let hits = find_runs_where(&stores, &probe, &ReplayOptions::default(), |log| {
+        let explodes = |log: &[LogEntry]| {
             log.iter()
                 .filter(|e| e.key == "xw")
                 .filter_map(|e| e.value.parse::<f64>().ok())
                 .any(|g| g > 100.0)
-        })
-        .unwrap();
+        };
+        let hits: Vec<PathBuf> = stores
+            .iter()
+            .zip(replay_runs(&stores, &probe))
+            .filter(|(_, rep)| rep.as_ref().is_some_and(|r| explodes(&r.log)))
+            .map(|(store, _)| store.clone())
+            .collect();
         assert_eq!(
             hits,
             vec![stores[1].clone()],
@@ -245,8 +211,8 @@ log(\"accuracy\", acc)
         record(eval_only, &opts_exact(&root_b)).unwrap();
 
         let probe = Probe::new("optimizer.step()", "log(\"g\", net.grad_norm())");
-        let answers = replay_runs(&[root_a, root_b], &probe, &ReplayOptions::default()).unwrap();
-        assert!(answers[0].report.is_some());
-        assert!(answers[1].report.is_none(), "anchor absent → skipped");
+        let answers = replay_runs(&[root_a, root_b], &probe);
+        assert!(answers[0].is_some());
+        assert!(answers[1].is_none(), "anchor absent → skipped");
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! Execution model:
 //!
-//! - **One frame per run.** [`Interp::run_vm`] installs a [`VmFrame`]
+//! - **One frame per run.** [`Interp::run_vm`] installs a `VmFrame`
 //!   (materialized constant pool, `Vec<Option<Value>>` slots, operand
 //!   stack, iterator frames) and dispatches `ops[0..]`. Variable access
 //!   is a vector index — no `String` hashing in the inner loop.
@@ -17,16 +17,15 @@
 //!   instruction ranges; the work-stealing replay executor re-enters the
 //!   VM at an iteration boundary via `vm_run_range`, with
 //!   checkpoint-restored values bound into slots through the
-//!   [`Interp::bind_name`] boundary.
+//!   `Interp::bind_name` boundary.
 //! - **`Env` at the boundary only.** Checkpoint restore/materialization
 //!   and post-run inspection see names, not slots: restores write
 //!   through `bind_name`, and a successful run flushes slots back into
 //!   the `Env` so callers observe the same final state the tree-walker
 //!   would leave.
 //!
-//! Compiled modules are cached in a [`ModuleCache`] keyed by
-//! [`ReplayPlan::module_key`](crate::replay::ReplayPlan::module_key) — the
-//! probed source's `source_version` (the content address the registry's
+//! Compiled modules are cached in a [`ModuleCache`] keyed by the replay
+//! plan's module key — the probed source's `source_version` (the content address the registry's
 //! query cache uses) plus the slice's hash — so repeated hindsight queries
 //! over one source version skip compilation entirely — `vm.compile` stays flat while
 //! `vm.module_cache_hits` climbs.
@@ -54,7 +53,7 @@ struct IterFrame {
 /// Execution state of one VM run: the module being executed, its
 /// materialized constant pool, variable slots, operand stack, and
 /// iterator frames.
-pub struct VmFrame {
+pub(crate) struct VmFrame {
     /// The compiled module (shared, immutable).
     pub module: Arc<Module>,
     consts: Vec<Value>,
@@ -109,7 +108,7 @@ const MODULE_CACHE_CAPACITY: usize = 64;
 
 /// Compiled-module cache keyed by `source_version` (the FNV content
 /// address of the source text — the same key family the registry's
-/// query cache uses), holding at most [`MODULE_CACHE_CAPACITY`] modules;
+/// query cache uses), holding at most `MODULE_CACHE_CAPACITY` modules;
 /// a hit skips the compile pass entirely.
 #[derive(Debug, Default)]
 pub struct ModuleCache {

@@ -268,14 +268,6 @@ impl Stmt {
             _ => false,
         }
     }
-
-    /// True if this statement carries a nested body.
-    pub fn has_body(&self) -> bool {
-        matches!(
-            self,
-            Stmt::For { .. } | Stmt::If { .. } | Stmt::SkipBlock { .. }
-        )
-    }
 }
 
 impl fmt::Display for Expr {
@@ -326,16 +318,5 @@ mod tests {
             expr: Expr::call(Expr::attr(Expr::name("logger"), "log"), vec![]),
         };
         assert!(!method.is_log_stmt(), "only flor.log counts");
-    }
-
-    #[test]
-    fn has_body_matches_container_statements() {
-        assert!(Stmt::For {
-            var: "i".into(),
-            iter: Expr::Int(1),
-            body: vec![]
-        }
-        .has_body());
-        assert!(!Stmt::Pass.has_body());
     }
 }

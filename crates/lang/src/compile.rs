@@ -255,83 +255,6 @@ pub enum Op {
     Fail(u16),
 }
 
-impl Op {
-    /// Stable mnemonic for disassembly and the opcode-coverage gate.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            Op::Const(_) => "const",
-            Op::LoadSlot(_) => "load-slot",
-            Op::StoreSlot(_) => "store-slot",
-            Op::LoadFlor => "load-flor",
-            Op::MakeList(_) => "make-list",
-            Op::MakeTuple(_) => "make-tuple",
-            Op::Neg => "neg",
-            Op::Not => "not",
-            Op::Bin(_) => "bin",
-            Op::BinSS { .. } => "bin-ss",
-            Op::BinSC { .. } => "bin-sc",
-            Op::BinCS { .. } => "bin-cs",
-            Op::BinTS { .. } => "bin-ts",
-            Op::BinTC { .. } => "bin-tc",
-            Op::Jump(_) => "jump",
-            Op::JumpIfFalse(_) => "jump-if-false",
-            Op::AndJump(_) => "and-jump",
-            Op::OrJump(_) => "or-jump",
-            Op::Pop => "pop",
-            Op::Index => "index",
-            Op::StoreIndex => "store-index",
-            Op::LoadAttr(_) => "load-attr",
-            Op::StoreAttr(_) => "store-attr",
-            Op::Unpack(_) => "unpack",
-            Op::CallLog(_) => "call-log",
-            Op::CallBuiltin(_) => "call-builtin",
-            Op::CallMethod(_) => "call-method",
-            Op::GetIter => "get-iter",
-            Op::ForIter { .. } => "for-iter",
-            Op::MainLoop(_) => "main-loop",
-            Op::SkipBlock(_) => "skip-block",
-            Op::Fail(_) => "fail",
-        }
-    }
-
-    /// Every mnemonic, in declaration order — the opcode-coverage test
-    /// asserts each one is constructed by at least one compiler test.
-    pub const MNEMONICS: [&'static str; 32] = [
-        "const",
-        "load-slot",
-        "store-slot",
-        "load-flor",
-        "make-list",
-        "make-tuple",
-        "neg",
-        "not",
-        "bin",
-        "bin-ss",
-        "bin-sc",
-        "bin-cs",
-        "bin-ts",
-        "bin-tc",
-        "jump",
-        "jump-if-false",
-        "and-jump",
-        "or-jump",
-        "pop",
-        "index",
-        "store-index",
-        "load-attr",
-        "store-attr",
-        "unpack",
-        "call-log",
-        "call-builtin",
-        "call-method",
-        "get-iter",
-        "for-iter",
-        "main-loop",
-        "skip-block",
-        "fail",
-    ];
-}
-
 /// Signature of one call site: the callee (or method) name plus each
 /// argument's keyword name (`None` = positional), in source order. The
 /// VM zips this with the popped argument values to rebuild the
@@ -900,6 +823,84 @@ impl Compiler {
             other => self.fail(format!("cannot call {other}")),
         }
     }
+}
+
+#[cfg(test)]
+impl Op {
+    /// Stable mnemonic the opcode-coverage test matches on.
+    fn mnemonic(self) -> &'static str {
+        match self {
+            Op::Const(_) => "const",
+            Op::LoadSlot(_) => "load-slot",
+            Op::StoreSlot(_) => "store-slot",
+            Op::LoadFlor => "load-flor",
+            Op::MakeList(_) => "make-list",
+            Op::MakeTuple(_) => "make-tuple",
+            Op::Neg => "neg",
+            Op::Not => "not",
+            Op::Bin(_) => "bin",
+            Op::BinSS { .. } => "bin-ss",
+            Op::BinSC { .. } => "bin-sc",
+            Op::BinCS { .. } => "bin-cs",
+            Op::BinTS { .. } => "bin-ts",
+            Op::BinTC { .. } => "bin-tc",
+            Op::Jump(_) => "jump",
+            Op::JumpIfFalse(_) => "jump-if-false",
+            Op::AndJump(_) => "and-jump",
+            Op::OrJump(_) => "or-jump",
+            Op::Pop => "pop",
+            Op::Index => "index",
+            Op::StoreIndex => "store-index",
+            Op::LoadAttr(_) => "load-attr",
+            Op::StoreAttr(_) => "store-attr",
+            Op::Unpack(_) => "unpack",
+            Op::CallLog(_) => "call-log",
+            Op::CallBuiltin(_) => "call-builtin",
+            Op::CallMethod(_) => "call-method",
+            Op::GetIter => "get-iter",
+            Op::ForIter { .. } => "for-iter",
+            Op::MainLoop(_) => "main-loop",
+            Op::SkipBlock(_) => "skip-block",
+            Op::Fail(_) => "fail",
+        }
+    }
+
+    /// Every mnemonic, in declaration order — the opcode-coverage test
+    /// asserts each one is constructed by at least one compiler test.
+    const MNEMONICS: [&'static str; 32] = [
+        "const",
+        "load-slot",
+        "store-slot",
+        "load-flor",
+        "make-list",
+        "make-tuple",
+        "neg",
+        "not",
+        "bin",
+        "bin-ss",
+        "bin-sc",
+        "bin-cs",
+        "bin-ts",
+        "bin-tc",
+        "jump",
+        "jump-if-false",
+        "and-jump",
+        "or-jump",
+        "pop",
+        "index",
+        "store-index",
+        "load-attr",
+        "store-attr",
+        "unpack",
+        "call-log",
+        "call-builtin",
+        "call-method",
+        "get-iter",
+        "for-iter",
+        "main-loop",
+        "skip-block",
+        "fail",
+    ];
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Identifier or keyword-adjacent name.
     Name(String),
     /// Integer literal.
@@ -50,11 +50,11 @@ impl fmt::Display for Token {
 }
 
 /// A token plus the 1-based source line it starts on.
-pub type Spanned = (Token, usize);
+pub(crate) type Spanned = (Token, usize);
 
 /// Lexing failure with a 1-based line number.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Human-readable message.
     pub message: String,
     /// 1-based source line.
@@ -87,7 +87,7 @@ const KEYWORDS: &[&str] = &[
 
 /// Tokenizes FlorScript source into a spanned token stream ending in
 /// [`Token::Eof`].
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
     let mut out: Vec<Spanned> = Vec::new();
     let mut indents: Vec<usize> = vec![0];
     // Depth of open brackets — newlines inside brackets are not logical.

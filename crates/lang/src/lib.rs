@@ -24,13 +24,13 @@
 //! ```
 //!
 //! The crate provides:
-//! - [`lexer`]: indentation-aware tokenizer (INDENT/DEDENT, Python style),
-//! - [`parser`]: recursive-descent parser to the [`ast`] types,
+//! - `lexer`: indentation-aware tokenizer (INDENT/DEDENT, Python style),
+//! - `parser`: recursive-descent parser to the [`ast`] types,
 //! - [`printer`]: canonical pretty-printer (parse ∘ print = identity),
 //! - [`differ`]: structural AST diff that classifies changes into *probes*
 //!   (added log statements, keyed by enclosing SkipBlock) versus *other
 //!   changes* (which invalidate checkpoint reuse),
-//! - [`compile`]: bytecode compiler lowering a program to the flat
+//! - [`mod@compile`]: bytecode compiler lowering a program to the flat
 //!   instruction stream `flor-core`'s replay VM executes (constant pool,
 //!   slot-resolved variables, jump-based control flow).
 //!
@@ -43,8 +43,8 @@
 pub mod ast;
 pub mod compile;
 pub mod differ;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 pub mod printer;
 
 pub use ast::{Arg, BinOp, Expr, Program, Stmt, UnaryOp};

@@ -52,7 +52,7 @@ impl Linear {
 
     /// New layer with *frozen* weights (pretrained-style; skipped by
     /// optimizers but still present in checkpoints).
-    pub fn new_frozen(fan_in: usize, fan_out: usize, rng: &mut Pcg64) -> Self {
+    pub(crate) fn new_frozen(fan_in: usize, fan_out: usize, rng: &mut Pcg64) -> Self {
         let mut l = Self::new(fan_in, fan_out, rng);
         l.weight.frozen = true;
         l.bias.frozen = true;
@@ -62,7 +62,7 @@ impl Linear {
     /// New trainable layer initialized to zero — the "zero-init residual"
     /// trick: the last layer of a residual branch starts at zero so every
     /// block begins as the identity, keeping deep stacks stable at init.
-    pub fn new_zero(fan_in: usize, fan_out: usize) -> Self {
+    pub(crate) fn new_zero(fan_in: usize, fan_out: usize) -> Self {
         Linear {
             weight: Param::new("weight", Tensor::zeros([fan_in, fan_out])),
             bias: Param::new("bias", Tensor::zeros([fan_out])),
@@ -210,7 +210,7 @@ impl Layer for Activation {
 ///
 /// Mean pooling keeps the rest of a text model a plain `[batch, features]`
 /// pipeline, which is all the miniature GLUE-style workloads need.
-pub struct Embedding {
+pub(crate) struct Embedding {
     weight: Param,
     vocab: usize,
     dim: usize,
@@ -226,12 +226,6 @@ impl Embedding {
             dim,
             cached_ids: None,
         }
-    }
-
-    /// Freezes the table (pretrained-embedding fine-tuning style).
-    pub fn frozen(mut self) -> Self {
-        self.weight.frozen = true;
-        self
     }
 
     fn id_at(&self, ids: &Tensor, flat: usize) -> usize {
@@ -305,7 +299,7 @@ impl Layer for Embedding {
 
 /// Layer normalization over the last dimension of `[batch, dim]`, with
 /// learned scale (`gamma`) and shift (`beta`).
-pub struct LayerNorm {
+pub(crate) struct LayerNorm {
     gamma: Param,
     beta: Param,
     eps: f32,
@@ -406,7 +400,7 @@ impl Layer for LayerNorm {
 
 /// 1-D valid convolution over `[batch, in_ch, len] → [batch, out_ch, len-k+1]`
 /// (the Jasper-style speech workloads are stacks of these).
-pub struct Conv1d {
+pub(crate) struct Conv1d {
     weight: Param, // [out_ch, in_ch, k]
     bias: Param,   // [out_ch]
     in_ch: usize,
@@ -516,7 +510,7 @@ impl Layer for Conv1d {
 
 /// Flattens `[batch, …] → [batch, rest]`, remembering the input shape for
 /// backward. Bridges Conv1d stacks to Linear heads.
-pub struct Flatten {
+pub(crate) struct Flatten {
     cached_shape: Option<Shape>,
 }
 
@@ -557,7 +551,7 @@ impl Layer for Flatten {
 /// Reshapes `[batch, features] → [batch, channels, features/channels]`,
 /// adapting flat feature batches to 1-D convolutional stacks (speech-style
 /// models treat the feature vector as a waveform with `channels` bands).
-pub struct ToChannels {
+pub(crate) struct ToChannels {
     channels: usize,
 }
 
@@ -601,7 +595,7 @@ impl Layer for ToChannels {
 
 /// Residual (skip) connection: `y = x + f(x)` where `f` is an inner layer
 /// stack. The building block of the ResNet-style miniature workloads.
-pub struct Residual {
+pub(crate) struct Residual {
     inner: Vec<Box<dyn Layer>>,
 }
 
@@ -672,7 +666,7 @@ impl Layer for Residual {
 /// fine-tuning, so a loop execution quickly updates a small fraction of
 /// values in an enormous model" (§5.3.4) — which is exactly the regime where
 /// Flor's adaptive checkpointing switches to periodic (sparse) checkpoints.
-pub struct FrozenBackbone {
+pub(crate) struct FrozenBackbone {
     proj: Linear,
     ballast: Param,
 }

@@ -37,10 +37,8 @@ pub mod sched;
 pub mod swa;
 
 pub use data::{DataLoader, SyntheticClassification, SyntheticTokens};
-pub use layer::{
-    Activation, Conv1d, Embedding, FrozenBackbone, Layer, LayerNorm, Linear, Residual, ToChannels,
-};
+pub use layer::{Activation, Linear};
 pub use loss::CrossEntropyLoss;
-pub use module::{Param, Sequential, StateDict};
+pub use module::{Sequential, StateDict};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use sched::{CosineLr, CyclicLr, Scheduler, StepLr};

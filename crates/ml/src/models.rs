@@ -7,7 +7,7 @@
 //! | RsNt (ResNet-152)        | [`resnet_mini`] | deep residual net, big checkpoints |
 //! | Wiki (RoBERTa train)     | [`textnet`] | embedding-heavy language model |
 //! | RTE / CoLA (RoBERTa fine-tune) | [`finetune_net`] | enormous frozen mass, tiny trainable head |
-//! | Jasp (Jasper speech)     | [`convnet1d`] | 1-D conv stack |
+//! | Jasp (Jasper speech)     | [`convnet1d_flat`] | 1-D conv stack |
 //! | RnnT (RNN w/ attention)  | [`textnet`] with deeper head | sequence classification |
 
 use crate::layer::{
@@ -60,29 +60,6 @@ pub fn resnet_mini(
     }
     m.push(Activation::relu())
         .push(Linear::new(hidden, classes, rng))
-}
-
-/// 1-D convolutional classifier (Jasper-style): conv stack → flatten → head.
-///
-/// Input is `[batch, in_ch, len]`.
-pub fn convnet1d(
-    in_ch: usize,
-    channels: usize,
-    kernel: usize,
-    len: usize,
-    classes: usize,
-    rng: &mut Pcg64,
-) -> Sequential {
-    let l1 = len - kernel + 1;
-    let l2 = l1 - kernel + 1;
-    assert!(l2 > 0, "input too short for two conv layers");
-    Sequential::new("convnet1d")
-        .push(Conv1d::new(in_ch, channels, kernel, rng))
-        .push(Activation::relu())
-        .push(Conv1d::new(channels, channels, kernel, rng))
-        .push(Activation::relu())
-        .push(Flatten::new())
-        .push(Linear::new(channels * l2, classes, rng))
 }
 
 /// 1-D convolutional classifier over *flat feature batches* (the speech
@@ -238,8 +215,9 @@ mod tests {
     #[test]
     fn convnet1d_forward_shape() {
         let mut rng = Pcg64::seeded(5);
-        let mut m = convnet1d(2, 4, 3, 12, 5, &mut rng);
-        let x = Tensor::zeros([2, 2, 12]);
+        // Two bands of 12 features: the same conv stack as a [2, 2, 12] input.
+        let mut m = convnet1d_flat(24, 2, 4, 3, 5, &mut rng);
+        let x = Tensor::zeros([2, 24]);
         assert_eq!(m.forward(&x).shape().dims(), &[2, 5]);
     }
 }

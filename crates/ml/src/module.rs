@@ -21,7 +21,7 @@ pub struct Param {
     /// Gradient accumulated by the latest backward pass.
     pub grad: Tensor,
     /// Frozen parameters are excluded from optimization.
-    pub frozen: bool,
+    pub(crate) frozen: bool,
 }
 
 impl Param {
@@ -37,7 +37,7 @@ impl Param {
     }
 
     /// Creates a frozen parameter (kept in checkpoints, never optimized).
-    pub fn frozen(name: impl Into<String>, value: Tensor) -> Self {
+    pub(crate) fn frozen(name: impl Into<String>, value: Tensor) -> Self {
         let mut p = Self::new(name, value);
         p.frozen = true;
         p
@@ -120,7 +120,7 @@ impl FromIterator<(String, Tensor)> for StateDict {
 ///
 /// `Sequential` is deliberately the *only* container: the paper's workloads
 /// all reduce to "forward through the net, compute loss, backward, step",
-/// and a layer stack (with [`crate::layer::Residual`] for skip connections)
+/// and a layer stack (with `crate::layer::Residual` for skip connections)
 /// expresses every miniature workload in Table 3's live counterparts.
 pub struct Sequential {
     name: String,
@@ -145,11 +145,6 @@ impl Sequential {
     /// The model's display name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
     }
 
     /// Forward pass through every layer, caching activations for backward.
@@ -198,7 +193,7 @@ impl Sequential {
     }
 
     /// Total *trainable* parameter count.
-    pub fn numel_trainable(&self) -> usize {
+    pub(crate) fn numel_trainable(&self) -> usize {
         let mut n = 0;
         self.visit_params(&mut |p| {
             if !p.frozen {

@@ -73,7 +73,7 @@ impl JsonWriter {
     }
 
     /// String value.
-    pub fn str_val(&mut self, v: &str) {
+    pub(crate) fn str_val(&mut self, v: &str) {
         self.pre_value();
         write_escaped(&mut self.out, v);
     }
@@ -86,7 +86,7 @@ impl JsonWriter {
 
     /// Float value (finite; NaN/inf serialize as 0 — JSON has no spelling
     /// for them).
-    pub fn f64_val(&mut self, v: f64) {
+    pub(crate) fn f64_val(&mut self, v: f64) {
         self.pre_value();
         if v.is_finite() {
             let _ = write!(self.out, "{v}");

@@ -9,13 +9,13 @@
 //! - [`trace`]: a span/event API behind one global flag. Disabled (the
 //!   default), entering a span is a single relaxed atomic load — no clock,
 //!   no allocation, no thread-local touch. Enabled (a
-//!   [`TraceSession`](trace::TraceSession) is live), spans record into
+//!   [`TraceSession`] is live), spans record into
 //!   per-thread lock-free SPSC ring buffers and drain into a [`Trace`]
 //!   that exports Chrome `trace_event` JSON (one lane per replay worker)
 //!   or flamegraph-folded text.
 //! - [`metrics`]: always-on named counters and log-bucketed latency
 //!   histograms (O(1) relaxed atomic increments), snapshotted behind one
-//!   [`MetricSnapshot`](metrics::MetricSnapshot).
+//!   [`MetricSnapshot`].
 //! - [`clock`]: the monotonic nanosecond clock every subsystem times with
 //!   (`tools/ci.sh` lints raw `std::time::Instant` reads out of the hot
 //!   paths).

@@ -135,15 +135,15 @@ pub struct HistogramSnapshot {
     /// Samples observed.
     pub count: u64,
     /// Sum of all observed durations, ns.
-    pub sum_ns: u64,
+    pub(crate) sum_ns: u64,
     /// Median estimate, ns.
     pub p50_ns: u64,
     /// 95th-percentile estimate, ns.
-    pub p95_ns: u64,
+    pub(crate) p95_ns: u64,
     /// 99th-percentile estimate, ns.
-    pub p99_ns: u64,
+    pub(crate) p99_ns: u64,
     /// Largest observed value, exact, ns.
-    pub max_ns: u64,
+    pub(crate) max_ns: u64,
 }
 
 struct RegistryInner {

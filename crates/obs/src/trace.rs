@@ -249,7 +249,7 @@ thread_local! {
 /// True while a [`TraceSession`] is live. One relaxed load — the whole
 /// cost of instrumentation when tracing is off.
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 

@@ -28,7 +28,7 @@ static KNOWN_TENANTS: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 /// Checks a tenant name a peer sent and counts it against
 /// [`MAX_TENANTS`]; `Err` is the protocol line to answer with, and
 /// nothing was registered. A name already known is always accepted.
-pub fn register_tenant(name: &str) -> Result<(), String> {
+pub(crate) fn register_tenant(name: &str) -> Result<(), String> {
     if name.len() > MAX_TENANT_NAME_BYTES {
         return Err(format!(
             "bad tenant: name over {MAX_TENANT_NAME_BYTES} bytes"
@@ -52,7 +52,7 @@ pub fn register_tenant(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Limits enforced by [`AdmissionController::try_admit`]. Zero disables
+/// Limits enforced by `AdmissionController::try_admit`. Zero disables
 /// the corresponding check, so [`AdmissionPolicy::unlimited`] admits
 /// everything — the stdin serve mode's byte-compatible default.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,16 +107,15 @@ impl AdmissionController {
         }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> &AdmissionPolicy {
-        &self.policy
-    }
-
     /// Decides one submission from `tenant`. `Ok(())` consumes a token
     /// and claims a job slot — pair every success with exactly one
     /// [`AdmissionController::release`] when the job goes terminal.
     /// `Err` carries the one-line protocol reason; nothing is consumed.
-    pub fn try_admit(&self, tenant: &str, scheduler: &ReplayScheduler) -> Result<(), String> {
+    pub(crate) fn try_admit(
+        &self,
+        tenant: &str,
+        scheduler: &ReplayScheduler,
+    ) -> Result<(), String> {
         let queued = scheduler.queued_depth();
         if self.policy.max_queue_depth > 0 && queued >= self.policy.max_queue_depth {
             self.count_shed(tenant);
@@ -171,22 +170,12 @@ impl AdmissionController {
     }
 
     /// Returns the job slot claimed by a successful
-    /// [`AdmissionController::try_admit`].
+    /// `AdmissionController::try_admit`.
     pub fn release(&self, tenant: &str) {
         let mut tenants = self.tenants.lock().unwrap();
         if let Some(state) = tenants.get_mut(tenant) {
             state.active_jobs = state.active_jobs.saturating_sub(1);
         }
-    }
-
-    /// Non-terminal jobs currently charged to `tenant`.
-    pub fn active_jobs(&self, tenant: &str) -> usize {
-        self.tenants
-            .lock()
-            .unwrap()
-            .get(tenant)
-            .map(|s| s.active_jobs)
-            .unwrap_or(0)
     }
 
     fn count_shed(&self, tenant: &str) {
@@ -236,7 +225,7 @@ mod tests {
         for _ in 0..100 {
             ctl.try_admit("anyone", &sched).unwrap();
         }
-        assert_eq!(ctl.active_jobs("anyone"), 100);
+        assert_eq!(ctl.tenants.lock().unwrap()["anyone"].active_jobs, 100);
     }
 
     #[test]

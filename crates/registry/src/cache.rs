@@ -30,7 +30,7 @@ pub struct CachedResult {
 /// Content address of a query: `(run_id, generation, source_version,
 /// probed_source)` → 16-hex-digit key. Fields are joined with a 0x1F
 /// separator before hashing so `("ab","c")` and `("a","bc")` differ.
-pub fn query_key(
+pub(crate) fn query_key(
     run_id: &str,
     generation: u64,
     source_version: &str,
@@ -51,13 +51,18 @@ pub fn query_key(
 
 /// Content address of a *slice class* of queries: `(run_id, generation,
 /// source_version, slice fingerprint)` → `"s"` + 16 hex digits. The
-/// fingerprint ([`flor_core::replay::slice_fingerprint`]) hashes the
+/// fingerprint ([`flor_core::replay::ReplayPlan::fingerprint`]) hashes the
 /// canonical print of the probed source's sliced instrumented program, so
 /// textually different probes that slice to the same live cone share one
 /// entry — the cross-query memo behind incremental replay. The `"s"`
 /// prefix keeps these keys disjoint from the 16-hex raw-text keys of
 /// [`query_key`] inside one cache directory.
-pub fn slice_key(run_id: &str, generation: u64, source_version: &str, fingerprint: u64) -> String {
+pub(crate) fn slice_key(
+    run_id: &str,
+    generation: u64,
+    source_version: &str,
+    fingerprint: u64,
+) -> String {
     let mut buf = Vec::with_capacity(64);
     for part in [
         run_id,

@@ -142,8 +142,6 @@ struct CatalogState {
 pub struct RunCatalog {
     path: PathBuf,
     state: Mutex<CatalogState>,
-    /// True when load dropped a torn (CRC-failing) final line.
-    recovered_torn_tail: bool,
 }
 
 impl RunCatalog {
@@ -182,7 +180,6 @@ impl RunCatalog {
         let catalog = RunCatalog {
             path,
             state: Mutex::new(CatalogState { runs, lines }),
-            recovered_torn_tail,
         };
         // Repair whenever the tail lacks its newline — even if the final
         // line parsed (a crash can cut exactly at the newline). A later
@@ -231,16 +228,10 @@ impl RunCatalog {
         RunRecord::from_payload(payload, lineno)
     }
 
-    /// True when the last load dropped a torn trailing line (crash
-    /// recovery happened).
-    pub fn recovered_torn_tail(&self) -> bool {
-        self.recovered_torn_tail
-    }
-
     /// Appends a new generation for `record.run_id` and returns the record
     /// with its assigned generation. Fields containing reserved characters
     /// (tab, newline) are rejected.
-    pub fn register(&self, mut record: RunRecord) -> Result<RunRecord, RegistryError> {
+    pub(crate) fn register(&self, mut record: RunRecord) -> Result<RunRecord, RegistryError> {
         for (what, s) in [
             ("run id", record.run_id.as_str()),
             ("source version", record.source_version.as_str()),
@@ -332,7 +323,7 @@ impl RunCatalog {
     /// (dropped generations are then rewritten out of disk by the
     /// registry's GC, the catalog's analogue of the store engine's
     /// compaction).
-    pub fn prunable(&self, run_id: &str, policy: &RetentionPolicy) -> Vec<RunRecord> {
+    pub(crate) fn prunable(&self, run_id: &str, policy: &RetentionPolicy) -> Vec<RunRecord> {
         let history = self.history(run_id);
         let keep = policy.keep_latest.max(1);
         if history.len() <= keep {
@@ -451,7 +442,11 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() - 10]).unwrap();
         let cat = RunCatalog::open(&path).unwrap();
-        assert!(cat.recovered_torn_tail());
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            text.lines().next().unwrap().to_owned() + "\n",
+            "recovery rewrote the file without the torn line"
+        );
         assert_eq!(cat.len(), 1, "torn bob record dropped");
         assert!(cat.latest("alice").is_some());
     }
@@ -471,11 +466,16 @@ mod tests {
         fs::write(&path, &text[..text.len() - 9]).unwrap();
         {
             let cat = RunCatalog::open(&path).unwrap();
-            assert!(cat.recovered_torn_tail());
+            assert_eq!(fs::read_to_string(&path).unwrap().lines().count(), 1);
             cat.register(rec("carol", 3)).unwrap();
         }
+        let repaired = fs::read_to_string(&path).unwrap();
         let cat = RunCatalog::open(&path).unwrap();
-        assert!(!cat.recovered_torn_tail(), "file was repaired");
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            repaired,
+            "file was repaired: reopening rewrites nothing"
+        );
         assert_eq!(cat.len(), 2);
         assert!(cat.latest("alice").is_some());
         assert!(cat.latest("carol").is_some());
@@ -556,8 +556,13 @@ mod tests {
         }
         assert_eq!(cat.len(), 32);
         // And the file itself reloads cleanly.
+        let written = fs::read_to_string(cat.path()).unwrap();
         let reloaded = RunCatalog::open(cat.path()).unwrap();
         assert_eq!(reloaded.len(), 32);
-        assert!(!reloaded.recovered_torn_tail());
+        assert_eq!(
+            fs::read_to_string(cat.path()).unwrap(),
+            written,
+            "no torn tail"
+        );
     }
 }

@@ -38,7 +38,7 @@ pub mod service;
 pub mod session;
 
 pub use admission::{AdmissionController, AdmissionPolicy};
-pub use cache::{query_key, CachedResult, QueryCache};
+pub use cache::{CachedResult, QueryCache};
 pub use catalog::{RetentionPolicy, RunCatalog, RunRecord};
 pub use conn::{Conn, Endpoint};
 pub use error::RegistryError;

@@ -295,7 +295,7 @@ impl ReplayScheduler {
     /// [`ReplayScheduler::new`] with a bound on queued (not yet running)
     /// jobs: submissions past `queue_limit` fail fast with a scheduler
     /// error instead of growing the backlog (0 = unbounded).
-    pub fn with_queue_limit(
+    pub(crate) fn with_queue_limit(
         registry: Arc<Registry>,
         pool_workers: usize,
         queue_limit: usize,
@@ -423,7 +423,7 @@ impl ReplayScheduler {
 
     /// Jobs waiting in the queue (not yet picked up by a worker) — the
     /// depth admission control sheds on.
-    pub fn queued_depth(&self) -> usize {
+    pub(crate) fn queued_depth(&self) -> usize {
         self.shared.state.lock().unwrap().queued()
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! One [`Registry`] serves many users over many recorded runs. It owns:
 //!
-//! - the [`RunCatalog`](crate::catalog::RunCatalog) (persistent run index),
+//! - the [`RunCatalog`] (persistent run index),
 //! - a pool of open [`CheckpointStore`] handles, one per run, so repeated
 //!   queries skip re-scanning store manifests — and every user of a pooled
 //!   handle shares that store's persistent MANIFEST appender and O(1)
 //!   byte-total counters (one open fd per run, however many sessions
 //!   record or replay against it),
-//! - the content-addressed [`QueryCache`](crate::cache::QueryCache) — the
+//! - the content-addressed [`QueryCache`] — the
 //!   second identical query is served from disk without touching the
 //!   replay engine.
 //!
@@ -147,23 +147,13 @@ impl Registry {
         &self.cache
     }
 
-    /// Default store location for generation `generation` of a run recorded
-    /// through this registry. Generations get disjoint directories: the
-    /// catalog is append-only, and overlaying a new run onto an old store
-    /// would corrupt both (and invalidate pooled handles).
-    pub fn store_root_for(&self, run_id: &str, generation: u64) -> PathBuf {
-        self.root
-            .join("stores")
-            .join(run_id)
-            .join(format!("g{generation}"))
-    }
-
     // ---- registration -----------------------------------------------------
 
     /// Records `src` into this registry's store area under `run_id`, then
-    /// catalogs the finished run. The per-run store root is
-    /// [`Registry::store_root_for`]; other [`RecordOptions`] fields can be
-    /// customized via `configure`.
+    /// catalogs the finished run. Each generation records into a fresh
+    /// `stores/<run_id>/g<N>` directory — the catalog is append-only, and
+    /// overlaying a new run onto an old store would corrupt both; other
+    /// [`RecordOptions`] fields can be customized via `configure`.
     pub fn record_run(
         &self,
         run_id: &str,
@@ -551,7 +541,7 @@ impl Registry {
     /// Per-tenant slice of the metrics registry: only the
     /// `tenant.<name>.*` counters and histograms the serving layer tags —
     /// the payload behind `flor serve`'s `metrics <tenant>` verb.
-    pub fn tenant_metrics_snapshot(&self, tenant: &str) -> flor_obs::MetricSnapshot {
+    pub(crate) fn tenant_metrics_snapshot(&self, tenant: &str) -> flor_obs::MetricSnapshot {
         flor_obs::metrics::snapshot_prefixed(&format!("tenant.{tenant}."))
     }
 

@@ -36,7 +36,7 @@
 //! bind Unix sockets or loopback TCP (the defaults) and front anything
 //! wider with an authenticating proxy. As a guard against a mistyped (or
 //! hostile) path making the server read a huge file, probed sources
-//! larger than [`MAX_PROBED_SOURCE_BYTES`] are refused without reading.
+//! larger than `MAX_PROBED_SOURCE_BYTES` are refused without reading.
 
 use crate::admission::AdmissionController;
 use crate::error::RegistryError;
@@ -55,7 +55,7 @@ use std::sync::Arc;
 /// connection's session, so this bound is also the bound on how long one
 /// command can delay that connection's own replies and stream (other
 /// connections dispatch on their own threads).
-pub const MAX_PROBED_SOURCE_BYTES: u64 = 1 << 20;
+pub(crate) const MAX_PROBED_SOURCE_BYTES: u64 = 1 << 20;
 
 /// What the transport should do after a session call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -421,7 +421,10 @@ impl ServeSession {
     /// `Quit` once a requested quit has nothing left to deliver. Socket
     /// transports call this whenever the session's `wake` fired; the stdin
     /// adapter reaches it via `drain`/`quit`.
-    pub fn poll_events(&mut self, out: &mut Vec<String>) -> Result<SessionControl, RegistryError> {
+    pub(crate) fn poll_events(
+        &mut self,
+        out: &mut Vec<String>,
+    ) -> Result<SessionControl, RegistryError> {
         for i in self.settled..self.submitted.len() {
             let id = self.submitted[i];
             self.pump_job(id, out);
@@ -475,7 +478,7 @@ impl ServeSession {
     /// (queued ones immediately, running ones cooperatively) and returns
     /// every admission slot it still holds — a vanished client must not
     /// pin quota or burn replay workers.
-    pub fn abort(&mut self) {
+    pub(crate) fn abort(&mut self) {
         // Jobs no longer live answer `NotCancellable`.
         for &id in &self.submitted[self.settled..] {
             self.scheduler.cancel_job(id);

@@ -10,18 +10,16 @@ use crate::replay_sim::ReplaySim;
 
 /// EC2 machine shapes used in the evaluation.
 pub mod machine {
-    /// P3.2xLarge: 1 V100 GPU.
-    pub const P3_2X_GPUS: usize = 1;
     /// P3.2xLarge hourly price, USD.
-    pub const P3_2X_USD_PER_HOUR: f64 = 3.06;
+    pub(crate) const P3_2X_USD_PER_HOUR: f64 = 3.06;
     /// P3.8xLarge: 4 V100 GPUs.
     pub const P3_8X_GPUS: usize = 4;
     /// P3.8xLarge hourly price, USD.
-    pub const P3_8X_USD_PER_HOUR: f64 = 12.24;
+    pub(crate) const P3_8X_USD_PER_HOUR: f64 = 12.24;
 }
 
 /// S3 standard storage, USD per GB-month.
-pub const S3_USD_PER_GB_MONTH: f64 = 0.023;
+pub(crate) const S3_USD_PER_GB_MONTH: f64 = 0.023;
 
 /// Measured checkpoint-read constants of the segmented storage engine,
 /// taken from the last `BENCH_replay.json` of the since-retired
@@ -29,85 +27,21 @@ pub const S3_USD_PER_GB_MONTH: f64 = 0.023;
 /// simulator folds these into the restore cost `R = c·M` so simulated
 /// replay latency reflects the real read path, not just the paper's
 /// compute-side scaling factor.
-pub mod read_cost {
+pub(crate) mod read_cost {
     /// Median `get_bytes` latency for a segment-resident checkpoint,
     /// seconds (fixed per-read cost: sharded index lookup + shared-buffer
     /// slice + CRC). BENCH_replay.json: 1548 ns at 100k checkpoints.
-    pub const SEGMENTED_GET_SECS: f64 = 1.5e-6;
+    pub(crate) const SEGMENTED_GET_SECS: f64 = 1.5e-6;
 
     /// Streaming throughput for pulling a cold segment's payload bytes
     /// into the shared read buffer, bytes/second.
-    pub const SEGMENT_READ_BYTES_PER_SEC: f64 = 2.0e9;
+    pub(crate) const SEGMENT_READ_BYTES_PER_SEC: f64 = 2.0e9;
 
     /// I/O-side cost of restoring one checkpoint of `compressed_gb`
     /// gigabytes from a segmented store: the fixed per-read constant plus
     /// the proportional segment-read cost.
-    pub fn restore_read_secs(compressed_gb: f64) -> f64 {
+    pub(crate) fn restore_read_secs(compressed_gb: f64) -> f64 {
         SEGMENTED_GET_SECS + compressed_gb * 1e9 / SEGMENT_READ_BYTES_PER_SEC
-    }
-}
-
-/// Delta-chain storage and restore model, with constants measured by the
-/// since-retired `bench_compress_json` microbenchmark (its last
-/// `BENCH_compress.json` drifting-tensor table, in git history: ~5% of
-/// tensor elements move per checkpoint version).
-pub mod delta_cost {
-    use super::read_cost;
-
-    /// Stored/raw ratio of one delta frame on the drifting-tensor
-    /// workload (BENCH_compress.json: `delta_frame_ratio` 0.053).
-    pub const DELTA_FRAME_RATIO: f64 = 0.053;
-
-    /// Stored/raw ratio of a keyframe (incompressible tensor slabs store
-    /// raw; zero-heavy payloads do better, so this is conservative).
-    pub const KEYFRAME_RATIO: f64 = 1.0;
-
-    /// Extra restore cost per chain link, seconds per raw GB decoded
-    /// (BENCH_compress.json: sequential restore median 8.17 ms vs 5.03 ms
-    /// keyframe-only on 4 MiB payloads ≈ 0.75 s/GB/link).
-    pub const CHAIN_LINK_SECS_PER_GB: f64 = 0.75;
-
-    /// Stored bytes (GB) for `checkpoints` versions of a `raw_gb`
-    /// checkpoint under keyframe interval `k` (`k == 0` disables delta:
-    /// every version is a keyframe).
-    pub fn stored_gb(checkpoints: u64, raw_gb: f64, k: u32) -> f64 {
-        if k == 0 || checkpoints == 0 {
-            return checkpoints as f64 * raw_gb * KEYFRAME_RATIO;
-        }
-        let keyframes = checkpoints.div_ceil(k as u64);
-        let deltas = checkpoints - keyframes;
-        keyframes as f64 * raw_gb * KEYFRAME_RATIO + deltas as f64 * raw_gb * DELTA_FRAME_RATIO
-    }
-
-    /// Bytes-on-disk reduction factor vs storing every version as a
-    /// keyframe.
-    pub fn reduction_vs_flat(checkpoints: u64, k: u32) -> f64 {
-        let flat = checkpoints as f64 * KEYFRAME_RATIO;
-        let delta = stored_gb(checkpoints, 1.0, k);
-        if delta <= 0.0 {
-            1.0
-        } else {
-            flat / delta
-        }
-    }
-
-    /// Mean chain depth of a *random-access* restore under interval `k`
-    /// (depths cycle 0..k−1 within each keyframe window).
-    pub fn mean_chain_depth(k: u32) -> f64 {
-        if k == 0 {
-            0.0
-        } else {
-            (k as f64 - 1.0) / 2.0
-        }
-    }
-
-    /// Restore cost of one checkpoint of `raw_gb` through a chain of
-    /// `depth` links: the keyframe read plus one decode per link. A
-    /// sequential replay pays `depth ≈ 1` per restore (the reader's chain
-    /// cache serves each delta's base); only random access pays
-    /// [`mean_chain_depth`].
-    pub fn restore_chain_secs(raw_gb: f64, depth: f64) -> f64 {
-        read_cost::restore_read_secs(raw_gb) + depth * raw_gb * CHAIN_LINK_SECS_PER_GB
     }
 }
 
@@ -124,7 +58,7 @@ pub struct ReplayBill {
     /// Machines used.
     pub machines: usize,
     /// Hourly rate per machine.
-    pub usd_per_hour: f64,
+    pub(crate) usd_per_hour: f64,
     /// Total, USD.
     pub total_usd: f64,
 }
@@ -240,57 +174,6 @@ mod tests {
                 w.name,
                 w.epoch_secs()
             );
-        }
-    }
-
-    #[test]
-    fn delta_storage_reduction_meets_the_acceptance_bar() {
-        // The measured frame ratio at the default K=8 must model out to
-        // the ≥3× bytes-on-disk reduction the store's tests hold.
-        let r = delta_cost::reduction_vs_flat(32, 8);
-        assert!(r >= 3.0, "modelled reduction {r:.2}");
-        // More checkpoints between keyframes → more reduction; K=0 is flat.
-        assert!(delta_cost::reduction_vs_flat(32, 16) > r);
-        assert!((delta_cost::reduction_vs_flat(32, 0) - 1.0).abs() < 1e-9);
-        // Table 4 style: a 39 GB run's checkpoints at K=8 store in well
-        // under half the flat bytes, and the S3 bill shrinks with them.
-        let flat = delta_cost::stored_gb(32, 39.0 / 32.0, 0);
-        let chained = delta_cost::stored_gb(32, 39.0 / 32.0, 8);
-        assert!(chained * 3.0 < flat);
-        assert!(monthly_storage_usd(chained) * 3.0 < monthly_storage_usd(flat));
-    }
-
-    #[test]
-    fn chain_restore_cost_stays_below_the_replay_budget() {
-        use crate::workload::ALL_WORKLOADS;
-        // Worst-case random-access restore (mean chain depth at K=8) must
-        // stay a small correction to an epoch for every Table 3 workload —
-        // the delta chains must not threaten the paper's replay-latency
-        // story. (Sequential replay pays ~1 link via the reader's cache.)
-        let depth = delta_cost::mean_chain_depth(8);
-        assert!((depth - 3.5).abs() < 1e-9);
-        for w in ALL_WORKLOADS {
-            // Sequential replay — the hot path, one link per restore via
-            // the reader's chain cache — stays a small correction.
-            let sequential = delta_cost::restore_chain_secs(w.compressed_ckpt_gb, 1.0);
-            assert!(
-                sequential < 0.10 * w.epoch_secs(),
-                "{}: sequential chain restore {sequential:.3}s vs epoch {:.1}s",
-                w.name,
-                w.epoch_secs()
-            );
-            // Random access pays the mean chain walk; even the worst
-            // Table 3 workload (RTE: GB-scale checkpoints, short epochs)
-            // stays bounded — this is the number that justifies keyframes
-            // every K=8 rather than unbounded chains.
-            let worst = delta_cost::restore_chain_secs(w.compressed_ckpt_gb, depth);
-            assert!(
-                worst < 0.25 * w.epoch_secs(),
-                "{}: random-access chain restore {worst:.3}s vs epoch {:.1}s",
-                w.name,
-                w.epoch_secs()
-            );
-            assert!(sequential < worst);
         }
     }
 

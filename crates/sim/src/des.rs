@@ -1,121 +1,15 @@
-//! A minimal discrete-event simulation engine.
-//!
-//! Virtual clock + binary-heap event queue. The record and replay
-//! simulations schedule work items (epoch compute, checkpoint
-//! materialization, restores) as events; resources (GPUs/workers) are
-//! modeled as independent timelines whose completion times the simulations
-//! combine. Determinism: ties break by insertion order.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Resource timelines for the replay simulation: each resource (a GPU, a
+//! worker) runs its jobs back-to-back, and the simulation combines their
+//! completion times.
 
 /// Simulated time in seconds.
-pub type SimTime = f64;
-
-struct Event<T> {
-    at: SimTime,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Event<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Event<T> {}
-impl<T> PartialOrd for Event<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Event<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap: earlier time (then lower seq) pops first.
-        other
-            .at
-            .partial_cmp(&self.at)
-            .unwrap_or(Ordering::Equal)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// The event queue and virtual clock.
-pub struct Des<T> {
-    now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Event<T>>,
-}
-
-impl<T> Default for Des<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Des<T> {
-    /// Empty simulation at time zero.
-    pub fn new() -> Self {
-        Des {
-            now: 0.0,
-            seq: 0,
-            queue: BinaryHeap::new(),
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `payload` to fire `delay` seconds from now.
-    ///
-    /// # Panics
-    /// Panics on negative or non-finite delays.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: T) {
-        assert!(delay.is_finite() && delay >= 0.0, "bad delay {delay}");
-        self.schedule_at(self.now + delay, payload);
-    }
-
-    /// Schedules `payload` at absolute time `at` (must not be in the past).
-    pub fn schedule_at(&mut self, at: SimTime, payload: T) {
-        assert!(
-            at.is_finite() && at >= self.now,
-            "cannot schedule in the past ({at} < {})",
-            self.now
-        );
-        self.queue.push(Event {
-            at,
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
-    }
-
-    /// Pops the next event, advancing the clock to it.
-    pub fn next_event(&mut self) -> Option<(SimTime, T)> {
-        let ev = self.queue.pop()?;
-        self.now = ev.at;
-        Some((ev.at, ev.payload))
-    }
-
-    /// True if no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-}
+pub(crate) type SimTime = f64;
 
 /// A single-server FIFO resource timeline (e.g. one background
 /// materialization worker, one GPU): jobs queue and run back-to-back.
 #[derive(Debug, Clone, Default)]
-pub struct Timeline {
+pub(crate) struct Timeline {
     free_at: SimTime,
-    busy: SimTime,
 }
 
 impl Timeline {
@@ -129,79 +23,18 @@ impl Timeline {
     pub fn run(&mut self, arrive: SimTime, duration: SimTime) -> SimTime {
         let start = self.free_at.max(arrive);
         self.free_at = start + duration;
-        self.busy += duration;
         self.free_at
     }
 
     /// Time this resource becomes idle.
-    pub fn free_at(&self) -> SimTime {
+    pub(crate) fn free_at(&self) -> SimTime {
         self.free_at
     }
-
-    /// Total busy time accumulated.
-    pub fn busy(&self) -> SimTime {
-        self.busy
-    }
-}
-
-/// Picks the earliest-available timeline from a pool (e.g. the least-loaded
-/// of two background workers), runs the job there, and returns completion.
-pub fn run_on_least_loaded(pool: &mut [Timeline], arrive: SimTime, duration: SimTime) -> SimTime {
-    assert!(!pool.is_empty(), "empty resource pool");
-    let idx = pool
-        .iter()
-        .enumerate()
-        .min_by(|a, b| {
-            a.1.free_at
-                .partial_cmp(&b.1.free_at)
-                .unwrap_or(Ordering::Equal)
-        })
-        .map(|(i, _)| i)
-        .unwrap();
-    pool[idx].run(arrive, duration)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_fire_in_time_order() {
-        let mut des: Des<&str> = Des::new();
-        des.schedule_in(5.0, "c");
-        des.schedule_in(1.0, "a");
-        des.schedule_in(3.0, "b");
-        let order: Vec<&str> = std::iter::from_fn(|| des.next_event().map(|(_, p)| p)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut des: Des<u32> = Des::new();
-        des.schedule_in(1.0, 1);
-        des.schedule_in(1.0, 2);
-        des.schedule_in(1.0, 3);
-        let order: Vec<u32> = std::iter::from_fn(|| des.next_event().map(|(_, p)| p)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn clock_advances() {
-        let mut des: Des<()> = Des::new();
-        des.schedule_in(2.5, ());
-        assert_eq!(des.now(), 0.0);
-        des.next_event();
-        assert_eq!(des.now(), 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule in the past")]
-    fn scheduling_in_the_past_panics() {
-        let mut des: Des<()> = Des::new();
-        des.schedule_in(5.0, ());
-        des.next_event();
-        des.schedule_at(1.0, ());
-    }
 
     #[test]
     fn timeline_queues_fifo() {
@@ -211,16 +44,5 @@ mod tests {
         assert_eq!(t.run(1.0, 2.0), 4.0);
         // Arrives after idle: starts immediately.
         assert_eq!(t.run(10.0, 1.0), 11.0);
-        assert_eq!(t.busy(), 5.0);
-    }
-
-    #[test]
-    fn least_loaded_balances() {
-        let mut pool = vec![Timeline::new(), Timeline::new()];
-        run_on_least_loaded(&mut pool, 0.0, 4.0); // worker 0 busy until 4
-        let done = run_on_least_loaded(&mut pool, 0.0, 1.0); // worker 1
-        assert_eq!(done, 1.0);
-        let done = run_on_least_loaded(&mut pool, 0.0, 1.0); // worker 1 again
-        assert_eq!(done, 2.0);
     }
 }

@@ -3,7 +3,7 @@
 //! Paper-scale simulation of the Flor experiments. The live engine in
 //! `flor-core` runs miniature workloads in seconds; the paper's evaluation
 //! (§6) runs hours-long GPU jobs on EC2 P3 fleets. This crate replays that
-//! evaluation through a discrete-event simulation whose *decision logic* is
+//! evaluation through a simulation whose *decision logic* is
 //! the real thing:
 //!
 //! - checkpoint placement comes from the **same** [`flor_core::adaptive`]
@@ -29,9 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod des;
-pub mod record_sim;
-pub mod replay_sim;
+pub(crate) mod des;
+pub(crate) mod record_sim;
+pub(crate) mod replay_sim;
 pub mod sched_sim;
 pub mod workload;
 

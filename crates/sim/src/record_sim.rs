@@ -24,7 +24,7 @@ pub struct RecordSim {
     pub overhead: f64,
     /// Epochs whose Loop End Checkpoint was materialized (`k_i` total and
     /// the anchor set replay's weak initialization partitions on).
-    pub checkpointed_epochs: BTreeSet<u64>,
+    pub(crate) checkpointed_epochs: BTreeSet<u64>,
     /// Total compressed checkpoint bytes (Table 4's "Checkpoint Size").
     pub total_ckpt_gb: f64,
 }

@@ -2,8 +2,7 @@
 //!
 //! Uses the **real** hindsight-parallelism planner
 //! ([`flor_core::parallel`]) to assign epoch segments to simulated GPU
-//! workers, then costs each worker's timeline on the [`crate::des`]
-//! engine:
+//! workers, then costs each worker's [`crate::des`] timeline:
 //!
 //! - **restore** of a memoized epoch costs `R = c·M`;
 //! - **re-execution** of an epoch costs `C` (probed blocks, or epochs whose
@@ -45,8 +44,6 @@ pub struct ReplaySim {
     pub vanilla_secs: f64,
     /// Speedup over vanilla.
     pub speedup: f64,
-    /// Number of workers that received a segment.
-    pub active_workers: usize,
     /// Epochs restored (across workers, work segments only).
     pub restored: u64,
     /// Epochs re-executed (across workers, including initialization).
@@ -62,7 +59,7 @@ impl ReplaySim {
 
 /// Simulates replaying `workload` on `gpus` coordination-free workers.
 ///
-/// `record` supplies the checkpoint placement (from [`crate::record_sim`]);
+/// `record` supplies the checkpoint placement (from [`crate::simulate_record`]);
 /// `probe` positions the hindsight log; `init_mode` picks strong or weak
 /// worker initialization.
 pub fn simulate_replay(
@@ -151,7 +148,6 @@ pub fn simulate_replay(
         wall_secs: wall,
         vanilla_secs,
         speedup: vanilla_secs / wall.max(1e-9),
-        active_workers: plans.len(),
         restored,
         executed,
     }

@@ -17,34 +17,12 @@ use flor_core::parallel::{max_speedup_profiled, plan, seed_cost_ranges, InitMode
 
 /// Per-epoch replay costs, seconds. Generators below produce the common
 /// skew shapes; any slice works.
-pub type EpochCosts = Vec<f64>;
+pub(crate) type EpochCosts = Vec<f64>;
 
 /// Uniform costs: `n` epochs of `base` seconds (the best case for static
 /// partitioning — stealing must tie here, not win).
 pub fn uniform(n: u64, base: f64) -> EpochCosts {
     vec![base; n as usize]
-}
-
-/// Warmup skew: the first `warmup` epochs cost `factor ×` base (JIT
-/// compilation, cache warm, dataloader spin-up).
-pub fn warmup_skew(n: u64, base: f64, warmup: u64, factor: f64) -> EpochCosts {
-    (0..n)
-        .map(|g| if g < warmup { base * factor } else { base })
-        .collect()
-}
-
-/// Eval-epoch skew: every `every`-th epoch runs a validation pass costing
-/// `factor ×` base.
-pub fn eval_spike_skew(n: u64, base: f64, every: u64, factor: f64) -> EpochCosts {
-    (0..n)
-        .map(|g| {
-            if every > 0 && g % every == every - 1 {
-                base * factor
-            } else {
-                base
-            }
-        })
-        .collect()
 }
 
 /// Tail skew: the last `tail` epochs cost `factor ×` base (end-of-run
@@ -76,8 +54,6 @@ pub struct SchedSim {
     /// Profile-aware speedup bound over one worker
     /// ([`max_speedup_profiled`]).
     pub bound: f64,
-    /// Speedup over one worker the stealing schedule achieved.
-    pub steal_speedup: f64,
 }
 
 fn to_ns(costs: &[f64]) -> Vec<u64> {
@@ -140,20 +116,40 @@ pub fn stealing_makespan(costs: &[f64], workers: usize, profiled: bool) -> (f64,
 pub fn compare(costs: &[f64], workers: usize) -> SchedSim {
     let static_secs = static_makespan(costs, workers);
     let (steal_secs, steals) = stealing_makespan(costs, workers, true);
-    let total: f64 = costs.iter().sum();
     SchedSim {
         static_secs,
         steal_secs,
         steals,
         improvement: static_secs / steal_secs.max(1e-12),
         bound: max_speedup_profiled(&to_ns(costs), workers),
-        steal_speedup: total / steal_secs.max(1e-12),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Warmup skew: the first `warmup` epochs cost `factor ×` base (JIT
+    /// compilation, cache warm, dataloader spin-up).
+    fn warmup_skew(n: u64, base: f64, warmup: u64, factor: f64) -> EpochCosts {
+        (0..n)
+            .map(|g| if g < warmup { base * factor } else { base })
+            .collect()
+    }
+
+    /// Eval-epoch skew: every `every`-th epoch runs a validation pass costing
+    /// `factor ×` base.
+    fn eval_spike_skew(n: u64, base: f64, every: u64, factor: f64) -> EpochCosts {
+        (0..n)
+            .map(|g| {
+                if every > 0 && g % every == every - 1 {
+                    base * factor
+                } else {
+                    base
+                }
+            })
+            .collect()
+    }
 
     #[test]
     fn uniform_costs_tie_within_two_percent() {
@@ -195,7 +191,7 @@ mod tests {
             let sim = compare(&costs, workers);
             assert!(sim.improvement > 1.05, "{workers} workers: {sim:?}");
             assert!(
-                sim.steal_speedup <= sim.bound + 1e-9,
+                costs.iter().sum::<f64>() / sim.steal_secs <= sim.bound + 1e-9,
                 "no schedule may beat the profile-aware bound: {sim:?}"
             );
         }

@@ -52,7 +52,7 @@ pub struct Workload {
     pub compressed_ckpt_gb: f64,
     /// Per-epoch materialization/compute ratio `M_i / C_i`
     /// (= Figure 7's adaptivity-disabled overhead).
-    pub m_over_c: f64,
+    pub(crate) m_over_c: f64,
 }
 
 impl Workload {
@@ -68,7 +68,7 @@ impl Workload {
 
     /// Per-checkpoint restore time, seconds (`R = c · M`, with the paper's
     /// measured average scaling factor c = 1.38).
-    pub fn restore_secs(&self) -> f64 {
+    pub(crate) fn restore_secs(&self) -> f64 {
         1.38 * self.materialize_secs()
     }
 
@@ -77,7 +77,7 @@ impl Workload {
     /// the paper reports partial-replay latencies "in the order of minutes
     /// … even when model training takes several hours", which bounds the
     /// per-worker fixed cost at about a minute.
-    pub fn preamble_secs(&self) -> f64 {
+    pub(crate) fn preamble_secs(&self) -> f64 {
         60.0
     }
 

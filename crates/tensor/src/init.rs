@@ -22,13 +22,6 @@ pub fn normal(shape: impl Into<Shape>, mean: f32, std: f32, rng: &mut Pcg64) -> 
     Tensor::new(shape, (0..n).map(|_| mean + std * rng.normal()).collect())
 }
 
-/// Xavier/Glorot uniform initialization for a `[fan_in, fan_out]` weight
-/// matrix: `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut Pcg64) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform([fan_in, fan_out], -a, a, rng)
-}
-
 /// Kaiming/He normal initialization for ReLU networks:
 /// `N(0, sqrt(2 / fan_in))`.
 pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut Pcg64) -> Tensor {
@@ -45,17 +38,9 @@ mod tests {
         let mut a = Pcg64::seeded(11);
         let mut b = Pcg64::seeded(11);
         assert_eq!(
-            xavier_uniform(8, 4, &mut a).data(),
-            xavier_uniform(8, 4, &mut b).data()
+            kaiming_normal(8, 4, &mut a).data(),
+            kaiming_normal(8, 4, &mut b).data()
         );
-    }
-
-    #[test]
-    fn xavier_respects_bound() {
-        let mut rng = Pcg64::seeded(12);
-        let w = xavier_uniform(100, 100, &mut rng);
-        let a = (6.0f32 / 200.0).sqrt();
-        assert!(w.data().iter().all(|&x| x >= -a && x < a));
     }
 
     #[test]

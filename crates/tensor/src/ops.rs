@@ -49,7 +49,7 @@ pub fn gelu(x: &Tensor) -> Tensor {
 ///
 /// # Panics
 /// Panics unless `x` is rank-2.
-pub fn softmax_rows(x: &Tensor) -> Tensor {
+pub(crate) fn softmax_rows(x: &Tensor) -> Tensor {
     assert_eq!(x.shape().rank(), 2, "softmax_rows requires a matrix");
     let (rows, cols) = (x.shape().dim(0), x.shape().dim(1));
     let mut out = x.clone();
@@ -103,27 +103,6 @@ pub fn cross_entropy_backward(probs: &Tensor, targets: &[usize]) -> Tensor {
         *v *= inv;
     }
     grad
-}
-
-/// Mean squared error between predictions and targets.
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn mse(pred: &Tensor, target: &Tensor) -> f32 {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.numel().max(1) as f32;
-    pred.data()
-        .iter()
-        .zip(target.data())
-        .map(|(&p, &t)| (p - t) * (p - t))
-        .sum::<f32>()
-        / n
-}
-
-/// Gradient of [`mse`] w.r.t. predictions: `2 (pred - target) / n`.
-pub fn mse_backward(pred: &Tensor, target: &Tensor) -> Tensor {
-    let n = pred.numel().max(1) as f32;
-    pred.zip(target, move |p, t| 2.0 * (p - t) / n)
 }
 
 fn x_rows(x: &Tensor) -> usize {
@@ -237,15 +216,6 @@ mod tests {
                 grad.data()[i]
             );
         }
-    }
-
-    #[test]
-    fn mse_and_backward() {
-        let p = Tensor::from_slice(&[1.0, 2.0]);
-        let t = Tensor::from_slice(&[0.0, 0.0]);
-        assert!(close(mse(&p, &t), 2.5));
-        let g = mse_backward(&p, &t);
-        assert_eq!(g.data(), &[1.0, 2.0]);
     }
 
     #[test]

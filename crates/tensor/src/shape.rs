@@ -38,15 +38,6 @@ impl Shape {
         self.0[d]
     }
 
-    /// Row-major strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
-
     /// Flat row-major offset of a multi-dimensional index.
     ///
     /// # Panics
@@ -129,7 +120,12 @@ mod tests {
     fn numel_and_strides() {
         let s = Shape::from([2, 3, 4]);
         assert_eq!(s.numel(), 24);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
+        // Row-major strides: each unit step's flat offset.
+        let strides: Vec<usize> = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+            .iter()
+            .map(|i| s.offset(i))
+            .collect();
+        assert_eq!(strides, vec![12, 4, 1]);
     }
 
     #[test]
