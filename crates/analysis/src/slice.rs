@@ -52,7 +52,11 @@
 //!   — the slicer refuses and replay runs the full program.
 //!
 //! Only statements inside the main-loop body are candidates; the
-//! preamble always runs in full. The postamble is either run in full or
+//! preamble always runs in full, though production replay takes its
+//! seed-pinned datasets and models from `flor-core`'s constructor memo
+//! (copies of templates built once per process) instead of generating
+//! them again, so what it costs is dispatch and copies. The postamble is
+//! either run in full or
 //! not at all: replay skips it, and emits its recorded log instead, when
 //! no probe lands in it and every probe is read-only
 //! ([`probe_mutating_call`]) — `flor-core`'s `ReplayPlan` decides. The

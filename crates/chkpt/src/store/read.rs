@@ -44,8 +44,8 @@ pub(crate) struct ReadCounters {
 
 /// One reader's chain cache: the last payload it decoded or decompressed
 /// per block, keyed by the entry's `(seq, crc)`. Owned by one reader (a replay
-/// worker's prefetch thread, a compaction pass) for the life of its
-/// schedule and dropped with it; see the module docs.
+/// worker, a compaction pass) for the life of its schedule and dropped
+/// with it; see the module docs.
 #[derive(Default)]
 pub struct ReadCursor {
     last: HashMap<String, (u64, u32, Bytes)>,

@@ -29,17 +29,13 @@ use crate::error::{rt, FlorError};
 use crate::logstream::{LogStream, Section};
 use crate::parallel::InitMode;
 use crate::skipblock;
-use crate::value::{Batch, DatasetObj, Obj, Value};
-use flor_chkpt::{CheckpointStore, Materializer};
+use crate::value::{Batch, Obj, Value};
+use flor_chkpt::{CheckpointStore, Materializer, ReadCursor};
 use flor_lang::ast::{Arg, BinOp, Expr, Program, Stmt, UnaryOp};
 use flor_ml::metrics::{accuracy, Meter};
-use flor_ml::models;
 use flor_ml::swa::SwaAverager;
-use flor_ml::{
-    Adam, CosineLr, CrossEntropyLoss, CyclicLr, DataLoader, Sgd, StepLr, SyntheticClassification,
-    SyntheticTokens,
-};
-use flor_tensor::{Pcg64, Tensor};
+use flor_ml::{Adam, CosineLr, CrossEntropyLoss, CyclicLr, DataLoader, Sgd, StepLr};
+use flor_tensor::Tensor;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -88,9 +84,8 @@ pub struct ReplayStats {
     pub executed: u64,
     /// Total time spent restoring, ns.
     pub restore_ns: u64,
-    /// Restores whose payload came from the worker's prefetcher — every
-    /// restore on its schedule, whether the payload had already landed
-    /// (I/O overlapped with interpretation) or the worker waited for it.
+    /// Always 0: restores read inline on the worker's thread. Kept only
+    /// because `benchmark/src/layers.rs` reports it.
     pub prefetch_hits: u64,
     /// Micro-ranges that moved between workers.
     pub steals: u64,
@@ -105,7 +100,7 @@ pub struct ReplayStats {
     /// attributed to this replay).
     pub delta_restores: u64,
     /// Delta links decoded across those restores (= `delta_restores` when
-    /// each worker's prefetch cursor rides a sequential partition from a
+    /// each worker's read cursor rides a sequential partition from a
     /// keyframe).
     pub chain_links: u64,
     /// Statement nodes the dependency slicer elided from execution
@@ -149,10 +144,14 @@ pub struct ReplayCtx {
     pub(crate) blocks_this_iter: HashSet<String>,
     /// Restore/execute counters.
     pub stats: ReplayStats,
-    /// Per-worker checkpoint prefetcher, spawned with the worker's first
-    /// range so checkpoint reads overlap with interpretation, and fed one
-    /// micro-range at a time.
-    pub prefetcher: Option<crate::prefetch::Prefetcher>,
+    /// The worker's chain cache, read through by every restore for the
+    /// life of the replay: a worker restoring a chain in order decodes
+    /// one link per delta entry.
+    pub(crate) cursor: ReadCursor,
+    /// Whether seed-pinned constructors come from the process-wide memo
+    /// table ([`crate::ctors`]): production replay only, never the
+    /// reference.
+    pub(crate) memoize_ctors: bool,
     /// The replay's shared range queue. `None` (a context built outside
     /// `replay`, or a hand-written second `flor.partition` loop after the
     /// first consumed the queue) drains a one-worker queue of its own.
@@ -179,7 +178,8 @@ impl ReplayCtx {
             standalone_seq: HashMap::new(),
             blocks_this_iter: HashSet::new(),
             stats: ReplayStats::default(),
-            prefetcher: None,
+            cursor: ReadCursor::default(),
+            memoize_ctors: false,
             runtime: None,
             sink: None,
         }
@@ -369,11 +369,10 @@ impl Interp {
     /// range that does not continue the worker's state is a fresh
     /// init+work segment starting where
     /// [`ReplayPlan::init_start`](crate::replay::ReplayPlan::init_start)
-    /// says — a stolen range, or the next iteration of a sampled replay —
-    /// and appends its restore schedule to the worker's
-    /// [`Prefetcher`](crate::prefetch::Prefetcher). Completed ranges are
-    /// drained from the log and streamed to the incremental merger
-    /// immediately. A context with no shared runtime drains a one-worker
+    /// says — a stolen range, or the next iteration of a sampled replay.
+    /// Restores read inline, through the worker's one read cursor.
+    /// Completed ranges are drained from the log and streamed to the
+    /// incremental merger immediately. A context with no shared runtime drains a one-worker
     /// queue of its own through the same loop, and streams nothing.
     fn exec_main_loop_ranges(
         &mut self,
@@ -434,24 +433,6 @@ impl Interp {
             // iteration 0 — the queue avoids handing those out unless
             // nothing else remains.
             let init_from = plan.init_start(init_mode, state_at, range.start, &anchors);
-            // This range's restore schedule is now fixed and this worker's
-            // alone (a range can no longer be stolen once popped): hand it
-            // to the prefetcher, which reads each of its checkpoints
-            // exactly once.
-            {
-                let Mode::Replay(ctx) = &mut self.mode else {
-                    unreachable!()
-                };
-                let keys = plan.restore_schedule(init_from..range.start, range.iters());
-                match &ctx.prefetcher {
-                    Some(p) => p.extend(keys),
-                    None if keys.is_empty() => {}
-                    None => {
-                        ctx.prefetcher =
-                            Some(crate::prefetch::Prefetcher::spawn(ctx.store.clone(), keys));
-                    }
-                }
-            }
             // Init phase: logs suppressed, SkipBlocks restore.
             if init_from < range.start {
                 let mut span = flor_obs::span(flor_obs::Category::RangeExec, "init");
@@ -823,26 +804,6 @@ impl Interp {
                     o => Err(rt(format!("evaluate() expects a model, got {}", o.kind()))),
                 }
             }
-            "synth_data" => {
-                let n = a.kw_i64("n", 128)? as usize;
-                let dim = a.kw_i64("dim", 8)? as usize;
-                let classes = a.kw_i64("classes", 3)? as usize;
-                let spread = a.kw_f64("spread", 0.3)?;
-                let seed = a.kw_i64("seed", self.next_seed() as i64)? as u64;
-                Ok(Value::obj(Obj::Dataset(DatasetObj::Classification(
-                    SyntheticClassification::generate(n, dim, classes, spread as f32, seed),
-                ))))
-            }
-            "token_data" => {
-                let n = a.kw_i64("n", 128)? as usize;
-                let seq = a.kw_i64("seq", 8)? as usize;
-                let vocab = a.kw_i64("vocab", 64)? as usize;
-                let classes = a.kw_i64("classes", 3)? as usize;
-                let seed = a.kw_i64("seed", self.next_seed() as i64)? as u64;
-                Ok(Value::obj(Obj::Dataset(DatasetObj::Tokens(
-                    SyntheticTokens::generate(n, seq, vocab, classes, seed),
-                ))))
-            }
             "dataloader" => {
                 let ds = a.req(0, "dataloader")?;
                 let batch_size = a.kw_i64("batch_size", 16)? as usize;
@@ -869,66 +830,6 @@ impl Interp {
                     inner: DataLoader::new(n, batch_size, seed),
                     dataset: rc,
                 }))
-            }
-            "mlp" => {
-                let input = a.kw_i64("input", 8)? as usize;
-                let hidden = a.kw_i64("hidden", 16)? as usize;
-                let classes = a.kw_i64("classes", 3)? as usize;
-                let depth = a.kw_i64("depth", 2)? as usize;
-                let seed = a.kw_i64("seed", self.next_seed() as i64)? as u64;
-                let mut rng = Pcg64::seeded(seed);
-                Ok(Value::obj(Obj::Model(models::mlp(
-                    input, hidden, classes, depth, &mut rng,
-                ))))
-            }
-            "resnet" => {
-                let input = a.kw_i64("input", 8)? as usize;
-                let hidden = a.kw_i64("hidden", 16)? as usize;
-                let classes = a.kw_i64("classes", 3)? as usize;
-                let blocks = a.kw_i64("blocks", 2)? as usize;
-                let seed = a.kw_i64("seed", self.next_seed() as i64)? as u64;
-                let mut rng = Pcg64::seeded(seed);
-                Ok(Value::obj(Obj::Model(models::resnet_mini(
-                    input, hidden, classes, blocks, &mut rng,
-                ))))
-            }
-            "convnet" => {
-                let features = a.kw_i64("features", 16)? as usize;
-                let channels = a.kw_i64("channels", 2)? as usize;
-                let conv_channels = a.kw_i64("conv_channels", 4)? as usize;
-                let kernel = a.kw_i64("kernel", 3)? as usize;
-                let classes = a.kw_i64("classes", 3)? as usize;
-                let seed = a.kw_i64("seed", self.next_seed() as i64)? as u64;
-                let mut rng = Pcg64::seeded(seed);
-                Ok(Value::obj(Obj::Model(models::convnet1d_flat(
-                    features,
-                    channels,
-                    conv_channels,
-                    kernel,
-                    classes,
-                    &mut rng,
-                ))))
-            }
-            "textnet" => {
-                let vocab = a.kw_i64("vocab", 64)? as usize;
-                let dim = a.kw_i64("dim", 16)? as usize;
-                let classes = a.kw_i64("classes", 3)? as usize;
-                let seed = a.kw_i64("seed", self.next_seed() as i64)? as u64;
-                let mut rng = Pcg64::seeded(seed);
-                Ok(Value::obj(Obj::Model(models::textnet(
-                    vocab, dim, classes, &mut rng,
-                ))))
-            }
-            "finetune" => {
-                let input = a.kw_i64("input", 8)? as usize;
-                let hidden = a.kw_i64("hidden", 32)? as usize;
-                let classes = a.kw_i64("classes", 3)? as usize;
-                let ballast = a.kw_i64("ballast", 100_000)? as usize;
-                let seed = a.kw_i64("seed", self.next_seed() as i64)? as u64;
-                let mut rng = Pcg64::seeded(seed);
-                Ok(Value::obj(Obj::Model(models::finetune_net(
-                    input, hidden, classes, ballast, &mut rng,
-                ))))
             }
             "sgd" => {
                 let net = a.req(0, "sgd")?;
@@ -987,7 +888,13 @@ impl Interp {
             "cross_entropy" => Ok(Value::obj(Obj::Loss(CrossEntropyLoss::new()))),
             "swa_averager" => Ok(Value::obj(Obj::Swa(SwaAverager::new()))),
             "meter" => Ok(Value::obj(Obj::Meter(Meter::new()))),
-            other => Err(rt(format!("unknown function {other:?}"))),
+            other => {
+                let seed = || self.next_seed();
+                let call = crate::ctors::CtorCall::resolve(other, &a, seed)?
+                    .ok_or_else(|| rt(format!("unknown function {other:?}")))?;
+                let memoize = matches!(&self.mode, Mode::Replay(ctx) if ctx.memoize_ctors);
+                Ok(Value::obj(call.construct(memoize)))
+            }
         }
     }
 
@@ -1519,14 +1426,14 @@ impl CallArgs {
         self.kw.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    fn kw_i64(&self, name: &str, default: i64) -> Result<i64, FlorError> {
+    pub(crate) fn kw_i64(&self, name: &str, default: i64) -> Result<i64, FlorError> {
         match self.kw_get(name) {
             Some(v) => v.as_i64(),
             None => Ok(default),
         }
     }
 
-    fn kw_f64(&self, name: &str, default: f64) -> Result<f64, FlorError> {
+    pub(crate) fn kw_f64(&self, name: &str, default: f64) -> Result<f64, FlorError> {
         match self.kw_get(name) {
             Some(v) => v.as_f64(),
             None => Ok(default),

@@ -61,6 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
+mod ctors;
 pub mod env;
 pub mod error;
 pub mod interp;
@@ -68,7 +69,6 @@ pub mod logstream;
 pub mod native;
 pub mod oracle;
 pub mod parallel;
-pub mod prefetch;
 pub mod profile;
 pub mod record;
 pub mod replay;

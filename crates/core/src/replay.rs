@@ -395,33 +395,6 @@ impl ReplayPlan {
         costs
     }
 
-    /// The checkpoints a worker will restore, in restore order, across an
-    /// initialization segment (every main-loop block restores) followed by
-    /// a work segment (every block restores unless probed). Empty when
-    /// nothing restores: poisoned reuse, or no memoized blocks.
-    pub(crate) fn restore_schedule(
-        &self,
-        init: std::ops::Range<u64>,
-        work: std::ops::Range<u64>,
-    ) -> Vec<(String, u64)> {
-        if self.force_execute_all() {
-            return Vec::new();
-        }
-        let mut keys = Vec::new();
-        for g in init {
-            keys.extend(self.main_blocks.iter().map(|b| (b.clone(), g)));
-        }
-        let unprobed = || {
-            self.main_blocks
-                .iter()
-                .filter(|b| !self.probed_blocks.contains(*b))
-        };
-        for g in work {
-            keys.extend(unprobed().map(|b| (b.clone(), g)));
-        }
-        keys
-    }
-
     /// Iterations `g` at which every main-loop block has a Loop End
     /// Checkpoint — the only places weak initialization may start a work
     /// segment after (paper §5.4.2: weak init "depends entirely on a
@@ -724,6 +697,7 @@ pub(crate) fn run_plan(
     let mut handles = Vec::with_capacity(workers);
     for pid in 0..workers {
         let mut ctx = ReplayCtx::new(store.clone(), plan.clone(), pid);
+        ctx.memoize_ctors = module.is_some();
         ctx.runtime = Some(runtime.clone());
         let sink = RangeSink::new(tx.clone());
         ctx.sink = Some(sink.clone());
@@ -772,7 +746,6 @@ pub(crate) fn run_plan(
         stats.restored += s.restored;
         stats.executed += s.executed;
         stats.restore_ns += s.restore_ns;
-        stats.prefetch_hits += s.prefetch_hits;
         stats.ranges_executed += s.ranges_executed;
     }
     let (merged, mut anomalies, first_entry_ns) = merger.finish();
@@ -934,15 +907,9 @@ mod tests {
             "checkpoint cuts elide the training loop"
         );
         assert!(!outer.force_execute_all() && outer.rewind_ok());
-        assert_eq!(outer.restore_schedule(0..1, 1..3).len(), 3);
 
         let inner = build(&inner_probed());
         assert_eq!(inner.probed_blocks, HashSet::from(["sb_0".to_string()]));
-        // A probed block restores in init segments only.
-        assert_eq!(
-            inner.restore_schedule(0..1, 1..3),
-            [("sb_0".to_string(), 0)]
-        );
         // Anchors follow the checkpoints that exist.
         assert_eq!(
             inner.anchors(6, |_, g| g != 2),
@@ -966,7 +933,6 @@ mod tests {
             "poisoned replays are never memoized"
         );
         assert!(plan.slice().fallback.is_some() && !plan.slice().is_active());
-        assert!(plan.restore_schedule(0..2, 2..4).is_empty());
     }
 
     #[test]
@@ -1159,9 +1125,6 @@ for epoch in flor.partition(range(5)):
         // All 6 epochs restored, none executed: pure physical recovery.
         assert_eq!(rep.stats.restored, 6);
         assert_eq!(rep.stats.executed, 0);
-        // Every main-loop restore is on the worker's prefetch schedule,
-        // so every one is served by the prefetcher — no race decides it.
-        assert_eq!(rep.stats.prefetch_hits, rep.stats.restored);
     }
 
     /// A fine-tuning-regime script (the paper's RTE/CoLA-miniature): a

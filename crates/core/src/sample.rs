@@ -10,7 +10,7 @@
 //!
 //! Sampling is not a second executor: [`replay_sample`] runs the one range
 //! executor ([`mod@crate::replay`]) over a queue seeded with one range per
-//! requested iteration, sliced, prefetched and checked like any replay.
+//! requested iteration, sliced, restored and checked like any replay.
 //! It asks for weak initialization, so each sampled iteration starts from
 //! the nearest checkpoint anchor or continues from the last one, whichever
 //! is cheaper — and the plan demotes that to strong rolling

@@ -256,10 +256,9 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
     }
 
     // Restore the Loop End Checkpoint (physical recovery). The payload
-    // arrives as a refcounted `Bytes`. A key on the worker's prefetch
-    // schedule is read by the prefetcher and nobody else — `take` waits
-    // for it if it has not landed yet; only keys it will never have
-    // (unscheduled, or their fetch failed) are read here, directly.
+    // arrives as a refcounted `Bytes`, read once, on this thread, through
+    // the worker's cursor, so a delta entry whose base this worker
+    // restored last decodes one link.
     let mut span = flor_obs::span(flor_obs::Category::RestoreChain, "restore");
     span.set_args(seq, 0);
     let t0 = flor_obs::clock::now_ns();
@@ -267,14 +266,7 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
         let Mode::Replay(ctx) = &mut interp.mode else {
             unreachable!()
         };
-        let _fetch = flor_obs::span(flor_obs::Category::Prefetch, "payload_wait");
-        match ctx.prefetcher.as_ref().and_then(|p| p.take(id, seq)) {
-            Some(bytes) => {
-                ctx.stats.prefetch_hits += 1;
-                bytes
-            }
-            None => ctx.store.get_bytes(id, seq)?,
-        }
+        ctx.cursor.get_bytes(&ctx.store, id, seq)?
     };
     let cval = flor_chkpt::decode(payload_bytes.as_ref())?;
     let CVal::Map(pairs) = cval else {
@@ -419,38 +411,6 @@ log(\"acc\", acc)
         if let Mode::Replay(ctx) = &rep.mode {
             assert_eq!(ctx.stats.executed, 1, "probed blocks must re-execute");
             assert_eq!(ctx.stats.restored, 0);
-        }
-        assert_eq!(rep.env.get("acc").unwrap().as_i64().unwrap(), 10);
-    }
-
-    #[test]
-    fn prefetched_restore_is_consumed_and_counted() {
-        let store = Arc::new(CheckpointStore::open(tmproot("prefetch")).unwrap());
-        let prog = parse(SRC).unwrap();
-        let mut rec = Interp::new(record_ctx(
-            store.clone(),
-            HashMap::from([("sb_0".to_string(), vec!["acc".to_string()])]),
-        ));
-        rec.run(&prog).unwrap();
-
-        let mut mode = replay_ctx(store.clone(), probing(&[]));
-        if let Mode::Replay(ctx) = &mut mode {
-            let p = crate::prefetch::Prefetcher::spawn(
-                store.clone(),
-                vec![("sb_0".to_string(), STANDALONE_BASE)],
-            );
-            p.drain();
-            assert_eq!(p.parked(), 1);
-            ctx.prefetcher = Some(p);
-        }
-        let mut rep = Interp::new(mode);
-        rep.run(&prog).unwrap();
-        if let Mode::Replay(ctx) = &rep.mode {
-            assert_eq!(ctx.stats.restored, 1);
-            assert_eq!(
-                ctx.stats.prefetch_hits, 1,
-                "restore must consume the prefetch"
-            );
         }
         assert_eq!(rep.env.get("acc").unwrap().as_i64().unwrap(), 10);
     }

@@ -11,7 +11,12 @@
 //! *in-place* for objects: replay re-executes the script preamble, so the
 //! objects already exist with the right architecture and aliases; loading a
 //! checkpoint only overwrites their state — exactly the paper's "applying
-//! the side-effects to the program state".
+//! the side-effects to the program state". Production replay's preamble
+//! takes its datasets and freshly initialized models from the seed-pinned
+//! constructor memo (the private `ctors` module): copy-on-write copies of
+//! templates built once per process, whose tensors a restore replaces and
+//! a training step copies before writing, so no restore or step reaches
+//! a template.
 
 use crate::error::{rt, FlorError};
 use flor_chkpt::{ByteSource, BytesMut, CVal};
@@ -359,6 +364,7 @@ pub struct Batch {
 }
 
 /// The dataset variants scripts can build.
+#[derive(Clone)]
 pub enum DatasetObj {
     /// Gaussian-mixture classification features.
     Classification(SyntheticClassification),

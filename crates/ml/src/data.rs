@@ -13,6 +13,7 @@ use flor_tensor::{Pcg64, Tensor};
 ///
 /// Learnable but not trivially separable (cluster spread is configurable),
 /// so loss curves look like real training.
+#[derive(Clone)]
 pub struct SyntheticClassification {
     features: Tensor, // [n, dim]
     labels: Vec<usize>,
@@ -84,6 +85,7 @@ impl SyntheticClassification {
 
 /// A labelled token-sequence dataset (GLUE-style miniature): each example is
 /// `seq` token ids whose distribution depends on the class.
+#[derive(Clone)]
 pub struct SyntheticTokens {
     tokens: Tensor, // [n, seq] of ids stored as f32
     labels: Vec<usize>,

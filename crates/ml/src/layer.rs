@@ -12,7 +12,11 @@ use flor_tensor::{init, ops, Pcg64, Shape, Tensor};
 /// Layers are stateful: `forward` caches activations; `backward` *accumulates*
 /// into parameter gradients and returns the gradient with respect to the
 /// layer input.
-pub trait Layer {
+///
+/// Layers are `Send` and clone through [`LayerClone`], so a model can be
+/// built once and handed out many times: a copy shares every tensor slab
+/// copy-on-write.
+pub trait Layer: LayerClone + Send {
     /// Forward pass. Caches anything backward will need.
     fn forward(&mut self, x: &Tensor) -> Tensor;
 
@@ -29,11 +33,30 @@ pub trait Layer {
     fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
 }
 
+/// Boxed copies of layers, implemented for every `Clone` layer.
+pub trait LayerClone {
+    /// A boxed copy of this layer.
+    fn box_clone(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> LayerClone for T {
+    fn box_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Linear
 // ---------------------------------------------------------------------------
 
 /// Fully connected layer: `y = x W + b` over `[batch, in] → [batch, out]`.
+#[derive(Clone)]
 pub struct Linear {
     weight: Param,
     bias: Param,
@@ -126,6 +149,7 @@ pub enum ActKind {
 }
 
 /// A parameter-free pointwise activation layer.
+#[derive(Clone)]
 pub struct Activation {
     kind: ActKind,
     cached: Option<Tensor>, // input for Relu/Gelu, output for Tanh/Sigmoid
@@ -210,6 +234,7 @@ impl Layer for Activation {
 ///
 /// Mean pooling keeps the rest of a text model a plain `[batch, features]`
 /// pipeline, which is all the miniature GLUE-style workloads need.
+#[derive(Clone)]
 pub(crate) struct Embedding {
     weight: Param,
     vocab: usize,
@@ -299,6 +324,7 @@ impl Layer for Embedding {
 
 /// Layer normalization over the last dimension of `[batch, dim]`, with
 /// learned scale (`gamma`) and shift (`beta`).
+#[derive(Clone)]
 pub(crate) struct LayerNorm {
     gamma: Param,
     beta: Param,
@@ -400,6 +426,7 @@ impl Layer for LayerNorm {
 
 /// 1-D valid convolution over `[batch, in_ch, len] → [batch, out_ch, len-k+1]`
 /// (the Jasper-style speech workloads are stacks of these).
+#[derive(Clone)]
 pub(crate) struct Conv1d {
     weight: Param, // [out_ch, in_ch, k]
     bias: Param,   // [out_ch]
@@ -510,6 +537,7 @@ impl Layer for Conv1d {
 
 /// Flattens `[batch, …] → [batch, rest]`, remembering the input shape for
 /// backward. Bridges Conv1d stacks to Linear heads.
+#[derive(Clone)]
 pub(crate) struct Flatten {
     cached_shape: Option<Shape>,
 }
@@ -551,6 +579,7 @@ impl Layer for Flatten {
 /// Reshapes `[batch, features] → [batch, channels, features/channels]`,
 /// adapting flat feature batches to 1-D convolutional stacks (speech-style
 /// models treat the feature vector as a waveform with `channels` bands).
+#[derive(Clone)]
 pub(crate) struct ToChannels {
     channels: usize,
 }
@@ -595,6 +624,7 @@ impl Layer for ToChannels {
 
 /// Residual (skip) connection: `y = x + f(x)` where `f` is an inner layer
 /// stack. The building block of the ResNet-style miniature workloads.
+#[derive(Clone)]
 pub(crate) struct Residual {
     inner: Vec<Box<dyn Layer>>,
 }
@@ -666,6 +696,7 @@ impl Layer for Residual {
 /// fine-tuning, so a loop execution quickly updates a small fraction of
 /// values in an enormous model" (§5.3.4) — which is exactly the regime where
 /// Flor's adaptive checkpointing switches to periodic (sparse) checkpoints.
+#[derive(Clone)]
 pub(crate) struct FrozenBackbone {
     proj: Linear,
     ballast: Param,

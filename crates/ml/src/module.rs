@@ -122,6 +122,10 @@ impl FromIterator<(String, Tensor)> for StateDict {
 /// all reduce to "forward through the net, compute loss, backward, step",
 /// and a layer stack (with `crate::layer::Residual` for skip connections)
 /// expresses every miniature workload in Table 3's live counterparts.
+///
+/// A clone shares every parameter's value and gradient slab until one
+/// side writes it (tensors are copy-on-write).
+#[derive(Clone)]
 pub struct Sequential {
     name: String,
     layers: Vec<Box<dyn Layer>>,

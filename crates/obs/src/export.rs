@@ -4,8 +4,7 @@
 //! and drop the file in) renders one horizontal lane per `tid`; we map
 //! lanes to replay worker pids (plus role lanes for the merge driver and
 //! materializer workers), so a traced query shows range execution, steals,
-//! prefetch waits, chain restores, and group commits side by side on one
-//! timeline. The folded form (`stack;frames;joined count`) feeds
+//! chain restores, and group commits side by side on one timeline. The folded form (`stack;frames;joined count`) feeds
 //! `flamegraph.pl`-style tooling and sums *self* time per unique stack.
 
 use crate::json::JsonWriter;

@@ -53,8 +53,6 @@ pub enum Category {
     Steal,
     /// The streaming merger emitting a record-order prefix.
     StreamMerge,
-    /// Waiting on (or being served by) the checkpoint prefetcher.
-    Prefetch,
     /// Segment compaction / GC.
     Compact,
     /// Scheduler job lifecycle (queued → running → terminal).
@@ -79,14 +77,13 @@ pub enum Category {
 
 impl Category {
     /// All categories, for exporters and tests.
-    pub const ALL: [Category; 15] = [
+    pub const ALL: [Category; 14] = [
         Category::Record,
         Category::Commit,
         Category::RestoreChain,
         Category::RangeExec,
         Category::Steal,
         Category::StreamMerge,
-        Category::Prefetch,
         Category::Compact,
         Category::Job,
         Category::Sim,
@@ -106,7 +103,6 @@ impl Category {
             Category::RangeExec => "range-exec",
             Category::Steal => "steal",
             Category::StreamMerge => "stream-merge",
-            Category::Prefetch => "prefetch",
             Category::Compact => "compact",
             Category::Job => "job",
             Category::Sim => "sim",

@@ -282,10 +282,9 @@ fn streamed_replay_stats_survive_through_the_binary_surface() {
 }
 
 /// The exactly-once read contract, on registry-recorded (`@dup`) stores:
-/// every checkpoint a replay restores is read from the store once — by the
-/// worker's prefetcher or by the worker, never both — whatever the worker
-/// count and however ranges get stolen, and the merged log still equals
-/// the reference's.
+/// every checkpoint a replay restores is read from the store once, by the
+/// worker that restores it, whatever the worker count and however ranges
+/// get stolen, and the merged log still equals the reference's.
 mod exactly_once {
     use super::*;
     use flor_chkpt::CheckpointStore;
@@ -375,14 +374,9 @@ log(\"accuracy\", acc)
                 report.stats.restored,
                 "{tag}, {workers} worker(s): one store read per restore"
             );
-            assert_eq!(
-                report.stats.prefetch_hits, report.stats.restored,
-                "{tag}, {workers} worker(s): main-loop restores come through the prefetcher"
-            );
-            // Each worker's prefetch thread reads its schedule in order
-            // through its own cursor, so every delta restore decodes
-            // exactly its own link — at two workers too: neither evicts
-            // the other's base.
+            // Each worker restores its ranges in order through its own
+            // cursor, so every delta restore decodes exactly its own link
+            // — at two workers too: neither evicts the other's base.
             assert_eq!(
                 report.stats.chain_links, report.stats.delta_restores,
                 "{tag}, {workers} worker(s): one link per delta restore"

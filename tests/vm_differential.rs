@@ -222,20 +222,24 @@ fn production_replay_equals_the_reference_for_every_probe_placement() {
                 "{name}: the probe must have produced output"
             );
         }
-        for workers in [1usize, 2, 3] {
-            for init_mode in [InitMode::Strong, InitMode::Weak] {
-                let rep = replay(probed, &root, &opts(workers, init_mode)).unwrap();
-                let at = format!("{name} workers={workers} {init_mode:?}");
-                assert_postamble(&case, &rep.postamble, &at);
-                assert_eq!(rep.anomalies, reference.anomalies, "{at}");
-                assert_eq!(rep.log, reference.log, "{at} diverged from the reference");
-                // Restore/execute counters are worker-dependent (a stolen
-                // range re-initializes through restores, and which worker
-                // steals what is a race), so they are pinned only where no
-                // steal can happen.
-                if workers == 1 {
-                    assert_eq!(rep.stats.restored, reference.stats.restored, "{at}");
-                    assert_eq!(rep.stats.executed, reference.stats.executed, "{at}");
+        // Two passes over every cell: by the second, every seed-pinned
+        // constructor of the preamble is a memo hit in this process.
+        for pass in 0..2 {
+            for workers in [1usize, 2, 3] {
+                for init_mode in [InitMode::Strong, InitMode::Weak] {
+                    let rep = replay(probed, &root, &opts(workers, init_mode)).unwrap();
+                    let at = format!("{name} pass {pass} workers={workers} {init_mode:?}");
+                    assert_postamble(&case, &rep.postamble, &at);
+                    assert_eq!(rep.anomalies, reference.anomalies, "{at}");
+                    assert_eq!(rep.log, reference.log, "{at} diverged from the reference");
+                    // Restore/execute counters are worker-dependent (a
+                    // stolen range re-initializes through restores, and
+                    // which worker steals what is a race), so they are
+                    // pinned only where no steal can happen.
+                    if workers == 1 {
+                        assert_eq!(rep.stats.restored, reference.stats.restored, "{at}");
+                        assert_eq!(rep.stats.executed, reference.stats.executed, "{at}");
+                    }
                 }
             }
         }
