@@ -335,10 +335,18 @@ fn encode_value(val: &CVal, buf: &mut BytesMut) {
     }
 }
 
-/// Decodes bytes produced by [`encode`]. Bytes leaves are zero-copy slices
-/// of one shared backing buffer.
-pub fn decode(bytes: &[u8]) -> Result<CVal, CodecError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
+/// Decodes bytes produced by [`encode`].
+///
+/// Every [`CVal::Bytes`] leaf is a zero-copy slice of `payload` itself,
+/// sharing its backing (the same [`Bytes::backing_id`]): handed a payload
+/// straight from the store (`CheckpointStore::get_bytes`), a restore
+/// reaches each tensor's bytes where the store put them — a file mapping,
+/// or the one buffer a delta chain or decompression produced — and the
+/// store's zero-copy contract holds up to the tensor. A `Vec<u8>` is
+/// wrapped without a copy; a borrowed `&[u8]` is copied into a new backing
+/// first (it owns nothing the leaves could share).
+pub fn decode(payload: impl Into<Bytes>) -> Result<CVal, CodecError> {
+    let mut buf: Bytes = payload.into();
     if !buf.has_remaining() {
         return Err(err("empty input"));
     }
@@ -508,8 +516,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(v: CVal) {
-        let bytes = encode(&v);
-        let back = decode(&bytes).expect("decode");
+        let back = decode(encode(&v)).expect("decode");
         assert_eq!(v, back);
     }
 
@@ -544,7 +551,7 @@ mod tests {
                 }
                 legacy.push(byte | 0x80);
             }
-            assert_eq!(decode(&legacy).unwrap(), CVal::I64(v), "value {v}");
+            assert_eq!(decode(legacy).unwrap(), CVal::I64(v), "value {v}");
         }
     }
 
@@ -580,8 +587,7 @@ mod tests {
 
     #[test]
     fn nan_roundtrips_as_nan() {
-        let bytes = encode(&CVal::F64(f64::NAN));
-        match decode(&bytes).unwrap() {
+        match decode(encode(&CVal::F64(f64::NAN))).unwrap() {
             CVal::F64(x) => assert!(x.is_nan()),
             other => panic!("{other:?}"),
         }
@@ -590,7 +596,7 @@ mod tests {
     #[test]
     fn map_order_is_preserved() {
         let v = CVal::map(vec![("z", CVal::I64(1)), ("a", CVal::I64(2))]);
-        match decode(&encode(&v)).unwrap() {
+        match decode(encode(&v)).unwrap() {
             CVal::Map(pairs) => {
                 assert_eq!(pairs[0].0, "z");
                 assert_eq!(pairs[1].0, "a");
@@ -621,20 +627,19 @@ mod tests {
     fn trailing_garbage_detected() {
         let mut bytes = encode(&CVal::I64(7));
         bytes.push(0x00);
-        assert!(decode(&bytes).is_err());
+        assert!(decode(bytes).is_err());
     }
 
     #[test]
     fn bad_magic_detected() {
         let mut bytes = encode(&CVal::I64(7));
         bytes[0] = 0x00;
-        assert!(decode(&bytes).is_err());
+        assert!(decode(bytes).is_err());
     }
 
     #[test]
     fn unknown_tag_detected() {
-        let bytes = vec![MAGIC, 0x42];
-        assert!(decode(&bytes).is_err());
+        assert!(decode(vec![MAGIC, 0x42]).is_err());
     }
 
     #[test]
@@ -643,7 +648,7 @@ mod tests {
         let mut bytes = vec![MAGIC, 0x04];
         // varint for a huge number
         bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f]);
-        assert!(decode(&bytes).is_err());
+        assert!(decode(bytes).is_err());
     }
 
     #[test]
@@ -699,7 +704,7 @@ mod tests {
         assert_eq!(encode(&eager), encode(&lazy));
         assert_eq!(eager, lazy, "content equality crosses eager/lazy variants");
         // Decoding a lazy-encoded stream yields eager leaves.
-        let back = decode(&encode(&lazy)).unwrap();
+        let back = decode(encode(&lazy)).unwrap();
         assert!(matches!(back.get("w"), Some(CVal::Bytes(_))));
     }
 
@@ -764,14 +769,46 @@ mod tests {
     fn decoded_bytes_share_one_backing() {
         // Decoding many leaves must not copy each: slices share the input.
         let v = CVal::List((0..8).map(|i| CVal::bytes(vec![i as u8; 64])).collect());
-        let bytes = encode(&v);
-        let back = decode(&bytes).unwrap();
+        let back = decode(encode(&v)).unwrap();
         if let CVal::List(items) = back {
             for (i, item) in items.iter().enumerate() {
                 assert_eq!(item.as_bytes().unwrap(), vec![i as u8; 64]);
             }
         } else {
             panic!("expected list");
+        }
+    }
+
+    #[test]
+    fn decoded_leaves_share_the_payloads_backing() {
+        // The payload as the store hands it out: one refcounted backing
+        // (here a slice of a larger one, like a segment mapping's).
+        let v = CVal::map(vec![
+            ("w", CVal::bytes(vec![3; 4096])),
+            (
+                "b",
+                CVal::List(vec![CVal::bytes(vec![4; 32]), CVal::I64(1)]),
+            ),
+        ]);
+        let mut framed = vec![0xAA; 7];
+        framed.extend(encode(&v));
+        let mut payload = Bytes::from_vec(framed);
+        payload.advance(7);
+        let id = payload.backing_id();
+        let back = decode(payload).unwrap();
+        assert_eq!(back, v);
+        let leaves = [
+            back.get("w").cloned(),
+            back.get("b").and_then(|b| match b {
+                CVal::List(items) => items.first().cloned(),
+                _ => None,
+            }),
+        ];
+        for leaf in leaves {
+            let Some(CVal::Bytes(b)) = leaf else {
+                panic!("expected a bytes leaf")
+            };
+            assert_eq!(b.backing_id(), id, "a leaf was copied out of the payload");
         }
     }
 }

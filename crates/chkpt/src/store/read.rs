@@ -104,10 +104,10 @@ impl CheckpointStore {
         ReadCursor::default().get_bytes(self, block_id, seq)
     }
 
-    /// Reads and verifies the checkpoint payload for `(block_id, seq)`.
-    /// Compatibility wrapper over [`CheckpointStore::get_bytes`] (pays one
-    /// copy into an owned `Vec`; hot paths should use `get_bytes`).
-    pub fn get(&self, block_id: &str, seq: u64) -> Result<Vec<u8>, StoreError> {
+    /// [`CheckpointStore::get_bytes`] copied into an owned `Vec`, for this
+    /// crate's tests to compare against.
+    #[cfg(test)]
+    pub(crate) fn get(&self, block_id: &str, seq: u64) -> Result<Vec<u8>, StoreError> {
         Ok(self.get_bytes(block_id, seq)?.to_vec())
     }
 

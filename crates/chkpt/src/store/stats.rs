@@ -34,7 +34,7 @@ pub struct StoreStats {
     pub raw_bytes: u64,
     /// Total stored payload bytes across live checkpoints.
     pub stored_bytes: u64,
-    /// `get`/`get_bytes` calls served.
+    /// `get_bytes` calls served.
     pub reads: u64,
     /// Reads satisfied by a zero-copy slice of a file mapping (raw-stored
     /// entries, in a segment or a dedup blob).

@@ -397,11 +397,50 @@ mod tests {
         assert_eq!(content(&Obj::Model(b.clone())), fresh);
         assert_eq!(b.grad_norm(), 0.0, "the template's gradients stay zero");
         // A restore, a step and `zero_grad` on a hit.
-        b.load_state_dict(&a.state_dict());
+        b.load_state_dict(&a.state_dict().view()).unwrap();
         train(&mut b, &mut sgd);
         b.zero_grad();
         assert_eq!(content(&c.construct(true)), fresh);
         assert_ne!(content(&Obj::Model(b)), fresh);
+    }
+
+    #[test]
+    fn a_restore_into_a_memo_hit_allocates_and_leaves_the_template_pristine() {
+        let c = call("mlp", 0x5EED_0301);
+        let fresh = content(&c.construct(false));
+        let Obj::Model(other) = c.construct(false) else {
+            unreachable!()
+        };
+        let mut trained = other;
+        trained.visit_params_mut(&mut |p| p.value.map_inplace(|x| x * 2.0 + 1.0));
+        let payload =
+            flor_chkpt::decode(flor_chkpt::encode(&Obj::Model(trained).snapshot().unwrap()))
+                .unwrap();
+        let slabs = |o: &Obj| {
+            let Obj::Model(m) = o else { unreachable!() };
+            let mut ptrs = Vec::new();
+            m.visit_params(&mut |p| ptrs.push(p.value.data().as_ptr()));
+            ptrs
+        };
+        let template = c.construct(true);
+        let mut hit = c.construct(true);
+        let shared = slabs(&template);
+        assert_eq!(slabs(&hit), shared, "a hit shares the template's slabs");
+
+        // The first restore finds every slab shared: each is allocated.
+        hit.restore(&payload).unwrap();
+        let own = slabs(&hit);
+        assert!(
+            own.iter().all(|p| !shared.contains(p)),
+            "a slab written through"
+        );
+        assert_eq!(content(&template), fresh);
+        assert_eq!(content(&c.construct(true)), fresh);
+        assert_eq!(content(&hit), flor_chkpt::encode(&payload));
+        // The second finds them its own, and converts into them.
+        hit.restore(&payload).unwrap();
+        assert_eq!(slabs(&hit), own);
+        assert_eq!(content(&c.construct(true)), fresh);
     }
 
     #[test]

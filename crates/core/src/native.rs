@@ -243,8 +243,7 @@ impl Session {
                 let probed = self.probed.iter().any(|p| p == id);
                 if !probed && self.store.contains(id, seq) {
                     let t0 = flor_obs::clock::now_ns();
-                    let payload = self.store.get(id, seq)?;
-                    let cval = flor_chkpt::decode(&payload)?;
+                    let cval = flor_chkpt::decode(self.store.get_bytes(id, seq)?)?;
                     state.from_cval(&cval).map_err(rt)?;
                     self.controller
                         .observe_restore(id, flor_obs::clock::since_ns(t0));

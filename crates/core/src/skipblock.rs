@@ -268,7 +268,7 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
         };
         ctx.cursor.get_bytes(&ctx.store, id, seq)?
     };
-    let cval = flor_chkpt::decode(payload_bytes.as_ref())?;
+    let cval = flor_chkpt::decode(payload_bytes)?;
     let CVal::Map(pairs) = cval else {
         return Err(rt(format!(
             "checkpoint {id:?}.{seq} has a malformed payload"
@@ -281,7 +281,13 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
     // aliased by both a slot and the env stays consistent either way.
     for (name, snap) in &pairs {
         let existing = interp.lookup_name(name);
-        let restored = Value::restore(snap, existing)?;
+        let restored = Value::restore(snap, existing).map_err(|e| {
+            let why = match e {
+                FlorError::Runtime(m) => m,
+                other => other.to_string(),
+            };
+            rt(format!("checkpoint {id:?}.{seq}, entry {name:?}: {why}"))
+        })?;
         interp.bind_name(name, restored);
     }
     if let Mode::Replay(ctx) = &mut interp.mode {
@@ -527,6 +533,36 @@ log(\"w\", w)
         );
         if let Mode::Replay(ctx) = &rep.mode {
             assert_eq!(ctx.stats.restored, 1);
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_shape_fails_naming_block_seq_and_entry() {
+        let src = |hidden: usize| {
+            format!(
+                "net = mlp(input=4, hidden={hidden}, classes=2, depth=1, seed=3)
+skipblock \"sb_0\":
+    for i in range(2):
+        w = busy(1)
+log(\"w\", net.weight_norm())
+"
+            )
+        };
+        let store = Arc::new(CheckpointStore::open(tmproot("shape")).unwrap());
+        let changesets = HashMap::from([("sb_0".to_string(), vec!["net".to_string()])]);
+        let mut rec = Interp::new(record_ctx(store.clone(), changesets));
+        rec.run(&parse(&src(8)).unwrap()).unwrap();
+
+        // The live model is wider than the one checkpointed: the restore
+        // must fail the replay with an error, not panic its worker.
+        let mut rep = Interp::new(replay_ctx(store, probing(&[])));
+        let err = rep.run(&parse(&src(9)).unwrap()).unwrap_err().to_string();
+        for part in [
+            format!("checkpoint \"sb_0\".{STANDALONE_BASE}"),
+            "entry \"net\"".to_string(),
+            "\"0.weight\" has shape (4, 8) but the live tensor has (4, 9)".to_string(),
+        ] {
+            assert!(err.contains(&part), "{err:?} lacks {part:?}");
         }
     }
 }

@@ -14,17 +14,19 @@
 //! the side-effects to the program state". Production replay's preamble
 //! takes its datasets and freshly initialized models from the seed-pinned
 //! constructor memo (the private `ctors` module): copy-on-write copies of
-//! templates built once per process, whose tensors a restore replaces and
-//! a training step copies before writing, so no restore or step reaches
-//! a template.
+//! templates built once per process. A restore converts each encoded tensor
+//! straight into the slab its live tensor owns, and allocates a fresh one
+//! only where the slab is still shared — the first restore after a memo
+//! hit — just as a training step copies a shared slab before writing, so
+//! no restore or step reaches a template.
 
 use crate::error::{rt, FlorError};
 use flor_chkpt::{ByteSource, BytesMut, CVal};
 use flor_ml::metrics::Meter;
 use flor_ml::swa::SwaAverager;
 use flor_ml::{
-    CrossEntropyLoss, DataLoader, Optimizer, Scheduler, Sequential, StateDict,
-    SyntheticClassification, SyntheticTokens,
+    CrossEntropyLoss, DataLoader, Optimizer, Scheduler, Sequential, SlabLoads, StateDict,
+    StateEntry, StateView, SyntheticClassification, SyntheticTokens,
 };
 use flor_tensor::Tensor;
 use std::cell::RefCell;
@@ -502,12 +504,16 @@ impl Obj {
         })
     }
 
-    /// Restores the object's mutable state in place.
+    /// Restores the object's mutable state in place: a model's parameters
+    /// and an optimizer's moments load into the slabs they own
+    /// (`replay.restore_slabs_{reused,allocated}` count how).
     pub fn restore(&mut self, cval: &CVal) -> Result<(), FlorError> {
         match self {
-            Obj::Model(m) => m.load_state_dict(&cval_to_state_dict(cval)?),
-            Obj::Optim { inner, .. } => inner.load_state_dict(&cval_to_state_dict(cval)?),
-            Obj::Sched { inner, .. } => inner.load_state_dict(&cval_to_state_dict(cval)?),
+            Obj::Model(m) => with_state_view(cval, |v| m.load_state_dict(v))?,
+            Obj::Optim { inner, .. } => with_state_view(cval, |v| inner.load_state_dict(v))?,
+            Obj::Sched { inner, .. } => with_state_view(cval, |v| {
+                inner.load_state_dict(v).map(|()| SlabLoads::default())
+            })?,
             Obj::Dataset(_) => {}
             Obj::Loader { inner, .. } => {
                 let s = cval
@@ -579,6 +585,33 @@ pub(crate) fn state_dict_to_cval(sd: &StateDict) -> CVal {
             .map(|(name, t)| (name.to_string(), tensor_cval(t)))
             .collect(),
     )
+}
+
+/// Runs `load` over a state-dict snapshot (a map of encoded tensors) read
+/// where it lies — each entry a slice of the decoded payload — and counts
+/// how the load placed its tensors.
+fn with_state_view(
+    cval: &CVal,
+    load: impl FnOnce(&StateView<'_>) -> Result<SlabLoads, String>,
+) -> Result<(), FlorError> {
+    let CVal::Map(pairs) = cval else {
+        return Err(rt("state dict snapshot must be a map"));
+    };
+    let leaves = pairs
+        .iter()
+        .map(|(name, v)| match v.as_bytes() {
+            Some(b) => Ok((name.as_str(), b)),
+            None => Err(rt(format!("non-tensor entry {name:?} in state dict"))),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut view = StateView::new();
+    for (name, bytes) in &leaves {
+        view.push(name, StateEntry::Encoded(bytes.as_ref()));
+    }
+    let loads = load(&view).map_err(rt)?;
+    flor_obs::counter!("replay.restore_slabs_reused").add(loads.reused);
+    flor_obs::counter!("replay.restore_slabs_allocated").add(loads.allocated);
+    Ok(())
 }
 
 /// CVal map of tensor bytes → StateDict.
@@ -686,7 +719,7 @@ mod tests {
             params += 1;
         });
         assert_eq!(params, before.len());
-        let tree = flor_chkpt::decode(&flor_chkpt::encode(&snap)).unwrap();
+        let tree = flor_chkpt::decode(flor_chkpt::encode(&snap)).unwrap();
         let state = tree.get("v").unwrap();
         for (name, bytes) in &before {
             let leaf = state.get(name).unwrap().as_bytes().unwrap();
@@ -695,6 +728,37 @@ mod tests {
                 *bytes,
                 "{name}: the snapshot keeps its bytes"
             );
+        }
+    }
+
+    #[test]
+    fn two_restores_into_an_unshared_model_keep_its_parameter_slabs() {
+        let payload = |seed| {
+            let m = mlp(4, 8, 2, 1, &mut Pcg64::seeded(seed));
+            let snap = Value::obj(Obj::Model(m)).snapshot().unwrap();
+            // As a restore reads it: decoded, every leaf a payload slice.
+            flor_chkpt::decode(flor_chkpt::encode(&snap)).unwrap()
+        };
+        let v = Value::obj(Obj::Model(mlp(4, 8, 2, 1, &mut Pcg64::seeded(1))));
+        let Value::Obj(obj) = &v else { unreachable!() };
+        let slabs = || {
+            let Obj::Model(m) = &*obj.borrow() else {
+                unreachable!()
+            };
+            let mut ptrs = Vec::new();
+            m.visit_params(&mut |p| ptrs.push(p.value.data().as_ptr()));
+            ptrs
+        };
+        let before = slabs();
+        for seed in [2, 3] {
+            let snap = payload(seed);
+            Value::restore(&snap, Some(&v)).unwrap();
+            assert_eq!(
+                v.snapshot().unwrap(),
+                snap,
+                "restore {seed} loaded the payload"
+            );
+            assert_eq!(slabs(), before, "restore {seed} kept every parameter slab");
         }
     }
 

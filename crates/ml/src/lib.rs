@@ -39,6 +39,6 @@ pub mod swa;
 pub use data::{DataLoader, SyntheticClassification, SyntheticTokens};
 pub use layer::{Activation, Linear};
 pub use loss::CrossEntropyLoss;
-pub use module::{Sequential, StateDict};
+pub use module::{Sequential, SlabLoads, StateDict, StateEntry, StateView};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use sched::{CosineLr, CyclicLr, Scheduler, StepLr};

@@ -1,7 +1,7 @@
 //! Parameters, the layer container, and `state_dict`-style checkpointing.
 
 use crate::layer::Layer;
-use flor_tensor::Tensor;
+use flor_tensor::{Shape, Tensor, TensorBytes};
 
 /// A trainable (or frozen) parameter: a value tensor, its gradient
 /// accumulator, and a name used in state dicts.
@@ -103,6 +103,137 @@ impl StateDict {
     /// "weight" of this object).
     pub fn numel(&self) -> usize {
         self.entries.iter().map(|(_, t)| t.numel()).sum()
+    }
+
+    /// A view of this dict for `load_state_dict`: loading shares each
+    /// entry's slab.
+    pub fn view(&self) -> StateView<'_> {
+        StateView {
+            entries: self
+                .entries
+                .iter()
+                .map(|(n, t)| (n.as_str(), StateEntry::Tensor(t)))
+                .collect(),
+        }
+    }
+}
+
+/// One entry of a [`StateView`].
+#[derive(Debug, Clone, Copy)]
+pub enum StateEntry<'a> {
+    /// A live tensor: loading shares its slab (copy-on-write), as a clone
+    /// does.
+    Tensor(&'a Tensor),
+    /// A tensor's [`Tensor::to_bytes`] encoding, as a checkpoint holds it:
+    /// loading converts it into the destination tensor's own slab when
+    /// that slab is unshared and of the right length ([`Tensor::load`]).
+    Encoded(&'a [u8]),
+}
+
+/// What `load_state_dict` reads: named entries, in order — a
+/// [`StateDict`]'s tensors ([`StateDict::view`]) or a checkpoint's
+/// encoded entries, read where they lie.
+#[derive(Debug, Default)]
+pub struct StateView<'a> {
+    entries: Vec<(&'a str, StateEntry<'a>)>,
+}
+
+/// How a `load_state_dict` placed its tensors: `reused` were converted into
+/// the slab the destination already owned, `allocated` got a fresh one
+/// (the destination's slab was shared, of another length, or missing),
+/// and entries loaded by sharing a live tensor count in neither.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlabLoads {
+    /// Entries converted into the destination's existing slab.
+    pub reused: u64,
+    /// Entries converted into a freshly allocated slab.
+    pub allocated: u64,
+}
+
+impl<'a> StateView<'a> {
+    /// An empty view.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends an entry (the caller keeps names unique).
+    pub fn push(&mut self, name: &'a str, entry: StateEntry<'a>) {
+        self.entries.push((name, entry));
+    }
+
+    fn get(&self, name: &str) -> Option<StateEntry<'a>> {
+        self.entries
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, e)| e)
+    }
+
+    /// Loads entry `name` into `dst`, which must then have shape `want`
+    /// when one is given; `Ok(false)` if there is no such entry.
+    pub(crate) fn load(
+        &self,
+        name: &str,
+        dst: &mut Tensor,
+        want: Option<&Shape>,
+        loads: &mut SlabLoads,
+    ) -> Result<bool, String> {
+        let check = |shape: &Shape| match want {
+            Some(w) if w != shape => Err(format!(
+                "state dict entry {name:?} has shape {shape} but the live tensor has {w}"
+            )),
+            _ => Ok(()),
+        };
+        match self.get(name) {
+            None => Ok(false),
+            Some(StateEntry::Tensor(t)) => {
+                check(t.shape())?;
+                *dst = t.clone();
+                Ok(true)
+            }
+            Some(StateEntry::Encoded(bytes)) => {
+                let enc = TensorBytes::parse(bytes)
+                    .ok_or_else(|| format!("corrupt tensor for {name:?}"))?;
+                check(enc.shape())?;
+                if dst.load(&enc) {
+                    loads.reused += 1;
+                } else {
+                    loads.allocated += 1;
+                }
+                Ok(true)
+            }
+        }
+    }
+
+    /// Loads a required entry of hyperparameters: exactly `N` values.
+    pub(crate) fn hyper<const N: usize>(&self, owner: &str) -> Result<[f32; N], String> {
+        let mut t = Tensor::zeros([0]);
+        if !self.load("hyper", &mut t, None, &mut SlabLoads::default())? {
+            return Err(format!("{owner} state dict missing 'hyper'"));
+        }
+        t.data()
+            .try_into()
+            .map_err(|_| format!("{owner} hyper tensor must have {N} entries"))
+    }
+
+    /// Loads the run of entries `<prefix>0`, `<prefix>1`, … into `bufs`,
+    /// reusing the tensors already there, and drops any beyond the run.
+    pub(crate) fn load_run(
+        &self,
+        prefix: &str,
+        bufs: &mut Vec<Tensor>,
+        loads: &mut SlabLoads,
+    ) -> Result<(), String> {
+        let mut i = 0;
+        loop {
+            if i == bufs.len() {
+                bufs.push(Tensor::zeros([0]));
+            }
+            if !self.load(&format!("{prefix}{i}"), &mut bufs[i], None, loads)? {
+                bufs.truncate(i);
+                return Ok(());
+            }
+            i += 1;
+        }
     }
 }
 
@@ -246,29 +377,32 @@ impl Sequential {
     }
 
     /// Restores parameter values from a snapshot produced by
-    /// [`Sequential::state_dict`] on an identically shaped model.
+    /// [`Sequential::state_dict`] on an identically shaped model, each
+    /// [`StateEntry::Encoded`] entry converted into the parameter's own
+    /// slab when that slab is unshared.
     ///
-    /// # Panics
-    /// Panics if an expected entry is missing or has the wrong shape —
-    /// loading a checkpoint into the wrong architecture is a programming
-    /// error that must not be silently absorbed.
-    pub fn load_state_dict(&mut self, sd: &StateDict) {
+    /// Loading a checkpoint into the wrong architecture is an error, not
+    /// silently absorbed: a missing entry, or one whose shape differs from
+    /// its parameter's, fails naming the entry — and leaves that parameter
+    /// as it was (earlier ones are already loaded).
+    pub fn load_state_dict(&mut self, sd: &StateView<'_>) -> Result<SlabLoads, String> {
+        let mut loads = SlabLoads::default();
         let mut idx = 0usize;
+        let mut result = Ok(());
         self.visit_params_mut(&mut |p| {
+            if result.is_err() {
+                return;
+            }
             let key = format!("{idx}.{}", p.name);
             idx += 1;
-            let t = sd
-                .get(&key)
-                .unwrap_or_else(|| panic!("state dict missing entry {key:?}"));
-            assert_eq!(
-                t.shape(),
-                p.value.shape(),
-                "state dict entry {key:?} has shape {} but parameter has {}",
-                t.shape(),
-                p.value.shape()
-            );
-            p.value = t.clone();
+            let want = p.value.shape().clone();
+            result = match sd.load(&key, &mut p.value, Some(&want), &mut loads) {
+                Ok(true) => Ok(()),
+                Ok(false) => Err(format!("state dict missing entry {key:?}")),
+                Err(e) => Err(e),
+            };
         });
+        result.map(|()| loads)
     }
 }
 
@@ -314,15 +448,71 @@ mod tests {
         assert_eq!(sd.len(), 4); // 2 Linear layers × (weight, bias)
         let mut m2 = tiny_model(2);
         assert_ne!(m2.state_dict(), sd, "different seeds → different weights");
-        m2.load_state_dict(&sd);
+        m2.load_state_dict(&sd.view()).unwrap();
         assert_eq!(m2.state_dict(), sd);
     }
 
     #[test]
-    #[should_panic(expected = "missing entry")]
-    fn load_state_dict_missing_entry_panics() {
+    fn load_state_dict_missing_entry_is_an_error() {
         let mut m = tiny_model(1);
-        m.load_state_dict(&StateDict::new());
+        let err = m.load_state_dict(&StateDict::new().view()).unwrap_err();
+        assert!(err.contains("missing entry \"0.weight\""), "{err}");
+    }
+
+    /// Encoded entries of `sd`, as a restore reads them.
+    fn encoded(sd: &StateDict) -> Vec<(String, Vec<u8>)> {
+        sd.iter()
+            .map(|(n, t)| (n.to_string(), t.to_bytes()))
+            .collect()
+    }
+
+    fn view_of(entries: &[(String, Vec<u8>)]) -> StateView<'_> {
+        let mut view = StateView::new();
+        for (n, b) in entries {
+            view.push(n, StateEntry::Encoded(b));
+        }
+        view
+    }
+
+    fn slabs(m: &Sequential) -> Vec<*const f32> {
+        let mut ptrs = Vec::new();
+        m.visit_params(&mut |p| ptrs.push(p.value.data().as_ptr()));
+        ptrs
+    }
+
+    #[test]
+    fn restores_into_an_unshared_model_keep_its_parameter_slabs() {
+        let mut m = tiny_model(1);
+        let before = slabs(&m);
+        for seed in [2, 3] {
+            let sd = tiny_model(seed).state_dict();
+            let loads = m.load_state_dict(&view_of(&encoded(&sd))).unwrap();
+            assert_eq!(
+                loads,
+                SlabLoads {
+                    reused: 4,
+                    allocated: 0
+                }
+            );
+            assert_eq!(m.state_dict(), sd);
+            assert_eq!(slabs(&m), before, "restore {seed} kept every slab");
+        }
+    }
+
+    #[test]
+    fn a_shape_mismatch_is_an_error_naming_the_entry() {
+        let mut m = tiny_model(1);
+        let mut rng = Pcg64::seeded(1);
+        let wider = Sequential::new("wider")
+            .push(Linear::new(4, 9, &mut rng))
+            .push(Activation::relu())
+            .push(Linear::new(9, 3, &mut rng));
+        let before = m.state_dict();
+        let err = m
+            .load_state_dict(&view_of(&encoded(&wider.state_dict())))
+            .unwrap_err();
+        assert!(err.contains("\"0.weight\" has shape (4, 9)"), "{err}");
+        assert_eq!(m.state_dict(), before, "nothing was loaded");
     }
 
     #[test]

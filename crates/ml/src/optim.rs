@@ -11,7 +11,7 @@
 //! hyperparameters including the scheduler-controlled learning rate) is fully
 //! checkpointable via [`Optimizer::state_dict`].
 
-use crate::module::{Param, Sequential, StateDict};
+use crate::module::{Param, Sequential, SlabLoads, StateDict, StateView};
 use flor_tensor::Tensor;
 
 /// A gradient-based optimizer over a [`Sequential`] model's parameters.
@@ -39,11 +39,10 @@ pub trait Optimizer {
     /// Snapshot of all optimizer state: hyperparameters and moment buffers.
     fn state_dict(&self) -> StateDict;
 
-    /// Restores state captured by [`Optimizer::state_dict`].
-    ///
-    /// # Panics
-    /// Panics if the snapshot is structurally incompatible.
-    fn load_state_dict(&mut self, sd: &StateDict);
+    /// Restores state captured by [`Optimizer::state_dict`], converting
+    /// encoded moment buffers into the buffers already held where it can.
+    /// A structurally incompatible snapshot is an error.
+    fn load_state_dict(&mut self, sd: &StateView<'_>) -> Result<SlabLoads, String>;
 
     /// Cheap estimate of the state-dict element count, *without* building
     /// it (used by Flor's adaptive checkpointing to predict materialization
@@ -161,20 +160,13 @@ impl Optimizer for Sgd {
         sd
     }
 
-    fn load_state_dict(&mut self, sd: &StateDict) {
-        let hyper = sd.get("hyper").expect("Sgd state dict missing 'hyper'");
-        let h = hyper.data();
-        assert_eq!(h.len(), 4, "Sgd hyper tensor must have 4 entries");
-        self.lr = h[0];
-        self.momentum = h[1];
-        self.weight_decay = h[2];
-        self.steps = h[3] as u64;
-        self.velocity.clear();
-        let mut i = 0;
-        while let Some(v) = sd.get(&format!("velocity.{i}")) {
-            self.velocity.push(v.clone());
-            i += 1;
-        }
+    fn load_state_dict(&mut self, sd: &StateView<'_>) -> Result<SlabLoads, String> {
+        let [lr, momentum, weight_decay, steps] = sd.hyper("Sgd")?;
+        let mut loads = SlabLoads::default();
+        sd.load_run("velocity.", &mut self.velocity, &mut loads)?;
+        (self.lr, self.momentum, self.weight_decay) = (lr, momentum, weight_decay);
+        self.steps = steps as u64;
+        Ok(loads)
     }
 
     fn state_numel(&self) -> usize {
@@ -290,28 +282,15 @@ impl Optimizer for Adam {
         sd
     }
 
-    fn load_state_dict(&mut self, sd: &StateDict) {
-        let hyper = sd.get("hyper").expect("Adam state dict missing 'hyper'");
-        let h = hyper.data();
-        assert_eq!(h.len(), 6, "Adam hyper tensor must have 6 entries");
-        self.lr = h[0];
-        self.beta1 = h[1];
-        self.beta2 = h[2];
-        self.eps = h[3];
-        self.weight_decay = h[4];
-        self.t = h[5] as u64;
-        self.m.clear();
-        self.v.clear();
-        let mut i = 0;
-        while let Some(m) = sd.get(&format!("m.{i}")) {
-            self.m.push(m.clone());
-            i += 1;
-        }
-        let mut i = 0;
-        while let Some(v) = sd.get(&format!("v.{i}")) {
-            self.v.push(v.clone());
-            i += 1;
-        }
+    fn load_state_dict(&mut self, sd: &StateView<'_>) -> Result<SlabLoads, String> {
+        let [lr, beta1, beta2, eps, weight_decay, t] = sd.hyper("Adam")?;
+        let mut loads = SlabLoads::default();
+        sd.load_run("m.", &mut self.m, &mut loads)?;
+        sd.load_run("v.", &mut self.v, &mut loads)?;
+        (self.lr, self.beta1, self.beta2, self.eps) = (lr, beta1, beta2, eps);
+        self.weight_decay = weight_decay;
+        self.t = t as u64;
+        Ok(loads)
     }
 
     fn state_numel(&self) -> usize {
@@ -424,15 +403,50 @@ mod tests {
         }
         // Clone state into a fresh optimizer; further steps must agree.
         let mut m2 = model(99);
-        m2.load_state_dict(&m1.state_dict());
+        m2.load_state_dict(&m1.state_dict().view()).unwrap();
         let mut o2 = Sgd::new(0.0, 0.0, 0.0);
-        o2.load_state_dict(&o1.state_dict());
+        o2.load_state_dict(&o1.state_dict().view()).unwrap();
         for _ in 0..5 {
             let a = one_training_step(&mut m1, &mut o1);
             let b = one_training_step(&mut m2, &mut o2);
             assert_eq!(a, b);
         }
         assert_eq!(m1.state_dict(), m2.state_dict());
+    }
+
+    #[test]
+    fn encoded_moments_load_into_the_buffers_already_held() {
+        let mut m = model(7);
+        let mut o1 = Adam::new(0.05, 0.001);
+        one_training_step(&mut m, &mut o1);
+        let sd = o1.state_dict();
+        let entries: Vec<(String, Vec<u8>)> = sd
+            .iter()
+            .map(|(n, t)| (n.to_string(), t.to_bytes()))
+            .collect();
+        let mut view = StateView::new();
+        for (n, b) in &entries {
+            view.push(n, crate::module::StateEntry::Encoded(b));
+        }
+        let moments = (sd.len() - 1) as u64;
+        let mut o2 = Adam::new(0.0, 0.0);
+        // A fresh optimizer holds no buffers yet: each is allocated once.
+        let first = o2.load_state_dict(&view).unwrap();
+        assert_eq!((first.reused, first.allocated), (0, moments));
+        let slabs: Vec<*const f32> = o2.m.iter().map(|t| t.data().as_ptr()).collect();
+        let again = o2.load_state_dict(&view).unwrap();
+        assert_eq!((again.reused, again.allocated), (moments, 0));
+        assert_eq!(
+            o2.m.iter().map(|t| t.data().as_ptr()).collect::<Vec<_>>(),
+            slabs
+        );
+        assert_eq!(o2.state_dict(), sd);
+        // A malformed snapshot is an error, not a panic.
+        let err = Sgd::new(0.1, 0.0, 0.0).load_state_dict(&view).unwrap_err();
+        assert!(
+            err.contains("Sgd hyper tensor must have 4 entries"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -443,9 +457,9 @@ mod tests {
             one_training_step(&mut m1, &mut o1);
         }
         let mut m2 = model(99);
-        m2.load_state_dict(&m1.state_dict());
+        m2.load_state_dict(&m1.state_dict().view()).unwrap();
         let mut o2 = Adam::new(0.0, 0.0);
-        o2.load_state_dict(&o1.state_dict());
+        o2.load_state_dict(&o1.state_dict().view()).unwrap();
         for _ in 0..5 {
             let a = one_training_step(&mut m1, &mut o1);
             let b = one_training_step(&mut m2, &mut o2);

@@ -5,7 +5,7 @@
 //! follows `scheduler → optimizer → model` at runtime, so a training loop
 //! that only calls `scheduler.step()` still checkpoints the whole chain.
 
-use crate::module::StateDict;
+use crate::module::{StateDict, StateView};
 use crate::optim::Optimizer;
 use flor_tensor::Tensor;
 
@@ -21,8 +21,9 @@ pub trait Scheduler {
     /// Snapshot of schedule state (epoch counter and hyperparameters).
     fn state_dict(&self) -> StateDict;
 
-    /// Restores state captured by [`Scheduler::state_dict`].
-    fn load_state_dict(&mut self, sd: &StateDict);
+    /// Restores state captured by [`Scheduler::state_dict`] (its one
+    /// `hyper` entry); a malformed snapshot is an error.
+    fn load_state_dict(&mut self, sd: &StateView<'_>) -> Result<(), String>;
 }
 
 /// Multiplies the learning rate by `gamma` every `step_size` epochs.
@@ -70,14 +71,11 @@ impl Scheduler for StepLr {
         sd
     }
 
-    fn load_state_dict(&mut self, sd: &StateDict) {
-        let h = sd.get("hyper").expect("StepLr state dict missing 'hyper'");
-        let d = h.data();
-        assert_eq!(d.len(), 4);
-        self.base_lr = d[0];
-        self.step_size = d[1] as u32;
-        self.gamma = d[2];
-        self.epoch = d[3] as u32;
+    fn load_state_dict(&mut self, sd: &StateView<'_>) -> Result<(), String> {
+        let [base_lr, step_size, gamma, epoch] = sd.hyper("StepLr")?;
+        (self.base_lr, self.gamma) = (base_lr, gamma);
+        (self.step_size, self.epoch) = (step_size as u32, epoch as u32);
+        Ok(())
     }
 }
 
@@ -128,16 +126,11 @@ impl Scheduler for CosineLr {
         sd
     }
 
-    fn load_state_dict(&mut self, sd: &StateDict) {
-        let h = sd
-            .get("hyper")
-            .expect("CosineLr state dict missing 'hyper'");
-        let d = h.data();
-        assert_eq!(d.len(), 4);
-        self.base_lr = d[0];
-        self.eta_min = d[1];
-        self.t_max = d[2] as u32;
-        self.epoch = d[3] as u32;
+    fn load_state_dict(&mut self, sd: &StateView<'_>) -> Result<(), String> {
+        let [base_lr, eta_min, t_max, epoch] = sd.hyper("CosineLr")?;
+        (self.base_lr, self.eta_min) = (base_lr, eta_min);
+        (self.t_max, self.epoch) = (t_max as u32, epoch as u32);
+        Ok(())
     }
 }
 
@@ -195,16 +188,11 @@ impl Scheduler for CyclicLr {
         sd
     }
 
-    fn load_state_dict(&mut self, sd: &StateDict) {
-        let h = sd
-            .get("hyper")
-            .expect("CyclicLr state dict missing 'hyper'");
-        let d = h.data();
-        assert_eq!(d.len(), 4);
-        self.min_lr = d[0];
-        self.max_lr = d[1];
-        self.period = d[2] as u32;
-        self.epoch = d[3] as u32;
+    fn load_state_dict(&mut self, sd: &StateView<'_>) -> Result<(), String> {
+        let [min_lr, max_lr, period, epoch] = sd.hyper("CyclicLr")?;
+        (self.min_lr, self.max_lr) = (min_lr, max_lr);
+        (self.period, self.epoch) = (period as u32, epoch as u32);
+        Ok(())
     }
 }
 
@@ -277,7 +265,7 @@ mod tests {
             s1.step(&mut opt);
         }
         let mut s2 = CosineLr::new(0.0, 0.0, 1);
-        s2.load_state_dict(&s1.state_dict());
+        s2.load_state_dict(&s1.state_dict().view()).unwrap();
         assert_eq!(s1.current_lr(), s2.current_lr());
         for _ in 0..3 {
             s1.step(&mut opt);

@@ -104,7 +104,9 @@ impl SwaAverager {
     /// symptom of the wrong-dimension bug).
     pub fn apply(&self, model: &mut Sequential) {
         let avg = self.avg.as_ref().expect("SWA apply before any update");
-        model.load_state_dict(avg);
+        if let Err(e) = model.load_state_dict(&avg.view()) {
+            panic!("{e}");
+        }
     }
 
     /// Like [`SwaAverager::apply`] but returns an error message instead of
@@ -114,8 +116,7 @@ impl SwaAverager {
             Some(a) => a,
             None => return Err("SWA apply before any update".to_string()),
         };
-        // Validate shapes first so we can produce a diagnostic rather than
-        // panic inside load_state_dict.
+        // Validate shapes first, so a mismatch loads nothing.
         let expect = model.state_dict();
         for (name, t) in expect.iter() {
             match avg.get(name) {
@@ -130,8 +131,7 @@ impl SwaAverager {
                 None => return Err(format!("SWA average missing entry {name:?}")),
             }
         }
-        model.load_state_dict(avg);
-        Ok(())
+        model.load_state_dict(&avg.view()).map(|_| ())
     }
 }
 

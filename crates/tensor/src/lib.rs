@@ -15,7 +15,8 @@
 //!    pair of `u64` words that is captured inside every checkpoint.
 //! 2. **Serializability.** Checkpoints must be able to capture any tensor.
 //!    [`Tensor`] exposes a stable little-endian byte encoding via
-//!    [`Tensor::to_bytes`] / [`Tensor::from_bytes`].
+//!    [`Tensor::to_bytes`] / [`Tensor::from_bytes`], and a restore converts
+//!    an encoding straight into a live tensor's slab with [`Tensor::load`].
 //!
 //! The tensor type is intentionally simple — contiguous row-major `Vec<f32>`
 //! storage — because the paper's experiments stress checkpoint *volume* and
@@ -31,4 +32,4 @@ pub mod tensor;
 
 pub use rng::Pcg64;
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{Tensor, TensorBytes};

@@ -277,12 +277,32 @@ impl Tensor {
 
     /// L2 norm of all elements. This is the quantity Alice probes in the
     /// paper's §2.1 scenario ("magnitudes of the weights and gradients").
+    ///
+    /// Each square is exact in `f64` (an `f32` has a 24-bit significand),
+    /// and the squares accumulate in `f64` in a fixed order: element `i`
+    /// of the first `8 * (n / 8)` goes to lane `i % 8`, the remaining
+    /// `n % 8` elements go in index order to a ninth accumulator, and the
+    /// result is `((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))`, plus
+    /// that tail, then the square root, rounded to `f32`. One add chain
+    /// waits on each add's latency; eight independent lanes do not (about
+    /// twice the throughput on x86-64). The order is fixed, so the result
+    /// is deterministic on every target.
     pub fn norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt() as f32
+        const LANES: usize = 8;
+        let chunks = self.data.chunks_exact(LANES);
+        let mut tail = 0.0f64;
+        for &x in chunks.remainder() {
+            tail += f64::from(x) * f64::from(x);
+        }
+        let mut lanes = [0.0f64; LANES];
+        for chunk in chunks {
+            for (acc, &x) in lanes.iter_mut().zip(chunk) {
+                *acc += f64::from(x) * f64::from(x);
+            }
+        }
+        let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+        let sum = (((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))) + tail;
+        sum.sqrt() as f32
     }
 
     /// Maximum element; `-inf` for empty tensors.
@@ -429,36 +449,97 @@ impl Tensor {
     ///
     /// Returns `None` if the buffer is truncated or inconsistent.
     pub fn from_bytes(bytes: &[u8]) -> Option<Tensor> {
+        let enc = TensorBytes::parse(bytes)?;
+        let mut data = vec![0.0; enc.shape.numel()];
+        le_to_f32(&mut data, enc.data);
+        Some(Tensor {
+            shape: enc.shape,
+            data: Arc::new(data),
+        })
+    }
+
+    /// Overwrites this tensor with `enc`'s shape and values, and says
+    /// whether it kept its slab. The slab is kept — the values converted
+    /// straight into it, no allocation — when no other handle shares it
+    /// and its length matches; otherwise the tensor gets a fresh slab and
+    /// every other handle keeps the values it had (copy-on-write).
+    pub fn load(&mut self, enc: &TensorBytes<'_>) -> bool {
+        let n = enc.shape.numel();
+        self.shape = enc.shape.clone();
+        if let Some(slab) = Arc::get_mut(&mut self.data).filter(|s| s.len() == n) {
+            le_to_f32(slab, enc.data);
+            return true;
+        }
+        let mut data = vec![0.0; n];
+        le_to_f32(&mut data, enc.data);
+        self.data = Arc::new(data);
+        false
+    }
+}
+
+/// A tensor's [`Tensor::to_bytes`] encoding, checked but not yet
+/// converted: [`Tensor::load`] converts it into a tensor's own slab.
+#[derive(Debug, Clone)]
+pub struct TensorBytes<'a> {
+    shape: Shape,
+    /// `shape.numel()` little-endian `f32`s.
+    data: &'a [u8],
+}
+
+impl<'a> TensorBytes<'a> {
+    /// Checks an encoding; `None` if it is truncated, carries trailing
+    /// bytes, or declares an implausible rank.
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
         let mut pos = 0usize;
-        let read_u32 = |bytes: &[u8], pos: &mut usize| -> Option<u32> {
+        let read_u32 = |pos: &mut usize| -> Option<u32> {
             let end = pos.checked_add(4)?;
             let v = u32::from_le_bytes(bytes.get(*pos..end)?.try_into().ok()?);
             *pos = end;
             Some(v)
         };
-        let rank = read_u32(bytes, &mut pos)? as usize;
+        let rank = read_u32(&mut pos)? as usize;
         if rank > 8 {
             return None; // corrupt: we never build tensors this deep
         }
         let mut dims = Vec::with_capacity(rank);
         for _ in 0..rank {
-            dims.push(read_u32(bytes, &mut pos)? as usize);
+            dims.push(read_u32(&mut pos)? as usize);
         }
         let shape = Shape::new(dims);
-        let n = shape.numel();
-        let need = n.checked_mul(4)?;
-        let payload = bytes.get(pos..pos.checked_add(need)?)?;
-        if pos + need != bytes.len() {
-            return None; // trailing garbage
+        let need = shape.numel().checked_mul(4)?;
+        if pos.checked_add(need)? != bytes.len() {
+            return None; // truncated, or trailing garbage
         }
-        let data = payload
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Some(Tensor {
+        Some(TensorBytes {
             shape,
-            data: Arc::new(data),
+            data: &bytes[pos..],
         })
+    }
+
+    /// The encoded tensor's shape.
+    pub fn shape(&self) -> &Shape {
+        &self.shape
+    }
+}
+
+/// Converts little-endian `f32` bytes into `dst` (`src.len() == 4 *
+/// dst.len()`). On little-endian targets the wire bytes are the
+/// in-memory bytes, so this is one `memcpy` — the mirror of
+/// [`Tensor::write_payload`]'s fast path.
+fn le_to_f32(dst: &mut [f32], src: &[u8]) {
+    assert_eq!(src.len(), std::mem::size_of_val(dst), "payload length");
+    #[cfg(target_endian = "little")]
+    {
+        // Sound: the lengths match (asserted), the regions cannot overlap
+        // (`dst` is borrowed mutably), every bit pattern is a valid f32,
+        // and u8 alignment is 1.
+        unsafe {
+            std::ptr::copy_nonoverlapping(src.as_ptr(), dst.as_mut_ptr() as *mut u8, src.len())
+        };
+    }
+    #[cfg(not(target_endian = "little"))]
+    for (x, c) in dst.iter_mut().zip(src.chunks_exact(4)) {
+        *x = f32::from_le_bytes(c.try_into().unwrap());
     }
 }
 
@@ -648,6 +729,100 @@ mod tests {
         // Appends — must not clear what's already in the buffer.
         t.write_payload(&mut buf);
         assert_eq!(buf.len(), 2 * t.payload_len());
+    }
+
+    /// The serial reference `norm` replaced: one `f64` add chain in
+    /// index order.
+    fn serial_norm(t: &Tensor) -> f32 {
+        t.data()
+            .iter()
+            .map(|&x| f64::from(x) * f64::from(x))
+            .sum::<f64>()
+            .sqrt() as f32
+    }
+
+    #[test]
+    fn lane_norm_equals_the_serial_reference_in_f32() {
+        let mut rng = crate::Pcg64::seeded(0x4E0E);
+        let mut checked = 0;
+        for n in [0, 1, 7, 8, 9, 4096, 37_764, 250_000] {
+            for scale in [1e-3f32, 0.1, 1.0, 30.0] {
+                for _ in 0..if n < 10_000 { 16 } else { 2 } {
+                    let t = crate::init::normal([n], 0.0, scale, &mut rng);
+                    // Bit-equal, except that std's float `sum` starts from
+                    // -0.0, so the serial norm of nothing is -0.0.
+                    let (lanes, serial) = (t.norm(), serial_norm(&t));
+                    if n == 0 {
+                        assert_eq!((lanes, serial), (0.0, 0.0));
+                    } else {
+                        assert_eq!(
+                            lanes.to_bits(),
+                            serial.to_bits(),
+                            "n = {n}, scale = {scale}"
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 4 * (6 * 16 + 2 * 2));
+        assert_eq!(Tensor::zeros([0]).norm(), 0.0);
+        assert_eq!(Tensor::from_slice(&[3.0, 4.0]).norm(), 5.0);
+    }
+
+    #[test]
+    fn lane_norm_propagates_nan_and_infinity_from_any_position() {
+        for n in [1, 7, 8, 9, 4096, 37_764] {
+            for at in [0, n / 2, n - 1] {
+                for (bad, want_nan) in [
+                    (f32::NAN, true),
+                    (f32::INFINITY, false),
+                    (f32::NEG_INFINITY, false),
+                ] {
+                    let mut t = Tensor::ones([n]);
+                    t.data_mut()[at] = bad;
+                    let (lanes, serial) = (t.norm(), serial_norm(&t));
+                    assert_eq!(lanes.is_nan(), want_nan, "n = {n}, at = {at}, {bad}");
+                    assert_eq!(serial.is_nan(), want_nan);
+                    if !want_nan {
+                        assert_eq!((lanes, serial), (f32::INFINITY, f32::INFINITY));
+                    }
+                }
+            }
+        }
+        // An infinity and a NaN together are NaN, as in the serial sum.
+        let t = Tensor::from_slice(&[f32::INFINITY, 1.0, f32::NAN, 2.0, 0.0, 0.0, 0.0, 0.0, 5.0]);
+        assert!(t.norm().is_nan() && serial_norm(&t).is_nan());
+    }
+
+    #[test]
+    fn load_converts_into_an_unshared_slab_and_allocates_for_a_shared_one() {
+        let src = Tensor::new([2, 3], vec![1.0, -2.5, 3.0, 0.0, f32::MIN, 6.75]);
+        let bytes = src.to_bytes();
+        let enc = TensorBytes::parse(&bytes).unwrap();
+        assert_eq!(enc.shape().dims(), &[2, 3]);
+
+        // Unshared, same length (a different shape): converted in place.
+        let mut dst = Tensor::zeros([6]);
+        let slab = dst.data().as_ptr();
+        assert!(dst.load(&enc));
+        assert_eq!((dst.data().as_ptr(), &dst), (slab, &src));
+
+        // Shared: a fresh slab, and the other handle keeps its values.
+        let other = dst.clone();
+        let mut again = Tensor::zeros([2, 3]);
+        again.data_mut()[0] = 9.0;
+        let mut shared = again.clone();
+        assert!(!shared.load(&enc));
+        assert_eq!(shared, src);
+        assert_eq!(again.data()[0], 9.0, "the sharer is untouched");
+        assert!(!std::ptr::eq(again.data().as_ptr(), shared.data().as_ptr()));
+        drop(other);
+
+        // Another length: a fresh slab of the right size.
+        let mut short = Tensor::zeros([2]);
+        assert!(!short.load(&enc));
+        assert_eq!(short, src);
     }
 
     #[test]

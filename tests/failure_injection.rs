@@ -167,7 +167,7 @@ fn batch_cut_mid_group_commit_recovers_to_a_prefix_of_whole_checkpoints() {
                 "cut at {cut}: recovered set is not a prefix"
             );
             assert_eq!(
-                recovered.get(block, *seq).unwrap(),
+                recovered.get_bytes(block, *seq).unwrap(),
                 payload(*seq),
                 "cut at {cut}: checkpoint {seq} corrupted"
             );
@@ -176,7 +176,10 @@ fn batch_cut_mid_group_commit_recovers_to_a_prefix_of_whole_checkpoints() {
         let mut batch = recovered.batch();
         batch.stage("sb_1", 0, b"post-recovery write");
         batch.commit().unwrap();
-        assert_eq!(recovered.get("sb_1", 0).unwrap(), b"post-recovery write");
+        assert_eq!(
+            recovered.get_bytes("sb_1", 0).unwrap().to_vec(),
+            b"post-recovery write"
+        );
     }
 }
 
@@ -335,7 +338,7 @@ fn compaction_crash_at_every_byte_offset_loses_no_live_checkpoint() {
         for (block, seq) in &live_keys {
             assert_eq!(
                 store
-                    .get(block, *seq)
+                    .get_bytes(block, *seq)
                     .unwrap_or_else(|e| panic!("{label}: live checkpoint {block}.{seq} lost: {e}")),
                 payload(block, *seq, 2),
                 "{label}: {block}.{seq} must hold the latest re-put"
@@ -343,7 +346,10 @@ fn compaction_crash_at_every_byte_offset_loses_no_live_checkpoint() {
         }
         // The recovered store accepts and persists new writes.
         store.put("post", 0, b"post-recovery write").unwrap();
-        assert_eq!(store.get("post", 0).unwrap(), b"post-recovery write");
+        assert_eq!(
+            store.get_bytes("post", 0).unwrap().to_vec(),
+            b"post-recovery write"
+        );
     };
 
     // A: cut at every byte offset of the new segment's temp sibling.
@@ -379,7 +385,10 @@ fn compaction_crash_at_every_byte_offset_loses_no_live_checkpoint() {
         );
         let store = CheckpointStore::open(&victim).unwrap();
         for (block, seq) in &live_keys {
-            assert_eq!(store.get(block, *seq).unwrap(), payload(block, *seq, 2));
+            assert_eq!(
+                store.get_bytes(block, *seq).unwrap(),
+                payload(block, *seq, 2)
+            );
         }
     }
 
@@ -469,7 +478,7 @@ fn delta_chain_segment_truncated_at_every_offset_never_lies() {
             Err(_) => continue,
         };
         for v in 0..versions {
-            if let Ok(bytes) = store.get("sb_0", v) {
+            if let Ok(bytes) = store.get_bytes("sb_0", v) {
                 assert_eq!(
                     bytes,
                     drifting_payload(v, floats),
@@ -515,7 +524,7 @@ fn delta_chain_segment_corrupted_at_every_stride_never_lies() {
             Err(_) => continue,
         };
         for v in 0..versions {
-            match store.get("sb_0", v) {
+            match store.get_bytes("sb_0", v) {
                 Ok(bytes) => assert_eq!(
                     bytes,
                     drifting_payload(v, floats),
@@ -555,7 +564,7 @@ fn delta_chain_segment_corrupted_at_every_stride_never_lies() {
         fs::write(victim.join("seg").join("00000000.seg"), &corrupted).unwrap();
         if let Ok(store) = CheckpointStore::open(&victim) {
             for v in 0..versions {
-                if let Ok(bytes) = store.get("sb_0", v) {
+                if let Ok(bytes) = store.get_bytes("sb_0", v) {
                     assert_eq!(bytes, drifting_payload(v, floats), "plain flip at {at}");
                 }
             }
@@ -608,7 +617,7 @@ fn chunked_keyframe_truncation_is_loud_through_the_store() {
         copy_store(&reference, &victim);
         fs::write(victim.join("seg").join("00000000.seg"), &seg_bytes[..cut]).unwrap();
         if let Ok(store) = CheckpointStore::open(&victim) {
-            match store.get("sb_0", 0) {
+            match store.get_bytes("sb_0", 0) {
                 Ok(bytes) => assert_eq!(bytes, payload, "cut {cut} silently altered data"),
                 Err(_) => failures += 1,
             }

@@ -53,7 +53,7 @@ proptest! {
     #[test]
     fn codec_roundtrips_arbitrary_values(v in arb_cval()) {
         let bytes = encode(&v);
-        let back = decode(&bytes).expect("decode");
+        let back = decode(bytes).expect("decode");
         prop_assert!(cval_eq(&v, &back));
     }
 
@@ -84,7 +84,7 @@ proptest! {
             });
             prop_assert_eq!(&pooled, &fresh);
             // And through a SerializeSnapshot's default serialize_into.
-            let back = decode(&pooled).expect("pooled bytes decode");
+            let back = decode(pooled).expect("pooled bytes decode");
             prop_assert!(cval_eq(v, &back));
         }
     }
@@ -638,12 +638,12 @@ proptest! {
             }
             // Read back newest-first (worst case for the restore cache).
             for (v, payload) in traj.iter().enumerate().rev() {
-                prop_assert_eq!(&store.get("sb_0", v as u64).unwrap(), payload);
+                prop_assert_eq!(&store.get_bytes("sb_0", v as u64).unwrap(), payload);
             }
         }
         let store = CheckpointStore::open_opts(&dir, opts).unwrap();
         for (v, payload) in traj.iter().enumerate() {
-            prop_assert_eq!(&store.get("sb_0", v as u64).unwrap(), payload);
+            prop_assert_eq!(&store.get_bytes("sb_0", v as u64).unwrap(), payload);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -701,8 +701,8 @@ proptest! {
             deduped.put("sb_0", v as u64, payload).unwrap();
         }
         for (v, payload) in traj.iter().enumerate().rev() {
-            let p = plain.get("sb_0", v as u64).unwrap();
-            let d = deduped.get("sb_0", v as u64).unwrap();
+            let p = plain.get_bytes("sb_0", v as u64).unwrap();
+            let d = deduped.get_bytes("sb_0", v as u64).unwrap();
             prop_assert_eq!(&p, payload, "plain diverged at {}", v);
             prop_assert_eq!(&d, payload, "deduped diverged at {}", v);
         }
@@ -710,7 +710,7 @@ proptest! {
         drop(deduped);
         let reopened = CheckpointStore::open(base.join("deduped")).unwrap();
         for (v, payload) in traj.iter().enumerate() {
-            prop_assert_eq!(&reopened.get("sb_0", v as u64).unwrap(), payload);
+            prop_assert_eq!(&reopened.get_bytes("sb_0", v as u64).unwrap(), payload);
         }
         // Zero-copy reads, all held alive at once (every blob is its own
         // mapping; none may alias or outlive another's bytes), against the
@@ -719,8 +719,8 @@ proptest! {
             .map(|v| reopened.get_bytes("sb_0", v as u64).unwrap())
             .collect();
         for (v, mapped) in held.iter().enumerate() {
-            let oracle = plain.get("sb_0", v as u64).unwrap();
-            prop_assert_eq!(mapped.as_ref(), &oracle[..], "mapped read diverged at {}", v);
+            let oracle = plain.get_bytes("sb_0", v as u64).unwrap();
+            prop_assert_eq!(mapped, &oracle, "mapped read diverged at {}", v);
         }
         // Every blob's content hash was checked by its first read; the
         // re-reads above were covered by the payload CRC alone.

@@ -118,7 +118,7 @@ fn manifest_truncated_at_every_offset_over_dup_lines_never_lies() {
             Err(_) => continue,
         };
         for v in 0..versions {
-            if let Ok(bytes) = store.get("sb_0", v as u64) {
+            if let Ok(bytes) = store.get_bytes("sb_0", v as u64) {
                 assert_eq!(
                     bytes,
                     payload(v as u32 + 7),
@@ -161,7 +161,7 @@ fn dedup_log_truncated_at_every_offset_is_exact_or_loud() {
             Err(_) => continue,
         };
         for v in 0..versions {
-            if let Ok(bytes) = store.get("sb_0", v as u64) {
+            if let Ok(bytes) = store.get_bytes("sb_0", v as u64) {
                 assert_eq!(
                     bytes,
                     payload(v as u32 + 7),
@@ -206,11 +206,11 @@ fn dup_victim(base: &Path, tag: &str) -> (PathBuf, PathBuf) {
 fn blob_of(store: &CheckpointStore, arena: &Path, seq: u64) -> PathBuf {
     // The fixture's store holds one `@dup` entry per version; find the
     // one whose bytes `seq` restores by reading each blob's payload.
-    let want = store.get("sb_0", seq).unwrap();
+    let want = store.get_bytes("sb_0", seq).unwrap();
     fs::read_dir(arena.join("blobs"))
         .unwrap()
         .map(|e| e.unwrap().path())
-        .find(|p| fs::read(p).unwrap().ends_with(&want))
+        .find(|p| fs::read(p).unwrap().ends_with(want.as_ref()))
         .expect("blob holding the version")
 }
 
@@ -251,7 +251,7 @@ fn damaged_or_missing_blobs_are_loud_corruption_on_the_next_read() {
         // Still loud on a repeat (a failed check is not remembered as a
         // pass), and an undamaged blob reads exactly.
         assert!(store.get_bytes("sb_0", 2).is_err(), "{tag}");
-        assert_eq!(store.get("sb_0", 0).unwrap(), payload(7), "{tag}");
+        assert_eq!(store.get_bytes("sb_0", 0).unwrap(), payload(7), "{tag}");
     }
 }
 
@@ -262,7 +262,7 @@ fn bit_rot_after_the_one_hash_check_is_still_caught_by_the_payload_crc() {
     let (victim, victim_arena) = dup_victim(&base, "rot");
     let store = CheckpointStore::open(&victim).unwrap();
     let blob = blob_of(&store, &victim_arena, 0);
-    assert_eq!(store.get("sb_0", 0).unwrap(), payload(7));
+    assert_eq!(store.get_bytes("sb_0", 0).unwrap(), payload(7));
     let verifies = store.stats().dedup_hash_verifies;
     assert!(verifies >= 1);
     // Same process, same handle, no mapping of the blob alive: the hash

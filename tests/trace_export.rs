@@ -388,6 +388,8 @@ fn read_once_contract_is_visible_in_metrics_and_store_stats() {
     };
     let hash_verifies = flor_obs::metrics::counter("dedup.hash_verifies");
     let verifies_before = hash_verifies.get();
+    let slabs_reused = flor_obs::metrics::counter("replay.restore_slabs_reused");
+    let reused_before = slabs_reused.get();
 
     let first = registry.query("read-once", &outer_probed(1), 1).unwrap();
     assert!(!first.cached && first.anomalies.is_empty(), "{first:?}");
@@ -413,15 +415,21 @@ fn read_once_contract_is_visible_in_metrics_and_store_stats() {
         "hash once per blob per process"
     );
     assert!(hash_verifies.get() - verifies_before >= blobs);
+    // Each query's restores after its first load into the slabs its
+    // model and optimizer already own.
+    assert!(slabs_reused.get() - reused_before >= 4 * (blobs - 1));
 
     // The counter is on the `metrics` surface, beside the constructor
-    // memo's (a table that starts empty misses before it hits).
+    // memo's (a table that starts empty misses before it hits) and the
+    // restores' slab counts.
     let metrics = registry.metrics_snapshot().to_json();
     for name in [
         "dedup.hash_verifies",
         "replay.ctor_memo_hits",
         "replay.ctor_memo_misses",
         "replay.ctor_memo_evictions",
+        "replay.restore_slabs_reused",
+        "replay.restore_slabs_allocated",
     ] {
         assert!(metrics.contains(name), "{name} missing from {metrics}");
     }

@@ -352,11 +352,35 @@ echo "trace smoke: $store_reads store_read span(s) == $restored restored"
 run cargo run --release -q -p flor-bench --bin trace_check -- \
     "$TRACE_DIR/trace.json" --min-events 20 --min-lanes 2 --min-categories 4
 
+# Slab-reuse smoke: a restore converts each checkpointed tensor into the
+# slab its live tensor owns, and allocates one only where that slab is
+# shared or missing — the first restore after a constructor-memo hit (the
+# hit shares its template's slabs) and a fresh optimizer's first moments.
+# So a fresh outer-probe query, which restores every epoch, allocates at
+# most one checkpoint's tensors per worker, not one per restore.
+sed 's/    log("loss", avg.mean())/&\n    log("probe_wnorm", net.weight_norm())/' \
+    "$TRACE_DIR/train.flr" > "$TRACE_DIR/outer.flr"
+echo
+echo "==> flor serve: fresh outer-probe query, then metrics (2 workers)"
+printf 'query trace-smoke %s\ndrain\nmetrics\nquit\n' "$TRACE_DIR/outer.flr" \
+    | ./target/release/flor serve --registry "$TRACE_DIR/registry" --workers 2 \
+    > "$TRACE_DIR/serve.out"
+slab_counter() {
+    grep -o "\"replay.restore_slabs_$1\":[0-9]*" "$TRACE_DIR/serve.out" | cut -d: -f2
+}
+allocated=$(slab_counter allocated)
+reused=$(slab_counter reused)
+# One checkpoint holds 8 tensors: the mlp's 4 parameters, sgd's 4 velocities.
+slab_bound=$((8 * 2))
+if [[ -z "$allocated" || -z "$reused" || "$allocated" -gt "$slab_bound" || "$reused" -le "$allocated" ]]; then
+    echo "slab smoke: ${allocated:-no} slab(s) allocated, ${reused:-no} reused — want at most $slab_bound allocated (8 tensors x 2 workers) and more reused" >&2
+    exit 1
+fi
+echo "slab smoke: $allocated allocated (<= $slab_bound), $reused reused"
+
 # Postamble memo smoke: an outer probe cannot change what the code after
 # the main loop prints, so replay must not run it — it emits the recorded
 # `accuracy` line instead, byte-equal to a from-scratch run's.
-sed 's/    log("loss", avg.mean())/&\n    log("probe_wnorm", net.weight_norm())/' \
-    "$TRACE_DIR/train.flr" > "$TRACE_DIR/outer.flr"
 run ./target/release/flor record "$TRACE_DIR/train.flr" --store "$TRACE_DIR/store" --no-adaptive
 echo
 echo "==> flor replay (outer probe, 2 workers)"
